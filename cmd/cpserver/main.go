@@ -14,6 +14,13 @@
 // -capacity; clients (internal/client, cploadgen) spread keys over the
 // instances through the cluster continuum.
 //
+// With -memcached ADDR, instance i (cphash and lockhash backends) also
+// accepts memcached text connections on ADDR's port + i. They are served
+// by the instance itself — same workers, batching, table, group commit,
+// chaos rules and counters as native connections, internal/mctext being
+// only the wire codec — so pipelined text commands execute and are
+// answered a batch at a time, and "STORED" means what a native ack means.
+//
 // Examples:
 //
 //	cpserver -addr :9090 -capacity 256MiB -workers 4 -backend cphash
@@ -133,7 +140,6 @@ import (
 	"cphash/internal/detect"
 	"cphash/internal/kvserver"
 	"cphash/internal/lockhash"
-	"cphash/internal/mctext"
 	"cphash/internal/memcache"
 	"cphash/internal/obs"
 	"cphash/internal/partition"
@@ -164,7 +170,7 @@ var (
 	failoverProbeTO  = flag.Duration("failover-probe-timeout", 500*time.Millisecond, "failure detector probe timeout (dial, and with -failover-app-probe the full request round trip)")
 	failoverAppPing  = flag.Bool("failover-app-probe", true, "probe instances with a protocol-level ping (one GET under the probe timeout) instead of a bare TCP dial, so an instance that accepts connections but never serves them is detected as down")
 
-	mcAddr = flag.String("memcached", "", "optional memcached text-protocol base listen address; instance i listens on port+i and proxies onto its own native listener")
+	mcAddr = flag.String("memcached", "", "optional memcached text-protocol base listen address; instance i also serves text connections on port+i, through the same workers and table as its native listener (cphash/lockhash)")
 
 	chaosOn   = flag.Bool("chaos", false, "arm the deterministic fault injector: every listener, replication link, and detector probe runs through a chaos.Director; rules via GET/POST/DELETE /chaos on -statsaddr")
 	chaosSeed = flag.Int64("chaos-seed", 1, "seed for the chaos director's probabilistic faults (drops, jitter)")
@@ -217,9 +223,9 @@ func chaosDial(src string) func(network, addr string, timeout time.Duration) (ne
 // instance is one running server plus its observability hooks.
 type instance struct {
 	addr string
-	// mc is the instance's memcached text front-end (nil unless
-	// -memcached is set).
-	mc       *mctext.Server
+	// mcAddr is the bound address of the instance's memcached text
+	// listener ("" unless -memcached is set).
+	mcAddr   string
 	requests func() int64
 	snapshot func() map[string]any
 	// collect emits the instance's Prometheus families under a label set
@@ -297,9 +303,9 @@ func instanceAddrs(base string, n int) ([]string, error) {
 	return out, nil
 }
 
-// mctextAddrFor derives instance idx's memcached side-listener address
+// mctextAddrFor derives instance idx's memcached text listen address
 // from the -memcached base, with the same port+idx rule as -addr (""
-// when the front-end is disabled).
+// when the flag is unset).
 func mctextAddrFor(idx int) string {
 	if *mcAddr == "" {
 		return ""
@@ -313,20 +319,6 @@ func mctextAddrFor(idx int) string {
 		p += idx
 	}
 	return net.JoinHostPort(host, strconv.Itoa(p))
-}
-
-// startMctext opens instance's memcached text front-end on mcListen
-// (no-op returning nil when the flag is unset), proxying onto the
-// instance's native upstream address.
-func startMctext(mcListen, upstream string) (*mctext.Server, error) {
-	if mcListen == "" {
-		return nil, nil
-	}
-	ln, err := net.Listen("tcp", mcListen)
-	if err != nil {
-		return nil, fmt.Errorf("memcached listener %s: %w", mcListen, err)
-	}
-	return mctext.Serve(ln, mctext.Config{Upstream: upstream}), nil
 }
 
 // instanceDir returns instance i's durability directory ("" when
@@ -364,18 +356,15 @@ func startInstance(addr, mcListen, dir string, capBytes int, policy partition.Ev
 		if dir != "" {
 			return nil, fmt.Errorf("-datadir is not supported by the memcache backend (use cphash or lockhash)")
 		}
+		if mcListen != "" {
+			return nil, fmt.Errorf("-memcached is not supported by the memcache backend (use cphash or lockhash)")
+		}
 		inst, err := memcache.ServeInstance(addr, capBytes)
 		if err != nil {
 			return nil, err
 		}
-		mc, err := startMctext(mcListen, inst.Addr())
-		if err != nil {
-			inst.Close()
-			return nil, err
-		}
 		return &instance{
 			addr:     inst.Addr(),
-			mc:       mc,
 			requests: inst.Requests,
 			snapshot: func() map[string]any {
 				return map[string]any{
@@ -386,16 +375,8 @@ func startInstance(addr, mcListen, dir string, capBytes int, policy partition.Ev
 			collect: func(e *obs.Expo, labels string) {
 				e.Counter("cphash_server_requests_total", "Requests processed.", labels, inst.Requests())
 				e.Gauge("cphash_table_elements", "entries currently stored", labels, float64(inst.Len()))
-				if mc != nil {
-					mc.Collect(e, labels)
-				}
 			},
-			close: sync.OnceFunc(func() {
-				if mc != nil {
-					mc.Close()
-				}
-				inst.Close()
-			}),
+			close: sync.OnceFunc(func() { inst.Close() }),
 		}, nil
 
 	case "cphash", "lockhash":
@@ -512,6 +493,7 @@ func startInstance(addr, mcListen, dir string, capBytes int, policy partition.Ev
 		}
 		srv, err := kvserver.Serve(kvserver.Config{
 			Addr:        addr,
+			TextAddr:    mcListen,
 			Workers:     *workers,
 			NewBackend:  newBackend,
 			Persist:     pipe,
@@ -533,18 +515,9 @@ func startInstance(addr, mcListen, dir string, capBytes int, policy partition.Ev
 				"instance", srv.Addr(), "dir", dir, "sync", persistPol.String(),
 				"snapshotEntries", recovered.SnapshotEntries, "walRecords", recovered.WALRecords)
 		}
-		mc, err := startMctext(mcListen, srv.Addr())
-		if err != nil {
-			srv.Close()
-			if applierClose != nil {
-				applierClose()
-			}
-			closeTable()
-			return nil, err
-		}
 		return &instance{
 			addr:     srv.Addr(),
-			mc:       mc,
+			mcAddr:   srv.TextAddr(),
 			requests: func() int64 { return srv.Stats().Requests },
 			collect: func(e *obs.Expo, labels string) {
 				srv.Collect(e, labels)
@@ -554,9 +527,6 @@ func startInstance(addr, mcListen, dir string, capBytes int, policy partition.Ev
 				}
 				if src != nil {
 					src.Collect(e, labels)
-				}
-				if mc != nil {
-					mc.Collect(e, labels)
 				}
 			},
 			snapshot: func() map[string]any {
@@ -579,9 +549,6 @@ func startInstance(addr, mcListen, dir string, capBytes int, policy partition.Ev
 			// closes this instance's own follower links before calling
 			// close, so nothing feeds the applier by then.
 			close: sync.OnceFunc(func() {
-				if mc != nil {
-					mc.Close()
-				}
 				srv.Close()
 				if applierClose != nil {
 					applierClose()
@@ -1564,8 +1531,8 @@ func main() {
 		insts = append(insts, in)
 		fmt.Printf("%s instance %d listening on %s (capacity %s, %d workers)\n",
 			*backend, i, in.addr, *capacity, *workers)
-		if in.mc != nil {
-			fmt.Printf("  memcached front-end for instance %d on %s\n", i, in.mc.Addr())
+		if in.mcAddr != "" {
+			fmt.Printf("  memcached text listener for instance %d on %s\n", i, in.mcAddr)
 		}
 	}
 	if *instances > 1 {

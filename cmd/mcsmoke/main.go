@@ -1,8 +1,10 @@
 // mcsmoke drives a memcached-compatible listener through the full
 // command set — set/get/gets/cas/add/replace/append/prepend/incr/decr/
-// delete/touch/version — and exits non-zero on the first mismatch. CI
-// points it at a cpserver -memcached listener to prove the text
-// front-end round-trips like stock memcached.
+// delete/touch/version — then sends 100 pipelined commands in a single
+// write and checks the reply stream byte for byte, and exits non-zero on
+// the first mismatch. CI points it at a cpserver -memcached listener to
+// prove the text protocol round-trips like stock memcached, one command
+// at a time and a batch at a time.
 package main
 
 import (
@@ -10,7 +12,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"os"
+	"strings"
 	"time"
 
 	"cphash/internal/mcclient"
@@ -135,6 +140,49 @@ func run(addr string, timeout time.Duration) error {
 	}
 	if st["curr_connections"] == "" {
 		return errors.New("stats: missing curr_connections")
+	}
+	return burst(addr, timeout)
+}
+
+// burst pipelines 100 commands in one write — what the server gathers
+// into a batch — and requires the exact replies, in order, "noreply"
+// commands leaving no trace.
+func burst(addr string, timeout time.Duration) error {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return fmt.Errorf("burst dial %s: %w", addr, err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(timeout))
+
+	var req, want strings.Builder
+	add := func(command, reply string) {
+		req.WriteString(command)
+		want.WriteString(reply)
+	}
+	add("set smoke:b:n 0 0 1\r\n0\r\n", "STORED\r\n")
+	for i := 0; i < 11; i++ { // 1 + 11×9 = 100 commands
+		k := fmt.Sprintf("smoke:b:%d", i)
+		add(fmt.Sprintf("set %s %d 0 %d\r\n%s\r\n", k, i, len(k), k), "STORED\r\n")
+		add(fmt.Sprintf("set %s:q 0 0 1 noreply\r\nq\r\n", k), "")
+		add(fmt.Sprintf("get smoke:b:absent %s %s:q\r\n", k, k),
+			fmt.Sprintf("VALUE %s %d %d\r\n%s\r\nVALUE %s:q 0 1\r\nq\r\nEND\r\n", k, i, len(k), k, k))
+		add("incr smoke:b:n 3\r\n", fmt.Sprintf("%d\r\n", 3*(i+1)))
+		add(fmt.Sprintf("delete %s:q\r\n", k), "DELETED\r\n")
+		add(fmt.Sprintf("delete %s:q\r\n", k), "NOT_FOUND\r\n")
+		add(fmt.Sprintf("add %s 0 0 1\r\nx\r\n", k), "NOT_STORED\r\n")
+		add("smoke-unknown-verb\r\n", "ERROR\r\n")
+		add(fmt.Sprintf("touch %s 3600\r\n", k), "TOUCHED\r\n")
+	}
+	if _, err := io.WriteString(conn, req.String()); err != nil {
+		return fmt.Errorf("burst write: %w", err)
+	}
+	got := make([]byte, want.Len())
+	if n, err := io.ReadFull(conn, got); err != nil {
+		return fmt.Errorf("burst: read %d of %d reply bytes: %w", n, len(got), err)
+	}
+	if string(got) != want.String() {
+		return fmt.Errorf("burst: reply stream diverged:\n got %q\nwant %q", got, want.String())
 	}
 	return nil
 }

@@ -25,7 +25,6 @@ import (
 	"cphash/internal/hotpath"
 	"cphash/internal/kvserver"
 	"cphash/internal/lockhash"
-	"cphash/internal/mctext"
 	"cphash/internal/partition"
 	"cphash/internal/persist"
 	"cphash/internal/replica"
@@ -33,12 +32,12 @@ import (
 
 // hotPathConn bundles one dialed connection's codecs, plus the
 // replication source when the server was started with one and the
-// memcached text front-end when one was enabled.
+// memcached text listener's address when one was enabled.
 type hotPathConn struct {
-	bw  *bufio.Writer
-	br  *bufio.Reader
-	src *replica.Source
-	mc  *mctext.Server
+	bw     *bufio.Writer
+	br     *bufio.Reader
+	src    *replica.Source
+	mcAddr string
 }
 
 // startHotPathServer boots a CPSERVER (CPHASH backend) sized for the
@@ -117,8 +116,13 @@ func startHotPathServer(tb testing.TB, persistDir string, followers int, dir *ch
 	if dir != nil {
 		listen = dir.Listen("")
 	}
+	textAddr := ""
+	if withMctext {
+		textAddr = "127.0.0.1:0"
+	}
 	srv, err := kvserver.Serve(kvserver.Config{
 		Addr:        "127.0.0.1:0",
+		TextAddr:    textAddr,
 		Workers:     1,
 		NewBackend:  kvserver.NewCPHashBackend(table),
 		Persist:     pipe,
@@ -149,21 +153,8 @@ func startHotPathServer(tb testing.TB, persistDir string, followers int, dir *ch
 		table.Close()
 		tb.Fatal(err)
 	}
-	var mc *mctext.Server
-	if withMctext {
-		mcln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			srv.Close()
-			table.Close()
-			tb.Fatal(err)
-		}
-		mc = mctext.Serve(mcln, mctext.Config{Upstream: srv.Addr()})
-	}
-	pw := &hotPathConn{bw: bw, br: br, src: src, mc: mc}
+	pw := &hotPathConn{bw: bw, br: br, src: src, mcAddr: srv.TextAddr()}
 	return pw, func() {
-		if mc != nil {
-			mc.Close()
-		}
 		closer.Close()
 		for _, fl := range fls {
 			fl.Close()
@@ -303,12 +294,12 @@ func TestHotPathAllocCeiling(t *testing.T) {
 		if followers > 0 {
 			waitReplicated(t, pw.src, followers)
 		}
-		if pw.mc != nil {
-			// A warmed text connection stays parked on the front-end
-			// during the measured window: the side listener being
+		if pw.mcAddr != "" {
+			// A warmed text connection stays parked on the server
+			// during the measured window: the text listener being
 			// enabled (and having served traffic) must not tax the
 			// native path.
-			mcc, closeMC := dialMctextRaw(t, pw.mc.Addr().String())
+			mcc, closeMC := dialMctextRaw(t, pw.mcAddr)
 			defer closeMC()
 			if err := mcc.mix(2000); err != nil {
 				t.Fatal(err)
@@ -358,9 +349,8 @@ func TestHotPathAllocCeiling(t *testing.T) {
 		}
 		run(t, "", 0, d, false)
 	})
-	// The -memcached deployment shape: the text front-end listener is up
-	// with a warmed text connection parked on it while the native mix
-	// runs.
+	// The -memcached deployment shape: the text listener is up with a
+	// warmed text connection parked on it while the native mix runs.
 	t.Run("mctext-enabled", func(t *testing.T) { run(t, "", 0, nil, true) })
 }
 
@@ -437,18 +427,18 @@ func (m *mctextRawConn) mix(n int) error {
 	return nil
 }
 
-// TestMctextAllocCeiling is the text front-end's own allocation gate:
-// steady-state get/set traffic through the translator (text parse →
-// native round trip → text render) must stay within the same per-op
-// budget as the native path, proving the recycled-arena discipline holds
-// end to end across both protocol hops.
+// TestMctextAllocCeiling is the text protocol's own allocation gate:
+// steady-state get/set traffic through the server's text codec (tokenise
+// into the connection's arenas → worker batch → render into the
+// connection's writer) must stay within the same per-op budget as the
+// native path.
 func TestMctextAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation ceiling is measured by the bench smoke job, not under -short/-race")
 	}
 	pw, stop := startHotPathServer(t, "", 0, nil, true)
 	defer stop()
-	mcc, closeMC := dialMctextRaw(t, pw.mc.Addr().String())
+	mcc, closeMC := dialMctextRaw(t, pw.mcAddr)
 	defer closeMC()
 	if err := mcc.mix(4000); err != nil { // warm every recycled buffer
 		t.Fatal(err)

@@ -125,9 +125,15 @@ type Client struct {
 	to   []*ring.SPSC[request]
 	from []*ring.SPSC[reply]
 
-	pending     []pendingFIFO
-	replyBuf    []reply
-	outstanding int
+	pending []pendingFIFO
+	// replyBuf holds the batch of replies being completed: those of
+	// server batchSrv, of which replyBuf[batchPos:batchLen] are still to
+	// do. The cursor lives here, not in Poll, because completing an insert
+	// sends a Ready message, and send polls when the request ring is full:
+	// the nested Poll must carry on from the interrupted batch, in order.
+	replyBuf                     []reply
+	batchSrv, batchPos, batchLen int
+	outstanding                  int
 	// maxOutstanding bounds in-flight replied operations (the paper's
 	// pipeline/batch size; 1,000 in §6.1). IssueAsync blocks (polling)
 	// at the bound.
@@ -293,6 +299,10 @@ func (c *Client) send(s int, r request) {
 	c.t.kick(s) // the server may be parked while we wait for ring space
 	for !rq.Produce(r) {
 		if c.Poll() == 0 {
+			// Ready messages sent from inside an earlier Poll take the
+			// fast path above, which does not kick: they can refill the
+			// ring after the server drained it and parked.
+			c.t.kick(s)
 			runtime.Gosched()
 		}
 	}
@@ -322,7 +332,7 @@ func (c *Client) Flush(k Key) {
 // Poll drains available replies from every server and completes their ops,
 // returning how many ops completed. It never blocks.
 func (c *Client) Poll() int {
-	done := 0
+	done := c.drainBatch() // non-empty only when re-entered from complete
 	for s := range c.from {
 		if c.pending[s].len() == 0 {
 			continue
@@ -332,11 +342,23 @@ func (c *Client) Poll() int {
 			if n == 0 {
 				break
 			}
-			for i := 0; i < n; i++ {
-				c.complete(s, c.replyBuf[i])
-			}
-			done += n
+			c.batchSrv, c.batchPos, c.batchLen = s, 0, n
+			done += c.drainBatch()
 		}
+	}
+	return done
+}
+
+// drainBatch completes what is left of the current reply batch. Each
+// reply is taken off the batch before it is completed, so a Poll nested
+// inside complete neither repeats it nor overtakes the ones behind it.
+func (c *Client) drainBatch() int {
+	done := 0
+	for c.batchPos < c.batchLen {
+		rep := c.replyBuf[c.batchPos]
+		c.batchPos++
+		c.complete(c.batchSrv, rep)
+		done++
 	}
 	return done
 }

@@ -25,6 +25,14 @@
 // The only difference between CPSERVER and LOCKSERVER is the Backend
 // (NewCPHashBackend vs NewLockHashBackend), mirroring the paper's shared
 // implementation.
+//
+// With Config.TextAddr the server also listens for the memcached text
+// protocol. A text connection differs from a native one only in its codec
+// (internal/mctext): its reader tokenises commands straight into
+// protocol.Requests, and its worker renders text replies; placement,
+// batching, backend, group commit, metrics and shutdown are shared, so a
+// client that pipelines text commands gets them executed — and their
+// replies flushed — a batch at a time.
 package kvserver
 
 import (
@@ -39,6 +47,7 @@ import (
 	"cphash/internal/cluster"
 	"cphash/internal/core"
 	"cphash/internal/lockhash"
+	"cphash/internal/mctext"
 	"cphash/internal/obs"
 	"cphash/internal/partition"
 	"cphash/internal/persist"
@@ -113,6 +122,10 @@ type SlotScanner interface {
 type Config struct {
 	// Addr is the TCP listen address (e.g. "127.0.0.1:0").
 	Addr string
+	// TextAddr, when non-empty, is a second listen address whose
+	// connections speak the memcached text protocol (see internal/mctext
+	// for the command set and translation rules).
+	TextAddr string
 	// Workers is the number of client threads (default 1).
 	Workers int
 	// MaxBatch bounds a worker's batch (default 512, within the paper's
@@ -148,10 +161,11 @@ type Config struct {
 	// the per-batch cost is two clock reads and three atomic adds, which
 	// the hot-path allocation ceiling test keeps honest).
 	Metrics *obs.ServerMetrics
-	// Listen overrides listener creation (nil = net.Listen). Fault
-	// harnesses install chaos.Director.Listen here so accept-then-hang
-	// and partition rules reach the request wire; the wrapper is free
-	// when no rules match, which the hot-path allocation gate enforces.
+	// Listen overrides listener creation (nil = net.Listen), for the
+	// native and the text listener alike. Fault harnesses install
+	// chaos.Director.Listen here so accept-then-hang and partition rules
+	// reach the request wire; the wrapper is free when no rules match,
+	// which the hot-path allocation gate enforces.
 	Listen func(network, addr string) (net.Listener, error)
 }
 
@@ -166,6 +180,8 @@ type Stats struct {
 // Server is a running key/value cache server.
 type Server struct {
 	ln      net.Listener
+	textLn  net.Listener      // nil without Config.TextAddr
+	text    []*mctext.Metrics // one per worker
 	bufSize int
 	persist *persist.Pipeline
 	repl    *replica.Source
@@ -194,9 +210,14 @@ type connState struct {
 	conn net.Conn
 	w    *bufio.Writer
 	wErr error
+	// text marks a memcached text connection: replies are rendered by
+	// mctext, and the worker, not the reader, closes the socket.
+	text bool
 	// touched is worker-private: whether this connection is already on the
 	// current batch's flush list.
 	touched bool
+	// closing is worker-private: close the socket after this batch's flush.
+	closing bool
 
 	// Decode-arena recycling. The readLoop acquires an arena, decodes a
 	// request's variable-length bytes into it, and attaches it to the
@@ -210,8 +231,8 @@ type connState struct {
 	created int
 }
 
-func newConnState(conn net.Conn, w *bufio.Writer) *connState {
-	cs := &connState{conn: conn, w: w}
+func newConnState(conn net.Conn, w *bufio.Writer, text bool) *connState {
+	cs := &connState{conn: conn, w: w, text: text}
 	cs.notFull.L = &cs.mu
 	return cs
 }
@@ -257,10 +278,13 @@ type connReq struct {
 	// variable-length bytes. The worker recycles it via cs.putArena once
 	// the request's batch segment has been processed.
 	arena []byte
+	// text is the reply shape of a text connection's request.
+	text mctext.Reply
 }
 
 type worker struct {
 	id       int
+	srv      *Server
 	queue    chan connReq
 	backend  Backend
 	conns    atomic.Int64
@@ -268,6 +292,8 @@ type worker struct {
 	batches  atomic.Int64
 	maxBatch int
 	m        *obs.ServerMetrics
+	// text counts the text-protocol traffic this worker serves.
+	text mctext.Metrics
 	// persist is the server's durability pipeline (nil without one);
 	// groupCommit is set under SyncAlways, where every mutating batch
 	// barriers on the WAL before its responses are written.
@@ -318,10 +344,16 @@ func Serve(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{ln: ln, bufSize: cfg.BufferSize, persist: cfg.Persist, repl: cfg.Replication, m: cfg.Metrics, conns: map[net.Conn]struct{}{}}
+	if cfg.TextAddr != "" {
+		if s.textLn, err = listen("tcp", cfg.TextAddr); err != nil {
+			ln.Close()
+			return nil, fmt.Errorf("kvserver: memcached text listener: %w", err)
+		}
+	}
 	for i := 0; i < cfg.Workers; i++ {
 		b, err := cfg.NewBackend(i)
 		if err != nil {
-			ln.Close()
+			s.closeListeners()
 			for _, w := range s.workers {
 				w.backend.Close()
 			}
@@ -329,6 +361,7 @@ func Serve(cfg Config) (*Server, error) {
 		}
 		w := &worker{
 			id:          i,
+			srv:         s,
 			queue:       make(chan connReq, cfg.QueueDepth),
 			backend:     b,
 			maxBatch:    cfg.MaxBatch,
@@ -337,6 +370,11 @@ func Serve(cfg Config) (*Server, error) {
 			groupCommit: cfg.Persist != nil && cfg.Persist.Policy() == persist.SyncAlways,
 		}
 		s.workers = append(s.workers, w)
+		s.text = append(s.text, &w.text)
+	}
+	// Workers start only once s.text is complete: a "stats" command reads
+	// every worker's counters.
+	for _, w := range s.workers {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -344,12 +382,32 @@ func Serve(cfg Config) (*Server, error) {
 		}()
 	}
 	s.wg.Add(1)
-	go s.acceptLoop()
+	go s.acceptLoop(s.ln, false)
+	if s.textLn != nil {
+		s.wg.Add(1)
+		go s.acceptLoop(s.textLn, true)
+	}
 	return s, nil
+}
+
+func (s *Server) closeListeners() {
+	s.ln.Close()
+	if s.textLn != nil {
+		s.textLn.Close()
+	}
 }
 
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
+
+// TextAddr returns the bound address of the memcached text listener, ""
+// when the server runs without one.
+func (s *Server) TextAddr() string {
+	if s.textLn == nil {
+		return ""
+	}
+	return s.textLn.Addr().String()
+}
 
 // Stats returns a snapshot of server counters.
 func (s *Server) Stats() Stats {
@@ -374,6 +432,9 @@ func (s *Server) Collect(e *obs.Expo, labels string) {
 	e.Counter("cphash_server_requests_total", "Requests processed.", labels, st.Requests)
 	e.Counter("cphash_server_batches_total", "Batches processed.", labels, st.Batches)
 	s.m.Collect(e, labels)
+	if s.textLn != nil {
+		mctext.Sum(s.text).Collect(e, labels)
+	}
 }
 
 // Close shuts the server down: stop accepting, close connections, drain
@@ -382,7 +443,7 @@ func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	s.ln.Close()
+	s.closeListeners()
 	s.mu.Lock()
 	for c := range s.conns {
 		c.Close()
@@ -425,12 +486,20 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// acceptLoop assigns connections to the least-loaded worker (§4.1's
-// smallest-active-connections balancer).
-func (s *Server) acceptLoop() {
+// dropConn closes a connection and forgets it.
+func (s *Server) dropConn(conn net.Conn) {
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+	conn.Close()
+}
+
+// acceptLoop assigns ln's connections — native, or memcached text — to
+// the least-loaded worker (§4.1's smallest-active-connections balancer).
+func (s *Server) acceptLoop(ln net.Listener, text bool) {
 	defer s.wg.Done()
 	for {
-		conn, err := s.ln.Accept()
+		conn, err := ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
@@ -458,7 +527,7 @@ func (s *Server) acceptLoop() {
 		w.conns.Add(1)
 		s.readers.Add(1)
 		s.mu.Unlock()
-		go s.readLoop(conn, w)
+		go s.readLoop(conn, w, text)
 	}
 }
 
@@ -477,18 +546,38 @@ func (s *Server) leastLoadedWorker() *worker {
 // state allocates nothing per request; an arena travels with its request
 // through the worker queue and returns to the pool once the batch segment
 // holding it has been processed.
-func (s *Server) readLoop(conn net.Conn, w *worker) {
+//
+// A text connection runs the same loop with mctext's decoder in place of
+// the binary one. Either decoder blocks only while the read buffer holds
+// no complete request, so everything a client pipelined is queued — and
+// gathered by the worker into one batch — without waiting for more.
+func (s *Server) readLoop(conn net.Conn, w *worker, text bool) {
 	defer s.readers.Done()
+	cs := newConnState(conn, bufio.NewWriterSize(conn, s.bufSize), text)
+	var dec *mctext.Decoder
+	if text {
+		dec = mctext.NewDecoder(&w.text, s.text)
+		w.text.Connections.Inc()
+		w.text.Active.Inc()
+	}
 	defer func() {
 		w.conns.Add(-1)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
+		if !text {
+			s.dropConn(conn)
+			return
+		}
+		// A text client may send its last command, half-close, and still
+		// expect the replies (printf 'get k\r\n' | nc): the worker drops
+		// the connection once everything queued ahead of this marker has
+		// been flushed. Until then it stays in s.conns, so Close can still
+		// unblock a worker stuck writing to it. The queue is still open —
+		// Close waits for the readers before closing it.
+		w.text.Active.Add(-1)
+		w.queue <- connReq{cs: cs, text: mctext.Reply{Close: true}}
 	}()
-	cs := newConnState(conn, bufio.NewWriterSize(conn, s.bufSize))
 	br := bufio.NewReaderSize(conn, s.bufSize)
 	var req protocol.Request
+	var rp mctext.Reply
 	var spare []byte // acquired arena awaiting a request that needs bytes
 	haveSpare := false
 	for {
@@ -496,7 +585,13 @@ func (s *Server) readLoop(conn net.Conn, w *worker) {
 			spare = cs.getArena()
 			haveSpare = true
 		}
-		out, err := protocol.DecodeRequestInto(br, &req, spare[:0])
+		var out []byte
+		var err error
+		if text {
+			rp, out, err = dec.Next(br, &req, spare[:0])
+		} else {
+			out, err = protocol.DecodeRequestInto(br, &req, spare[:0])
+		}
 		if err != nil {
 			return // EOF, truncation, or protocol error: drop the conn
 		}
@@ -505,11 +600,11 @@ func (s *Server) readLoop(conn net.Conn, w *worker) {
 		}
 		if len(out) > 0 {
 			// The request's StrKey/Value alias the arena; hand it off.
-			w.queue <- connReq{cs: cs, req: req, arena: out}
+			w.queue <- connReq{cs: cs, req: req, arena: out, text: rp}
 			haveSpare = false
 		} else {
 			spare = out // untouched (or grown empty): reuse for the next frame
-			w.queue <- connReq{cs: cs, req: req}
+			w.queue <- connReq{cs: cs, req: req, text: rp}
 		}
 	}
 }
@@ -526,6 +621,10 @@ func (w *worker) run() {
 	var buf []byte
 	var scanBuf []protocol.ScanEntry
 	touched := make([]*connState, 0, 16)
+	// none counts the batch's mctext.OpNone items — canned text replies
+	// and closing markers, which hold a place in the reply order but are
+	// not requests: they stay out of the request and latency series.
+	none := 0
 
 	for {
 		first, ok := <-w.queue
@@ -569,6 +668,8 @@ func (w *worker) run() {
 					reqs = append(reqs, it.req)
 					switch it.req.Op {
 					case protocol.OpLookup, protocol.OpGetStr, protocol.OpGets, protocol.OpGetsStr:
+					case mctext.OpNone:
+						none++
 					default:
 						mutating = true
 					}
@@ -591,18 +692,24 @@ func (w *worker) run() {
 						continue
 					}
 					r := results[i]
-					switch seg[i].req.Op {
-					case protocol.OpLookup, protocol.OpGetStr:
-						cs.wErr = protocol.WriteLookupResponse(cs.w, buf[r.Start:r.End], r.Found)
-					case protocol.OpGets, protocol.OpGetsStr:
-						cs.wErr = protocol.WriteGetsResponse(cs.w, buf[r.Start:r.End], r.Ver, r.Found)
-					case protocol.OpDelete, protocol.OpDelStr:
-						cs.wErr = protocol.WriteDeleteResponse(cs.w, r.Found)
-					default:
-						if protocol.IsRMW(seg[i].req.Op) {
-							cs.wErr = protocol.WriteRMWResponse(cs.w, r.Status, r.Ver, r.Num)
-						} else {
-							continue // inserts are silent
+					if cs.text {
+						cs.wErr = w.text.WriteReply(cs.w, seg[i].text, &seg[i].req,
+							mctext.Outcome{Value: buf[r.Start:r.End], Found: r.Found, Status: r.Status, Ver: r.Ver, Num: r.Num})
+						cs.closing = seg[i].text.Close
+					} else {
+						switch seg[i].req.Op {
+						case protocol.OpLookup, protocol.OpGetStr:
+							cs.wErr = protocol.WriteLookupResponse(cs.w, buf[r.Start:r.End], r.Found)
+						case protocol.OpGets, protocol.OpGetsStr:
+							cs.wErr = protocol.WriteGetsResponse(cs.w, buf[r.Start:r.End], r.Ver, r.Found)
+						case protocol.OpDelete, protocol.OpDelStr:
+							cs.wErr = protocol.WriteDeleteResponse(cs.w, r.Found)
+						default:
+							if protocol.IsRMW(seg[i].req.Op) {
+								cs.wErr = protocol.WriteRMWResponse(cs.w, r.Status, r.Ver, r.Num)
+							} else {
+								continue // inserts are silent
+							}
 						}
 					}
 					if !cs.touched {
@@ -645,15 +752,26 @@ func (w *worker) run() {
 			if cs.wErr == nil {
 				cs.wErr = cs.w.Flush()
 			}
+			// A text connection is dropped here, not by its reader: after
+			// the reader's closing marker, or when a write failed (the
+			// marker would then be skipped like every later reply).
+			if cs.closing || cs.text && cs.wErr != nil {
+				w.srv.dropConn(cs.conn)
+			}
 			cs.touched = false
 			touched[i] = nil
 		}
 		touched = touched[:0]
+		n := int64(len(items) - none)
+		none = 0
+		if n == 0 {
+			continue // nothing but canned replies: not a batch of requests
+		}
 		elapsed := time.Since(batchStart).Nanoseconds()
 		w.m.BatchLatency.Record(elapsed)
-		w.m.BatchSize.Record(int64(len(items)))
-		w.m.OpLatency.RecordN(elapsed/int64(len(items)), int64(len(items)))
-		w.requests.Add(int64(len(items)))
+		w.m.BatchSize.Record(n)
+		w.m.OpLatency.RecordN(elapsed/n, n)
+		w.requests.Add(n)
 		w.batches.Add(1)
 	}
 }

@@ -42,6 +42,7 @@ func persistServer(t *testing.T, dir string, policy persist.SyncPolicy) (*Server
 	}
 	srv, err := Serve(Config{
 		Addr:       "127.0.0.1:0",
+		TextAddr:   "127.0.0.1:0",
 		Workers:    1,
 		NewBackend: NewCPHashBackend(table),
 		Persist:    pipe,

@@ -14,6 +14,7 @@ func startServer(t *testing.T) *kvserver.Server {
 	table := lockhash.MustNew(lockhash.Config{Partitions: 64, CapacityBytes: 4 << 20, Seed: 3})
 	s, err := kvserver.Serve(kvserver.Config{
 		Addr:       "127.0.0.1:0",
+		TextAddr:   "127.0.0.1:0",
 		Workers:    1,
 		NewBackend: kvserver.NewLockHashBackend(table),
 	})

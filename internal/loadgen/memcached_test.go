@@ -1,35 +1,19 @@
 package loadgen
 
 import (
-	"net"
 	"testing"
 
-	"cphash/internal/mctext"
 	"cphash/internal/workload"
 )
 
-// startTextServer stands up a native server with an mctext front-end
-// and returns the text listener's address.
-func startTextServer(t *testing.T) string {
-	t.Helper()
-	srv := startServer(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := mctext.Serve(ln, mctext.Config{Upstream: srv.Addr()})
-	t.Cleanup(func() { mc.Close() })
-	return mc.Addr().String()
-}
-
 // TestRunMemcachedEndToEnd drives a validated workload — shifting hot
 // keys and a value-size mixture, the shapes this driver exists for —
-// through the text protocol across two front-ends. Every hit must carry
+// through the text protocol across two servers' text listeners. Every hit must carry
 // the exact expected bytes, proving the text translation (flags prefix
 // on, prefix off on read) and the continuum routing agree with the
 // native verification model.
 func TestRunMemcachedEndToEnd(t *testing.T) {
-	addrs := []string{startTextServer(t), startTextServer(t)}
+	addrs := []string{startServer(t).TextAddr(), startServer(t).TextAddr()}
 	res, err := RunMemcached(Config{
 		Addrs:      addrs,
 		Conns:      2,

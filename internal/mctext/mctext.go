@@ -1,10 +1,12 @@
-// Package mctext is a memcached text-protocol front-end for a cphash
-// instance. It runs as a side listener next to the native binary
-// listener and acts as a translating proxy: each text connection dials
-// the instance's own native address and rewrites memcached commands
-// (get/gets/set/add/replace/append/prepend/cas/incr/decr/delete/touch/
-// version/stats/quit) into protocol version-4 requests, so a stock
-// memcached client can talk to the store without a new server path.
+// Package mctext is the memcached text-protocol codec of a cphash server:
+// a tokenizer, the translation of each command into protocol version-4
+// requests, and the rendering of their outcomes as memcached replies. It
+// does no network I/O of its own. kvserver attaches a text listener to a
+// running server (Config.TextAddr, cpserver -memcached) and runs its
+// connections through the same reader, worker batching, backend and
+// group-commit barrier as native ones, with this package as the codec —
+// so a stock memcached client talks to the table with no proxy and no
+// second connection in between.
 //
 // Translation rules:
 //
@@ -15,31 +17,32 @@
 //     prefix of the stored value; APPEND/PREPEND/INCR/DECR requests carry
 //     wire Prefix=4 so the engine splices after (and parses past) it.
 //     Values stored by native callers have no such prefix and read back
-//     through this front-end as flags=0 when shorter than 4 bytes.
+//     through this codec as flags=0 when shorter than 4 bytes.
 //   - exptime follows memcached semantics: 0 never expires, negative is
 //     already expired, values ≤ 30 days are relative seconds, larger
 //     values are absolute unix seconds. All convert to the native
 //     millisecond TTL.
-//   - "set" maps onto the silent native SET_STR and is acknowledged
-//     optimistically after the write is flushed upstream; the
-//     per-connection FIFO still guarantees read-your-writes on the same
-//     text connection.
+//   - "set" maps onto the native SET_STR and answers STORED once the
+//     batch holding it has executed — under -sync always, once its WAL
+//     records are fsynced — like every other reply.
+//   - A multi-key get becomes one request per key; the last one carries
+//     Reply.End. Commands the table never sees (version, stats, parse
+//     errors) travel as OpNone requests whose Value is the reply text,
+//     so they keep their place in the connection's reply order.
 //
-// Each text connection owns a small set of recycled buffers (line
-// reader, key copy, value arena, number scratch) so steady-state
-// traffic does not allocate per command.
+// A Decoder holds one connection's recycled parse state and writes keys
+// and values straight into the arena the caller lends it; WriteReply
+// formats into the connection writer's own buffer. Steady-state traffic
+// allocates nothing per command.
 package mctext
 
 import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
-	"net"
+	"slices"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cphash/internal/obs"
@@ -47,7 +50,7 @@ import (
 )
 
 // maxValueLen bounds one text-protocol payload: the native value bound
-// minus the 4-byte flags prefix this front-end adds.
+// minus the 4-byte flags prefix this codec adds.
 const maxValueLen = protocol.MaxValueSize - flagsPrefixLen
 
 // flagsPrefixLen is the stored-value prefix holding the flags word.
@@ -56,247 +59,266 @@ const flagsPrefixLen = 4
 // thirtyDays is memcached's relative/absolute exptime watershed.
 const thirtyDays = 60 * 60 * 24 * 30
 
+// maxHeaderLen bounds a "VALUE <key> <flags> <bytes> <cas>\r\n" line.
+const maxHeaderLen = len("VALUE ") + MaxKeyLen + 1 + 10 + 1 + 10 + 1 + 20 + 2
+
+// OpNone is the opcode of a request that carries no table operation: a
+// command answered from req.Value (version, stats, an error line), or a
+// placeholder with nothing to say (a nil Value). Backends skip it — no
+// protocol opcode is 0 — and the server keeps it out of its request
+// counters; it only holds the reply's place in the connection's order.
+const OpNone = 0
+
+var errLineTooLong = errors.New("mctext: line too long")
+
+// The replies that depend on nothing but the command.
 var (
-	errLineTooLong = errors.New("line too long")
-	errBadChunk    = errors.New("bad data chunk")
+	replyError    = []byte("ERROR\r\n")
+	replyBadLine  = []byte("CLIENT_ERROR bad command line format\r\n")
+	replyBadChunk = []byte("CLIENT_ERROR bad data chunk\r\n")
+	replyTooLong  = []byte("CLIENT_ERROR line too long\r\n")
+	replyVersion  = []byte("VERSION cphash-mctext\r\n")
 )
 
-// Config configures one front-end listener.
-type Config struct {
-	// Upstream is the instance's native listener address each text
-	// connection dials.
-	Upstream string
-	// Version is the string answered to the "version" command
-	// (default "cphash-mctext").
-	Version string
-	// DialTimeout bounds the upstream dial (default 2s).
-	DialTimeout time.Duration
+// Metrics counts one worker's share of the text traffic. The hot
+// counters (commands, hits, misses) are written by the worker as it
+// renders replies, so the adds are uncontended; the pads keep two workers'
+// blocks off one cache line. The worker's connections' readers add the
+// rest: connection counts, parse errors, and the commands that never
+// reach the table.
+type Metrics struct {
+	_ [64]byte
+
+	Connections obs.Counter // lifetime accepted text connections
+	Active      obs.Counter // currently open text connections
+	Commands    obs.Counter // commands parsed and answered
+	GetHits     obs.Counter // get/gets keys answered with a value
+	GetMisses   obs.Counter // get/gets keys answered with a miss
+	ParseErrors obs.Counter // command lines the tokenizer rejected
+
+	_ [64]byte
 }
 
-// Server accepts memcached text-protocol connections and proxies them
-// onto the native listener.
-type Server struct {
-	cfg    Config
-	ln     net.Listener
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
-	closed atomic.Bool
-
-	connections atomic.Int64
-	active      atomic.Int64
-	commands    atomic.Int64
-	getHits     atomic.Int64
-	getMisses   atomic.Int64
-	parseErrors atomic.Int64
-	upErrors    atomic.Int64
+// Totals is the sum of a server's per-worker Metrics.
+type Totals struct {
+	Connections, Active, Commands, GetHits, GetMisses, ParseErrors int64
 }
 
-// Serve starts accepting text connections on ln; it returns immediately.
-func Serve(ln net.Listener, cfg Config) *Server {
-	if cfg.Version == "" {
-		cfg.Version = "cphash-mctext"
+// Sum adds up the workers' counters.
+func Sum(ms []*Metrics) (t Totals) {
+	for _, m := range ms {
+		t.Connections += m.Connections.Load()
+		t.Active += m.Active.Load()
+		t.Commands += m.Commands.Load()
+		t.GetHits += m.GetHits.Load()
+		t.GetMisses += m.GetMisses.Load()
+		t.ParseErrors += m.ParseErrors.Load()
 	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	s := &Server{cfg: cfg, ln: ln, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s
+	return t
 }
 
-// Addr returns the listener's address.
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
-
-// Close stops accepting and closes all live connections.
-func (s *Server) Close() error {
-	if !s.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	err := s.ln.Close()
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
+// Collect emits the counters into an exposition buffer.
+func (t Totals) Collect(e *obs.Expo, labels string) {
+	e.Counter("cphash_mctext_connections_total", "Lifetime accepted memcached text connections.", labels, t.Connections)
+	e.Gauge("cphash_mctext_active_connections", "Currently open memcached text connections.", labels, float64(t.Active))
+	e.Counter("cphash_mctext_commands_total", "Text-protocol commands processed.", labels, t.Commands)
+	e.Counter("cphash_mctext_get_hits_total", "get/gets keys answered with a value.", labels, t.GetHits)
+	e.Counter("cphash_mctext_get_misses_total", "get/gets keys answered with a miss.", labels, t.GetMisses)
+	e.Counter("cphash_mctext_parse_errors_total", "Command lines rejected by the tokenizer.", labels, t.ParseErrors)
 }
 
-// Collect emits the front-end's counters into an exposition buffer.
-func (s *Server) Collect(e *obs.Expo, labels string) {
-	e.Counter("cphash_mctext_connections_total", "Lifetime accepted memcached text connections.", labels, s.connections.Load())
-	e.Gauge("cphash_mctext_active_connections", "Currently open memcached text connections.", labels, float64(s.active.Load()))
-	e.Counter("cphash_mctext_commands_total", "Text-protocol commands processed.", labels, s.commands.Load())
-	e.Counter("cphash_mctext_get_hits_total", "get/gets keys answered with a value.", labels, s.getHits.Load())
-	e.Counter("cphash_mctext_get_misses_total", "get/gets keys answered with a miss.", labels, s.getMisses.Load())
-	e.Counter("cphash_mctext_parse_errors_total", "Command lines rejected by the tokenizer.", labels, s.parseErrors.Load())
-	e.Counter("cphash_mctext_upstream_errors_total", "Connections dropped on native-listener I/O failure.", labels, s.upErrors.Load())
+// appendStats renders the "stats" reply.
+func (t Totals) appendStats(dst []byte) []byte {
+	for _, s := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"curr_connections", t.Active},
+		{"total_connections", t.Connections},
+		{"cmd_total", t.Commands},
+		{"get_hits", t.GetHits},
+		{"get_misses", t.GetMisses},
+		{"parse_errors", t.ParseErrors},
+	} {
+		dst = append(append(dst, "STAT "...), s.name...)
+		dst = strconv.AppendInt(append(dst, ' '), s.v, 10)
+		dst = append(dst, '\r', '\n')
+	}
+	return append(dst, "END\r\n"...)
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed.Load() {
-			s.mu.Unlock()
-			c.Close()
-			return
-		}
-		s.conns[c] = struct{}{}
-		s.mu.Unlock()
-		s.connections.Add(1)
-		s.active.Add(1)
-		s.wg.Add(1)
-		go s.serveConn(c)
-	}
+// Reply is what WriteReply needs to know about a request beyond its
+// opcode; it travels beside the request from the Decoder to the writer.
+type Reply struct {
+	NoReply bool // the command said noreply: execute, answer nothing
+	End     bool // last key of a get/gets: "END" follows its value
+	// Close is set by the server, not the Decoder, on the empty OpNone
+	// request it queues once a connection's reader has gone: everything
+	// ahead of it has been answered, so the connection can be dropped.
+	Close bool
 }
 
-func (s *Server) serveConn(c net.Conn) {
-	defer s.wg.Done()
-	defer s.active.Add(-1)
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		c.Close()
-	}()
-
-	t := &textConn{
-		s: s,
-		r: bufio.NewReaderSize(c, MaxLineLen),
-		w: bufio.NewWriterSize(c, 32<<10),
-	}
-	up, err := net.DialTimeout("tcp", s.cfg.Upstream, s.cfg.DialTimeout)
-	if err != nil {
-		s.upErrors.Add(1)
-		t.w.WriteString("SERVER_ERROR upstream unavailable\r\n")
-		t.w.Flush()
-		return
-	}
-	defer up.Close()
-	t.upr = bufio.NewReaderSize(up, 64<<10)
-	t.upw = bufio.NewWriterSize(up, 64<<10)
-	t.run()
+// Outcome is the table's answer to one translated request.
+type Outcome struct {
+	Value  []byte // get/gets hit: the stored bytes, flags prefix included
+	Found  bool   // get/gets hit, delete removed an entry
+	Status uint8  // read-modify-write status (protocol.RMWStatus*)
+	Ver    uint64 // gets: the entry's cas unique
+	Num    uint64 // incr/decr: the new number
 }
 
-// textConn is the per-connection translator state. All byte slices are
-// recycled arenas reused across commands.
-type textConn struct {
-	s   *Server
-	r   *bufio.Reader // text side
-	w   *bufio.Writer
-	upr *bufio.Reader // native side
-	upw *bufio.Writer
+// Decoder translates one connection's command stream into requests.
+type Decoder struct {
+	own *Metrics   // the connection's worker's counters
+	all []*Metrics // every worker's, for "stats"
 
 	cmd    textCmd
 	fields [][]byte
-	keyBuf []byte // storage-command key, copied out of the line buffer
-	valBuf []byte // data block (with flags prefix where stored)
-	numBuf []byte // decimal rendering scratch
+	keys   [][]byte // keys of the current get/gets not yet handed out; alias the reader's buffer
+	getOp  uint8
+	err    error // sticky: returned once the pending reply has been handed out
 }
 
-// run is the command loop; it returns when the client quits, the
-// connection drops, or a fatal protocol error forces a close.
-func (t *textConn) run() {
-	for {
-		line, err := t.readLine()
+// NewDecoder returns a connection's decoder. own is the Metrics of the
+// worker serving the connection, all the Metrics of every worker.
+func NewDecoder(own *Metrics, all []*Metrics) *Decoder {
+	return &Decoder{own: own, all: all}
+}
+
+// Next parses one request off br into *req. Key and value bytes are
+// appended to arena, which is returned grown; req.StrKey and req.Value
+// alias it (or, for an OpNone request, a constant). Next blocks only
+// while br holds no complete command. A malformed command yields an
+// OpNone request carrying its error reply and leaves the stream
+// usable; io.EOF after "quit", and any read error, end the connection.
+func (d *Decoder) Next(br *bufio.Reader, req *protocol.Request, arena []byte) (Reply, []byte, error) {
+	for len(d.keys) == 0 {
+		if d.err != nil {
+			return Reply{}, arena, d.err
+		}
+		line, err := br.ReadSlice('\n')
+		if errors.Is(err, bufio.ErrBufferFull) || len(line) > MaxLineLen {
+			// The rest of the line is unbounded: answer, then hang up.
+			d.err = errLineTooLong
+			return d.reject(req, replyTooLong), arena, nil
+		}
 		if err != nil {
-			if errors.Is(err, errLineTooLong) {
-				t.s.parseErrors.Add(1)
-				t.clientError("line too long")
-				t.w.Flush()
-			}
-			return
+			return Reply{}, arena, err
+		}
+		line = line[:len(line)-1]
+		if n := len(line); n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
 		}
 		if len(line) == 0 {
 			continue
 		}
-		t.fields, err = parseLine(line, &t.cmd, t.fields)
-		if err != nil {
-			t.s.parseErrors.Add(1)
+		if d.fields, err = parseLine(line, &d.cmd, d.fields); err != nil {
 			if errors.Is(err, errProtocol) {
-				t.w.WriteString("ERROR\r\n")
-			} else {
-				t.clientError("bad command line format")
+				return d.reject(req, replyError), arena, nil
 			}
-			if t.w.Flush() != nil {
-				return
-			}
-			continue
+			return d.reject(req, replyBadLine), arena, nil
 		}
-		t.s.commands.Add(1)
-		switch t.cmd.verb {
+		switch d.cmd.verb {
+		case verbGet:
+			d.keys, d.getOp = d.cmd.keys, protocol.OpGetStr
+		case verbGets:
+			d.keys, d.getOp = d.cmd.keys, protocol.OpGetsStr
 		case verbQuit:
-			t.w.Flush()
-			return
+			d.own.Commands.Inc()
+			return Reply{}, arena, io.EOF
 		case verbVersion:
-			t.w.WriteString("VERSION ")
-			t.w.WriteString(t.s.cfg.Version)
-			t.w.WriteString("\r\n")
-			err = t.w.Flush()
+			d.own.Commands.Inc()
+			*req = protocol.Request{Value: replyVersion}
+			return Reply{}, arena, nil
 		case verbStats:
-			err = t.handleStats()
-		case verbGet, verbGets:
-			err = t.handleGet(t.cmd.verb == verbGets)
-		case verbSet, verbAdd, verbReplace, verbAppend, verbPrepend, verbCas:
-			err = t.handleStore()
-		case verbIncr, verbDecr:
-			err = t.handleIncrDecr()
-		case verbDelete:
-			err = t.handleDelete()
-		case verbTouch:
-			err = t.handleTouch()
-		}
-		if err != nil {
-			if !errors.Is(err, errBadChunk) {
-				t.s.upErrors.Add(1)
-				t.serverError("upstream failure")
-				t.w.Flush()
-				return
-			}
-			// Bad data chunk: the payload was consumed, the error
-			// answered; the connection stays usable.
-			if t.w.Flush() != nil {
-				return
-			}
+			d.own.Commands.Inc()
+			arena = Sum(d.all).appendStats(arena)
+			*req = protocol.Request{Value: arena}
+			return Reply{}, arena, nil
+		default:
+			return d.translate(br, req, arena)
 		}
 	}
+	mark := len(arena)
+	arena = append(arena, d.keys[0]...)
+	d.keys = d.keys[1:]
+	*req = protocol.Request{Op: d.getOp, StrKey: arena[mark:]}
+	return Reply{End: len(d.keys) == 0}, arena, nil
 }
 
-// readLine returns the next command line with CRLF stripped. The
-// returned slice aliases the reader's buffer and is valid until the next
-// read.
-func (t *textConn) readLine() ([]byte, error) {
-	line, err := t.r.ReadSlice('\n')
+// reject turns a command the tokenizer refused into its error reply.
+func (d *Decoder) reject(req *protocol.Request, reply []byte) Reply {
+	d.own.ParseErrors.Inc()
+	*req = protocol.Request{Value: reply}
+	return Reply{}
+}
+
+// translate builds the request of a single-key command, reading the data
+// block of a storage command into the arena. The key is copied out of
+// the line first: reading the block invalidates the reader's buffer.
+func (d *Decoder) translate(br *bufio.Reader, req *protocol.Request, arena []byte) (Reply, []byte, error) {
+	c := &d.cmd
+	mark := len(arena)
+	arena = append(arena, c.keys[0]...)
+	klen := len(arena)
+	*req = protocol.Request{StrKey: arena[mark:klen:klen]}
+	rp := Reply{NoReply: c.noreply}
+	switch c.verb {
+	case verbDelete:
+		req.Op = protocol.OpDelStr
+		return rp, arena, nil
+	case verbTouch:
+		req.Op, req.TTL = protocol.OpTouchStr, exptimeToTTL(c.exptime, time.Now())
+		return rp, arena, nil
+	case verbIncr, verbDecr:
+		req.Op = protocol.OpIncrStr
+		if c.verb == verbDecr {
+			req.Op = protocol.OpDecrStr
+		}
+		req.Delta, req.Prefix = c.delta, flagsPrefixLen
+		return rp, arena, nil
+	case verbSet:
+		req.Op = protocol.OpSetStr
+	case verbAdd:
+		req.Op = protocol.OpAddStr
+	case verbReplace:
+		req.Op = protocol.OpReplaceStr
+	case verbCas:
+		req.Op, req.Ver = protocol.OpCasStr, c.cas
+	case verbAppend:
+		req.Op, req.Prefix = protocol.OpAppendStr, flagsPrefixLen
+	case verbPrepend:
+		req.Op, req.Prefix = protocol.OpPrependStr, flagsPrefixLen
+	}
+	req.TTL = exptimeToTTL(c.exptime, time.Now())
+	// APPEND/PREPEND splice raw payload around the existing entry's
+	// flags prefix; the other verbs store a freshly framed value.
+	if req.Prefix == 0 {
+		arena = binary.LittleEndian.AppendUint32(arena, c.flags)
+	}
+	head := len(arena)
+	arena = slices.Grow(arena, c.nbytes)[:head+c.nbytes]
+	if _, err := io.ReadFull(br, arena[head:]); err != nil {
+		return rp, arena[:mark], err
+	}
+	// ReadByte (not ReadFull into a stack array) keeps the terminator
+	// check allocation-free.
+	cr, err := br.ReadByte()
 	if err != nil {
-		if errors.Is(err, bufio.ErrBufferFull) {
-			return nil, errLineTooLong
-		}
-		return nil, err
+		return rp, arena[:mark], err
 	}
-	line = line[:len(line)-1]
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
+	lf, err := br.ReadByte()
+	if err != nil {
+		return rp, arena[:mark], err
 	}
-	return line, nil
-}
-
-func (t *textConn) clientError(msg string) {
-	t.w.WriteString("CLIENT_ERROR ")
-	t.w.WriteString(msg)
-	t.w.WriteString("\r\n")
-}
-
-func (t *textConn) serverError(msg string) {
-	t.w.WriteString("SERVER_ERROR ")
-	t.w.WriteString(msg)
-	t.w.WriteString("\r\n")
+	if cr != '\r' || lf != '\n' {
+		// The block was consumed and is answered; the stream stays usable.
+		d.own.Commands.Inc()
+		*req = protocol.Request{Value: replyBadChunk}
+		return Reply{}, arena[:mark], nil
+	}
+	req.Value = arena[klen:]
+	return rp, arena, nil
 }
 
 // exptimeToTTL maps a memcached exptime to a native millisecond TTL:
@@ -333,272 +355,92 @@ func splitFlags(stored []byte) (flags uint32, data []byte) {
 	return binary.LittleEndian.Uint32(stored), stored[flagsPrefixLen:]
 }
 
-// handleGet answers get/gets: one native GET_STR/GETS_STR per key,
-// written back-to-back and flushed once, then the responses harvested in
-// order — a multi-key get costs one upstream round trip.
-func (t *textConn) handleGet(withCas bool) error {
-	op := protocol.OpGetStr
-	if withCas {
-		op = protocol.OpGetsStr
-	}
-	for _, k := range t.cmd.keys {
-		if err := protocol.WriteRequest(t.upw, protocol.Request{Op: op, StrKey: k}); err != nil {
-			return err
-		}
-	}
-	if err := t.upw.Flush(); err != nil {
+// WriteReply renders the reply to req, as translated by a Decoder, into
+// w and counts it in m. Numbers are formatted in w's own free space, so
+// nothing is allocated; the caller flushes.
+func (m *Metrics) WriteReply(w *bufio.Writer, rp Reply, req *protocol.Request, o Outcome) error {
+	switch req.Op {
+	case OpNone:
+		_, err := w.Write(req.Value)
 		return err
-	}
-	for _, k := range t.cmd.keys {
-		var (
-			ver   uint64
-			found bool
-			err   error
-		)
-		if withCas {
-			t.valBuf, ver, found, err = protocol.ReadGetsResponseInto(t.upr, t.valBuf[:0])
+	case protocol.OpGetStr, protocol.OpGetsStr:
+		if o.Found {
+			m.GetHits.Inc()
+			flags, data := splitFlags(o.Value)
+			b := append(header(w), "VALUE "...)
+			b = append(append(b, req.StrKey...), ' ')
+			b = append(strconv.AppendUint(b, uint64(flags), 10), ' ')
+			b = strconv.AppendUint(b, uint64(len(data)), 10)
+			if req.Op == protocol.OpGetsStr {
+				b = strconv.AppendUint(append(b, ' '), o.Ver, 10)
+			}
+			w.Write(append(b, '\r', '\n')) // a failed write sticks to w; the last write below reports it
+			w.Write(data)
+			if _, err := w.WriteString("\r\n"); err != nil {
+				return err
+			}
 		} else {
-			t.valBuf, found, err = protocol.ReadLookupResponse(t.upr, t.valBuf[:0])
+			m.GetMisses.Inc()
 		}
-		if err != nil {
-			return err
-		}
-		if !found {
-			t.s.getMisses.Add(1)
-			continue
-		}
-		t.s.getHits.Add(1)
-		flags, data := splitFlags(t.valBuf)
-		t.w.WriteString("VALUE ")
-		t.w.Write(k)
-		t.w.WriteByte(' ')
-		t.writeUint(uint64(flags))
-		t.w.WriteByte(' ')
-		t.writeUint(uint64(len(data)))
-		if withCas {
-			t.w.WriteByte(' ')
-			t.writeUint(ver)
-		}
-		t.w.WriteString("\r\n")
-		t.w.Write(data)
-		t.w.WriteString("\r\n")
-	}
-	t.w.WriteString("END\r\n")
-	return t.w.Flush()
-}
-
-// readData reads the command's data block (nbytes payload + CRLF) into
-// valBuf. withFlags prepends the 4-byte flags word, producing the
-// stored-value framing. Returns errBadChunk (connection stays usable)
-// when the trailing CRLF is missing.
-func (t *textConn) readData(withFlags bool) error {
-	t.valBuf = t.valBuf[:0]
-	if withFlags {
-		t.valBuf = binary.LittleEndian.AppendUint32(t.valBuf, t.cmd.flags)
-	}
-	head := len(t.valBuf)
-	need := head + t.cmd.nbytes
-	if cap(t.valBuf) < need {
-		t.valBuf = append(t.valBuf, make([]byte, need-head)...)
-	} else {
-		t.valBuf = t.valBuf[:need]
-	}
-	if _, err := io.ReadFull(t.r, t.valBuf[head:]); err != nil {
-		return err
-	}
-	// ReadByte (not ReadFull into a stack array) keeps the terminator
-	// check allocation-free.
-	cr, err := t.r.ReadByte()
-	if err != nil {
-		return err
-	}
-	lf, err := t.r.ReadByte()
-	if err != nil {
-		return err
-	}
-	if cr != '\r' || lf != '\n' {
-		t.clientError("bad data chunk")
-		return errBadChunk
-	}
-	return nil
-}
-
-// handleStore runs set/add/replace/append/prepend/cas. The key is copied
-// out of the line buffer before the data block read invalidates it.
-func (t *textConn) handleStore() error {
-	t.keyBuf = append(t.keyBuf[:0], t.cmd.keys[0]...)
-	verb, noreply, cas := t.cmd.verb, t.cmd.noreply, t.cmd.cas
-	ttl := exptimeToTTL(t.cmd.exptime, time.Now())
-
-	// APPEND/PREPEND splice raw payload around the existing entry's
-	// flags prefix; the other verbs store a freshly framed value.
-	concat := verb == verbAppend || verb == verbPrepend
-	if err := t.readData(!concat); err != nil {
-		return err
-	}
-
-	req := protocol.Request{StrKey: t.keyBuf, Value: t.valBuf, TTL: ttl}
-	switch verb {
-	case verbSet:
-		req.Op = protocol.OpSetStr
-	case verbAdd:
-		req.Op = protocol.OpAddStr
-	case verbReplace:
-		req.Op = protocol.OpReplaceStr
-	case verbAppend:
-		req.Op = protocol.OpAppendStr
-		req.Prefix = flagsPrefixLen
-	case verbPrepend:
-		req.Op = protocol.OpPrependStr
-		req.Prefix = flagsPrefixLen
-	case verbCas:
-		req.Op = protocol.OpCasStr
-		req.Ver = cas
-	}
-	if err := protocol.WriteRequest(t.upw, req); err != nil {
-		return err
-	}
-	if err := t.upw.Flush(); err != nil {
-		return err
-	}
-
-	if verb == verbSet {
-		// SET_STR is silent upstream; acknowledge once flushed (see the
-		// package comment).
-		if noreply {
+		if !rp.End {
 			return nil
 		}
-		t.w.WriteString("STORED\r\n")
-		return t.w.Flush()
-	}
-	status, _, _, err := protocol.ReadRMWResponse(t.upr)
-	if err != nil {
+		m.Commands.Inc()
+		_, err := w.WriteString("END\r\n")
 		return err
 	}
-	if noreply {
+	m.Commands.Inc()
+	if rp.NoReply {
 		return nil
 	}
-	t.writeStatus(status, "STORED\r\n")
-	return t.w.Flush()
-}
-
-// writeStatus renders a read-modify-write status as its memcached
-// reply line; stored is the success line ("STORED\r\n" or "TOUCHED\r\n").
-func (t *textConn) writeStatus(status uint8, stored string) {
-	switch status {
-	case protocol.RMWStatusStored:
-		t.w.WriteString(stored)
-	case protocol.RMWStatusNotStored:
-		t.w.WriteString("NOT_STORED\r\n")
-	case protocol.RMWStatusExists:
-		t.w.WriteString("EXISTS\r\n")
-	case protocol.RMWStatusNotFound:
-		t.w.WriteString("NOT_FOUND\r\n")
-	case protocol.RMWStatusBadValue:
-		t.clientError("cannot increment or decrement non-numeric value")
-	case protocol.RMWStatusTooLarge:
-		t.serverError("object too large for cache")
-	case protocol.RMWStatusNoSpace:
-		t.serverError("out of memory storing object")
+	var line string
+	switch {
+	case req.Op == protocol.OpSetStr:
+		line = "STORED\r\n"
+	case req.Op == protocol.OpDelStr && o.Found:
+		line = "DELETED\r\n"
+	case req.Op == protocol.OpDelStr:
+		line = "NOT_FOUND\r\n"
+	case o.Status != protocol.RMWStatusStored:
+		line = statusLine(o.Status)
+	case req.Op == protocol.OpTouchStr:
+		line = "TOUCHED\r\n"
+	case req.Op == protocol.OpIncrStr, req.Op == protocol.OpDecrStr:
+		_, err := w.Write(append(strconv.AppendUint(header(w), o.Num, 10), '\r', '\n'))
+		return err
 	default:
-		t.serverError(fmt.Sprintf("unexpected status %d", status))
+		line = "STORED\r\n"
 	}
+	_, err := w.WriteString(line)
+	return err
 }
 
-func (t *textConn) handleIncrDecr() error {
-	op := protocol.OpIncrStr
-	if t.cmd.verb == verbDecr {
-		op = protocol.OpDecrStr
+// header returns w's free space as an empty slice to format a short line
+// into (a Write of the result then copies nothing), making room first if
+// the buffer is nearly full.
+func header(w *bufio.Writer) []byte {
+	if w.Available() < maxHeaderLen {
+		w.Flush() // an error sticks to w and fails the Write that follows
 	}
-	req := protocol.Request{Op: op, StrKey: t.cmd.keys[0], Delta: t.cmd.delta, Prefix: flagsPrefixLen}
-	if err := protocol.WriteRequest(t.upw, req); err != nil {
-		return err
-	}
-	if err := t.upw.Flush(); err != nil {
-		return err
-	}
-	status, _, num, err := protocol.ReadRMWResponse(t.upr)
-	if err != nil {
-		return err
-	}
-	if t.cmd.noreply {
-		return nil
-	}
-	if status == protocol.RMWStatusStored {
-		t.writeUint(num)
-		t.w.WriteString("\r\n")
-	} else {
-		t.writeStatus(status, "")
-	}
-	return t.w.Flush()
+	return w.AvailableBuffer()
 }
 
-func (t *textConn) handleDelete() error {
-	req := protocol.Request{Op: protocol.OpDelStr, StrKey: t.cmd.keys[0]}
-	if err := protocol.WriteRequest(t.upw, req); err != nil {
-		return err
+// statusLine is the memcached reply for a read-modify-write that did not
+// store.
+func statusLine(status uint8) string {
+	switch status {
+	case protocol.RMWStatusNotStored:
+		return "NOT_STORED\r\n"
+	case protocol.RMWStatusExists:
+		return "EXISTS\r\n"
+	case protocol.RMWStatusNotFound:
+		return "NOT_FOUND\r\n"
+	case protocol.RMWStatusBadValue:
+		return "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n"
+	case protocol.RMWStatusTooLarge:
+		return "SERVER_ERROR object too large for cache\r\n"
+	case protocol.RMWStatusNoSpace:
+		return "SERVER_ERROR out of memory storing object\r\n"
 	}
-	if err := t.upw.Flush(); err != nil {
-		return err
-	}
-	found, err := protocol.ReadDeleteResponse(t.upr)
-	if err != nil {
-		return err
-	}
-	if t.cmd.noreply {
-		return nil
-	}
-	if found {
-		t.w.WriteString("DELETED\r\n")
-	} else {
-		t.w.WriteString("NOT_FOUND\r\n")
-	}
-	return t.w.Flush()
-}
-
-func (t *textConn) handleTouch() error {
-	req := protocol.Request{
-		Op:     protocol.OpTouchStr,
-		StrKey: t.cmd.keys[0],
-		TTL:    exptimeToTTL(t.cmd.exptime, time.Now()),
-	}
-	if err := protocol.WriteRequest(t.upw, req); err != nil {
-		return err
-	}
-	if err := t.upw.Flush(); err != nil {
-		return err
-	}
-	status, _, _, err := protocol.ReadRMWResponse(t.upr)
-	if err != nil {
-		return err
-	}
-	if t.cmd.noreply {
-		return nil
-	}
-	t.writeStatus(status, "TOUCHED\r\n")
-	return t.w.Flush()
-}
-
-func (t *textConn) handleStats() error {
-	t.stat("curr_connections", uint64(t.s.active.Load()))
-	t.stat("total_connections", uint64(t.s.connections.Load()))
-	t.stat("cmd_total", uint64(t.s.commands.Load()))
-	t.stat("get_hits", uint64(t.s.getHits.Load()))
-	t.stat("get_misses", uint64(t.s.getMisses.Load()))
-	t.stat("parse_errors", uint64(t.s.parseErrors.Load()))
-	t.w.WriteString("END\r\n")
-	return t.w.Flush()
-}
-
-func (t *textConn) stat(name string, v uint64) {
-	t.w.WriteString("STAT ")
-	t.w.WriteString(name)
-	t.w.WriteByte(' ')
-	t.writeUint(v)
-	t.w.WriteString("\r\n")
-}
-
-func (t *textConn) writeUint(v uint64) {
-	t.numBuf = strconv.AppendUint(t.numBuf[:0], v, 10)
-	t.w.Write(t.numBuf)
+	return "SERVER_ERROR unexpected status\r\n"
 }

@@ -1,321 +1,9 @@
 package mctext
 
 import (
-	"bufio"
-	"bytes"
-	"errors"
-	"fmt"
-	"net"
-	"strings"
 	"testing"
 	"time"
-
-	"cphash/internal/core"
-	"cphash/internal/kvserver"
-	"cphash/internal/mcclient"
 )
-
-// newHarness stands up a real native stack (CPHASH table + kvserver) with
-// the text front-end proxying onto it, and returns the front-end address.
-func newHarness(t testing.TB) string {
-	t.Helper()
-	table := core.MustNew(core.Config{Partitions: 2, CapacityBytes: 4 << 20, MaxClients: 2, Seed: 1})
-	srv, err := kvserver.Serve(kvserver.Config{
-		Addr: "127.0.0.1:0", Workers: 2, NewBackend: kvserver.NewCPHashBackend(table),
-	})
-	if err != nil {
-		table.Close()
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		table.Close()
-		t.Fatal(err)
-	}
-	mc := Serve(ln, Config{Upstream: srv.Addr()})
-	t.Cleanup(func() {
-		mc.Close()
-		srv.Close()
-		table.Close()
-	})
-	return mc.Addr().String()
-}
-
-func dialClient(t testing.TB, addr string) *mcclient.Client {
-	t.Helper()
-	c, err := mcclient.Dial(addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
-func TestCommandRoundTrips(t *testing.T) {
-	addr := newHarness(t)
-	c := dialClient(t, addr)
-
-	if err := c.Set("k", []byte("v0"), 7, 0); err != nil {
-		t.Fatalf("set: %v", err)
-	}
-	it, err := c.Get("k")
-	if err != nil || !bytes.Equal(it.Value, []byte("v0")) || it.Flags != 7 {
-		t.Fatalf("get: %+v, %v", it, err)
-	}
-
-	// gets → cas → stale cas.
-	it, err = c.Gets("k")
-	if err != nil || it.CAS == 0 {
-		t.Fatalf("gets: %+v, %v", it, err)
-	}
-	if err := c.Cas("k", []byte("v1"), 7, 0, it.CAS); err != nil {
-		t.Fatalf("cas fresh: %v", err)
-	}
-	if err := c.Cas("k", []byte("v2"), 7, 0, it.CAS); !errors.Is(err, mcclient.ErrExists) {
-		t.Fatalf("cas stale: %v, want ErrExists", err)
-	}
-	if err := c.Cas("nope", []byte("x"), 0, 0, 1); !errors.Is(err, mcclient.ErrCacheMiss) {
-		t.Fatalf("cas absent: %v, want ErrCacheMiss", err)
-	}
-
-	// add / replace presence rules.
-	if err := c.Add("k", []byte("x"), 0, 0); !errors.Is(err, mcclient.ErrNotStored) {
-		t.Fatalf("add present: %v", err)
-	}
-	if err := c.Add("k2", []byte("two"), 0, 0); err != nil {
-		t.Fatalf("add absent: %v", err)
-	}
-	if err := c.Replace("k3", []byte("x"), 0, 0); !errors.Is(err, mcclient.ErrNotStored) {
-		t.Fatalf("replace absent: %v", err)
-	}
-	if err := c.Replace("k2", []byte("TWO"), 3, 0); err != nil {
-		t.Fatalf("replace present: %v", err)
-	}
-	it, err = c.Get("k2")
-	if err != nil || !bytes.Equal(it.Value, []byte("TWO")) || it.Flags != 3 {
-		t.Fatalf("get after replace: %+v, %v", it, err)
-	}
-
-	// append / prepend keep the flags word and splice around it.
-	if err := c.Append("k2", []byte("-tail")); err != nil {
-		t.Fatalf("append: %v", err)
-	}
-	if err := c.Prepend("k2", []byte("head-")); err != nil {
-		t.Fatalf("prepend: %v", err)
-	}
-	it, err = c.Get("k2")
-	if err != nil || string(it.Value) != "head-TWO-tail" || it.Flags != 3 {
-		t.Fatalf("get after concat: %+v, %v", it, err)
-	}
-	if err := c.Append("k3", []byte("x")); !errors.Is(err, mcclient.ErrNotStored) {
-		t.Fatalf("append absent: %v", err)
-	}
-
-	// incr / decr.
-	if err := c.Set("n", []byte("41"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := c.Incr("n", 1); err != nil || n != 42 {
-		t.Fatalf("incr: %d, %v", n, err)
-	}
-	if n, err := c.Decr("n", 100); err != nil || n != 0 {
-		t.Fatalf("decr floor: %d, %v", n, err)
-	}
-	if _, err := c.Incr("k2", 1); err == nil ||
-		!strings.Contains(err.Error(), "cannot increment or decrement non-numeric value") {
-		t.Fatalf("incr non-numeric: %v", err)
-	}
-
-	// multi-key get in one round trip.
-	m, err := c.GetMulti("k", "k2", "missing", "n")
-	if err != nil || len(m) != 3 {
-		t.Fatalf("get multi: %d items, %v", len(m), err)
-	}
-
-	// touch.
-	if err := c.Touch("k", 3600); err != nil {
-		t.Fatalf("touch: %v", err)
-	}
-	if err := c.Touch("missing", 3600); !errors.Is(err, mcclient.ErrCacheMiss) {
-		t.Fatalf("touch absent: %v", err)
-	}
-
-	// delete.
-	if err := c.Delete("k"); err != nil {
-		t.Fatalf("delete: %v", err)
-	}
-	if err := c.Delete("k"); !errors.Is(err, mcclient.ErrCacheMiss) {
-		t.Fatalf("re-delete: %v", err)
-	}
-
-	// version / stats.
-	if v, err := c.Version(); err != nil || v == "" {
-		t.Fatalf("version: %q, %v", v, err)
-	}
-	st, err := c.Stats()
-	if err != nil || st["cmd_total"] == "" {
-		t.Fatalf("stats: %v, %v", st, err)
-	}
-}
-
-func TestTouchExpiresEntry(t *testing.T) {
-	addr := newHarness(t)
-	c := dialClient(t, addr)
-	if err := c.Set("ttl", []byte("v"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Negative exptime: already expired.
-	if err := c.Touch("ttl", -1); err != nil {
-		t.Fatalf("touch: %v", err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		_, err := c.Get("ttl")
-		if errors.Is(err, mcclient.ErrCacheMiss) {
-			return
-		}
-		if err != nil {
-			t.Fatalf("get: %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("entry did not expire after touch -1")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// rawConn drives the listener below mcclient, for protocol-abuse tests.
-type rawConn struct {
-	t testing.TB
-	c net.Conn
-	r *bufio.Reader
-}
-
-func dialRaw(t testing.TB, addr string) *rawConn {
-	t.Helper()
-	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	c.SetDeadline(time.Now().Add(10 * time.Second))
-	return &rawConn{t: t, c: c, r: bufio.NewReader(c)}
-}
-
-func (rc *rawConn) write(s string) {
-	rc.t.Helper()
-	if _, err := rc.c.Write([]byte(s)); err != nil {
-		rc.t.Fatalf("write %q: %v", s, err)
-	}
-}
-
-func (rc *rawConn) expect(want string) {
-	rc.t.Helper()
-	line, err := rc.r.ReadString('\n')
-	if err != nil {
-		rc.t.Fatalf("reading (want %q): %v", want, err)
-	}
-	if got := strings.TrimRight(line, "\r\n"); got != want {
-		rc.t.Fatalf("got %q, want %q", got, want)
-	}
-}
-
-func TestErrorStringsAndRecovery(t *testing.T) {
-	addr := newHarness(t)
-	rc := dialRaw(t, addr)
-
-	// Unknown command → ERROR; connection stays usable.
-	rc.write("bogus\r\n")
-	rc.expect("ERROR")
-
-	// Bad token counts and malformed numbers → CLIENT_ERROR.
-	rc.write("set onlykey\r\n")
-	rc.expect("CLIENT_ERROR bad command line format")
-	rc.write("set k notanumber 0 1\r\nX\r\n")
-	rc.expect("CLIENT_ERROR bad command line format")
-	// The orphaned data block then parses as a garbage command.
-	rc.expect("ERROR")
-	rc.write("incr k abc\r\n")
-	rc.expect("CLIENT_ERROR bad command line format")
-
-	// Oversize key.
-	rc.write("get " + strings.Repeat("K", MaxKeyLen+1) + "\r\n")
-	rc.expect("CLIENT_ERROR bad command line format")
-	// Key with control bytes.
-	rc.write("get a\x01b\r\n")
-	rc.expect("CLIENT_ERROR bad command line format")
-
-	// Bad data chunk (payload longer than declared, so the terminator
-	// bytes are not CRLF) → answered, then usable.
-	rc.write("set k 0 0 2\r\nABX\r\n")
-	rc.expect("CLIENT_ERROR bad data chunk")
-
-	// Binary garbage line.
-	rc.write("\x00\xff\xfe\r\n")
-	rc.expect("ERROR")
-
-	// Still alive: a clean round trip works on the same connection.
-	rc.write("set ok 0 0 2\r\nhi\r\n")
-	rc.expect("STORED")
-	rc.write("get ok\r\n")
-	rc.expect("VALUE ok 0 2")
-	rc.expect("hi")
-	rc.expect("END")
-}
-
-func TestTornLinesReassemble(t *testing.T) {
-	addr := newHarness(t)
-	rc := dialRaw(t, addr)
-
-	// One session delivered a byte at a time must behave identically.
-	session := "set torn 9 0 5\r\nhello\r\ngets torn\r\n"
-	for i := 0; i < len(session); i++ {
-		rc.write(session[i : i+1])
-	}
-	rc.expect("STORED")
-	line, err := rc.r.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flags uint32
-	var n int
-	var cas uint64
-	if _, err := fmt.Sscanf(line, "VALUE torn %d %d %d", &flags, &n, &cas); err != nil || flags != 9 || n != 5 || cas == 0 {
-		t.Fatalf("VALUE line %q: flags %d n %d cas %d, %v", line, flags, n, cas, err)
-	}
-	rc.expect("hello")
-	rc.expect("END")
-}
-
-func TestNoreplyInterleaving(t *testing.T) {
-	addr := newHarness(t)
-	rc := dialRaw(t, addr)
-
-	// A noreply burst followed by replied commands: replies must line up
-	// with only the replied commands.
-	rc.write("set a 0 0 1 noreply\r\nA\r\n")
-	rc.write("set b 0 0 1 noreply\r\nB\r\n")
-	rc.write("set n 0 0 1 noreply\r\n5\r\n")
-	rc.write("incr n 2 noreply\r\n")
-	rc.write("delete b noreply\r\n")
-	rc.write("get a b\r\n")
-	rc.expect("VALUE a 0 1")
-	rc.expect("A")
-	rc.expect("END")
-	rc.write("incr n 1\r\n")
-	rc.expect("8")
-}
-
-func TestLineTooLongCloses(t *testing.T) {
-	addr := newHarness(t)
-	rc := dialRaw(t, addr)
-	rc.write("get " + strings.Repeat("x", MaxLineLen+10) + "\r\n")
-	rc.expect("CLIENT_ERROR line too long")
-	if _, err := rc.r.ReadByte(); err == nil {
-		t.Fatal("connection still open after oversized line")
-	}
-}
 
 func TestExptimeToTTL(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)

@@ -22,7 +22,7 @@ const (
 	// allows more and the tokenizer itself is length-agnostic).
 	MaxLineLen = 8192
 	// maxGetKeys bounds the keys of one multi-key get/gets, so a hostile
-	// line cannot queue unbounded upstream requests.
+	// line cannot queue an unbounded number of requests.
 	maxGetKeys = 64
 )
 
