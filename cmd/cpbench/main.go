@@ -367,6 +367,8 @@ func fig14() {
 		lhQPS, lhP99 := tcpThroughput([]string{lhSrv.Addr()}, spec)
 		lhSrv.Close()
 
+		// n single-lock instances on the same kvserver as the two above: the
+		// three columns differ in the table's concurrency scheme only.
 		cluster, _ := memcache.ServeCluster(n, capBytes)
 		mcQPS, mcP99 := tcpThroughput(cluster.Addrs(), spec)
 		cluster.Close()

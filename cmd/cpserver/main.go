@@ -6,7 +6,11 @@
 //
 //	cpserver -backend cphash    # CPSERVER: message-passing CPHASH table
 //	cpserver -backend lockhash  # LOCKSERVER: spinlocked LOCKHASH table
-//	cpserver -backend memcache  # single-lock instances (memcached-style)
+//	cpserver -backend memcache  # memcached-style: LOCKHASH with one partition,
+//	                            # i.e. a single lock around each instance
+//
+// All three run the same server (internal/kvserver) and differ only in the
+// table's concurrency scheme, so every option below applies to each of them.
 //
 // With -instances N, one process runs N independent server instances on
 // consecutive ports — the paper's Figure 13/14 multi-instance memcached
@@ -14,12 +18,12 @@
 // -capacity; clients (internal/client, cploadgen) spread keys over the
 // instances through the cluster continuum.
 //
-// With -memcached ADDR, instance i (cphash and lockhash backends) also
-// accepts memcached text connections on ADDR's port + i. They are served
-// by the instance itself — same workers, batching, table, group commit,
-// chaos rules and counters as native connections, internal/mctext being
-// only the wire codec — so pipelined text commands execute and are
-// answered a batch at a time, and "STORED" means what a native ack means.
+// With -memcached ADDR, instance i also accepts memcached text
+// connections on ADDR's port + i. They are served by the instance itself
+// — same workers, batching, table, group commit, chaos rules and counters
+// as native connections, internal/mctext being only the wire codec — so
+// pipelined text commands execute and are answered a batch at a time, and
+// "STORED" means what a native ack means.
 //
 // Examples:
 //
@@ -60,11 +64,11 @@
 //
 // # Durability
 //
-// With -datadir, every instance (cphash and lockhash backends) runs the
-// internal/persist pipeline: per-partition change rings feeding
-// segmented, CRC-framed WAL streams plus periodic compact snapshots. On
-// startup each instance recovers its table from the newest valid
-// snapshot and the WAL tail, so a restart comes back warm. Flags:
+// With -datadir, every instance runs the internal/persist pipeline:
+// per-partition change rings feeding segmented, CRC-framed WAL streams
+// plus periodic compact snapshots. On startup each instance recovers its
+// table from the newest valid snapshot and the WAL tail, so a restart
+// comes back warm. Flags:
 //
 //	-datadir DIR             # enable persistence; instance i uses DIR/iNNN
 //	-sync none|interval|always
@@ -140,7 +144,6 @@ import (
 	"cphash/internal/detect"
 	"cphash/internal/kvserver"
 	"cphash/internal/lockhash"
-	"cphash/internal/memcache"
 	"cphash/internal/obs"
 	"cphash/internal/partition"
 	"cphash/internal/persist"
@@ -153,9 +156,9 @@ import (
 var (
 	addr       = flag.String("addr", "127.0.0.1:9090", "base TCP listen address; instance i listens on port+i")
 	instances  = flag.Int("instances", 1, "server instances to run in this process")
-	backend    = flag.String("backend", "cphash", "cphash | lockhash | memcache")
+	backend    = flag.String("backend", "cphash", "cphash | lockhash | memcache (lockhash with the partition count fixed at 1: one lock per instance)")
 	capacity   = flag.String("capacity", "64MiB", "table capacity per instance (e.g. 1MiB, 256MiB)")
-	workers    = flag.Int("workers", 2, "client threads per instance (cphash/lockhash)")
+	workers    = flag.Int("workers", 2, "client threads per instance")
 	partitions = flag.Int("partitions", 0, "partition count (0 = design default)")
 	eviction   = flag.String("eviction", "lru", "lru | random")
 	pin        = flag.Bool("pin", false, "dedicate an OS thread to each CPHASH server goroutine")
@@ -170,7 +173,7 @@ var (
 	failoverProbeTO  = flag.Duration("failover-probe-timeout", 500*time.Millisecond, "failure detector probe timeout (dial, and with -failover-app-probe the full request round trip)")
 	failoverAppPing  = flag.Bool("failover-app-probe", true, "probe instances with a protocol-level ping (one GET under the probe timeout) instead of a bare TCP dial, so an instance that accepts connections but never serves them is detected as down")
 
-	mcAddr = flag.String("memcached", "", "optional memcached text-protocol base listen address; instance i also serves text connections on port+i, through the same workers and table as its native listener (cphash/lockhash)")
+	mcAddr = flag.String("memcached", "", "optional memcached text-protocol base listen address; instance i also serves text connections on port+i, through the same workers and table as its native listener")
 
 	chaosOn   = flag.Bool("chaos", false, "arm the deterministic fault injector: every listener, replication link, and detector probe runs through a chaos.Director; rules via GET/POST/DELETE /chaos on -statsaddr")
 	chaosSeed = flag.Int64("chaos-seed", 1, "seed for the chaos director's probabilistic faults (drops, jitter)")
@@ -351,219 +354,199 @@ func tableSnapshot(st partition.Stats) map[string]any {
 // is recovered from it on the way up and every mutation is WAL-logged
 // from then on.
 func startInstance(addr, mcListen, dir string, capBytes int, policy partition.EvictionPolicy) (*instance, error) {
+	// The memcached-style baseline is LOCKHASH with the partition count
+	// fixed at 1: one lock around the instance's whole table.
+	nparts := *partitions
 	switch *backend {
-	case "memcache":
-		if dir != "" {
-			return nil, fmt.Errorf("-datadir is not supported by the memcache backend (use cphash or lockhash)")
-		}
-		if mcListen != "" {
-			return nil, fmt.Errorf("-memcached is not supported by the memcache backend (use cphash or lockhash)")
-		}
-		inst, err := memcache.ServeInstance(addr, capBytes)
-		if err != nil {
-			return nil, err
-		}
-		return &instance{
-			addr:     inst.Addr(),
-			requests: inst.Requests,
-			snapshot: func() map[string]any {
-				return map[string]any{
-					"requests": inst.Requests(),
-					"elements": inst.Len(),
-				}
-			},
-			collect: func(e *obs.Expo, labels string) {
-				e.Counter("cphash_server_requests_total", "Requests processed.", labels, inst.Requests())
-				e.Gauge("cphash_table_elements", "entries currently stored", labels, float64(inst.Len()))
-			},
-			close: sync.OnceFunc(func() { inst.Close() }),
-		}, nil
-
 	case "cphash", "lockhash":
-		var (
-			newBackend   func(int) (kvserver.Backend, error)
-			tableStats   func() partition.Stats
-			tableCollect func(*obs.Expo, string)
-			closeTable   func()
-			pipe         *persist.Pipeline
-			recovered    persist.RecoverStats
-			err          error
-			sink         func(int) partition.ChangeSink
-			newApplier   func() replica.Applier
-			applierClose func()
-		)
-		replOn := *replicas >= 2
-		if dir != "" {
-			pipe, err = persist.Open(persist.Config{
-				Dir:              dir,
-				Policy:           persistPol,
-				SyncInterval:     *syncEvery,
-				MaxSegment:       maxSegBytes,
-				SnapshotInterval: *snapInterval,
-			})
-			if err != nil {
-				return nil, err
-			}
-			sink = func(p int) partition.ChangeSink { return pipe.Appender(p) }
+	case "memcache":
+		if nparts != 0 && nparts != 1 {
+			return nil, fmt.Errorf("-backend memcache is a single lock around one partition; -partitions %d is not supported (use -backend lockhash)", nparts)
 		}
-		if *backend == "cphash" {
-			maxClients := *workers
-			if replOn {
-				maxClients++ // one reserved client handle for the replica applier
-			}
-			table, err := core.New(core.Config{
-				Partitions:    *partitions,
-				CapacityBytes: capBytes,
-				MaxClients:    maxClients,
-				Policy:        policy,
-				LockOSThread:  *pin,
-				Sink:          sink,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if pipe != nil {
-				pipe.SetSource(persist.CoreSource(table))
-				if recovered, err = persist.RestoreCore(pipe, table, 0); err != nil {
-					table.Close()
-					return nil, fmt.Errorf("recovering %s: %w", dir, err)
-				}
-			}
-			if replOn {
-				ca, err := replica.NewCoreApplier(table, *workers, nil)
-				if err != nil {
-					table.Close()
-					return nil, err
-				}
-				applyMu := &sync.Mutex{}
-				newApplier = func() replica.Applier { return &frameLockedApplier{mu: applyMu, a: ca} }
-				applierClose = ca.Close
-			}
-			newBackend = kvserver.NewCPHashBackend(table)
-			tableStats = func() partition.Stats { return table.Stats().Stats }
-			tableCollect = table.Collect
-			closeTable = table.Close
-		} else {
-			table, err := lockhash.New(lockhash.Config{
-				Partitions:    *partitions,
-				CapacityBytes: capBytes,
-				Policy:        policy,
-				Sink:          sink,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if pipe != nil {
-				pipe.SetSource(persist.LockHashSource(table))
-				if recovered, err = persist.RestoreLockHash(pipe, table); err != nil {
-					return nil, fmt.Errorf("recovering %s: %w", dir, err)
-				}
-			}
-			if replOn {
-				la := replica.NewLockHashApplier(table)
-				newApplier = func() replica.Applier { return la }
-			}
-			newBackend = kvserver.NewLockHashBackend(table)
-			tableStats = table.Stats
-			tableCollect = table.Collect
-			closeTable = func() {}
-		}
-		if pipe != nil {
-			if err := pipe.Start(); err != nil {
-				closeTable()
-				return nil, err
-			}
-		}
-		var src *replica.Source
-		if replOn && pipe != nil {
-			// The replication listener shares the serving host on a
-			// kernel-assigned port; followers learn it in-process through
-			// the admin coordinator, never from configuration.
-			rhost, _, _ := net.SplitHostPort(addr)
-			src, err = replica.NewSource(replica.SourceConfig{
-				Pipe:   pipe,
-				Addr:   net.JoinHostPort(rhost, "0"),
-				Listen: chaosListen(),
-			})
-			if err != nil {
-				pipe.Close()
-				closeTable()
-				return nil, err
-			}
-		}
-		srv, err := kvserver.Serve(kvserver.Config{
-			Addr:        addr,
-			TextAddr:    mcListen,
-			Workers:     *workers,
-			NewBackend:  newBackend,
-			Persist:     pipe,
-			Replication: src,
-			Listen:      chaosListen(),
-		})
-		if err != nil {
-			if src != nil {
-				src.Close()
-			}
-			if pipe != nil {
-				pipe.Close()
-			}
-			closeTable()
-			return nil, err
-		}
-		if pipe != nil {
-			events.Info("recovery",
-				"instance", srv.Addr(), "dir", dir, "sync", persistPol.String(),
-				"snapshotEntries", recovered.SnapshotEntries, "walRecords", recovered.WALRecords)
-		}
-		return &instance{
-			addr:     srv.Addr(),
-			mcAddr:   srv.TextAddr(),
-			requests: func() int64 { return srv.Stats().Requests },
-			collect: func(e *obs.Expo, labels string) {
-				srv.Collect(e, labels)
-				tableCollect(e, labels)
-				if pipe != nil {
-					pipe.Collect(e, labels)
-				}
-				if src != nil {
-					src.Collect(e, labels)
-				}
-			},
-			snapshot: func() map[string]any {
-				ss := srv.Stats()
-				out := map[string]any{
-					"connections": ss.Connections,
-					"activeConns": ss.Active,
-					"requests":    ss.Requests,
-					"batches":     ss.Batches,
-				}
-				for k, v := range tableSnapshot(tableStats()) {
-					out[k] = v
-				}
-				return out
-			},
-			// srv.Close drains the worker queues, closes the replication
-			// source (followers receive the final records first) and
-			// flushes + closes the pipeline; only then are the replica
-			// applier and the table torn down. The admin coordinator
-			// closes this instance's own follower links before calling
-			// close, so nothing feeds the applier by then.
-			close: sync.OnceFunc(func() {
-				srv.Close()
-				if applierClose != nil {
-					applierClose()
-				}
-				closeTable()
-			}),
-			pipe:       pipe,
-			recovered:  recovered,
-			src:        src,
-			newApplier: newApplier,
-		}, nil
-
+		nparts = 1
 	default:
 		return nil, fmt.Errorf("unknown backend %q", *backend)
 	}
+	var (
+		newBackend   func(int) (kvserver.Backend, error)
+		tableStats   func() partition.Stats
+		tableCollect func(*obs.Expo, string)
+		closeTable   func()
+		pipe         *persist.Pipeline
+		recovered    persist.RecoverStats
+		err          error
+		sink         func(int) partition.ChangeSink
+		newApplier   func() replica.Applier
+		applierClose func()
+	)
+	replOn := *replicas >= 2
+	if dir != "" {
+		pipe, err = persist.Open(persist.Config{
+			Dir:              dir,
+			Policy:           persistPol,
+			SyncInterval:     *syncEvery,
+			MaxSegment:       maxSegBytes,
+			SnapshotInterval: *snapInterval,
+		})
+		if err != nil {
+			return nil, err
+		}
+		sink = func(p int) partition.ChangeSink { return pipe.Appender(p) }
+	}
+	if *backend == "cphash" {
+		maxClients := *workers
+		if replOn {
+			maxClients++ // one reserved client handle for the replica applier
+		}
+		table, err := core.New(core.Config{
+			Partitions:    nparts,
+			CapacityBytes: capBytes,
+			MaxClients:    maxClients,
+			Policy:        policy,
+			LockOSThread:  *pin,
+			Sink:          sink,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if pipe != nil {
+			pipe.SetSource(persist.CoreSource(table))
+			if recovered, err = persist.RestoreCore(pipe, table, 0); err != nil {
+				table.Close()
+				return nil, fmt.Errorf("recovering %s: %w", dir, err)
+			}
+		}
+		if replOn {
+			ca, err := replica.NewCoreApplier(table, *workers, nil)
+			if err != nil {
+				table.Close()
+				return nil, err
+			}
+			applyMu := &sync.Mutex{}
+			newApplier = func() replica.Applier { return &frameLockedApplier{mu: applyMu, a: ca} }
+			applierClose = ca.Close
+		}
+		newBackend = kvserver.NewCPHashBackend(table)
+		tableStats = func() partition.Stats { return table.Stats().Stats }
+		tableCollect = table.Collect
+		closeTable = table.Close
+	} else {
+		table, err := lockhash.New(lockhash.Config{
+			Partitions:    nparts,
+			CapacityBytes: capBytes,
+			Policy:        policy,
+			Sink:          sink,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if pipe != nil {
+			pipe.SetSource(persist.LockHashSource(table))
+			if recovered, err = persist.RestoreLockHash(pipe, table); err != nil {
+				return nil, fmt.Errorf("recovering %s: %w", dir, err)
+			}
+		}
+		if replOn {
+			la := replica.NewLockHashApplier(table)
+			newApplier = func() replica.Applier { return la }
+		}
+		newBackend = kvserver.NewLockHashBackend(table)
+		tableStats = table.Stats
+		tableCollect = table.Collect
+		closeTable = func() {}
+	}
+	if pipe != nil {
+		if err := pipe.Start(); err != nil {
+			closeTable()
+			return nil, err
+		}
+	}
+	var src *replica.Source
+	if replOn && pipe != nil {
+		// The replication listener shares the serving host on a
+		// kernel-assigned port; followers learn it in-process through
+		// the admin coordinator, never from configuration.
+		rhost, _, _ := net.SplitHostPort(addr)
+		src, err = replica.NewSource(replica.SourceConfig{
+			Pipe:   pipe,
+			Addr:   net.JoinHostPort(rhost, "0"),
+			Listen: chaosListen(),
+		})
+		if err != nil {
+			pipe.Close()
+			closeTable()
+			return nil, err
+		}
+	}
+	srv, err := kvserver.Serve(kvserver.Config{
+		Addr:        addr,
+		TextAddr:    mcListen,
+		Workers:     *workers,
+		NewBackend:  newBackend,
+		Persist:     pipe,
+		Replication: src,
+		Listen:      chaosListen(),
+	})
+	if err != nil {
+		if src != nil {
+			src.Close()
+		}
+		if pipe != nil {
+			pipe.Close()
+		}
+		closeTable()
+		return nil, err
+	}
+	if pipe != nil {
+		events.Info("recovery",
+			"instance", srv.Addr(), "dir", dir, "sync", persistPol.String(),
+			"snapshotEntries", recovered.SnapshotEntries, "walRecords", recovered.WALRecords)
+	}
+	return &instance{
+		addr:     srv.Addr(),
+		mcAddr:   srv.TextAddr(),
+		requests: func() int64 { return srv.Stats().Requests },
+		collect: func(e *obs.Expo, labels string) {
+			srv.Collect(e, labels)
+			tableCollect(e, labels)
+			if pipe != nil {
+				pipe.Collect(e, labels)
+			}
+			if src != nil {
+				src.Collect(e, labels)
+			}
+		},
+		snapshot: func() map[string]any {
+			ss := srv.Stats()
+			out := map[string]any{
+				"connections": ss.Connections,
+				"activeConns": ss.Active,
+				"requests":    ss.Requests,
+				"batches":     ss.Batches,
+			}
+			for k, v := range tableSnapshot(tableStats()) {
+				out[k] = v
+			}
+			return out
+		},
+		// srv.Close drains the worker queues, closes the replication
+		// source (followers receive the final records first) and
+		// flushes + closes the pipeline; only then are the replica
+		// applier and the table torn down. The admin coordinator
+		// closes this instance's own follower links before calling
+		// close, so nothing feeds the applier by then.
+		close: sync.OnceFunc(func() {
+			srv.Close()
+			if applierClose != nil {
+				applierClose()
+			}
+			closeTable()
+		}),
+		pipe:       pipe,
+		recovered:  recovered,
+		src:        src,
+		newApplier: newApplier,
+	}, nil
 }
 
 // repLink is one edge of the replication mesh: a live follower link plus
@@ -1473,9 +1456,6 @@ func main() {
 		if *dataDir == "" {
 			log.Fatalf("cpserver: -replicas >= 2 requires -datadir (replication streams the WAL)")
 		}
-		if *backend == "memcache" {
-			log.Fatalf("cpserver: -replicas is not supported by the memcache backend")
-		}
 	}
 	policy := partition.EvictLRU
 	switch *eviction {
@@ -1497,9 +1477,6 @@ func main() {
 	}
 
 	if *chaosOn {
-		if *backend == "memcache" {
-			log.Fatalf("cpserver: -chaos is not supported by the memcache backend")
-		}
 		director = chaos.New(chaos.Config{
 			Seed: *chaosSeed,
 			// Scheduled kill rules fire the same drill POST /kill runs:

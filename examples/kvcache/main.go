@@ -1,8 +1,10 @@
 // Kvcache: the full client/server path from Section 4 of the paper inside
 // one process — a CPSERVER (CPHASH behind the binary TCP protocol), a
-// LOCKSERVER, and a memcached-style instance, each driven by the load
+// LOCKSERVER, and memcached-style instances (one-partition LOCKHASH: a
+// single lock each, keys split by the client), each driven by the load
 // generator with the paper's microbenchmark mix (30% INSERT, 8-byte
-// values). It prints a miniature Figure 14 row for this host.
+// values). All three run the same kvserver, so the miniature Figure 14
+// row it prints compares the tables' concurrency schemes and nothing else.
 //
 //	go run ./examples/kvcache [-ops 20000]
 package main

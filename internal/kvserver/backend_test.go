@@ -19,13 +19,19 @@ func newBackends(t *testing.T) map[string]Backend {
 		t.Fatal(err)
 	}
 	t.Cleanup(cpb.Close)
-	lt := lockhash.MustNew(lockhash.Config{Partitions: 64, CapacityBytes: 4 << 20, Seed: 5})
-	lhb, err := NewLockHashBackend(lt)(0)
-	if err != nil {
-		t.Fatal(err)
+	out := map[string]Backend{"cphash": cpb}
+	// "memcache" is the memcached-style baseline: LOCKHASH with one
+	// partition, so a single lock guards the whole table.
+	for name, partitions := range map[string]int{"lockhash": 64, "memcache": 1} {
+		lt := lockhash.MustNew(lockhash.Config{Partitions: partitions, CapacityBytes: 4 << 20, Seed: 5})
+		lhb, err := NewLockHashBackend(lt)(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(lhb.Close)
+		out[name] = lhb
 	}
-	t.Cleanup(lhb.Close)
-	return map[string]Backend{"cphash": cpb, "lockhash": lhb}
+	return out
 }
 
 func processOne(b Backend, reqs []protocol.Request) ([]Result, []byte) {

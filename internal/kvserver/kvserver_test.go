@@ -137,46 +137,51 @@ func TestPipelinedBatch(t *testing.T) {
 	}
 }
 
+// TestManyConnectionsBalance: many goroutines hammer one server through
+// separate connections spread over four workers. Against the one-partition
+// "memcache" backend every one of them contends on the same table lock,
+// which must serialize them correctly.
 func TestManyConnectionsBalance(t *testing.T) {
-	s := startCPServer(t, 4)
-	var wg sync.WaitGroup
-	const conns = 16
-	for c := 0; c < conns; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			w, r, closer, err := Dial(s.Addr())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer closer.Close()
-			base := uint64(c) << 20
-			for i := uint64(0); i < 200; i++ {
-				protocol.WriteRequest(w, protocol.Request{
-					Op: protocol.OpInsert, Key: base + i, Value: []byte{byte(i)},
-				})
-				protocol.WriteRequest(w, protocol.Request{Op: protocol.OpLookup, Key: base + i})
-			}
-			if err := w.Flush(); err != nil {
-				t.Error(err)
-				return
-			}
-			var buf []byte
-			for i := uint64(0); i < 200; i++ {
-				var found bool
-				buf, found, err = protocol.ReadLookupResponse(r, buf[:0])
-				if err != nil || !found || buf[0] != byte(i) {
-					t.Errorf("conn %d resp %d: %q %v %v", c, i, buf, found, err)
+	eachBackend(t, 4, func(t *testing.T, s *Server) {
+		var wg sync.WaitGroup
+		const conns = 16
+		for c := 0; c < conns; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				w, r, closer, err := Dial(s.Addr())
+				if err != nil {
+					t.Error(err)
 					return
 				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	if st := s.Stats(); st.Connections != conns {
-		t.Fatalf("accepted %d connections, want %d", st.Connections, conns)
-	}
+				defer closer.Close()
+				base := uint64(c) << 20
+				for i := uint64(0); i < 200; i++ {
+					protocol.WriteRequest(w, protocol.Request{
+						Op: protocol.OpInsert, Key: base + i, Value: []byte{byte(i)},
+					})
+					protocol.WriteRequest(w, protocol.Request{Op: protocol.OpLookup, Key: base + i})
+				}
+				if err := w.Flush(); err != nil {
+					t.Error(err)
+					return
+				}
+				var buf []byte
+				for i := uint64(0); i < 200; i++ {
+					var found bool
+					buf, found, err = protocol.ReadLookupResponse(r, buf[:0])
+					if err != nil || !found || buf[0] != byte(i) {
+						t.Errorf("conn %d resp %d: %q %v %v", c, i, buf, found, err)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		if st := s.Stats(); st.Connections != conns {
+			t.Fatalf("accepted %d connections, want %d", st.Connections, conns)
+		}
+	})
 }
 
 func TestLoadgenAgainstBothServers(t *testing.T) {

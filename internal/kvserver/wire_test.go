@@ -11,7 +11,9 @@ import (
 	"cphash/internal/protocol"
 )
 
-// eachBackend runs fn against a fresh server for both backend designs.
+// eachBackend runs fn against a fresh server for every backend design:
+// CPHASH, LOCKHASH, and the memcached-style baseline — LOCKHASH with one
+// partition, i.e. a single lock around the whole table.
 func eachBackend(t *testing.T, workers int, fn func(t *testing.T, srv *Server)) {
 	t.Helper()
 	t.Run("cphash", func(t *testing.T) {
@@ -28,15 +30,17 @@ func eachBackend(t *testing.T, workers int, fn func(t *testing.T, srv *Server)) 
 		defer srv.Close()
 		fn(t, srv)
 	})
-	t.Run("lockhash", func(t *testing.T) {
-		table := lockhash.MustNew(lockhash.Config{Partitions: 16, CapacityBytes: 4 << 20})
-		srv, err := Serve(Config{Addr: "127.0.0.1:0", Workers: workers, NewBackend: NewLockHashBackend(table)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		fn(t, srv)
-	})
+	for name, partitions := range map[string]int{"lockhash": 16, "memcache": 1} {
+		t.Run(name, func(t *testing.T) {
+			table := lockhash.MustNew(lockhash.Config{Partitions: partitions, CapacityBytes: 4 << 20})
+			srv, err := Serve(Config{Addr: "127.0.0.1:0", Workers: workers, NewBackend: NewLockHashBackend(table)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			fn(t, srv)
+		})
+	}
 }
 
 // wireClient bundles the codec halves of one test connection.
@@ -219,6 +223,75 @@ func TestWireStringCollisionSafety(t *testing.T) {
 		}
 		if _, ok := c.getStr("never-set"); ok {
 			t.Fatal("GET_STR of a never-set key hit")
+		}
+	})
+}
+
+// TestWireRMWGets runs the version-4 ops — GETS and every RMW family —
+// on one connection, numeric and string keys alike: all three designs
+// execute them through partition.Store.RMW and must answer identically.
+func TestWireRMWGets(t *testing.T) {
+	eachBackend(t, 2, func(t *testing.T, srv *Server) {
+		c, closeConn := dialT(t, srv.Addr())
+		defer closeConn()
+		rmw := func(req protocol.Request, wantStatus uint8) (ver, num uint64) {
+			t.Helper()
+			c.send(req)
+			c.w.Flush()
+			status, ver, num, err := protocol.ReadRMWResponse(c.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status != wantStatus {
+				t.Fatalf("op %d: status %d, want %d", req.Op, status, wantStatus)
+			}
+			return ver, num
+		}
+		gets := func(req protocol.Request) (string, uint64, bool) {
+			t.Helper()
+			c.send(req)
+			c.w.Flush()
+			v, ver, found, err := protocol.ReadGetsResponseInto(c.r, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(v), ver, found
+		}
+
+		// Numeric key: add once, cas against the right and a stale version.
+		v1, _ := rmw(protocol.Request{Op: protocol.OpAdd, Key: 5, Value: []byte("10")}, protocol.RMWStatusStored)
+		rmw(protocol.Request{Op: protocol.OpAdd, Key: 5, Value: []byte("x")}, protocol.RMWStatusNotStored)
+		if v, ver, ok := gets(protocol.Request{Op: protocol.OpGets, Key: 5}); !ok || v != "10" || ver != v1 {
+			t.Fatalf("GETS 5 = %q v%d %v, want 10 v%d", v, ver, ok, v1)
+		}
+		v2, _ := rmw(protocol.Request{Op: protocol.OpCas, Key: 5, Ver: v1, Value: []byte("20")}, protocol.RMWStatusStored)
+		if cur, _ := rmw(protocol.Request{Op: protocol.OpCas, Key: 5, Ver: v1, Value: []byte("30")}, protocol.RMWStatusExists); cur != v2 {
+			t.Fatalf("stale CAS reported v%d, want the current v%d", cur, v2)
+		}
+		if _, n := rmw(protocol.Request{Op: protocol.OpIncr, Key: 5, Delta: 22}, protocol.RMWStatusStored); n != 42 {
+			t.Fatalf("INCR = %d, want 42", n)
+		}
+		if _, n := rmw(protocol.Request{Op: protocol.OpDecr, Key: 5, Delta: 100}, protocol.RMWStatusStored); n != 0 {
+			t.Fatalf("DECR below zero = %d, want 0", n)
+		}
+		rmw(protocol.Request{Op: protocol.OpIncr, Key: 6, Delta: 1}, protocol.RMWStatusNotFound)
+		rmw(protocol.Request{Op: protocol.OpReplace, Key: 6, Value: []byte("x")}, protocol.RMWStatusNotStored)
+
+		// String key: append/prepend keep one entry, incr rejects it, touch
+		// keeps the version.
+		key := []byte("greeting")
+		rmw(protocol.Request{Op: protocol.OpAddStr, StrKey: key, Value: []byte("b")}, protocol.RMWStatusStored)
+		rmw(protocol.Request{Op: protocol.OpAppendStr, StrKey: key, Value: []byte("c")}, protocol.RMWStatusStored)
+		v3, _ := rmw(protocol.Request{Op: protocol.OpPrependStr, StrKey: key, Value: []byte("a")}, protocol.RMWStatusStored)
+		rmw(protocol.Request{Op: protocol.OpIncrStr, StrKey: key, Delta: 1}, protocol.RMWStatusBadValue)
+		if ver, _ := rmw(protocol.Request{Op: protocol.OpTouchStr, StrKey: key, TTL: 60000}, protocol.RMWStatusStored); ver != v3 {
+			t.Fatalf("TOUCH moved the version v%d -> v%d", v3, ver)
+		}
+		if v, ver, ok := gets(protocol.Request{Op: protocol.OpGetsStr, StrKey: key}); !ok || v != "abc" || ver != v3 {
+			t.Fatalf("GETS_STR = %q v%d %v, want abc v%d", v, ver, ok, v3)
+		}
+		if _, _, ok := gets(protocol.Request{Op: protocol.OpGetsStr, StrKey: []byte("absent")}); ok {
+			t.Fatal("GETS_STR of an absent key hit")
 		}
 	})
 }

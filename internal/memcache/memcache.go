@@ -1,610 +1,59 @@
-// Package memcache is the MEMCACHED stand-in for the paper's Figure 14
-// comparison. The property the paper measures is architectural, not
-// memcached's feature set: a single coarse lock protects each instance's
-// entire state, requests are handled one at a time per connection with no
-// cross-request batching, and scaling beyond one core requires running
-// independent instances with the *client* partitioning the key space
-// (exactly how the paper ran memcached: "a separate, independent instance
-// of MEMCACHED on every core").
-//
-// Instances speak the same binary protocol as CPSERVER so the same load
-// generator drives all three servers.
+// Package memcache builds the MEMCACHED stand-in of the paper's Figure 14.
+// What the paper measures is architectural: one coarse lock guards each
+// instance's whole state, and scaling past one core means independent
+// instances with the *client* partitioning the keys. An instance is
+// therefore a one-partition LOCKHASH table behind a one-worker kvserver —
+// the same construction as `cpserver -backend memcache` — so the three
+// designs share the serving path and differ only in the table's
+// concurrency scheme.
 package memcache
 
 import (
-	"bufio"
-	"container/list"
-	"net"
-	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"cphash/internal/cluster"
-	"cphash/internal/partition"
-	"cphash/internal/protocol"
+	"cphash/internal/kvserver"
+	"cphash/internal/lockhash"
 )
 
-// entry is one cached key/value pair plus its LRU hook.
-type entry struct {
-	key     uint64
-	value   []byte
-	expires int64  // wall-clock ns deadline; 0 = never
-	version uint64 // CAS token, assigned at store time
-	elem    *list.Element
-}
-
-// Instance is one single-lock cache server, the unit the client partitions
-// keys across.
-type Instance struct {
-	mu      sync.Mutex
-	m       map[uint64]*entry
-	lru     *list.List // front = most recently used
-	used    int
-	capB    int
-	verNext uint64 // next CAS version to assign (starts at 1)
-	ln      net.Listener
-	wg      sync.WaitGroup
-	conns   map[net.Conn]struct{}
-	cmu     sync.Mutex
-	done    atomic.Bool
-
-	requests atomic.Int64
-}
-
-// ServeInstance starts one instance listening on addr with a capacity of
-// capacityBytes of values (LRU-evicted, like the paper's tables).
-func ServeInstance(addr string, capacityBytes int) (*Instance, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	inst := &Instance{
-		m:       map[uint64]*entry{},
-		lru:     list.New(),
-		capB:    capacityBytes,
-		verNext: 1,
-		ln:      ln,
-		conns:   map[net.Conn]struct{}{},
-	}
-	inst.wg.Add(1)
-	go inst.acceptLoop()
-	return inst, nil
-}
-
-// Addr returns the instance's bound address.
-func (i *Instance) Addr() string { return i.ln.Addr().String() }
-
-// Requests returns the lifetime request count.
-func (i *Instance) Requests() int64 { return i.requests.Load() }
-
-// Close stops the instance.
-func (i *Instance) Close() error {
-	if !i.done.CompareAndSwap(false, true) {
-		return nil
-	}
-	i.ln.Close()
-	i.cmu.Lock()
-	for c := range i.conns {
-		c.Close()
-	}
-	i.cmu.Unlock()
-	i.wg.Wait()
-	return nil
-}
-
-func (i *Instance) acceptLoop() {
-	defer i.wg.Done()
-	for {
-		conn, err := i.ln.Accept()
-		if err != nil {
-			return
-		}
-		if tcp, ok := conn.(*net.TCPConn); ok {
-			tcp.SetNoDelay(true)
-		}
-		i.cmu.Lock()
-		if i.done.Load() {
-			i.cmu.Unlock()
-			conn.Close()
-			return
-		}
-		i.conns[conn] = struct{}{}
-		i.cmu.Unlock()
-		i.wg.Add(1)
-		go i.serveConn(conn)
-	}
-}
-
-// serveConn is memcached-style request handling: parse one request, take
-// the global lock, execute, respond immediately. No batching.
-func (i *Instance) serveConn(conn net.Conn) {
-	defer i.wg.Done()
-	defer func() {
-		i.cmu.Lock()
-		delete(i.conns, conn)
-		i.cmu.Unlock()
-		conn.Close()
-	}()
-	br := bufio.NewReaderSize(conn, 32<<10)
-	bw := bufio.NewWriterSize(conn, 32<<10)
-	var scratch, entryBuf []byte
-	for {
-		req, err := protocol.ReadRequest(br)
-		if err != nil {
-			return
-		}
-		i.requests.Add(1)
-		switch req.Op {
-		case protocol.OpLookup:
-			var found bool
-			scratch, found = i.get(req.Key, scratch[:0])
-			if err := protocol.WriteLookupResponse(bw, scratch, found); err != nil {
-				return
-			}
-			// Respond immediately: memcached has no cross-request batching.
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		case protocol.OpGetStr:
-			scratch = scratch[:0]
-			var found bool
-			var value []byte
-			scratch, found = i.get(protocol.HashStringKey(req.StrKey), scratch)
-			if found {
-				value, found = protocol.CutStringEntry(scratch, req.StrKey)
-			}
-			if err := protocol.WriteLookupResponse(bw, value, found); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		case protocol.OpInsert, protocol.OpInsertTTL:
-			i.put(req.Key, req.Value, req.TTL)
-		case protocol.OpSetStr:
-			// put copies under the lock, so the staging buffer is reusable.
-			entryBuf = protocol.AppendStringEntry(entryBuf[:0], req.StrKey, req.Value)
-			i.put(protocol.HashStringKey(req.StrKey), entryBuf, req.TTL)
-		case protocol.OpDelete:
-			if err := protocol.WriteDeleteResponse(bw, i.del(req.Key)); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		case protocol.OpDelStr:
-			if err := protocol.WriteDeleteResponse(bw, i.del(protocol.HashStringKey(req.StrKey))); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		case protocol.OpScan:
-			count := int(req.Count)
-			if count <= 0 || count > protocol.MaxScanBatch {
-				count = protocol.MaxScanBatch
-			}
-			next, entries := i.scan(&req.Slots, req.Cursor, count)
-			if err := protocol.WriteScanResponse(bw, next, entries); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		case protocol.OpPurge:
-			removed := i.purge(&req.Slots)
-			if err := protocol.WritePurgeResponse(bw, protocol.ScanDone, removed); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		case protocol.OpGets:
-			var found bool
-			var ver uint64
-			scratch, ver, found = i.gets(req.Key, scratch[:0])
-			if err := protocol.WriteGetsResponse(bw, scratch, ver, found); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		case protocol.OpGetsStr:
-			var found bool
-			var ver uint64
-			var value []byte
-			scratch, ver, found = i.gets(protocol.HashStringKey(req.StrKey), scratch[:0])
-			if found {
-				value, found = protocol.CutStringEntry(scratch, req.StrKey)
-			}
-			if !found {
-				ver = 0
-			}
-			if err := protocol.WriteGetsResponse(bw, value, ver, found); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		case protocol.OpInsertVer:
-			i.putVer(req.Key, req.Value, req.TTL, req.Ver)
-		default:
-			if !protocol.IsRMW(req.Op) {
-				continue
-			}
-			st, ver, num := i.rmw(&req)
-			if err := protocol.WriteRMWResponse(bw, st, ver, num); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// scan returns up to count live entries in the selected slots with keys ≥
-// cursor, in ascending key order — the map has no stable iteration order,
-// so the key itself is the cursor (keys are 60-bit; the resume cursor
-// last+1 can never collide with protocol.ScanDone). The selection is
-// O(n log n) under the global lock, in keeping with this baseline's
-// deliberately coarse design.
-func (i *Instance) scan(slots *protocol.SlotSet, cursor uint64, count int) (uint64, []protocol.ScanEntry) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	now := time.Now().UnixNano()
-	var keys []uint64
-	for k, e := range i.m {
-		if k < cursor || !slots.Has(cluster.SlotOf(k)) {
-			continue
-		}
-		if e.expires != 0 && now >= e.expires {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	done := len(keys) <= count
-	if !done {
-		keys = keys[:count]
-	}
-	entries := make([]protocol.ScanEntry, 0, len(keys))
-	for _, k := range keys {
-		e := i.m[k]
-		var ttl uint32
-		if e.expires != 0 {
-			ms := (e.expires - now + int64(time.Millisecond) - 1) / int64(time.Millisecond)
-			if ms < 1 {
-				ms = 1 // still live at the clock read above; keep it expiring
-			}
-			ttl = uint32(min64(ms, int64(^uint32(0))))
-		}
-		entries = append(entries, protocol.ScanEntry{
-			Key:     k,
-			TTL:     ttl,
-			Version: e.version,
-			Value:   append([]byte(nil), e.value...),
-		})
-	}
-	if done {
-		return protocol.ScanDone, entries
-	}
-	return keys[len(keys)-1] + 1, entries
-}
-
-// purge removes every live entry in the selected slots in one pass (a
-// single-lock instance has no reason to cursor).
-func (i *Instance) purge(slots *protocol.SlotSet) uint32 {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	now := time.Now().UnixNano()
-	var removed uint32
-	for k, e := range i.m {
-		if !slots.Has(cluster.SlotOf(k)) {
-			continue
-		}
-		live := e.expires == 0 || now < e.expires
-		i.removeLocked(e)
-		if live {
-			removed++
-		}
-	}
-	return removed
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// get copies the value under the global lock. An entry whose TTL elapsed
-// is removed lazily and reported as a miss.
-func (i *Instance) get(key uint64, dst []byte) ([]byte, bool) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	e, ok := i.m[key]
-	if !ok {
-		return dst, false
-	}
-	if e.expires != 0 && time.Now().UnixNano() >= e.expires {
-		i.removeLocked(e)
-		return dst, false
-	}
-	i.lru.MoveToFront(e.elem)
-	return append(dst, e.value...), true
-}
-
-// put stores the value under the global lock, evicting LRU entries to fit.
-// ttlMillis of 0 means "never expires".
-func (i *Instance) put(key uint64, value []byte, ttlMillis uint32) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.putLocked(key, value, deadline(ttlMillis), 0)
-}
-
-// putVer is put with an explicit CAS version (the INSERT_VER replay path).
-func (i *Instance) putVer(key uint64, value []byte, ttlMillis uint32, ver uint64) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.putLocked(key, value, deadline(ttlMillis), ver)
-}
-
-// putLocked stores value under key with an absolute deadline and version
-// (0 = assign the next one), evicting LRU entries to fit. It reports the
-// stored version and whether space was obtained. Callers hold i.mu.
-func (i *Instance) putLocked(key uint64, value []byte, expires int64, ver uint64) (uint64, bool) {
-	if old, ok := i.m[key]; ok {
-		i.removeLocked(old)
-	}
-	if len(value) > i.capB {
-		return 0, false // cannot fit at all; drop (cache semantics)
-	}
-	for i.used+len(value) > i.capB {
-		back := i.lru.Back()
-		if back == nil {
-			break
-		}
-		i.removeLocked(back.Value.(*entry))
-	}
-	if ver == 0 {
-		ver = i.verNext
-		i.verNext++
-	} else if ver >= i.verNext {
-		// Replayed versions keep the counter ahead so later stores cannot
-		// reissue a token a CAS may already hold.
-		i.verNext = ver + 1
-	}
-	e := &entry{key: key, value: append([]byte(nil), value...), expires: expires, version: ver}
-	e.elem = i.lru.PushFront(e)
-	i.m[key] = e
-	i.used += len(value)
-	return ver, true
-}
-
-// deadline converts a millisecond TTL to a wall-clock deadline (0 = never).
-func deadline(ttlMillis uint32) int64 {
-	if ttlMillis == 0 {
-		return 0
-	}
-	return time.Now().UnixNano() + int64(ttlMillis)*int64(time.Millisecond)
-}
-
-// gets is get plus the entry's CAS version.
-func (i *Instance) gets(key uint64, dst []byte) ([]byte, uint64, bool) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	e, ok := i.m[key]
-	if !ok {
-		return dst, 0, false
-	}
-	if e.expires != 0 && time.Now().UnixNano() >= e.expires {
-		i.removeLocked(e)
-		return dst, 0, false
-	}
-	i.lru.MoveToFront(e.elem)
-	return append(dst, e.value...), e.version, true
-}
-
-// rmw executes one read-modify-write under the global lock, mirroring the
-// partition engine's semantics (internal/partition's Store.RMW) so all
-// three servers answer the version-4 ops identically.
-func (i *Instance) rmw(req *protocol.Request) (status uint8, outVer, num uint64) {
-	key := req.Key
-	if req.StrKey != nil {
-		key = protocol.HashStringKey(req.StrKey)
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	e := i.m[key]
-	if e != nil && e.expires != 0 && time.Now().UnixNano() >= e.expires {
-		i.removeLocked(e)
-		e = nil
-	}
-	// Unwrap string-entry framing; a 60-bit hash collision reads as absent.
-	var old []byte
-	if e != nil {
-		old = e.value
-		if req.StrKey != nil {
-			v, match := protocol.CutStringEntry(e.value, req.StrKey)
-			if !match {
-				e, old = nil, nil
-			} else {
-				old = v
-			}
-		}
-	}
-	prefix := int(req.Prefix)
-	store := func(val []byte, expires int64) {
-		framed := val
-		if req.StrKey != nil {
-			framed = protocol.AppendStringEntry(nil, req.StrKey, val)
-		}
-		if len(framed) > protocol.MaxValueSize {
-			status = protocol.RMWStatusTooLarge
-			return
-		}
-		v, ok := i.putLocked(key, framed, expires, 0)
-		if !ok {
-			status = protocol.RMWStatusNoSpace
-			return
-		}
-		outVer, status = v, protocol.RMWStatusStored
-	}
-	switch req.Op {
-	case protocol.OpCas, protocol.OpCasStr:
-		if e == nil {
-			return protocol.RMWStatusNotFound, 0, 0
-		}
-		if e.version != req.Ver {
-			return protocol.RMWStatusExists, e.version, 0
-		}
-		store(req.Value, deadline(req.TTL))
-	case protocol.OpAdd, protocol.OpAddStr:
-		if e != nil {
-			return protocol.RMWStatusNotStored, 0, 0
-		}
-		store(req.Value, deadline(req.TTL))
-	case protocol.OpReplace, protocol.OpReplaceStr:
-		if e == nil {
-			return protocol.RMWStatusNotStored, 0, 0
-		}
-		store(req.Value, deadline(req.TTL))
-	case protocol.OpAppend, protocol.OpAppendStr, protocol.OpPrepend, protocol.OpPrependStr:
-		if e == nil {
-			return protocol.RMWStatusNotStored, 0, 0
-		}
-		if len(old) < prefix {
-			return protocol.RMWStatusBadValue, 0, 0
-		}
-		var buf []byte
-		if req.Op == protocol.OpAppend || req.Op == protocol.OpAppendStr {
-			buf = append(append([]byte(nil), old...), req.Value...)
-		} else {
-			buf = append([]byte(nil), old[:prefix]...)
-			buf = append(buf, req.Value...)
-			buf = append(buf, old[prefix:]...)
-		}
-		store(buf, e.expires)
-	case protocol.OpIncr, protocol.OpIncrStr, protocol.OpDecr, protocol.OpDecrStr:
-		if e == nil {
-			return protocol.RMWStatusNotFound, 0, 0
-		}
-		if len(old) < prefix {
-			return protocol.RMWStatusBadValue, 0, 0
-		}
-		n, ok := partition.ParseDecimal(old[prefix:])
-		if !ok {
-			return protocol.RMWStatusBadValue, 0, 0
-		}
-		if req.Op == protocol.OpIncr || req.Op == protocol.OpIncrStr {
-			n += req.Delta // 64-bit wraparound, as memcached's arithmetic
-		} else if n < req.Delta {
-			n = 0 // memcached floors decrement at zero
-		} else {
-			n -= req.Delta
-		}
-		buf := append([]byte(nil), old[:prefix]...)
-		buf = strconv.AppendUint(buf, n, 10)
-		store(buf, e.expires)
-		if status == protocol.RMWStatusStored {
-			num = n
-		}
-	case protocol.OpTouch, protocol.OpTouchStr:
-		if e == nil {
-			return protocol.RMWStatusNotFound, 0, 0
-		}
-		// Touch rewrites the deadline in place; the version is unchanged
-		// (memcached touch does not bump cas).
-		e.expires = deadline(req.TTL)
-		return protocol.RMWStatusStored, e.version, 0
-	default:
-		return protocol.RMWStatusBadValue, 0, 0
-	}
-	return status, outVer, num
-}
-
-// del removes the entry under the global lock, reporting whether a live
-// (unexpired) entry existed.
-func (i *Instance) del(key uint64) bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	e, ok := i.m[key]
-	if !ok {
-		return false
-	}
-	expired := e.expires != 0 && time.Now().UnixNano() >= e.expires
-	i.removeLocked(e)
-	return !expired
-}
-
-// removeLocked unlinks an entry from the map, LRU list, and byte
-// accounting. Callers hold i.mu.
-func (i *Instance) removeLocked(e *entry) {
-	i.lru.Remove(e.elem)
-	delete(i.m, e.key)
-	i.used -= len(e.value)
-}
-
-// Len returns the number of cached entries (diagnostic).
-func (i *Instance) Len() int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return len(i.m)
-}
-
-// Cluster is the paper's multi-instance configuration: one Instance per
-// simulated core, keys partitioned by the client.
+// Cluster is the paper's multi-instance configuration: one single-lock
+// server per simulated core, keys partitioned by the client.
 type Cluster struct {
-	Instances []*Instance
+	Servers []*kvserver.Server
 }
 
 // ServeCluster starts n instances on loopback, splitting capacityBytes
 // between them.
 func ServeCluster(n, capacityBytes int) (*Cluster, error) {
-	if n < 1 {
-		n = 1
-	}
+	n = max(n, 1)
 	c := &Cluster{}
 	for k := 0; k < n; k++ {
-		inst, err := ServeInstance("127.0.0.1:0", capacityBytes/n)
+		table, err := lockhash.New(lockhash.Config{Partitions: 1, CapacityBytes: capacityBytes / n})
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		c.Instances = append(c.Instances, inst)
+		srv, err := kvserver.Serve(kvserver.Config{
+			Addr: "127.0.0.1:0", Workers: 1, NewBackend: kvserver.NewLockHashBackend(table),
+		})
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		c.Servers = append(c.Servers, srv)
 	}
 	return c, nil
 }
 
-// Addrs lists the instance addresses in order; load generators partition
-// the key space across them by hash, as the paper's clients do.
+// Addrs lists the instance addresses, in order, for the load generator.
 func (c *Cluster) Addrs() []string {
-	out := make([]string, len(c.Instances))
-	for i, inst := range c.Instances {
-		out[i] = inst.Addr()
+	out := make([]string, len(c.Servers))
+	for i, srv := range c.Servers {
+		out[i] = srv.Addr()
 	}
 	return out
 }
 
-// Requests sums lifetime requests across instances.
-func (c *Cluster) Requests() int64 {
-	var n int64
-	for _, inst := range c.Instances {
-		n += inst.Requests()
-	}
-	return n
-}
-
 // Close stops every instance.
-func (c *Cluster) Close() error {
-	for _, inst := range c.Instances {
-		if inst != nil {
-			inst.Close()
-		}
+func (c *Cluster) Close() {
+	for _, srv := range c.Servers {
+		srv.Close()
 	}
-	return nil
 }
