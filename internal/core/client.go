@@ -26,12 +26,17 @@ const (
 // Op is an in-flight asynchronous operation (a future). Ops are created by
 // Client.LookupAsync/InsertAsync/DeleteAsync, complete during Client.Poll
 // (or Wait/WaitAll), and must be returned with Client.Release, which also
-// sends the Decref message for lookup hits. Ops are recycled; do not retain
-// one past Release.
+// sends the Decref message for lookup hits larger than one cache line. Ops
+// are recycled; do not retain one past Release.
+//
+// Lookup, insert and RMW requests carry a pointer to their Op. Between
+// issue and the reply the owning server goroutine may read insVal and rmw
+// and write rmw's outcome fields, inlineLen, inlineVer and inline; the
+// client touches none of them until it has consumed the reply.
 type Op struct {
 	typ    OpType
 	key    Key
-	insVal []byte // insert payload; copied into the element on reply
+	insVal []byte // insert payload; copied into the element by the server (≤ inlineMax) or on reply
 	elem   *partition.Element
 	server int
 	done   bool
@@ -39,10 +44,16 @@ type Op struct {
 	next   *Op // client free list
 	// rmw is the read-modify-write descriptor for OpRMW (inputs filled by
 	// the client, results written by the server before its reply) and the
-	// version carrier for explicit-version inserts. Embedding it in the Op
-	// keeps RMW issue/complete allocation-free: the descriptor recycles
-	// with the Op.
+	// version carrier for inserts (Ver 0 = assign next). Embedding it in
+	// the Op keeps RMW issue/complete allocation-free: the descriptor
+	// recycles with the Op.
 	rmw partition.RMWReq
+	// inline holds the value (and inlineVer its CAS version) of a lookup
+	// hit of at most inlineMax bytes: the hit is then complete in one
+	// message, with no element pinned (elem stays nil).
+	inlineLen int
+	inlineVer uint64
+	inline    [inlineMax]byte
 }
 
 // Type returns the operation kind.
@@ -60,10 +71,14 @@ func (o *Op) Done() bool { return o.done }
 func (o *Op) Hit() bool { return o.hit }
 
 // Value returns the value bytes of a completed lookup hit. The slice
-// aliases partition memory owned by the server; it is valid until Release.
+// aliases the Op (values of at most one cache line) or partition memory
+// owned by the server; either way it is valid until Release.
 func (o *Op) Value() []byte {
 	if !o.done || !o.hit || o.typ != OpLookup {
 		return nil
+	}
+	if o.elem == nil {
+		return o.inline[:o.inlineLen]
 	}
 	return o.elem.Value()
 }
@@ -73,6 +88,9 @@ func (o *Op) Size() int {
 	if !o.done || !o.hit || o.typ != OpLookup {
 		return 0
 	}
+	if o.elem == nil {
+		return o.inlineLen
+	}
 	return o.elem.Size()
 }
 
@@ -81,8 +99,19 @@ func (o *Op) Version() uint64 {
 	if !o.done || !o.hit || o.typ != OpLookup {
 		return 0
 	}
+	if o.elem == nil {
+		return o.inlineVer
+	}
 	return o.elem.Version()
 }
+
+// TwoPhase reports whether an insert takes the paper's two-message path
+// (value larger than one cache line): its value becomes visible, and its
+// change record reaches the sink, only when the server later processes the
+// fire-and-forget Ready — not by the time the op is Done. A one-message
+// insert is published before its reply, so ring FIFO order alone makes it
+// visible to every later operation from this client.
+func (o *Op) TwoPhase() bool { return o.typ == OpInsert && len(o.insVal) > inlineMax }
 
 // RMW returns the op's read-modify-write descriptor: inputs as issued
 // and, once the op is Done, the server-written results (Status, OutVer,
@@ -162,42 +191,58 @@ func (c *Client) Outstanding() int { return c.outstanding }
 func (c *Client) Issued() int64    { return c.issued }
 func (c *Client) Completed() int64 { return c.completed }
 
-func (c *Client) newOp() *Op {
-	if o := c.freeOps; o != nil {
-		c.freeOps = o.next
-		*o = Op{}
-		return o
+// newOp takes an Op off the free list (or allocates one) and resets what
+// the last use may have left behind. Release already dropped elem, insVal
+// and an RMW descriptor, and the inline buffer is read only after a server
+// has written it, so the line-sized buffer is never cleared.
+func (c *Client) newOp(typ OpType, key Key) *Op {
+	o := c.freeOps
+	if o == nil {
+		return &Op{typ: typ, key: key & keyMask}
 	}
-	return &Op{}
-}
-
-// LookupAsync issues a lookup. The returned Op completes during a future
-// Poll/Wait; on a hit, Release sends the Decref.
-func (c *Client) LookupAsync(key Key) *Op {
-	o := c.newOp()
-	o.typ = OpLookup
-	o.key = key & keyMask
-	c.issue(o, request{keyop: makeKeyop(opLookup, key)})
+	c.freeOps = o.next
+	o.typ, o.key, o.done, o.hit, o.next = typ, key&keyMask, false, false, nil
 	return o
 }
 
-// InsertAsync issues an insert of value under key. The value bytes are
-// copied into server-allocated space when the allocation reply arrives (the
-// paper's client-copies rule, §3.2), then a Ready message publishes them.
-// The caller must keep value unchanged until the op is Done.
+// LookupAsync issues a lookup. The returned Op completes during a future
+// Poll/Wait. A hit of at most one cache line (64 B) arrives whole with the
+// reply and costs one message; for a larger hit the Op pins the server's
+// element and Release sends the Decref.
+func (c *Client) LookupAsync(key Key) *Op {
+	o := c.newOp(OpLookup, key)
+	c.issue(o, request{keyop: makeKeyop(opLookup, key), o: o})
+	return o
+}
+
+// InsertAsync issues an insert of value under key. A value of at most one
+// cache line (64 B) is copied and published by the server before it
+// replies: one message, and visible to everything behind it on the ring.
+// A larger value is copied into server-allocated space when the allocation
+// reply arrives (the paper's client-copies rule, §3.2), then a Ready
+// message publishes it. The caller must keep value unchanged until the op
+// is Done.
 func (c *Client) InsertAsync(key Key, value []byte) *Op {
-	return c.InsertTTLAsync(key, value, 0)
+	return c.InsertTTLVerAsync(key, value, 0, 0)
 }
 
 // InsertTTLAsync is InsertAsync with a time-to-live: the element becomes
 // invisible once ttl elapses on the server's clock (resolution one
 // millisecond, rounded up; capped at ~49 days). ttl <= 0 means "never
-// expires". The TTL rides the insert message's packed arg word, so TTL
-// inserts cost exactly the paper's two messages.
+// expires". The TTL rides the insert message's packed arg word, so a TTL
+// insert costs what a plain one does: one message up to 64 B, the paper's
+// two beyond.
 func (c *Client) InsertTTLAsync(key Key, value []byte, ttl time.Duration) *Op {
-	o := c.newOp()
-	o.typ = OpInsert
-	o.key = key & keyMask
+	return c.InsertTTLVerAsync(key, value, ttl, 0)
+}
+
+// InsertTTLVerAsync is InsertTTLAsync with an explicit CAS version — the
+// replay-side primitive that keeps versions stable across recovery,
+// follower catch-up and slot migration. ver 0 is the normal assign-next
+// insert. The version rides the op's embedded descriptor, so it costs no
+// allocation and the message count is unchanged on both paths.
+func (c *Client) InsertTTLVerAsync(key Key, value []byte, ttl time.Duration, ver uint64) *Op {
+	o := c.newOp(OpInsert, key)
 	if uint64(len(value)) > math.MaxUint32 {
 		// The insert message packs the size into 32 bits of the arg word;
 		// a larger value must fail cleanly, not store a wrapped size.
@@ -205,30 +250,8 @@ func (c *Client) InsertTTLAsync(key Key, value []byte, ttl time.Duration) *Op {
 		return o
 	}
 	o.insVal = value
-	c.issue(o, request{keyop: makeKeyop(opInsert, key), arg: makeInsertArg(len(value), ttlMillis(ttl))})
-	return o
-}
-
-// InsertTTLVerAsync is InsertTTLAsync with an explicit CAS version — the
-// replay-side primitive that keeps versions stable across recovery,
-// follower catch-up and slot migration. ver 0 falls back to the normal
-// assign-next insert. The version rides a pointer to the op's embedded
-// descriptor, so it costs no allocation and the message count is
-// unchanged.
-func (c *Client) InsertTTLVerAsync(key Key, value []byte, ttl time.Duration, ver uint64) *Op {
-	if ver == 0 {
-		return c.InsertTTLAsync(key, value, ttl)
-	}
-	o := c.newOp()
-	o.typ = OpInsert
-	o.key = key & keyMask
-	if uint64(len(value)) > math.MaxUint32 {
-		o.done = true
-		return o
-	}
-	o.insVal = value
 	o.rmw.Ver = ver
-	c.issue(o, request{keyop: makeKeyop(opInsert, key), arg: makeInsertArg(len(value), ttlMillis(ttl)), rmw: &o.rmw})
+	c.issue(o, request{keyop: makeKeyop(opInsert, key), arg: makeInsertArg(len(value), ttlMillis(ttl)), o: o})
 	return o
 }
 
@@ -238,11 +261,9 @@ func (c *Client) InsertTTLVerAsync(key Key, value []byte, ttl time.Duration, ver
 // unchanged until the op is Done. Results are read from Op.RMW() after
 // completion; Hit reports Status == RMWStored.
 func (c *Client) RMWAsync(key Key, req partition.RMWReq) *Op {
-	o := c.newOp()
-	o.typ = OpRMW
-	o.key = key & keyMask
+	o := c.newOp(OpRMW, key)
 	o.rmw = req
-	c.issue(o, request{keyop: makeKeyop(opRMW, key), rmw: &o.rmw})
+	c.issue(o, request{keyop: makeKeyop(opRMW, key), o: o})
 	return o
 }
 
@@ -262,9 +283,7 @@ func ttlMillis(ttl time.Duration) uint32 {
 
 // DeleteAsync issues a delete.
 func (c *Client) DeleteAsync(key Key) *Op {
-	o := c.newOp()
-	o.typ = OpDelete
-	o.key = key & keyMask
+	o := c.newOp(OpDelete, key)
 	c.issue(o, request{keyop: makeKeyop(opDelete, key)})
 	return o
 }
@@ -371,20 +390,22 @@ func (c *Client) complete(s int, rep reply) {
 	c.completed++
 	switch o.typ {
 	case OpLookup:
-		o.elem = rep.elem
+		// A one-message hit is already in o.inline (the server wrote it
+		// before replying, like an RMW's results below) and pins nothing.
 		o.hit = rep.elem != nil
+		if rep.elem != inlineDone {
+			o.elem = rep.elem
+		}
 	case OpInsert:
-		if rep.elem == nil {
-			o.hit = false
-			break
+		o.hit = rep.elem != nil
+		if rep.elem == nil || rep.elem == inlineDone {
+			break // no space, or stored and published by the server
 		}
 		// The server allocated NOT_READY space; copy the bytes here in the
 		// client (so large values wipe the *client's* cache, not the
 		// server's — §3.2) and publish with Ready.
 		copy(rep.elem.Value(), o.insVal)
 		c.send(s, request{keyop: makeKeyop(opReady, o.key), elem: rep.elem})
-		o.hit = true
-		o.insVal = nil
 	case OpDelete:
 		o.hit = rep.elem != nil // deleteFound sentinel: the key existed
 	case OpRMW:
@@ -421,19 +442,23 @@ func (c *Client) WaitAll() {
 	c.FlushAll() // publish Ready/Decref generated by the final completions
 }
 
-// Release finishes the caller's use of op: for a lookup hit it sends the
-// Decref that lets the server reclaim the element, then recycles the Op.
-// Every op must be Released exactly once, after Done.
+// Release finishes the caller's use of op and recycles the Op. A lookup hit
+// larger than one cache line pinned the server's element, so Release sends
+// the Decref that lets the server reclaim it; a hit that arrived inline
+// holds no reference and sends nothing. Every op must be Released exactly
+// once, after Done.
 func (c *Client) Release(o *Op) {
 	if !o.done {
 		c.Wait(o)
 	}
-	if o.typ == OpLookup && o.hit {
+	if o.elem != nil { // only a two-message lookup hit holds an element
 		c.send(o.server, request{keyop: makeKeyop(opDecref, o.key), elem: o.elem})
+		o.elem = nil
 	}
-	o.elem = nil
 	o.insVal = nil
-	o.rmw = partition.RMWReq{} // drop StrKey/Val references
+	if o.typ == OpRMW {
+		o.rmw = partition.RMWReq{} // drop StrKey/Val references
+	}
 	o.next = c.freeOps
 	c.freeOps = o
 }

@@ -17,11 +17,23 @@
 //     start waiting; the paper's sweet spot of 512–8,192 outstanding
 //     requests is reproduced by the batch-size ablation bench.
 //   - message packing: the paper packs 8-byte lookups (8/line) and 16-byte
-//     inserts (4/line). Go's GC must be able to see the *Element pointers
-//     that Ready/Decref carry, so requests here are one 24-byte struct (2.6
-//     per line) and replies one 8-byte pointer (8 per line). The constant
-//     factor differs; the batching economics (one line transfer carries
-//     several messages, indices are published per line) are identical.
+//     inserts (4/line) because message count is what a server core spends
+//     its time on. Go's GC must be able to see the pointers a message
+//     carries, so requests here are one 32-byte struct (2 per line) and
+//     replies one 8-byte pointer (8 per line). The constant factor differs;
+//     the batching economics (one line transfer carries several messages,
+//     indices are published per line) are identical.
+//   - one message per small operation: a value of at most inlineMax bytes
+//     (one cache line) travels with the message instead of behind it. A
+//     lookup hit that fits is copied by the server into the client-owned Op
+//     and its reference dropped before the reply, so no Decref follows; an
+//     insert that fits is copied by the server out of the client's buffer
+//     and published before the reply, so no Ready follows and the element
+//     is never visible NOT_READY. Every such operation is exactly one
+//     request and one reply. Larger values keep the paper's §3.2 protocol
+//     — the server allocates, the *client* copies, Lookup+Decref and
+//     Insert+Ready, two messages each — because that rule exists to keep
+//     big copies out of the server's cache.
 package core
 
 import (
@@ -42,27 +54,35 @@ type opcode uint64
 
 const (
 	opNop opcode = iota
-	// opLookup asks the server to find keyop's key, bump its refcount and
-	// LRU position, and reply with the element (nil on miss).
+	// opLookup asks the server to find keyop's key and bump its LRU
+	// position. A hit of at most inlineMax bytes is copied into the
+	// request's Op and answered with the inlineDone sentinel; a larger one
+	// is answered with the element, pinned by one reference the client
+	// returns with opDecref. A miss is a nil element.
 	opLookup
-	// opInsert asks the server to allocate arg bytes under keyop's key and
-	// reply with a NOT_READY element holding one reference (nil if space
-	// cannot be made).
+	// opInsert asks the server to allocate arg bytes under keyop's key
+	// (nil reply if space cannot be made). A value of at most inlineMax
+	// bytes is copied from the Op's insVal and published on the spot
+	// (inlineDone reply); for a larger one the reply is the NOT_READY
+	// element holding one reference, which the client fills and publishes
+	// with opReady.
 	opInsert
 	// opReady publishes elem's value bytes (the client has finished
-	// copying) and releases the inserter's reference. No reply.
+	// copying) and releases the inserter's reference. No reply. Sent only
+	// for values larger than inlineMax.
 	opReady
-	// opDecref releases one reference on elem. No reply.
+	// opDecref releases one reference on elem. No reply. Sent only for
+	// lookup hits larger than inlineMax.
 	opDecref
 	// opDelete unlinks keyop's key. Replies with deleteFound when the key
 	// existed and a nil element otherwise; either way the reply lets
 	// callers synchronize on completion.
 	opDelete
 	// opRMW executes an atomic read-modify-write (CAS, add/replace,
-	// append/prepend, incr/decr, touch) described by the request's rmw
-	// field, entirely on the owning server goroutine — the partition's
-	// single-owner discipline is what makes the composite read+write
-	// atomic without any locking. The server writes results back into the
+	// append/prepend, incr/decr, touch) described by the request's Op
+	// (its embedded RMWReq), entirely on the owning server goroutine — the
+	// partition's single-owner discipline is what makes the composite
+	// read+write atomic without any locking. The server writes results back into the
 	// client-owned RMWReq before replying (the reply ring's
 	// release/acquire pair publishes them), and replies with a nil
 	// element.
@@ -75,6 +95,17 @@ const (
 // dereferenced.
 var deleteFound = &partition.Element{}
 
+// inlineMax is the largest value, in bytes, that travels with its message:
+// one cache line. It is the only thing that selects between the
+// one-message and the two-message protocol.
+const inlineMax = 64
+
+// inlineDone is the sentinel reply element for a lookup hit or an insert
+// completed in one message: the value has already been copied (into the
+// Op, or out of it) and no reference is outstanding. Like deleteFound it
+// is never dereferenced.
+var inlineDone = &partition.Element{}
+
 const (
 	opShift = 60
 	keyMask = 1<<opShift - 1
@@ -85,17 +116,19 @@ const (
 // Packing: op lives in the top 4 bits of keyop, the 60-bit key below it.
 // arg carries the value size (low 32 bits) and TTL in milliseconds (high
 // 32 bits; 0 = never expires) for opInsert. elem carries the element for
-// opReady/opDecref. rmw points at the client-owned descriptor for opRMW
-// (and, for opInsert, optionally carries an explicit CAS version for
-// replay/migration — nil means assign-next). The struct is 32 bytes; the
-// ring flushes every 4 messages (128 B = 2 cache lines), preserving the
-// paper's several-messages-per-line batching even though Go's pointer
-// rules stop us from matching its exact byte density.
+// opReady/opDecref. o points at the client-owned Op for opLookup (the
+// inline value buffer), opInsert (the payload and an optional explicit CAS
+// version) and opRMW (the descriptor): the server reads and writes it only
+// before producing the reply, and the reply ring's release/acquire pair
+// hands it back to the client. The struct is 32 bytes; the ring flushes
+// every 4 messages (128 B = 2 cache lines), preserving the paper's
+// several-messages-per-line batching even though Go's pointer rules stop
+// us from matching its exact byte density.
 type request struct {
 	keyop uint64
 	arg   uint64
 	elem  *partition.Element
-	rmw   *partition.RMWReq
+	o     *Op
 }
 
 // makeInsertArg packs a value size and TTL into a request's arg word.
@@ -109,8 +142,9 @@ func (r request) insertTTL() uint32 { return uint32(r.arg >> 32) }
 // requestLineMsgs is the request-ring flush granularity.
 const requestLineMsgs = 4
 
-// reply is one server→client message: the element for opLookup/opInsert
-// (nil on miss/failure) or the deleteFound sentinel / nil for opDelete.
+// reply is one server→client message: for opLookup/opInsert the element
+// (nil on miss/failure) or the inlineDone sentinel; for opDelete the
+// deleteFound sentinel or nil.
 // Replies are matched to requests purely by FIFO order, as the rings
 // preserve per-pair ordering.
 type reply struct {
@@ -143,8 +177,8 @@ func (r request) String() string {
 	case opDelete:
 		return fmt.Sprintf("Delete(%d)", r.key())
 	case opRMW:
-		if r.rmw != nil {
-			return fmt.Sprintf("RMW(%d, %v)", r.key(), r.rmw.Op)
+		if r.o != nil {
+			return fmt.Sprintf("RMW(%d, %v)", r.key(), r.o.rmw.Op)
 		}
 		return fmt.Sprintf("RMW(%d)", r.key())
 	default:

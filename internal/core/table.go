@@ -233,7 +233,8 @@ func New(cfg Config) (*Table, error) {
 			if t.toServer[c][s], err = ring.NewSPSC[request](cfg.RingCapacity, requestLineMsgs); err != nil {
 				return nil, err
 			}
-			if t.fromServer[c][s], err = ring.NewSPSC[reply](cfg.RingCapacity, replyLineMsgs); err != nil {
+			// The smallest ring setDefaults admits holds less than a line of replies.
+			if t.fromServer[c][s], err = ring.NewSPSC[reply](cfg.RingCapacity, min(replyLineMsgs, cfg.RingCapacity)); err != nil {
 				return nil, err
 			}
 		}
@@ -581,20 +582,35 @@ func (t *Table) anyWork(id int) bool {
 func (t *Table) execute(store *partition.Store, r request, out *ring.SPSC[reply]) {
 	switch r.op() {
 	case opLookup:
-		out.ProduceSpin(reply{elem: store.Lookup(r.key())})
-	case opInsert:
-		ttl := time.Duration(r.insertTTL()) * time.Millisecond
-		if r.rmw != nil {
-			// Version-carrying insert (recovery, replica replay, slot
-			// migration): preserve the recorded CAS version instead of
-			// assigning a fresh one.
-			out.ProduceSpin(reply{elem: store.InsertTTLVer(r.key(), r.insertSize(), ttl, r.rmw.Ver)})
-			break
+		e := store.Lookup(r.key())
+		if e != nil && e.Size() <= inlineMax {
+			// The value fits a cache line: hand it over with the reply and
+			// drop the reference now, so the client owes no Decref.
+			o := r.o
+			o.inlineLen = copy(o.inline[:], e.Value())
+			o.inlineVer = e.Version()
+			store.Decref(e)
+			e = inlineDone
 		}
-		out.ProduceSpin(reply{elem: store.InsertTTL(r.key(), r.insertSize(), ttl)})
+		out.ProduceSpin(reply{elem: e})
+	case opInsert:
+		// A nonzero version (recovery, replica replay, slot migration) is
+		// preserved instead of assigning a fresh one.
+		ttl := time.Duration(r.insertTTL()) * time.Millisecond
+		e := store.InsertTTLVer(r.key(), r.insertSize(), ttl, r.o.rmw.Ver)
+		if e != nil && e.Size() <= inlineMax {
+			// The value fits a cache line: copy it out of the client's
+			// buffer and publish here, so the change sink fires before the
+			// reply and the client owes no Ready.
+			copy(e.Value(), r.o.insVal)
+			store.MarkReady(e)
+			store.Decref(e)
+			e = inlineDone
+		}
+		out.ProduceSpin(reply{elem: e})
 	case opReady:
 		// Publishing the value also releases the inserter's reference:
-		// the paper counts insert as exactly two messages (§6.2).
+		// a large insert is still exactly the paper's two messages (§6.2).
 		store.MarkReady(r.elem)
 		store.Decref(r.elem)
 	case opDecref:
@@ -610,7 +626,7 @@ func (t *Table) execute(store *partition.Store, r request, out *ring.SPSC[reply]
 		// owner — no other goroutine can interleave, so no locks. Results
 		// land in the client-owned descriptor before the reply is produced;
 		// the reply ring's release/acquire publishes them to the client.
-		store.RMW(r.key(), r.rmw)
+		store.RMW(r.key(), &r.o.rmw)
 		out.ProduceSpin(reply{})
 	case opNop:
 		// ignore; used by tests to exercise the path

@@ -1,6 +1,7 @@
 package kvserver
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -42,26 +43,40 @@ func processOne(b Backend, reqs []protocol.Request) ([]Result, []byte) {
 
 // TestBackendInsertThenLookupSameBatch: the dependency case that once hung
 // CPSERVER — a lookup of a key inserted earlier in the same batch must see
-// the new value in both backends.
+// the new value in every backend. On CPHASH a value of at most a cache
+// line is published by the insert message itself and needs no settle
+// barrier; a larger one still does, also when the two kinds overwrite each
+// other with both inserts in flight.
 func TestBackendInsertThenLookupSameBatch(t *testing.T) {
+	small, large := []byte("alpha"), bytes.Repeat([]byte("0123456789abcdef"), 64)
 	for name, b := range newBackends(t) {
 		t.Run(name, func(t *testing.T) {
-			reqs := []protocol.Request{
-				{Op: protocol.OpInsert, Key: 1, Value: []byte("alpha")},
-				{Op: protocol.OpLookup, Key: 1},
-				{Op: protocol.OpInsert, Key: 1, Value: []byte("beta")},
-				{Op: protocol.OpLookup, Key: 1},
-				{Op: protocol.OpLookup, Key: 2}, // never inserted
-			}
-			results, buf := processOne(b, reqs)
-			if !results[1].Found || string(buf[results[1].Start:results[1].End]) != "alpha" {
-				t.Errorf("first lookup = %+v (%q)", results[1], buf)
-			}
-			if !results[3].Found || string(buf[results[3].Start:results[3].End]) != "beta" {
-				t.Errorf("second lookup = %+v", results[3])
-			}
-			if results[4].Found {
-				t.Error("phantom hit for key 2")
+			for i, vals := range [][2][]byte{{small, []byte("beta")}, {large, large[:999]}, {large, small}, {small, large}} {
+				key := uint64(1 + i)
+				reqs := []protocol.Request{
+					{Op: protocol.OpInsert, Key: key, Value: vals[0]},
+					{Op: protocol.OpLookup, Key: key},
+					{Op: protocol.OpInsert, Key: key, Value: vals[1]},
+					{Op: protocol.OpLookup, Key: key},
+					{Op: protocol.OpLookup, Key: 99}, // never inserted
+					// Overwrite with the first insert still in flight.
+					{Op: protocol.OpInsert, Key: key + 100, Value: vals[0]},
+					{Op: protocol.OpInsert, Key: key + 100, Value: vals[1]},
+					{Op: protocol.OpLookup, Key: key + 100},
+				}
+				results, buf := processOne(b, reqs)
+				if !results[7].Found || !bytes.Equal(buf[results[7].Start:results[7].End], vals[1]) {
+					t.Errorf("case %d: lookup after back-to-back inserts = %+v", i, results[7])
+				}
+				if !results[1].Found || !bytes.Equal(buf[results[1].Start:results[1].End], vals[0]) {
+					t.Errorf("case %d: first lookup = %+v", i, results[1])
+				}
+				if !results[3].Found || !bytes.Equal(buf[results[3].Start:results[3].End], vals[1]) {
+					t.Errorf("case %d: second lookup = %+v", i, results[3])
+				}
+				if results[4].Found {
+					t.Error("phantom hit for key 99")
+				}
 			}
 		})
 	}

@@ -91,12 +91,12 @@ type Backend interface {
 
 // BatchFencer is the optional Backend extension group commit needs: a
 // backend whose writes become durable-visible asynchronously (CPHASH's
-// Ready messages are fire-and-forget, so a batch's change records may
-// still be in flight toward the durability sink when ProcessBatch
-// returns) must implement FenceBatch to block until every record of the
-// previously processed batches has reached the sink. Synchronous
-// backends (LOCKHASH publishes under the partition lock) need not
-// implement it.
+// Ready messages — sent for values larger than one cache line — are
+// fire-and-forget, so a batch's change records may still be in flight
+// toward the durability sink when ProcessBatch returns) must implement
+// FenceBatch to block until every record of the previously processed
+// batches has reached the sink. Synchronous backends (LOCKHASH publishes
+// under the partition lock) need not implement it.
 type BatchFencer interface {
 	FenceBatch()
 }
@@ -881,19 +881,24 @@ func rmwReqOf(r protocol.Request) partition.RMWReq {
 
 // cphashBackend pipelines a batch through a CPHASH client handle.
 type cphashBackend struct {
-	client   *core.Client
-	table    *core.Table
-	ops      []*core.Op
-	idx      []int    // result index per op; -1 for inserts
-	keys     [][]byte // string key per op for GET_STR verification; else nil
+	client *core.Client
+	table  *core.Table
+	ops    []*core.Op
+	idx    []int    // result index per op; -1 for inserts
+	keys   [][]byte // string key per op for GET_STR verification; else nil
+	// inserted holds the keys of this batch's two-phase inserts
+	// (core.Op.TwoPhase), which a later lookup or RMW of the same key must
+	// wait out; see ProcessBatch.
 	inserted map[uint64]struct{}
-	// fenceKeys holds, per partition, one key inserted since the last
-	// FenceBatch. An insert's change record is published by the server
-	// goroutine only when it processes the (fire-and-forget) Ready
-	// message, so "batch settled" does not imply "records published";
-	// FenceBatch closes that gap with a lookup per touched partition —
-	// its reply rides the same FIFO ring, so receiving it proves every
-	// earlier Ready executed. Bounded by the partition count.
+	// fenceKeys holds, per partition, one key inserted in two phases since
+	// the last FenceBatch. Such an insert's change record is published by
+	// the server goroutine only when it processes the (fire-and-forget)
+	// Ready message, so "batch settled" does not imply "records
+	// published"; FenceBatch closes that gap with a lookup per touched
+	// partition — its reply rides the same FIFO ring, so receiving it
+	// proves every earlier Ready executed. A one-message insert's record
+	// is in the sink before its reply, so settling it is proof enough.
+	// Bounded by the partition count.
 	fenceKeys map[int]uint64
 	// entryBuf stages SET_STR stored entries (klen|key|value framing) for
 	// the current batch. It is sized up front so mid-batch appends never
@@ -917,14 +922,15 @@ func NewCPHashBackend(t *core.Table) func(worker int) (Backend, error) {
 
 // ProcessBatch pipelines the whole batch asynchronously — deletes ride the
 // same rings as lookups and inserts. One subtlety: a LOOKUP of a key
-// INSERTed earlier in the same batch must observe the new value, but the
-// value only becomes visible once the client has copied it and the server
-// has processed the Ready message (§3.2's NOT_READY protocol). Waiting for
-// the insert completion before issuing the dependent lookup suffices: the
-// Ready message then precedes the lookup on the same FIFO ring, so the
-// server is guaranteed to publish before it looks up. A DELETE needs no
-// such barrier — it carries no value, so ring FIFO order alone makes a
-// later same-batch LOOKUP miss correctly.
+// INSERTed earlier in the same batch must observe the new value, but a
+// value larger than one cache line only becomes visible once the client
+// has copied it and the server has processed the Ready message (§3.2's
+// NOT_READY protocol). Waiting for the insert completion before issuing
+// the dependent lookup suffices: the Ready message then precedes the
+// lookup on the same FIFO ring, so the server is guaranteed to publish
+// before it looks up. A smaller value is published by the server as part
+// of the insert itself, and a DELETE carries no value, so for those ring
+// FIFO order alone makes a later same-batch LOOKUP answer correctly.
 func (b *cphashBackend) ProcessBatch(reqs []protocol.Request, results []Result, buf []byte) []byte {
 	b.ops = b.ops[:0]
 	b.idx = b.idx[:0]
@@ -958,11 +964,7 @@ func (b *cphashBackend) ProcessBatch(reqs []protocol.Request, results []Result, 
 		case protocol.OpInsert, protocol.OpInsertTTL:
 			// INSERTs are silent; still track the op so values (owned by
 			// the reader-created request) stay live until copied.
-			b.ops = append(b.ops, b.client.InsertTTLAsync(key, r.Value, wireTTL(r.TTL)))
-			b.idx = append(b.idx, -1)
-			b.keys = append(b.keys, nil)
-			b.inserted[key] = struct{}{}
-			b.fenceKeys[b.table.PartitionOf(key)] = key
+			b.insert(key, b.client.InsertTTLAsync(key, r.Value, wireTTL(r.TTL)))
 		case protocol.OpSetStr:
 			// Embed the string key in the stored entry so collisions are
 			// detectable at read time. The entry bytes must stay stable
@@ -971,11 +973,7 @@ func (b *cphashBackend) ProcessBatch(reqs []protocol.Request, results []Result, 
 			mark := len(b.entryBuf)
 			b.entryBuf = protocol.AppendStringEntry(b.entryBuf, r.StrKey, r.Value)
 			entry := b.entryBuf[mark:len(b.entryBuf):len(b.entryBuf)]
-			b.ops = append(b.ops, b.client.InsertTTLAsync(key, entry, wireTTL(r.TTL)))
-			b.idx = append(b.idx, -1)
-			b.keys = append(b.keys, nil)
-			b.inserted[key] = struct{}{}
-			b.fenceKeys[b.table.PartitionOf(key)] = key
+			b.insert(key, b.client.InsertTTLAsync(key, entry, wireTTL(r.TTL)))
 		case protocol.OpDelete, protocol.OpDelStr:
 			b.ops = append(b.ops, b.client.DeleteAsync(key))
 			b.idx = append(b.idx, i)
@@ -986,18 +984,14 @@ func (b *cphashBackend) ProcessBatch(reqs []protocol.Request, results []Result, 
 		case protocol.OpInsertVer:
 			// Replay-with-version (migration, replica catch-up): silent
 			// like INSERT, value bytes already carry any string framing.
-			b.ops = append(b.ops, b.client.InsertTTLVerAsync(key, r.Value, wireTTL(r.TTL), r.Ver))
-			b.idx = append(b.idx, -1)
-			b.keys = append(b.keys, nil)
-			b.inserted[key] = struct{}{}
-			b.fenceKeys[b.table.PartitionOf(key)] = key
+			b.insert(key, b.client.InsertTTLVerAsync(key, r.Value, wireTTL(r.TTL), r.Ver))
 		default:
 			if !protocol.IsRMW(r.Op) {
 				continue
 			}
-			// An RMW of a key INSERTed earlier in this batch must not
-			// observe the not-ready element (it reads as absent); the
-			// settle barrier dependent lookups use closes that window.
+			// An RMW of a key INSERTed in two phases earlier in this batch
+			// must not observe the not-ready element (it reads as absent);
+			// the settle barrier dependent lookups use closes that window.
 			// The RMW itself needs no fence key: its change record is
 			// published inline on the owning server goroutine before the
 			// reply, so settling the op already proves publication. A
@@ -1017,6 +1011,19 @@ func (b *cphashBackend) ProcessBatch(reqs []protocol.Request, results []Result, 
 	b.ops = b.ops[:0]
 	b.keys = b.keys[:0]
 	return buf
+}
+
+// insert tracks a just-issued (silent) insert so its value stays live
+// until copied, and records the settle and fence dependencies only a
+// two-phase insert creates.
+func (b *cphashBackend) insert(key uint64, op *core.Op) {
+	b.ops = append(b.ops, op)
+	b.idx = append(b.idx, -1)
+	b.keys = append(b.keys, nil)
+	if op.TwoPhase() {
+		b.inserted[key] = struct{}{}
+		b.fenceKeys[b.table.PartitionOf(key)] = key
+	}
 }
 
 // settle waits for the ops issued since from, harvests lookup and delete
@@ -1060,10 +1067,10 @@ func (b *cphashBackend) settle(results []Result, buf []byte, from int) []byte {
 func (b *cphashBackend) Close() { b.client.Close() }
 
 // FenceBatch implements BatchFencer: one pipelined lookup per partition
-// with unfenced inserts. Each reply proves, by per-ring FIFO order, that
-// every Ready message issued before it — and therefore every change
-// record of the settled batches — has executed on the owning server
-// goroutine and been published to the durability sink.
+// with unfenced two-phase inserts. Each reply proves, by per-ring FIFO
+// order, that every Ready message issued before it — and therefore every
+// change record of the settled batches — has executed on the owning
+// server goroutine and been published to the durability sink.
 func (b *cphashBackend) FenceBatch() {
 	if len(b.fenceKeys) == 0 {
 		return

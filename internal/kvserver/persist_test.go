@@ -150,6 +150,59 @@ func TestGroupCommitSurvivesCrash(t *testing.T) {
 	}
 }
 
+// TestGroupCommitKeepsOverwriteOrder: a key overwritten while its first
+// insert is still in flight recovers to the value the table serves. The
+// two sizes take different routes to the sink — a value of at most a cache
+// line is logged when the server executes the insert, a larger one when it
+// executes the later Ready message — so the large insert's record can reach
+// the sink after the small overwrite's; the store must not log a value that
+// was replaced before it was published.
+func TestGroupCommitKeepsOverwriteOrder(t *testing.T) {
+	dir := t.TempDir()
+	srv, table, pipe, _ := persistServer(t, dir, persist.SyncAlways)
+	bw, br, closer, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	const n = 200
+	small, large := []byte("small-and-last"), make([]byte, 1024)
+	for k := uint64(0); k < n; k++ {
+		first, last := large, small // even keys end small, odd keys end large
+		if k%2 == 1 {
+			first, last = small, large
+		}
+		for _, v := range [][]byte{first, last} {
+			if err := protocol.WriteRequest(bw, protocol.Request{Op: protocol.OpInsert, Key: k, Value: v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := protocol.WriteRequest(bw, protocol.Request{Op: protocol.OpLookup, Key: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if v, found, err := protocol.ReadLookupResponse(br, nil); err != nil || !found || string(v) != string(small) {
+		t.Fatalf("ack lookup: %d bytes, found=%v err=%v", len(v), found, err)
+	}
+	pipe.Kill()
+	srv.Close()
+	table.Close()
+
+	got := recoverKeys(t, dir)
+	for k := uint64(0); k < n; k++ {
+		want := small
+		if k%2 == 1 {
+			want = large
+		}
+		if got[k] != string(want) {
+			t.Fatalf("key %d recovered as %d bytes, the table served %d", k, len(got[k]), len(want))
+		}
+	}
+}
+
 // TestWarmRestartServesRecoveredKeys is the end-to-end warm restart: a
 // server writes through the CPHASH sink path, shuts down, and a second
 // server built over the same datadir serves every key with zero misses.

@@ -2,6 +2,7 @@ package kvserver
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -223,6 +224,70 @@ func TestWireStringCollisionSafety(t *testing.T) {
 		}
 		if _, ok := c.getStr("never-set"); ok {
 			t.Fatal("GET_STR of a never-set key hit")
+		}
+	})
+}
+
+// TestWireSetThenGetSameBatch: SET k v; GET k written in one flush (so,
+// normally, one batch) returns the new value on every backend, for a value
+// CPHASH stores with one message (16 B: no settle barrier) and for one it
+// stores in two phases (1 KiB: the barrier still holds the GET back).
+func TestWireSetThenGetSameBatch(t *testing.T) {
+	eachBackend(t, 1, func(t *testing.T, srv *Server) {
+		c, closeConn := dialT(t, srv.Addr())
+		defer closeConn()
+		for round := 0; round < 20; round++ {
+			want := [][]byte{
+				bytes.Repeat([]byte{byte('a' + round)}, 16),
+				bytes.Repeat([]byte{byte('A' + round)}, 1024),
+			}
+			for i, v := range want {
+				c.send(protocol.Request{Op: protocol.OpInsert, Key: uint64(i), Value: v})
+				c.send(protocol.Request{Op: protocol.OpLookup, Key: uint64(i)})
+				c.send(protocol.Request{Op: protocol.OpSetStr, StrKey: fmt.Appendf(nil, "s%d", i), Value: v})
+				c.send(protocol.Request{Op: protocol.OpGetStr, StrKey: fmt.Appendf(nil, "s%d", i)})
+			}
+			c.w.Flush()
+			for i, v := range want {
+				for _, kind := range []string{"GET", "GET_STR"} {
+					got, found, err := protocol.ReadLookupResponse(c.r, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !found || !bytes.Equal(got, v) {
+						t.Fatalf("round %d: %s after SET of %d bytes: found %v, %d bytes", round, kind, len(want[i]), found, len(got))
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestWireStringCollisionMisses plants, under the hash of one string key,
+// the stored entry of another — what a 60-bit hash collision leaves behind
+// — and checks that GET_STR still compares the embedded key and misses,
+// whether the entry reaches the CPHASH client inline (≤ 64 B) or as a
+// pinned element.
+func TestWireStringCollisionMisses(t *testing.T) {
+	eachBackend(t, 1, func(t *testing.T, srv *Server) {
+		c, closeConn := dialT(t, srv.Addr())
+		defer closeConn()
+		for _, size := range []int{8, 200} {
+			victim := fmt.Appendf(nil, "victim-%d", size)
+			slot := protocol.HashStringKey(victim)
+			c.send(protocol.Request{Op: protocol.OpInsert, Key: slot,
+				Value: protocol.AppendStringEntry(nil, []byte("squatter"), make([]byte, size))})
+			if v, ok := c.getStr(string(victim)); ok {
+				t.Fatalf("%d B: GET_STR returned a colliding key's %d bytes", size, len(v))
+			}
+			if raw, ok := c.get(slot); !ok || len(raw) != 4+len("squatter")+size {
+				t.Fatalf("%d B: planted entry not stored (%d bytes, %v)", size, len(raw), ok)
+			}
+			// The rightful owner overwrites the slot and reads its own value.
+			c.send(protocol.Request{Op: protocol.OpSetStr, StrKey: victim, Value: make([]byte, size)})
+			if v, ok := c.getStr(string(victim)); !ok || len(v) != size {
+				t.Fatalf("%d B: GET_STR after SET_STR = %d bytes, %v", size, len(v), ok)
+			}
 		}
 	})
 }

@@ -49,11 +49,12 @@ func CapacityForValues(n, valueSize int) int {
 //
 // The stream is the write-ahead contract internal/persist logs:
 //
-//   - Set fires when a value becomes visible (MarkReady), with the
-//     element's absolute expiry deadline on the store's clock (0 = never)
-//     and its CAS version. Read-modify-write operations stream their
-//     RESULTING state through the same Set — never the operation — so
-//     replaying the stream is idempotent by construction.
+//   - Set fires when a value becomes visible (MarkReady of an element
+//     that is still linked), with the element's absolute expiry deadline
+//     on the store's clock (0 = never) and its CAS version.
+//     Read-modify-write operations stream their RESULTING state through
+//     the same Set — never the operation — so replaying the stream is
+//     idempotent by construction.
 //   - Delete fires for explicit removals: Delete and PurgeBuckets, plus
 //     the rare insert-over-existing-key that unlinks the old element and
 //     then fails to allocate (the key vanished with no Set to supersede
@@ -651,10 +652,14 @@ func (s *Store) Delete(k Key) bool {
 // MarkReady publishes a previously inserted element's value (the paper's
 // Ready message). Lookups return the element only after this. Publication
 // is also the write-ahead point: the value bytes are complete, so the
-// change sink (if any) streams the Set here.
+// change sink (if any) streams the Set here — unless the element was
+// unlinked while its inserter was still copying (a newer insert, a delete
+// or an eviction overtook the Ready message). That key's current state is
+// already what the stream says, and a late Set would make a replay
+// resurrect a value the table never served.
 func (s *Store) MarkReady(e *Element) {
 	e.ready = true
-	if s.sink != nil {
+	if s.sink != nil && !e.dead {
 		s.sink.Set(e.key, e.Value(), e.expire, e.version)
 	}
 }

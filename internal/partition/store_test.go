@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -468,5 +469,43 @@ func TestReinsertWhileOldReferenced(t *testing.T) {
 	s.Decref(old)
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recordingSink logs the change stream as strings.
+type recordingSink struct{ log []string }
+
+func (r *recordingSink) Set(k Key, v []byte, _ int64, _ uint64) {
+	r.log = append(r.log, "set "+string(v))
+}
+func (r *recordingSink) Delete(Key) { r.log = append(r.log, "delete") }
+
+// TestMarkReadyOfUnlinkedElementIsNotStreamed: an element replaced or
+// deleted between Insert and MarkReady (its inserter was still copying)
+// publishes nothing — the stream must end on the state the table serves.
+func TestMarkReadyOfUnlinkedElementIsNotStreamed(t *testing.T) {
+	sink := &recordingSink{}
+	s := MustStore(Config{CapacityBytes: 64 << 10, Sink: sink})
+	insert := func(v string) *Element {
+		e := s.Insert(1, len(v))
+		copy(e.Value(), v)
+		return e
+	}
+	publish := func(e *Element) {
+		s.MarkReady(e)
+		s.Decref(e)
+	}
+
+	slow := insert("slow")
+	publish(insert("fast")) // overtakes, unlinking slow
+	publish(slow)
+	slow = insert("doomed")
+	s.Delete(1)
+	publish(slow)
+	if got, want := sink.log, []string{"set fast", "delete"}; !slices.Equal(got, want) {
+		t.Fatalf("stream = %q, want %q", got, want)
+	}
+	if s.Contains(1) || s.UsedBytes() != 0 {
+		t.Fatalf("key present = %v, %d bytes allocated; want an empty store", s.Contains(1), s.UsedBytes())
 	}
 }
