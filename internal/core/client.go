@@ -37,7 +37,7 @@ type Op struct {
 	typ    OpType
 	key    Key
 	insVal []byte // insert payload; copied into the element by the server (≤ inlineMax) or on reply
-	elem   *partition.Element
+	elem   partition.Element
 	server int
 	done   bool
 	hit    bool
@@ -392,22 +392,22 @@ func (c *Client) complete(s int, rep reply) {
 	case OpLookup:
 		// A one-message hit is already in o.inline (the server wrote it
 		// before replying, like an RMW's results below) and pins nothing.
-		o.hit = rep.elem != nil
-		if rep.elem != inlineDone {
-			o.elem = rep.elem
+		o.hit = rep.ref != refNone
+		if o.hit && rep.ref != refInline {
+			o.elem = c.t.parts[s].Elem(rep.ref)
 		}
 	case OpInsert:
-		o.hit = rep.elem != nil
-		if rep.elem == nil || rep.elem == inlineDone {
+		o.hit = rep.ref != refNone
+		if !o.hit || rep.ref == refInline {
 			break // no space, or stored and published by the server
 		}
 		// The server allocated NOT_READY space; copy the bytes here in the
 		// client (so large values wipe the *client's* cache, not the
 		// server's — §3.2) and publish with Ready.
-		copy(rep.elem.Value(), o.insVal)
-		c.send(s, request{keyop: makeKeyop(opReady, o.key), elem: rep.elem})
+		copy(c.t.parts[s].Elem(rep.ref).Value(), o.insVal)
+		c.send(s, request{keyop: makeKeyop(opReady, o.key), ref: rep.ref})
 	case OpDelete:
-		o.hit = rep.elem != nil // deleteFound sentinel: the key existed
+		o.hit = rep.ref == refDeleted
 	case OpRMW:
 		// The server wrote Status/OutVer/Num into o.rmw before replying;
 		// consuming the reply from the SPSC ring is the acquire that makes
@@ -452,7 +452,7 @@ func (c *Client) Release(o *Op) {
 		c.Wait(o)
 	}
 	if o.elem != nil { // only a two-message lookup hit holds an element
-		c.send(o.server, request{keyop: makeKeyop(opDecref, o.key), elem: o.elem})
+		c.send(o.server, request{keyop: makeKeyop(opDecref, o.key), ref: c.t.parts[o.server].Ref(o.elem)})
 		o.elem = nil
 	}
 	o.insVal = nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +12,18 @@ import (
 
 // value returns n deterministic bytes for key k.
 func value(k Key, n int) []byte { return stressValue(k, byte(n), n) }
+
+// TestMessageSizes pins the packing: elements travel as arena refs, not
+// pointers, so a request stays 32 B (2 per cache line) and a reply is 4 B,
+// a line of them per reply-ring flush.
+func TestMessageSizes(t *testing.T) {
+	if got := reflect.TypeOf(request{}).Size(); got != 32 {
+		t.Errorf("request is %d B, want 32", got)
+	}
+	if got := reflect.TypeOf(reply{}).Size(); got != 4 || got*replyLineMsgs != 64 {
+		t.Errorf("reply is %d B × %d per flush, want 4 B × 16 (one line)", got, replyLineMsgs)
+	}
+}
 
 // TestMessageCounts pins the one-message rule as a count the servers make
 // themselves: an operation whose value fits a cache line (64 B) is one

@@ -7,8 +7,9 @@
 //
 //   - "server thread pinned to a hardware thread" → one goroutine per
 //     partition that calls runtime.LockOSThread (Go cannot pin to a *core*,
-//     only to an OS thread; see DESIGN.md for why the shape of the results
-//     survives this substitution).
+//     only to an OS thread; the README's "Where this differs from the
+//     paper" says why the shape of the results survives this
+//     substitution).
 //   - message passing via pre-allocated circular buffers → internal/ring
 //     SPSC rings, one pair per (client, server), with temporary write
 //     indices and cache-line-granularity flushing exactly as in §3.4.
@@ -18,11 +19,13 @@
 //     requests is reproduced by the batch-size ablation bench.
 //   - message packing: the paper packs 8-byte lookups (8/line) and 16-byte
 //     inserts (4/line) because message count is what a server core spends
-//     its time on. Go's GC must be able to see the pointers a message
-//     carries, so requests here are one 32-byte struct (2 per line) and
-//     replies one 8-byte pointer (8 per line). The constant factor differs;
-//     the batching economics (one line transfer carries several messages,
-//     indices are published per line) are identical.
+//     its time on. Elements are named by their record offset in the
+//     partition arena (partition.Store.Ref), not by pointer, so a reply is
+//     one 4-byte ref (16 per line), exactly as dense as the paper's. A
+//     request still carries one pointer, to the client-owned Op, which Go's
+//     GC must see, so it is one 32-byte struct (2 per line). The batching
+//     economics (one line transfer carries several messages, indices are
+//     published per line) are identical.
 //   - one message per small operation: a value of at most inlineMax bytes
 //     (one cache line) travels with the message instead of behind it. A
 //     lookup hit that fits is copied by the server into the client-owned Op
@@ -56,27 +59,27 @@ const (
 	opNop opcode = iota
 	// opLookup asks the server to find keyop's key and bump its LRU
 	// position. A hit of at most inlineMax bytes is copied into the
-	// request's Op and answered with the inlineDone sentinel; a larger one
-	// is answered with the element, pinned by one reference the client
-	// returns with opDecref. A miss is a nil element.
+	// request's Op and answered with refInline; a larger one is answered
+	// with the element's ref, pinned by one reference the client returns
+	// with opDecref. A miss is refNone.
 	opLookup
 	// opInsert asks the server to allocate arg bytes under keyop's key
-	// (nil reply if space cannot be made). A value of at most inlineMax
+	// (refNone reply if space cannot be made). A value of at most inlineMax
 	// bytes is copied from the Op's insVal and published on the spot
-	// (inlineDone reply); for a larger one the reply is the NOT_READY
-	// element holding one reference, which the client fills and publishes
-	// with opReady.
+	// (refInline reply); for a larger one the reply is the ref of the
+	// NOT_READY element holding one reference, which the client fills and
+	// publishes with opReady.
 	opInsert
-	// opReady publishes elem's value bytes (the client has finished
-	// copying) and releases the inserter's reference. No reply. Sent only
-	// for values larger than inlineMax.
+	// opReady publishes the value bytes of the element at ref (the client
+	// has finished copying) and releases the inserter's reference. No
+	// reply. Sent only for values larger than inlineMax.
 	opReady
-	// opDecref releases one reference on elem. No reply. Sent only for
-	// lookup hits larger than inlineMax.
+	// opDecref releases one reference on the element at ref. No reply.
+	// Sent only for lookup hits larger than inlineMax.
 	opDecref
-	// opDelete unlinks keyop's key. Replies with deleteFound when the key
-	// existed and a nil element otherwise; either way the reply lets
-	// callers synchronize on completion.
+	// opDelete unlinks keyop's key. Replies with refDeleted when the key
+	// existed and refNone otherwise; either way the reply lets callers
+	// synchronize on completion.
 	opDelete
 	// opRMW executes an atomic read-modify-write (CAS, add/replace,
 	// append/prepend, incr/decr, touch) described by the request's Op
@@ -84,27 +87,25 @@ const (
 	// partition's single-owner discipline is what makes the composite
 	// read+write atomic without any locking. The server writes results back into the
 	// client-owned RMWReq before replying (the reply ring's
-	// release/acquire pair publishes them), and replies with a nil
-	// element.
+	// release/acquire pair publishes them), and replies with refNone.
 	opRMW
 )
 
-// deleteFound is the sentinel reply element for a delete that removed a
-// key. It keeps the reply message a single pointer (8 per cache line, as
-// in the paper) while still carrying the found bit; it is never
-// dereferenced.
-var deleteFound = &partition.Element{}
+// Reply refs that name no element (partition.Store.Ref is 0 for none and
+// never below 8 otherwise): refNone is a miss, a failed insert, a delete of
+// an absent key or a finished RMW; refDeleted a delete that removed the
+// key; refInline a lookup hit or insert completed in one message — the
+// value already copied (into the Op, or out of it), no reference held.
+const (
+	refNone uint32 = iota
+	refDeleted
+	refInline
+)
 
 // inlineMax is the largest value, in bytes, that travels with its message:
 // one cache line. It is the only thing that selects between the
 // one-message and the two-message protocol.
 const inlineMax = 64
-
-// inlineDone is the sentinel reply element for a lookup hit or an insert
-// completed in one message: the value has already been copied (into the
-// Op, or out of it) and no reference is outstanding. Like deleteFound it
-// is never dereferenced.
-var inlineDone = &partition.Element{}
 
 const (
 	opShift = 60
@@ -115,7 +116,7 @@ const (
 //
 // Packing: op lives in the top 4 bits of keyop, the 60-bit key below it.
 // arg carries the value size (low 32 bits) and TTL in milliseconds (high
-// 32 bits; 0 = never expires) for opInsert. elem carries the element for
+// 32 bits; 0 = never expires) for opInsert. ref names the element for
 // opReady/opDecref. o points at the client-owned Op for opLookup (the
 // inline value buffer), opInsert (the payload and an optional explicit CAS
 // version) and opRMW (the descriptor): the server reads and writes it only
@@ -127,7 +128,7 @@ const (
 type request struct {
 	keyop uint64
 	arg   uint64
-	elem  *partition.Element
+	ref   uint32
 	o     *Op
 }
 
@@ -142,17 +143,17 @@ func (r request) insertTTL() uint32 { return uint32(r.arg >> 32) }
 // requestLineMsgs is the request-ring flush granularity.
 const requestLineMsgs = 4
 
-// reply is one server→client message: for opLookup/opInsert the element
-// (nil on miss/failure) or the inlineDone sentinel; for opDelete the
-// deleteFound sentinel or nil.
-// Replies are matched to requests purely by FIFO order, as the rings
-// preserve per-pair ordering.
+// reply is one server→client message: for opLookup/opInsert the element's
+// ref, refNone on miss/failure, or refInline; for opDelete refDeleted or
+// refNone. Replies are matched to requests purely by FIFO order, as the
+// rings preserve per-pair ordering.
 type reply struct {
-	elem *partition.Element
+	ref uint32
 }
 
-// replyLineMsgs is the reply-ring flush granularity (8-byte messages).
-const replyLineMsgs = 8
+// replyLineMsgs is the reply-ring flush granularity: one cache line of
+// 4-byte replies.
+const replyLineMsgs = 16
 
 func makeKeyop(op opcode, key Key) uint64 {
 	return uint64(op)<<opShift | (key & keyMask)

@@ -583,6 +583,7 @@ func (t *Table) execute(store *partition.Store, r request, out *ring.SPSC[reply]
 	switch r.op() {
 	case opLookup:
 		e := store.Lookup(r.key())
+		ref := store.Ref(e) // refNone on a miss
 		if e != nil && e.Size() <= inlineMax {
 			// The value fits a cache line: hand it over with the reply and
 			// drop the reference now, so the client owes no Decref.
@@ -590,14 +591,15 @@ func (t *Table) execute(store *partition.Store, r request, out *ring.SPSC[reply]
 			o.inlineLen = copy(o.inline[:], e.Value())
 			o.inlineVer = e.Version()
 			store.Decref(e)
-			e = inlineDone
+			ref = refInline
 		}
-		out.ProduceSpin(reply{elem: e})
+		out.ProduceSpin(reply{ref: ref})
 	case opInsert:
 		// A nonzero version (recovery, replica replay, slot migration) is
 		// preserved instead of assigning a fresh one.
 		ttl := time.Duration(r.insertTTL()) * time.Millisecond
 		e := store.InsertTTLVer(r.key(), r.insertSize(), ttl, r.o.rmw.Ver)
+		ref := store.Ref(e) // refNone when space cannot be made
 		if e != nil && e.Size() <= inlineMax {
 			// The value fits a cache line: copy it out of the client's
 			// buffer and publish here, so the change sink fires before the
@@ -605,19 +607,20 @@ func (t *Table) execute(store *partition.Store, r request, out *ring.SPSC[reply]
 			copy(e.Value(), r.o.insVal)
 			store.MarkReady(e)
 			store.Decref(e)
-			e = inlineDone
+			ref = refInline
 		}
-		out.ProduceSpin(reply{elem: e})
+		out.ProduceSpin(reply{ref: ref})
 	case opReady:
 		// Publishing the value also releases the inserter's reference:
 		// a large insert is still exactly the paper's two messages (§6.2).
-		store.MarkReady(r.elem)
-		store.Decref(r.elem)
+		e := store.Elem(r.ref)
+		store.MarkReady(e)
+		store.Decref(e)
 	case opDecref:
-		store.Decref(r.elem)
+		store.Decref(store.Elem(r.ref))
 	case opDelete:
 		if store.Delete(r.key()) {
-			out.ProduceSpin(reply{elem: deleteFound})
+			out.ProduceSpin(reply{ref: refDeleted})
 		} else {
 			out.ProduceSpin(reply{})
 		}

@@ -6,7 +6,8 @@
 // directly. The paper runs LOCKHASH with 4,096 partitions, experimentally
 // the optimum: fewer partitions contend, more add no throughput.
 //
-// Differences from the paper, documented in DESIGN.md:
+// Differences from the paper, also listed in the README ("Where this
+// differs from the paper"):
 //   - The paper's random-eviction configuration uses per-bucket locks; here
 //     random eviction uses the same per-partition spinlock, because the
 //     shared single-threaded allocator inside a partition would need its own
@@ -167,7 +168,7 @@ func (t *Table) Get(key Key, dst []byte) ([]byte, bool) {
 // Lookup pins the element for key, or returns nil. The caller may read
 // Element.Value until it calls Decref. This mirrors CPHASH's zero-copy
 // lookup path so the TCP servers can treat both tables identically.
-func (t *Table) Lookup(key Key) *partition.Element {
+func (t *Table) Lookup(key Key) partition.Element {
 	p := t.part(key)
 	p.mu.Lock()
 	e := p.store.Lookup(key & partition.MaxKey)
@@ -176,7 +177,7 @@ func (t *Table) Lookup(key Key) *partition.Element {
 }
 
 // Decref releases an element pinned by Lookup.
-func (t *Table) Decref(e *partition.Element) {
+func (t *Table) Decref(e partition.Element) {
 	p := t.part(e.Key())
 	p.mu.Lock()
 	p.store.Decref(e)

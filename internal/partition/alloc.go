@@ -1,7 +1,15 @@
 // Package partition implements the per-partition key/value store from
 // Section 3.1 of the CPHash paper: a chained hash table whose elements carry
 // a reference count, an LRU list for eviction, a NOT_READY/READY insert
-// protocol, and a single-threaded memory allocator for values.
+// protocol, and a single-threaded memory allocator.
+//
+// An element is one arena block, as in the paper: a HeaderBytes (64 B,
+// one cache line) header record — key, size, version, expiry, reference
+// count, flags, bucket and LRU links — followed by the value. Buckets and
+// links are uint32 record offsets into the arena, so a partition's memory
+// is two pointer-free slices — the arena and the bucket array — however
+// many entries it holds. Callers name an element by a slice view of its
+// block (Element) or by its offset (Store.Ref), never by a heap object.
 //
 // A partition is owned by exactly one goroutine at a time and is therefore
 // completely lock-free: CPHASH gives each partition to a dedicated server
@@ -19,7 +27,7 @@ import (
 // Arena is a single-threaded segregated-fit memory allocator over one
 // contiguous byte slab. It is the reproduction of the paper's "standard
 // single-threaded memory allocator" used by server threads to allocate
-// value storage (Section 3.2): because a partition is touched by one server
+// elements (Section 3.2): because a partition is touched by one server
 // only, no synchronization is needed, and because the slab is fixed, the
 // partition's byte capacity is enforced physically — an allocation failure
 // is what triggers LRU eviction.
@@ -184,12 +192,6 @@ func (a *Arena) Free(payloadOff uint32) {
 	}
 	a.fixupNextPrevSize(b)
 	a.pushFree(b)
-}
-
-// Bytes returns the n-byte payload slice at payload offset off. The slice
-// aliases the arena; it is valid until the block is freed.
-func (a *Arena) Bytes(off uint32, n int) []byte {
-	return a.mem[off : int(off)+n : int(off)+n]
 }
 
 // fixupNextPrevSize refreshes the prevSize tag of the block after b.

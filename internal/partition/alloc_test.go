@@ -31,7 +31,7 @@ func TestAllocFreeRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("Alloc(100) failed on fresh arena")
 	}
-	buf := a.Bytes(off, 100)
+	buf := a.mem[off : off+100]
 	for i := range buf {
 		buf[i] = byte(i)
 	}
@@ -149,7 +149,7 @@ func TestAllocRandomized(t *testing.T) {
 			off, ok := a.Alloc(n)
 			if ok {
 				fill := byte(step)
-				b := a.Bytes(off, n)
+				b := a.mem[off : int(off)+n]
 				for i := range b {
 					b[i] = fill
 				}
@@ -158,7 +158,7 @@ func TestAllocRandomized(t *testing.T) {
 		} else {
 			i := rng.Intn(len(live))
 			bl := live[i]
-			b := a.Bytes(bl.off, bl.n)
+			b := a.mem[bl.off : int(bl.off)+bl.n]
 			for j := range b {
 				if b[j] != bl.fill {
 					t.Fatalf("step %d: block at %d corrupted at byte %d", step, bl.off, j)

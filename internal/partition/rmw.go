@@ -161,15 +161,14 @@ type RMWReq struct {
 // the goroutine that owns the store, like every other mutation.
 func (s *Store) RMW(k Key, r *RMWReq) {
 	r.Status, r.OutVer, r.Num = 0, 0, 0
-	e := s.find(k)
-	if e != nil {
-		if e.expire != 0 && e.expired(s.clock()) {
-			s.expireElement(e)
-			e = nil
-		} else if !e.ready {
-			// An insert still in flight from another client: its bytes are
-			// unpublished, so the entry is invisible, exactly as in Lookup.
-			e = nil
+	var e Element
+	if ref, h := s.find(k); h != nil {
+		if h.expireAt() != 0 && h.expired(s.clock()) {
+			s.expireElement(ref)
+		} else if h.is(flagReady) {
+			// Ready only: an insert still in flight from another client has
+			// unpublished bytes, so the entry is invisible, as in Lookup.
+			e = s.Elem(ref)
 		}
 	}
 	// Unwrap string-entry framing. On a mismatch the resident entry
@@ -194,9 +193,9 @@ func (s *Store) RMW(k Key, r *RMWReq) {
 			r.Status = RMWNotFound
 			return
 		}
-		if e.version != r.Ver {
+		if e.Version() != r.Ver {
 			r.Status = RMWExists
-			r.OutVer = e.version
+			r.OutVer = e.Version()
 			return
 		}
 		s.rmwStore(k, r, r.Val, s.rmwDeadline(r.TTL))
@@ -237,7 +236,7 @@ func (s *Store) RMW(k Key, r *RMWReq) {
 			buf = append(buf, old[r.Prefix:]...)
 		}
 		s.rmwBuf = buf
-		s.rmwStore(k, r, buf, e.expire)
+		s.rmwStore(k, r, buf, e.ExpireAt())
 
 	case RMWIncr, RMWDecr:
 		if e == nil {
@@ -263,7 +262,7 @@ func (s *Store) RMW(k Key, r *RMWReq) {
 		buf := append(s.rmwBuf[:0], old[:r.Prefix]...)
 		buf = strconv.AppendUint(buf, n, 10)
 		s.rmwBuf = buf
-		s.rmwStore(k, r, buf, e.expire)
+		s.rmwStore(k, r, buf, e.ExpireAt())
 		if r.Status == RMWStored {
 			r.Num = n
 		}
@@ -278,16 +277,16 @@ func (s *Store) RMW(k Key, r *RMWReq) {
 		// new state still streams through the sink so a replayed log
 		// reproduces the deadline.
 		newExp := s.rmwDeadline(r.TTL)
-		if e.expire != 0 && newExp == 0 {
+		if e.ExpireAt() != 0 && newExp == 0 {
 			s.ttlElems--
-		} else if e.expire == 0 && newExp != 0 {
+		} else if e.ExpireAt() == 0 && newExp != 0 {
 			s.ttlElems++
 		}
-		e.expire = newExp
+		(*record)(e).put64(recExpire, uint64(newExp))
 		if s.sink != nil {
-			s.sink.Set(e.key, e.Value(), e.expire, e.version)
+			s.sink.Set(k, e.Value(), newExp, e.Version())
 		}
-		r.OutVer = e.version
+		r.OutVer = e.Version()
 		r.Status = RMWStored
 
 	default:
@@ -322,7 +321,7 @@ func (s *Store) rmwStore(k Key, r *RMWReq, val []byte, expireAt int64) {
 		copy(dst, val)
 	}
 	s.MarkReady(e)
-	r.OutVer = e.version
+	r.OutVer = e.Version()
 	r.Status = RMWStored
 	s.Decref(e)
 }

@@ -77,8 +77,9 @@ func (s *Store) AppendScan(dst []ScanEntry, start, maxBuckets, maxEntries int, f
 	}
 	base := len(dst)
 	now := s.clock()
-	live := func(e *Element) bool {
-		return e.ready && !e.expired(now) && (filter == nil || filter(e.key))
+	live := func(r uint32) bool {
+		h := s.rec(r)
+		return h.is(flagReady) && !h.expired(now) && (filter == nil || filter(h.key()))
 	}
 	b := start
 	for ; b < start+maxBuckets; b++ {
@@ -88,8 +89,8 @@ func (s *Store) AppendScan(dst []ScanEntry, start, maxBuckets, maxEntries int, f
 				return dst, b, false
 			}
 			matches := 0
-			for e := s.buckets[b]; e != nil && matches <= budget; e = e.hNext {
-				if live(e) {
+			for r := s.buckets[b]; r != 0 && matches <= budget; r = s.rec(r).u32(recHNext) {
+				if live(r) {
 					matches++
 				}
 			}
@@ -97,21 +98,22 @@ func (s *Store) AppendScan(dst []ScanEntry, start, maxBuckets, maxEntries int, f
 				return dst, b, false // chain would blow the budget: next call
 			}
 		}
-		for e := s.buckets[b]; e != nil; e = e.hNext {
-			if !live(e) {
+		for r := s.buckets[b]; r != 0; r = s.rec(r).u32(recHNext) {
+			if !live(r) {
 				continue
 			}
+			e := s.Elem(r)
 			var ttl time.Duration
-			if e.expire != 0 {
-				ttl = time.Duration(e.expire - now)
+			if exp := e.ExpireAt(); exp != 0 {
+				ttl = time.Duration(exp - now)
 				if ttl <= 0 {
 					continue // expired between the clock read and here
 				}
 			}
 			dst = append(dst, ScanEntry{
-				Key:     e.key,
+				Key:     e.Key(),
 				TTL:     ttl,
-				Version: e.version,
+				Version: e.Version(),
 				Value:   append([]byte(nil), e.Value()...),
 			})
 		}
@@ -141,16 +143,16 @@ func (s *Store) PurgeBuckets(start, maxBuckets int, filter func(Key) bool) (remo
 	now := s.clock()
 	b := start
 	for ; b < start+maxBuckets; b++ {
-		e := s.buckets[b]
-		for e != nil {
-			nxt := e.hNext
-			if filter == nil || filter(e.key) {
-				if e.expired(now) {
-					s.expireElement(e)
+		r := s.buckets[b]
+		for r != 0 {
+			h := s.rec(r)
+			nxt := h.u32(recHNext)
+			if key := h.key(); filter == nil || filter(key) {
+				if h.expired(now) {
+					s.expireElement(r)
 				} else {
 					s.m.Deletes.Inc()
-					key := e.key
-					s.unlink(e)
+					s.unlink(r)
 					if s.sink != nil {
 						// Purges are explicit removals (slot migration's
 						// post-move cleanup): stream them so a warm restart
@@ -160,7 +162,7 @@ func (s *Store) PurgeBuckets(start, maxBuckets int, filter func(Key) bool) (remo
 					removed++
 				}
 			}
-			e = nxt
+			r = nxt
 		}
 	}
 	return removed, b, b == n

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"time"
@@ -16,11 +17,31 @@ type Key = uint64
 // MaxKey is the largest valid key (60 bits, per the paper).
 const MaxKey Key = 1<<60 - 1
 
-// HeaderBytes is the per-element metadata cost charged against the
-// partition's byte capacity. The paper's element header — key, size,
-// reference count, bucket and LRU links — fits one cache line, so we charge
-// one line per element in addition to the value's arena block.
+// HeaderBytes is the size of the element header record that opens every
+// element's arena block, ahead of its value. The paper's element header —
+// key, size, reference count, bucket and LRU links — fits one cache line
+// (§3.1); here it is exactly that line, and it is the only per-element
+// metadata there is.
 const HeaderBytes = 64
+
+// Header record layout. Links are record offsets in the partition arena
+// (refs); 0 means "none", since the arena's 8-byte boundary tag keeps every
+// record at offset 8 or above. The fields a chain walk reads sit first.
+const (
+	recKey     = 0  // uint64
+	recHNext   = 8  // uint32 bucket chain
+	recHPrev   = 12 // uint32
+	recVersion = 16 // uint64 CAS version; unique per store, immutable per element
+	recExpire  = 24 // int64 clock deadline in ns; 0 = never expires
+	recSize    = 32 // uint32 value size in bytes
+	recRefs    = 36 // uint32 references held by clients
+	recLNext   = 40 // uint32 LRU list (unused under EvictRandom)
+	recLPrev   = 44 // uint32
+	recFlags   = 48 // byte: flagReady | flagDead
+
+	flagReady = 1 // set by MarkReady; clear between Insert and MarkReady
+	flagDead  = 2 // unlinked from the table; memory pending refs == 0
+)
 
 // CapacityForValues converts the paper's capacity convention — "bytes of
 // values stored", excluding metadata — into the physical byte capacity a
@@ -93,57 +114,45 @@ func (p EvictionPolicy) String() string {
 	}
 }
 
-// Element is a stored key/value pair. The fields mirror the paper's element
-// header: key, value size, reference count, bucket chain links and LRU
-// links. Elements are owned by their partition; callers only ever hold
-// *Element obtained from Lookup/Insert and must release it with Decref
+// Element is a handle on one stored key/value pair: a view of the
+// element's arena block, header record (HeaderBytes) then value, whose
+// capacity runs to the end of the arena so the store recovers the record's
+// offset from it (Store.Ref). The handle is a slice, not an object: a
+// partition holds no per-element heap memory. Callers only ever hold
+// Elements obtained from Lookup/Insert and must release each with Decref
 // (CPHASH sends a Decref message; LOCKHASH calls it under the partition
-// lock).
-type Element struct {
-	key     Key
-	off     uint32 // arena payload offset of the value
-	size    int32  // value size in bytes
-	refs    int32  // references held by clients
-	expire  int64  // clock deadline in ns; 0 = never expires
-	version uint64 // CAS version; unique per store, immutable per element
-	ready   bool   // false between Insert and MarkReady
-	dead    bool   // unlinked from the table; memory pending refs==0
-
-	hNext, hPrev *Element // bucket chain
-	lNext, lPrev *Element // LRU list (unused under EvictRandom)
-
-	store *Store
-}
+// lock); a nil Element is a miss.
+type Element []byte
 
 // Key returns the element's key.
-func (e *Element) Key() Key { return e.key }
+func (e Element) Key() Key { return (*record)(e).key() }
 
 // Size returns the value size in bytes.
-func (e *Element) Size() int { return int(e.size) }
+func (e Element) Size() int { return len(e) - HeaderBytes }
 
 // Ready reports whether the value bytes have been published with MarkReady.
-func (e *Element) Ready() bool { return e.ready }
+func (e Element) Ready() bool { return (*record)(e).is(flagReady) }
 
 // ExpireAt returns the element's expiry deadline on the store's clock in
 // nanoseconds, or 0 for an element that never expires.
-func (e *Element) ExpireAt() int64 { return e.expire }
+func (e Element) ExpireAt() int64 { return (*record)(e).expireAt() }
 
 // Version returns the element's CAS version. Versions are assigned by the
 // store (unique, monotone per partition) when an element is created and
 // never change afterwards, so a compare-and-swap that captured the version
 // at read time detects any intervening write. Valid while the caller holds
 // a reference.
-func (e *Element) Version() uint64 { return e.version }
+func (e Element) Version() uint64 { return (*record)(e).u64(recVersion) }
 
 // Value returns the value bytes. The slice aliases partition memory: for a
 // looked-up element it is valid until Decref; for a fresh insert the caller
 // copies into it and then calls MarkReady. This is exactly the paper's
 // contract — the server allocates, the *client* copies the data (§3.2).
-func (e *Element) Value() []byte {
-	if e.size == 0 {
+func (e Element) Value() []byte {
+	if len(e) == HeaderBytes {
 		return nil
 	}
-	return e.store.arena.Bytes(e.off, int(e.size))
+	return e[HeaderBytes:len(e):len(e)]
 }
 
 // Stats counts partition activity. All fields are cumulative. It is a
@@ -205,24 +214,27 @@ type Config struct {
 }
 
 // Store is one CPHash partition: a chained hash table plus LRU list over an
-// arena. It is deliberately not safe for concurrent use — CPHASH gives each
+// arena. Elements live entirely in the arena — header record and value in
+// one block — and buckets and links are uint32 record offsets, so the
+// garbage collector sees two pointer-free slices, not one object per
+// entry. It is deliberately not safe for concurrent use — CPHASH gives each
 // Store to one server goroutine, LOCKHASH wraps it in a lock.
 type Store struct {
-	buckets []*Element
+	mem     []byte   // the arena's slab: element records and values
+	buckets []uint32 // chain heads (record offsets; 0 = empty)
 	mask    uint64
 	arena   *Arena
 	policy  EvictionPolicy
 
-	lruHead *Element // most recently used
-	lruTail *Element // least recently used
+	lruHead uint32 // most recently used
+	lruTail uint32 // least recently used
 
 	rng   uint64 // xorshift state for random eviction
 	clock func() int64
 	m     *obs.PartitionMetrics
 
-	sweepCursor uint64   // next bucket SweepExpired examines
-	ttlElems    int      // linked elements with a nonzero expiry deadline
-	free        *Element // recycled Element headers
+	sweepCursor uint64 // next bucket SweepExpired examines
+	ttlElems    int    // linked elements with a nonzero expiry deadline
 	sink        ChangeSink
 
 	// verNext is the next CAS version this store will assign. It starts at
@@ -271,7 +283,8 @@ func NewStore(cfg Config) (*Store, error) {
 		m = &obs.PartitionMetrics{}
 	}
 	return &Store{
-		buckets: make([]*Element, nb),
+		mem:     arena.mem,
+		buckets: make([]uint32, nb),
 		mask:    uint64(nb - 1),
 		arena:   arena,
 		policy:  cfg.Policy,
@@ -325,6 +338,44 @@ func (s *Store) CapacityBytes() int { return s.arena.Capacity() }
 // including dead-but-referenced elements whose memory is not yet free.
 func (s *Store) UsedBytes() int { return s.arena.Used() }
 
+// Ref returns the arena offset of e's header record: the pointer-free name
+// of an element that a message can carry, or 0 for a nil Element. A ref is
+// never below 8, so callers may use 1–7 as sentinels of their own.
+func (s *Store) Ref(e Element) uint32 {
+	if e == nil {
+		return 0
+	}
+	return uint32(cap(s.mem) - cap(e))
+}
+
+// Elem returns the handle of the element whose record is at ref. It only
+// reads the record's (immutable) size, so a client holding a reference may
+// call it from another goroutine once the ref was handed over.
+func (s *Store) Elem(ref uint32) Element {
+	return Element(s.mem[ref : ref+HeaderBytes+s.rec(ref).u32(recSize)])
+}
+
+// --- header records ---
+
+// record is an element's header, viewed in place in the arena. Its
+// accessors are called with constant field offsets into a fixed-size
+// array, so they compile to plain loads and stores.
+type record [HeaderBytes]byte
+
+// rec returns the header record at ref r.
+func (s *Store) rec(r uint32) *record { return (*record)(s.mem[r:]) }
+
+func (h *record) u32(f int) uint32      { return binary.LittleEndian.Uint32(h[f:]) }
+func (h *record) put32(f int, v uint32) { binary.LittleEndian.PutUint32(h[f:], v) }
+func (h *record) u64(f int) uint64      { return binary.LittleEndian.Uint64(h[f:]) }
+func (h *record) put64(f int, v uint64) { binary.LittleEndian.PutUint64(h[f:], v) }
+func (h *record) key() Key              { return h.u64(recKey) }
+func (h *record) expireAt() int64       { return int64(h.u64(recExpire)) }
+func (h *record) is(flag byte) bool     { return h[recFlags]&flag != 0 }
+
+// expired reports whether the record's TTL has elapsed at clock reading now.
+func (h *record) expired(now int64) bool { return h.expireAt() != 0 && now >= h.expireAt() }
+
 // bucketIndex hashes a key to its chain. The mixer is the splitmix64
 // finalizer — the "simple hash function" of §3.1.
 func (s *Store) bucketIndex(k Key) uint64 {
@@ -373,16 +424,11 @@ func (s *Store) heat(k Key, n int64) {
 // expressed on this clock.
 func (s *Store) Now() int64 { return s.clock() }
 
-// expired reports whether e's TTL has elapsed at clock reading now.
-func (e *Element) expired(now int64) bool {
-	return e.expire != 0 && now >= e.expire
-}
-
 // expireElement lazily removes an element whose deadline has passed,
 // counting it as Expired (not a delete or eviction).
-func (s *Store) expireElement(e *Element) {
+func (s *Store) expireElement(r uint32) {
 	s.m.Expired.Inc()
-	s.unlink(e)
+	s.unlink(r)
 }
 
 // Lookup finds a ready, unexpired element, bumps its reference count,
@@ -390,43 +436,47 @@ func (s *Store) expireElement(e *Element) {
 // element whose TTL has elapsed is removed lazily here — the paper-style
 // single-owner store makes this safe without locks. The caller must
 // eventually call Decref exactly once per successful Lookup.
-func (s *Store) Lookup(k Key) *Element {
+func (s *Store) Lookup(k Key) Element {
 	s.m.Lookups.Inc()
-	e := s.find(k)
-	if e == nil || !e.ready {
+	r, h := s.find(k)
+	if h == nil || !h.is(flagReady) {
 		s.heat(k, 0)
 		return nil
 	}
 	// Read the clock only for elements that can expire, keeping the
 	// paper's no-TTL hot path free of wall-clock overhead.
-	if e.expire != 0 && e.expired(s.clock()) {
-		s.expireElement(e)
+	if h.expireAt() != 0 && h.expired(s.clock()) {
+		s.expireElement(r)
 		s.heat(k, 0)
 		return nil
 	}
+	size := h.u32(recSize)
 	s.m.Hits.Inc()
-	s.m.BytesOut.Add(int64(e.size))
-	s.heat(k, int64(e.size))
-	e.refs++
-	s.lruMoveFront(e)
-	return e
+	s.m.BytesOut.Add(int64(size))
+	s.heat(k, int64(size))
+	h.put32(recRefs, h.u32(recRefs)+1)
+	s.lruMoveFront(r)
+	return Element(s.mem[r : r+HeaderBytes+size])
 }
 
 // Contains reports whether k is linked, ready and unexpired without
 // touching LRU state, reference counts, or (unlike Lookup) removing an
 // expired element (used by tests and admin tooling).
 func (s *Store) Contains(k Key) bool {
-	e := s.find(k)
-	return e != nil && e.ready && !(e.expire != 0 && e.expired(s.clock()))
+	_, h := s.find(k)
+	return h != nil && h.is(flagReady) && !(h.expireAt() != 0 && h.expired(s.clock()))
 }
 
-func (s *Store) find(k Key) *Element {
-	for e := s.buckets[s.bucketIndex(k)]; e != nil; e = e.hNext {
-		if e.key == k {
-			return e
+// find returns the ref and record of k's linked element, or (0, nil).
+func (s *Store) find(k Key) (uint32, *record) {
+	for r := s.buckets[s.bucketIndex(k)]; r != 0; {
+		h := s.rec(r)
+		if h.key() == k {
+			return r, h
 		}
+		r = h.u32(recHNext)
 	}
-	return nil
+	return 0, nil
 }
 
 // Insert allocates space for a size-byte value under key k, unlinking any
@@ -435,14 +485,14 @@ func (s *Store) find(k Key) *Element {
 // copies the value into e.Value(), calls MarkReady, and finally Decref.
 // Insert returns nil when space cannot be made even after evicting
 // everything evictable. The element never expires.
-func (s *Store) Insert(k Key, size int) *Element {
+func (s *Store) Insert(k Key, size int) Element {
 	return s.InsertExpire(k, size, 0)
 }
 
 // InsertTTL is Insert with a relative time-to-live on the store's clock;
 // ttl <= 0 means "never expires", and a ttl so large the deadline
 // overflows is treated as "never" too.
-func (s *Store) InsertTTL(k Key, size int, ttl time.Duration) *Element {
+func (s *Store) InsertTTL(k Key, size int, ttl time.Duration) Element {
 	if ttl <= 0 {
 		return s.InsertExpire(k, size, 0)
 	}
@@ -458,13 +508,13 @@ func (s *Store) InsertTTL(k Key, size int, ttl time.Duration) *Element {
 // clock (nanoseconds); expireAt = 0 means "never expires". A deadline
 // already in the past still inserts — the element simply expires on its
 // first lookup or sweep, keeping insert semantics uniform.
-func (s *Store) InsertExpire(k Key, size int, expireAt int64) *Element {
+func (s *Store) InsertExpire(k Key, size int, expireAt int64) Element {
 	return s.InsertExpireVer(k, size, expireAt, 0)
 }
 
 // InsertTTLVer is InsertTTL with an explicit CAS version (see
 // InsertExpireVer); ver 0 assigns the store's next version as usual.
-func (s *Store) InsertTTLVer(k Key, size int, ttl time.Duration, ver uint64) *Element {
+func (s *Store) InsertTTLVer(k Key, size int, ttl time.Duration, ver uint64) Element {
 	if ttl <= 0 {
 		return s.InsertExpireVer(k, size, 0, ver)
 	}
@@ -483,7 +533,7 @@ func (s *Store) InsertTTLVer(k Key, size int, ttl time.Duration, ver uint64) *El
 // assigns the store's next version (the normal insert path); a nonzero ver
 // also advances the store's version counter past it, so post-replay writes
 // can never mint a duplicate.
-func (s *Store) InsertExpireVer(k Key, size int, expireAt int64, ver uint64) *Element {
+func (s *Store) InsertExpireVer(k Key, size int, expireAt int64, ver uint64) Element {
 	s.m.Inserts.Inc()
 	if size < 0 || k > MaxKey {
 		s.m.InsertErr.Inc()
@@ -491,11 +541,11 @@ func (s *Store) InsertExpireVer(k Key, size int, expireAt int64, ver uint64) *El
 	}
 	s.heat(k, int64(size))
 	hadOld := false
-	if old := s.find(k); old != nil {
+	if old, _ := s.find(k); old != 0 {
 		s.unlink(old)
 		hadOld = true
 	}
-	off, ok := s.allocEvicting(size)
+	r, ok := s.allocEvicting(size)
 	if !ok {
 		s.m.InsertErr.Inc()
 		if hadOld && s.sink != nil {
@@ -513,28 +563,33 @@ func (s *Store) InsertExpireVer(k Key, size int, expireAt int64, ver uint64) *El
 	} else if ver >= s.verNext {
 		s.verNext = ver + 1
 	}
-	e := s.newElement()
-	*e = Element{key: k, off: off, size: int32(size), refs: 1, expire: expireAt, version: ver, store: s}
-	s.linkBucket(e)
-	s.lruPushFront(e)
+	h := s.rec(r)
+	*h = record{}
+	h.put64(recKey, k)
+	h.put64(recVersion, ver)
+	h.put64(recExpire, uint64(expireAt))
+	h.put32(recSize, uint32(size))
+	h.put32(recRefs, 1)
+	s.linkBucket(r, k)
+	s.lruPushFront(r)
 	s.m.Elements.Inc()
 	if expireAt != 0 {
 		s.ttlElems++
 	}
-	return e
+	return s.Elem(r)
 }
 
-// allocEvicting allocates a value block, evicting per policy until the
-// allocation succeeds or nothing evictable remains. The header charge is
-// modeled by reserving HeaderBytes alongside the value; to keep the charge
-// physical we allocate value+HeaderBytes in one block. Before evicting a
-// live element it sweeps a bounded number of buckets for expired elements
-// — dead weight goes first, so TTLs reduce eviction pressure.
+// allocEvicting allocates an element block — header record plus value, one
+// arena allocation, so the header charge is physical — evicting per policy
+// until the allocation succeeds or nothing evictable remains, and returns
+// the record's offset. Before evicting a live element it sweeps a bounded
+// number of buckets for expired elements — dead weight goes first, so TTLs
+// reduce eviction pressure.
 func (s *Store) allocEvicting(size int) (uint32, bool) {
 	swept := false
 	for {
-		if off, ok := s.arena.Alloc(size + HeaderBytes); ok {
-			return off + HeaderBytes, ok
+		if r, ok := s.arena.Alloc(size + HeaderBytes); ok {
+			return r, ok
 		}
 		if !swept {
 			swept = true
@@ -572,14 +627,15 @@ func (s *Store) SweepExpired(maxBuckets int) int {
 	removed := 0
 	for i := 0; i < maxBuckets; i++ {
 		idx := (s.sweepCursor + uint64(i)) & s.mask
-		e := s.buckets[idx]
-		for e != nil {
-			next := e.hNext
-			if e.expired(now) {
-				s.expireElement(e)
+		r := s.buckets[idx]
+		for r != 0 {
+			h := s.rec(r)
+			next := h.u32(recHNext)
+			if h.expired(now) {
+				s.expireElement(r)
 				removed++
 			}
-			e = next
+			r = next
 		}
 	}
 	s.sweepCursor = (s.sweepCursor + uint64(maxBuckets)) & s.mask
@@ -592,14 +648,14 @@ func (s *Store) SweepExpired(maxBuckets int) int {
 // paper's dangling-pointer rule (§3.2) — so an eviction does not always free
 // bytes immediately.
 func (s *Store) evictOne() bool {
-	var victim *Element
+	var victim uint32
 	switch s.policy {
 	case EvictLRU:
 		victim = s.lruTail
 	case EvictRandom:
 		victim = s.randomElement()
 	}
-	if victim == nil {
+	if victim == 0 {
 		return false
 	}
 	s.m.Evictions.Inc()
@@ -609,9 +665,9 @@ func (s *Store) evictOne() bool {
 
 // randomElement picks a pseudo-random linked element by probing buckets
 // from a random starting point.
-func (s *Store) randomElement() *Element {
+func (s *Store) randomElement() uint32 {
 	if s.m.Elements.Load() == 0 {
-		return nil
+		return 0
 	}
 	// xorshift64
 	x := s.rng
@@ -621,28 +677,28 @@ func (s *Store) randomElement() *Element {
 	s.rng = x
 	idx := x & s.mask
 	for i := uint64(0); i <= s.mask; i++ {
-		if e := s.buckets[(idx+i)&s.mask]; e != nil {
-			return e
+		if r := s.buckets[(idx+i)&s.mask]; r != 0 {
+			return r
 		}
 	}
-	return nil
+	return 0
 }
 
 // Delete unlinks the element with key k, reporting whether it existed. A
 // key whose TTL has elapsed counts as absent (and is reclaimed here, as in
 // Lookup). Memory follows the usual refcount rule.
 func (s *Store) Delete(k Key) bool {
-	e := s.find(k)
-	if e == nil {
+	r, h := s.find(k)
+	if h == nil {
 		return false
 	}
-	if e.expire != 0 && e.expired(s.clock()) {
-		s.expireElement(e)
+	if h.expireAt() != 0 && h.expired(s.clock()) {
+		s.expireElement(r)
 		return false
 	}
 	s.m.Deletes.Inc()
 	s.heat(k, 0)
-	s.unlink(e)
+	s.unlink(r)
 	if s.sink != nil {
 		s.sink.Delete(k)
 	}
@@ -657,127 +713,122 @@ func (s *Store) Delete(k Key) bool {
 // or an eviction overtook the Ready message). That key's current state is
 // already what the stream says, and a late Set would make a replay
 // resurrect a value the table never served.
-func (s *Store) MarkReady(e *Element) {
-	e.ready = true
-	if s.sink != nil && !e.dead {
-		s.sink.Set(e.key, e.Value(), e.expire, e.version)
+func (s *Store) MarkReady(e Element) {
+	h := (*record)(e)
+	h[recFlags] |= flagReady
+	if s.sink != nil && !h.is(flagDead) {
+		s.sink.Set(h.key(), e.Value(), h.expireAt(), h.u64(recVersion))
 	}
 }
 
 // Decref drops one caller reference. When the element is dead (evicted or
 // deleted) and the last reference goes away, its memory returns to the
 // arena. Decref on a live element only releases the caller's pin.
-func (s *Store) Decref(e *Element) {
-	if e.refs <= 0 {
+func (s *Store) Decref(e Element) {
+	h := (*record)(e)
+	refs := h.u32(recRefs)
+	if refs == 0 {
 		panic("partition: Decref without matching reference")
 	}
-	e.refs--
-	if e.dead && e.refs == 0 {
-		s.release(e)
+	h.put32(recRefs, refs-1)
+	if refs == 1 && h.is(flagDead) {
+		s.arena.Free(s.Ref(e))
 	}
 }
 
-// unlink removes e from the bucket chain and LRU list. Memory is released
-// immediately if no client holds a reference, otherwise when the last
-// Decref arrives.
-func (s *Store) unlink(e *Element) {
-	if e.dead {
+// unlink removes record r from the bucket chain and LRU list. Memory is
+// released immediately if no client holds a reference, otherwise when the
+// last Decref arrives.
+func (s *Store) unlink(r uint32) {
+	h := s.rec(r)
+	if h.is(flagDead) {
 		return
 	}
-	s.unlinkBucket(e)
-	s.lruRemove(e)
+	s.unlinkBucket(r)
+	s.lruRemove(r)
 	s.m.Elements.Add(-1)
-	if e.expire != 0 {
+	if h.expireAt() != 0 {
 		s.ttlElems--
 	}
-	e.dead = true
-	if e.refs == 0 {
-		s.release(e)
+	h[recFlags] |= flagDead
+	if h.u32(recRefs) == 0 {
+		s.arena.Free(r)
 	}
-}
-
-// release returns the element's memory to the arena and recycles the header.
-func (s *Store) release(e *Element) {
-	s.arena.Free(e.off - HeaderBytes)
-	e.hNext = s.free
-	e.store = nil
-	s.free = e
-}
-
-// newElement takes a header from the recycle list or allocates one.
-func (s *Store) newElement() *Element {
-	if e := s.free; e != nil {
-		s.free = e.hNext
-		return e
-	}
-	return &Element{}
 }
 
 // --- bucket chain ---
 
-func (s *Store) linkBucket(e *Element) {
-	idx := s.bucketIndex(e.key)
+func (s *Store) linkBucket(r uint32, k Key) {
+	idx := s.bucketIndex(k)
 	head := s.buckets[idx]
-	e.hNext = head
-	e.hPrev = nil
-	if head != nil {
-		head.hPrev = e
+	h := s.rec(r)
+	h.put32(recHNext, head)
+	h.put32(recHPrev, 0)
+	if head != 0 {
+		s.rec(head).put32(recHPrev, r)
 	}
-	s.buckets[idx] = e
+	s.buckets[idx] = r
 }
 
-func (s *Store) unlinkBucket(e *Element) {
-	if e.hPrev != nil {
-		e.hPrev.hNext = e.hNext
+func (s *Store) unlinkBucket(r uint32) {
+	h := s.rec(r)
+	prev, next := h.u32(recHPrev), h.u32(recHNext)
+	if prev != 0 {
+		s.rec(prev).put32(recHNext, next)
 	} else {
-		s.buckets[s.bucketIndex(e.key)] = e.hNext
+		s.buckets[s.bucketIndex(h.key())] = next
 	}
-	if e.hNext != nil {
-		e.hNext.hPrev = e.hPrev
+	if next != 0 {
+		s.rec(next).put32(recHPrev, prev)
 	}
-	e.hNext, e.hPrev = nil, nil
+	h.put32(recHNext, 0)
+	h.put32(recHPrev, 0)
 }
 
 // --- LRU list (skipped entirely under EvictRandom, as in §6.3) ---
 
-func (s *Store) lruPushFront(e *Element) {
+func (s *Store) lruPushFront(r uint32) {
 	if s.policy != EvictLRU {
 		return
 	}
-	e.lPrev = nil
-	e.lNext = s.lruHead
-	if s.lruHead != nil {
-		s.lruHead.lPrev = e
+	h := s.rec(r)
+	h.put32(recLPrev, 0)
+	h.put32(recLNext, s.lruHead)
+	if s.lruHead != 0 {
+		s.rec(s.lruHead).put32(recLPrev, r)
 	}
-	s.lruHead = e
-	if s.lruTail == nil {
-		s.lruTail = e
+	s.lruHead = r
+	if s.lruTail == 0 {
+		s.lruTail = r
 	}
 }
 
-func (s *Store) lruRemove(e *Element) {
+func (s *Store) lruRemove(r uint32) {
 	if s.policy != EvictLRU {
 		return
 	}
-	if e.lPrev != nil {
-		e.lPrev.lNext = e.lNext
-	} else if s.lruHead == e {
-		s.lruHead = e.lNext
+	h := s.rec(r)
+	prev, next := h.u32(recLPrev), h.u32(recLNext)
+	if prev != 0 {
+		s.rec(prev).put32(recLNext, next)
+	} else if s.lruHead == r {
+		s.lruHead = next
 	}
-	if e.lNext != nil {
-		e.lNext.lPrev = e.lPrev
-	} else if s.lruTail == e {
-		s.lruTail = e.lPrev
+	if next != 0 {
+		s.rec(next).put32(recLPrev, prev)
+	} else if s.lruTail == r {
+		s.lruTail = prev
 	}
-	e.lNext, e.lPrev = nil, nil
+	h.put32(recLNext, 0)
+	h.put32(recLPrev, 0)
 }
 
-func (s *Store) lruMoveFront(e *Element) {
-	if s.policy != EvictLRU || s.lruHead == e {
+func (s *Store) lruMoveFront(r uint32) {
+	if s.policy != EvictLRU || s.lruHead == r {
 		return
 	}
-	s.lruRemove(e)
-	s.lruPushFront(e)
+	s.lruRemove(r)
+	s.lruPushFront(r)
 }
 
 // LRUKeys returns the linked keys from most to least recently used; under
@@ -787,34 +838,56 @@ func (s *Store) LRUKeys() []Key {
 		return nil
 	}
 	var out []Key
-	for e := s.lruHead; e != nil; e = e.lNext {
-		out = append(out, e.key)
+	for r := s.lruHead; r != 0; r = s.rec(r).u32(recLNext) {
+		out = append(out, s.rec(r).key())
 	}
 	return out
 }
 
-// CheckInvariants validates the bucket chains, LRU list, element accounting
-// and the underlying arena; tests call it after mutation storms.
+// CheckInvariants validates the arena, then the records in it: every
+// bucket and LRU link names an allocated block, chains and the LRU list are
+// consistent doubly-linked lists over the same linked elements, counts
+// agree with the metrics, and every allocated record that is not linked is
+// dead and still pinned (anything else is a leak). Tests call it after
+// mutation storms.
 func (s *Store) CheckInvariants() error {
-	linked := 0
-	ttl := 0
+	if err := s.arena.CheckInvariants(); err != nil {
+		return err
+	}
+	a := s.arena
+	records := map[uint32]bool{} // allocated record → linked
+	for b := uint32(0); int(b) < len(a.mem); b += a.size(b) {
+		if a.allocated(b) {
+			r := b + hdrSize
+			if size := s.rec(r).u32(recSize); a.size(b) < blockFor(HeaderBytes+int(size)) {
+				return fmt.Errorf("record %d: size %d overruns its %d-byte block", r, size, a.size(b))
+			}
+			records[r] = false
+		}
+	}
+	linked, ttl := 0, 0
 	for i, head := range s.buckets {
-		var prev *Element
-		for e := head; e != nil; e = e.hNext {
-			if e.expire != 0 {
+		var prev uint32
+		for r := head; r != 0; r = s.rec(r).u32(recHNext) {
+			if seen, ok := records[r]; !ok || seen {
+				return fmt.Errorf("bucket %d: link %d is not an allocated, unvisited record", i, r)
+			}
+			records[r] = true
+			h := s.rec(r)
+			if h.expireAt() != 0 {
 				ttl++
 			}
-			if e.hPrev != prev {
-				return fmt.Errorf("bucket %d: broken hPrev at key %d", i, e.key)
+			if h.u32(recHPrev) != prev {
+				return fmt.Errorf("bucket %d: broken hPrev at key %d", i, h.key())
 			}
-			if s.bucketIndex(e.key) != uint64(i) {
-				return fmt.Errorf("bucket %d: key %d hashed elsewhere", i, e.key)
+			if s.bucketIndex(h.key()) != uint64(i) {
+				return fmt.Errorf("bucket %d: key %d hashed elsewhere", i, h.key())
 			}
-			if e.dead {
-				return fmt.Errorf("bucket %d: dead element %d still linked", i, e.key)
+			if h.is(flagDead) {
+				return fmt.Errorf("bucket %d: dead element %d still linked", i, h.key())
 			}
 			linked++
-			prev = e
+			prev = r
 		}
 	}
 	if linked != int(s.m.Elements.Load()) {
@@ -823,15 +896,25 @@ func (s *Store) CheckInvariants() error {
 	if ttl != s.ttlElems {
 		return fmt.Errorf("linked TTL elements = %d, ttlElems = %d", ttl, s.ttlElems)
 	}
+	for r, isLinked := range records {
+		if h := s.rec(r); !isLinked && (!h.is(flagDead) || h.u32(recRefs) == 0) {
+			return fmt.Errorf("record %d (key %d) is allocated but neither linked nor a pinned dead element", r, h.key())
+		}
+	}
 	if s.policy == EvictLRU {
 		lru := 0
-		var prev *Element
-		for e := s.lruHead; e != nil; e = e.lNext {
-			if e.lPrev != prev {
-				return fmt.Errorf("LRU: broken lPrev at key %d", e.key)
+		var prev uint32
+		for r := s.lruHead; r != 0; r = s.rec(r).u32(recLNext) {
+			if !records[r] {
+				return fmt.Errorf("LRU: link %d is not a linked record", r)
 			}
-			lru++
-			prev = e
+			if s.rec(r).u32(recLPrev) != prev {
+				return fmt.Errorf("LRU: broken lPrev at key %d", s.rec(r).key())
+			}
+			if lru++; lru > linked {
+				return fmt.Errorf("LRU holds more than the %d linked elements (cycle?)", linked)
+			}
+			prev = r
 		}
 		if prev != s.lruTail {
 			return fmt.Errorf("LRU tail mismatch")
@@ -840,5 +923,5 @@ func (s *Store) CheckInvariants() error {
 			return fmt.Errorf("LRU holds %d, buckets hold %d", lru, linked)
 		}
 	}
-	return s.arena.CheckInvariants()
+	return nil
 }

@@ -321,7 +321,7 @@ func TestChurnWithEviction(t *testing.T) {
 		t.Run(policy.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			s := newTestStore(t, 8<<10, policy)
-			var held []*Element
+			var held []Element
 			for step := 0; step < 20000; step++ {
 				k := Key(rng.Intn(512))
 				switch rng.Intn(4) {
@@ -486,12 +486,12 @@ func (r *recordingSink) Delete(Key) { r.log = append(r.log, "delete") }
 func TestMarkReadyOfUnlinkedElementIsNotStreamed(t *testing.T) {
 	sink := &recordingSink{}
 	s := MustStore(Config{CapacityBytes: 64 << 10, Sink: sink})
-	insert := func(v string) *Element {
+	insert := func(v string) Element {
 		e := s.Insert(1, len(v))
 		copy(e.Value(), v)
 		return e
 	}
-	publish := func(e *Element) {
+	publish := func(e Element) {
 		s.MarkReady(e)
 		s.Decref(e)
 	}

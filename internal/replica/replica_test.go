@@ -457,25 +457,30 @@ func TestPeerWatermarkRetainedAfterDisconnect(t *testing.T) {
 	}
 }
 
-// slowApplier throttles record application to hold a follower in its
-// initial sync long enough for Close to race it.
-type slowApplier struct {
-	inner replica.Applier
-	delay time.Duration
+// gatedApplier parks a follower inside its initial sync: the first Apply
+// announces itself on reached, and every Apply waits until release is
+// closed.
+type gatedApplier struct {
+	inner   replica.Applier
+	once    sync.Once
+	reached chan struct{}
+	release chan struct{}
 }
 
-func (a *slowApplier) Apply(op persist.Op, key uint64, expireAt int64, ver uint64, value []byte) error {
-	time.Sleep(a.delay)
+func (a *gatedApplier) Apply(op persist.Op, key uint64, expireAt int64, ver uint64, value []byte) error {
+	a.once.Do(func() { close(a.reached) })
+	<-a.release
 	return a.inner.Apply(op, key, expireAt, ver, value)
 }
 
-func (a *slowApplier) Flush() error { return a.inner.Flush() }
+func (a *gatedApplier) Flush() error { return a.inner.Flush() }
 
 // TestCloseDrainsMidSyncPeer pins the failover-edge drain: a graceful
 // Close must wait for a live peer still running its initial sync —
 // exactly the state a new primary's standbys are in right after a
 // promotion — instead of cutting it loose with acked writes stranded on
-// the closing node.
+// the closing node. The follower is held in its first Apply until Close
+// is provably under way, so no timer decides what the test sees.
 func TestCloseDrainsMidSyncPeer(t *testing.T) {
 	hb := 10 * time.Millisecond
 	primary := startNode(t, &replica.SourceConfig{Heartbeat: hb})
@@ -486,28 +491,64 @@ func TestCloseDrainsMidSyncPeer(t *testing.T) {
 	primary.pipe.Barrier()
 
 	follower := startNode(t, nil)
+	gate := &gatedApplier{
+		inner:   replica.NewLockHashApplier(follower.table),
+		reached: make(chan struct{}),
+		release: make(chan struct{}),
+	}
 	fl, err := replica.StartFollower(replica.FollowerConfig{
-		Source:      primary.src.Addr(),
-		Name:        "mid-sync",
-		Apply:       &slowApplier{inner: replica.NewLockHashApplier(follower.table), delay: 50 * time.Microsecond},
-		Backoff:     10 * time.Millisecond,
-		ReadTimeout: 20 * hb,
+		Source:  primary.src.Addr(),
+		Name:    "mid-sync",
+		Apply:   gate,
+		Backoff: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fl.Close)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for !fl.Status().Connected {
-		if time.Now().After(deadline) {
-			t.Fatal("follower never connected")
+	released := false
+	t.Cleanup(func() {
+		if !released {
+			close(gate.release)
 		}
-		time.Sleep(time.Millisecond)
+	})
+
+	select {
+	case <-gate.reached:
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower never started its initial sync")
 	}
-	// The follower is connected and (at 50µs per record over 2000
-	// records) still mid-sync. A graceful close must drain it.
-	primary.src.Close()
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		primary.src.Close()
+	}()
+	// Close first detaches the source from the pipeline's tail, so a write
+	// that no longer reaches the tail proves Close is under way — while
+	// the follower is still parked in its first Apply.
+	for k := uint64(n + 1); ; k++ {
+		before := primary.src.Tail()
+		primary.table.Put(k, []byte("probe"))
+		primary.pipe.Barrier()
+		if primary.src.Tail() == before {
+			break
+		}
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while its only peer was mid-sync")
+	default:
+	}
+	if st := fl.Status(); st.Syncs != 0 {
+		t.Fatalf("follower finished syncing while parked: %+v", st)
+	}
+	released = true
+	close(gate.release)
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close did not return after its peer finished syncing")
+	}
 	for k := uint64(1); k <= n; k++ {
 		if _, ok := follower.table.Get(k, nil); !ok {
 			t.Fatalf("key %d lost: Close cut the mid-sync peer", k)
