@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"time"
 
 	"cphash/internal/partition"
@@ -153,6 +152,7 @@ type Client struct {
 	id   int
 	to   []*ring.SPSC[request]
 	from []*ring.SPSC[reply]
+	park *parker // kicked by a server that consumed from or replied to this client
 
 	pending []pendingFIFO
 	// replyBuf holds the batch of replies being completed: those of
@@ -293,10 +293,10 @@ func (c *Client) issue(o *Op, r request) {
 	if c.maxOutstanding == 0 {
 		c.maxOutstanding = 1000 // the paper's §6.1 pipeline depth
 	}
-	for c.outstanding >= c.maxOutstanding {
+	for spins := 0; c.outstanding >= c.maxOutstanding; {
 		c.FlushAll()
 		if c.Poll() == 0 {
-			runtime.Gosched()
+			c.pause(&spins, c.repliesReady)
 		}
 	}
 	s := c.t.PartitionOf(o.key)
@@ -307,7 +307,7 @@ func (c *Client) issue(o *Op, r request) {
 	c.issued++
 }
 
-// send enqueues a request to server s, spinning (and polling replies, so
+// send enqueues a request to server s, waiting (and polling replies, so
 // the system cannot deadlock) while the ring is full.
 func (c *Client) send(s int, r request) {
 	rq := c.to[s]
@@ -316,15 +316,38 @@ func (c *Client) send(s int, r request) {
 	}
 	rq.Flush()
 	c.t.kick(s) // the server may be parked while we wait for ring space
-	for !rq.Produce(r) {
+	for spins := 0; !rq.Produce(r); {
 		if c.Poll() == 0 {
 			// Ready messages sent from inside an earlier Poll take the
 			// fast path above, which does not kick: they can refill the
 			// ring after the server drained it and parked.
 			c.t.kick(s)
-			runtime.Gosched()
+			c.pause(&spins, func() bool { return !rq.Full() || c.repliesReady() })
 		}
 	}
+}
+
+// pause is a wait loop's step after a poll that completed nothing: up to
+// clientSpins more polls, then a park until a server kicks this client.
+// ready re-checks the loop's wait condition once the flag is set.
+func (c *Client) pause(spins *int, ready func() bool) {
+	if *spins < clientSpins {
+		*spins++
+		return
+	}
+	*spins = 0
+	c.park.park(ready)
+}
+
+// repliesReady reports whether a server this client awaits has published
+// a reply it has not consumed.
+func (c *Client) repliesReady() bool {
+	for s := range c.from {
+		if c.pending[s].len() > 0 && c.from[s].Len() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // FlushAll publishes all privately buffered requests on every ring and
@@ -416,27 +439,27 @@ func (c *Client) complete(s int, rep reply) {
 	}
 }
 
-// Wait blocks (polling) until o is done, flushing pending requests first.
+// Wait blocks until o is done, flushing pending requests first. It polls
+// for replies a few dozen times, then parks until a server that replied
+// to this client kicks it, so a long wait costs no CPU and no scheduler
+// round trips.
 func (c *Client) Wait(o *Op) {
-	if o.done {
-		return
-	}
-	for !o.done {
+	for spins := 0; !o.done; {
 		// Flushing every iteration also publishes Ready messages generated
 		// while completing insert replies inside Poll.
 		c.FlushAll()
 		if c.Poll() == 0 {
-			runtime.Gosched()
+			c.pause(&spins, c.repliesReady)
 		}
 	}
 }
 
-// WaitAll blocks until every outstanding op is done.
+// WaitAll blocks, like Wait, until every outstanding op is done.
 func (c *Client) WaitAll() {
-	for c.outstanding > 0 {
+	for spins := 0; c.outstanding > 0; {
 		c.FlushAll()
 		if c.Poll() == 0 {
-			runtime.Gosched()
+			c.pause(&spins, c.repliesReady)
 		}
 	}
 	c.FlushAll() // publish Ready/Decref generated by the final completions
@@ -534,14 +557,22 @@ func (c *Client) Delete(key Key) bool {
 // used afterwards.
 func (c *Client) Close() {
 	c.WaitAll()
-	c.FlushAll()
-	for _, r := range c.to {
-		for !r.Drained() {
-			if c.t.stop.Load() {
-				break // servers already gone; nothing will drain it
-			}
-			runtime.Gosched()
-		}
+	for spins := 0; !c.drained(); {
+		c.pause(&spins, c.drained)
 	}
 	c.t.clientActive[c.id].Store(false)
+}
+
+// drained reports whether the servers have consumed every request this
+// client sent, or have stopped and never will.
+func (c *Client) drained() bool {
+	if c.t.stop.Load() {
+		return true
+	}
+	for _, r := range c.to {
+		if !r.Drained() {
+			return false
+		}
+	}
+	return true
 }

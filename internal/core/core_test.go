@@ -504,35 +504,3 @@ func BenchmarkCorePutGet(b *testing.B) {
 		}
 	}
 }
-
-// TestBatchLowWaterConfig exercises the adaptive-consume knob at both
-// extremes: disabled (drain immediately) and well above the line size.
-// Results must be identical — the watermark trades latency for batch
-// density, never correctness.
-func TestBatchLowWaterConfig(t *testing.T) {
-	for _, lw := range []int{-1, 16} {
-		t.Run(fmt.Sprintf("lowWater=%d", lw), func(t *testing.T) {
-			table := MustNew(Config{
-				Partitions:    2,
-				CapacityBytes: 1 << 20,
-				MaxClients:    1,
-				BatchLowWater: lw,
-				Seed:          1,
-			})
-			defer table.Close()
-			c := table.MustClient(0)
-			defer c.Close()
-			for k := Key(0); k < 200; k++ {
-				if !c.Put(k, []byte{byte(k)}) {
-					t.Fatalf("put %d failed", k)
-				}
-			}
-			for k := Key(0); k < 200; k++ {
-				v, ok := c.Get(k, nil)
-				if !ok || len(v) != 1 || v[0] != byte(k) {
-					t.Fatalf("get %d = %v (ok=%v)", k, v, ok)
-				}
-			}
-		})
-	}
-}

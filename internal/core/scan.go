@@ -2,8 +2,8 @@ package core
 
 import (
 	"errors"
-	"runtime"
-	"time"
+	"sync"
+	"sync/atomic"
 
 	"cphash/internal/partition"
 )
@@ -13,8 +13,8 @@ import (
 // so bulk iteration cannot simply walk t.parts from the caller. Instead the
 // caller posts a scanJob into a one-deep per-partition mailbox; the owning
 // server executes it at its next sweep — between batches, exactly like the
-// §8.1 ownership handoffs — and the caller blocks until the job's channel
-// closes. Each job is bounded (scanJobBuckets) so a migration never stalls
+// §8.1 ownership handoffs — and the caller parks until the server has
+// finished it. Each job is bounded (scanJobBuckets) so a migration never stalls
 // the partition's regular traffic for long; ScanEntries/PurgeEntries chain
 // bounded jobs and return a resumable cursor.
 
@@ -30,13 +30,23 @@ type scanJob struct {
 	purge      bool // remove matching entries instead of copying them
 	filter     func(Key) bool
 
-	// results, valid once ch is closed
+	// results, valid once finished
 	entries []partition.ScanEntry
 	removed int
 	next    int
 	done    bool
 
-	ch chan struct{}
+	finished atomic.Bool
+}
+
+// scanBox is one partition's scan mailbox. mu admits one poster at a
+// time, which owns waiter until its job is finished or withdrawn. The
+// poster holds mu while it is parked; neither the servers nor Close ever
+// take it, so nothing that would kick the poster can wait on it.
+type scanBox struct {
+	mu     sync.Mutex
+	job    atomic.Pointer[scanJob]
+	waiter parker
 }
 
 // scanJobBuckets bounds the buckets one job examines, i.e. the longest a
@@ -48,43 +58,38 @@ const scanJobBuckets = 1 << 12
 // serving one SCAN round trip) blocks before returning a resume cursor.
 const scanCallBuckets = 1 << 16
 
-// runScanJob executes a job against the local partition; called only by
-// the owning server goroutine (from serverLoop).
-func (t *Table) runScanJob(store *partition.Store, j *scanJob) {
+// run executes a job against the local partition and kicks its poster;
+// called only by the owning server goroutine (from serverLoop).
+func (box *scanBox) run(store *partition.Store, j *scanJob) {
 	if j.purge {
 		j.removed, j.next, j.done = store.PurgeBuckets(j.start, j.maxBuckets, j.filter)
 	} else {
 		j.entries, j.next, j.done = store.AppendScan(j.entries, j.start, j.maxBuckets, j.maxEntries, j.filter)
 	}
-	close(j.ch)
+	j.finished.Store(true)
+	box.waiter.kick()
 }
 
-// postScanJob installs j in partition p's mailbox (spinning while another
-// scan holds it), wakes the owner, and blocks until the job completes. The
-// periodic re-kick makes the wait robust against ownership handoffs and
-// park/wake races; the withdraw path keeps Close from stranding a waiter.
+// postScanJob installs j in partition p's mailbox (waiting while another
+// scan holds it), kicks the owner, and parks until the job is finished. A
+// server that takes over p in a handoff finds the job at its next sweep.
+// Close kicks the waiter: a job still in the mailbox then is withdrawn, one
+// a server has taken is finished before that server exits.
 func (t *Table) postScanJob(p int, j *scanJob) error {
-	for !t.scans[p].CompareAndSwap(nil, j) {
-		if t.closed.Load() {
+	box := &t.scans[p]
+	box.mu.Lock()
+	defer box.mu.Unlock()
+	box.job.Store(j)
+	t.kick(p)
+	for !j.finished.Load() {
+		if t.closed.Load() && box.job.CompareAndSwap(j, nil) {
 			return ErrClosed
 		}
-		runtime.Gosched()
+		box.waiter.park(func() bool {
+			return j.finished.Load() || t.closed.Load() && box.job.Load() == j
+		})
 	}
-	for {
-		t.kickServerAlways(int(t.owner[p].Load()))
-		select {
-		case <-j.ch:
-			return nil
-		case <-time.After(200 * time.Microsecond):
-			if t.closed.Load() {
-				// Withdraw if still posted; if a server already took the
-				// job it will complete it synchronously, so keep waiting.
-				if t.scans[p].CompareAndSwap(j, nil) {
-					return ErrClosed
-				}
-			}
-		}
-	}
+	return nil
 }
 
 // ScanEntries copies live entries whose key satisfies filter (nil = all)
@@ -111,7 +116,6 @@ func (t *Table) ScanEntries(cursor uint64, maxEntries int, filter func(Key) bool
 			maxEntries: maxEntries - len(entries),
 			filter:     filter,
 			entries:    entries,
-			ch:         make(chan struct{}),
 		}
 		if err := t.postScanJob(p, j); err != nil {
 			return entries, cursor, false, err
@@ -150,7 +154,6 @@ func (t *Table) PurgeEntries(cursor uint64, filter func(Key) bool) (removed int,
 			maxBuckets: mb,
 			purge:      true,
 			filter:     filter,
-			ch:         make(chan struct{}),
 		}
 		if err := t.postScanJob(p, j); err != nil {
 			return removed, cursor, false, err

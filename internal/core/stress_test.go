@@ -403,7 +403,9 @@ func (sc *stressClient) run(steps int) {
 
 // TestSmallRingStress is the randomized small-ring stress of the message
 // protocols; rerun a failure with -stress.seed.
-func TestSmallRingStress(t *testing.T) {
+func TestSmallRingStress(t *testing.T) { smallRingStress(t) }
+
+func smallRingStress(t *testing.T) {
 	seed := *stressSeed
 	if seed == 0 {
 		seed = time.Now().UnixNano()

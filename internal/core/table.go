@@ -42,20 +42,6 @@ type Config struct {
 	// or on single-CPU hosts where extra OS threads only add scheduling
 	// pressure.
 	LockOSThread bool
-	// SpinBudget is how many empty polling sweeps a server performs before
-	// yielding the processor. Higher values reduce wake-up latency at the
-	// cost of burning cycles, mirroring the paper's always-spinning servers
-	// (they measured 41% idle polling time at peak throughput). 0 means a
-	// modest default suitable for shared machines.
-	SpinBudget int
-	// BatchLowWater is the adaptive-consume low watermark: a server that
-	// finds a request ring non-empty but holding fewer than this many
-	// messages briefly re-polls the producer index before draining, so
-	// trickling traffic still amortizes into line-sized batches — the
-	// paper's Figure 7 batch-size sensitivity, applied at the consumer.
-	// 0 means one request cache line; negative disables the wait (drain
-	// whatever is there immediately).
-	BatchLowWater int
 	// Seed makes eviction and bucket hashing deterministic for tests.
 	Seed uint64
 	// Clock supplies "now" in nanoseconds for TTL expiry (nil = wall
@@ -83,15 +69,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.RingCapacity < requestLineMsgs || c.RingCapacity&(c.RingCapacity-1) != 0 {
 		return fmt.Errorf("core: RingCapacity %d must be a power of two ≥ %d", c.RingCapacity, requestLineMsgs)
-	}
-	if c.SpinBudget <= 0 {
-		c.SpinBudget = 16
-	}
-	if c.BatchLowWater == 0 {
-		c.BatchLowWater = requestLineMsgs
-	}
-	if c.BatchLowWater < 0 {
-		c.BatchLowWater = 1 // any published message drains immediately
 	}
 	per := c.CapacityBytes / c.Partitions
 	if per < partition.HeaderBytes*2 {
@@ -137,16 +114,18 @@ type Table struct {
 	// paper's always-poll because MaxClients may exceed live clients).
 	clientActive []atomic.Bool
 
-	idleSweeps atomic.Int64
-	messages   atomic.Int64
+	stats []serverStats
 
-	// Idle-server parking. The paper's servers spin forever because they
-	// own a core; on an oversubscribed host a spinning server starves the
-	// Go scheduler (worst of all the netpoller, which is only checked when
-	// a P goes idle). After parkAfterSweeps empty sweeps a server parks on
-	// its wake channel; clients kick it after flushing requests.
-	parked []atomic.Bool
-	wake   []chan struct{}
+	// servers[id] and clients[c] are what server goroutine id and client c
+	// park on. The paper's servers poll forever because each owns a core;
+	// here they share cores with the clients and with each other, and a Go
+	// yield takes the scheduler's global run-queue lock, so polling in a
+	// loop of yields is dearer than blocking. A server parks after
+	// parkAfterSweeps empty sweeps and clients kick it after publishing
+	// requests; a client parks after clientSpins empty polls and servers
+	// kick it after consuming its requests or flushing its replies.
+	servers []parker
+	clients []parker
 
 	// Dynamic server threads (the paper's §8.1 future work): partitions
 	// may be consolidated onto fewer server goroutines when load is low.
@@ -160,7 +139,7 @@ type Table struct {
 	// scans[p] is partition p's one-deep scan mailbox: bulk iteration
 	// (slot migration) posts bounded jobs here and the owning server
 	// executes them at sweep boundaries, preserving single-owner access.
-	scans []atomic.Pointer[scanJob]
+	scans []scanBox
 
 	stop    atomic.Bool
 	wg      sync.WaitGroup
@@ -169,8 +148,65 @@ type Table struct {
 }
 
 // parkAfterSweeps is how many consecutive empty polling sweeps a server
-// performs (yielding every SpinBudget of them) before parking.
-const parkAfterSweeps = 256
+// makes before parking, and clientSpins how many empty polls a client wait
+// loop makes. A reply that is a few hundred nanoseconds out is cheaper to
+// poll for than to park for; anything longer is cheaper to sleep through.
+// Variables only so tests can make every wait park.
+var (
+	parkAfterSweeps = 2
+	clientSpins     = 64
+)
+
+// serverStats are one server goroutine's counters, on a cache line of
+// their own: the server adds to them when it parks and when it exits, so
+// a flush does not evict the table fields every sweep reads.
+type serverStats struct {
+	messages, idleSweeps atomic.Int64
+	_                    [48]byte
+}
+
+// parker is the one way anything in this package waits. The waiter sets
+// parked, re-checks its wait condition and blocks on wake only if the
+// condition still does not hold; the other side changes the condition
+// first (publishes a ring index, stores a flag) and kicks after. Both are
+// sequentially consistent atomics, so either the kicker sees the flag or
+// the waiter's re-check sees the change. A token left by a kick that was
+// not needed costs one spurious wake-up, which every wait loop tolerates.
+// Each parker fills a cache line of its own: kickers load the flag of a
+// running goroutine once per batch.
+type parker struct {
+	parked atomic.Bool
+	wake   chan struct{}
+	_      [64 - 16]byte
+}
+
+func newParkers(n int) []parker {
+	ps := make([]parker, n)
+	for i := range ps {
+		ps[i].wake = make(chan struct{}, 1)
+	}
+	return ps
+}
+
+// park blocks until a kick, unless ready reports the wait already over
+// once the flag is set.
+func (p *parker) park(ready func() bool) {
+	p.parked.Store(true)
+	if !ready() {
+		<-p.wake
+	}
+	p.parked.Store(false)
+}
+
+// kick wakes the goroutine if it is parked; otherwise it costs one load.
+func (p *parker) kick() {
+	if p.parked.Load() {
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
+	}
+}
 
 // adaptiveSpinBudget bounds how many index re-polls a server spends
 // waiting for a request ring to fill to the batch low-watermark. Each
@@ -215,13 +251,14 @@ func New(cfg Config) (*Table, error) {
 		}
 		t.parts[p] = s
 	}
-	t.parked = make([]atomic.Bool, cfg.Partitions)
-	t.wake = make([]chan struct{}, cfg.Partitions)
+	t.stats = make([]serverStats, cfg.Partitions)
+	t.servers = newParkers(cfg.Partitions)
+	t.clients = newParkers(cfg.MaxClients)
 	t.owner = make([]atomic.Int32, cfg.Partitions)
 	t.target = make([]atomic.Int32, cfg.Partitions)
-	t.scans = make([]atomic.Pointer[scanJob], cfg.Partitions)
-	for p := range t.wake {
-		t.wake[p] = make(chan struct{}, 1)
+	t.scans = make([]scanBox, cfg.Partitions)
+	for p := range t.owner {
+		t.scans[p].waiter.wake = make(chan struct{}, 1)
 		t.owner[p].Store(int32(p))
 		t.target[p].Store(int32(p))
 	}
@@ -289,6 +326,7 @@ func (t *Table) Client(id int) (*Client, error) {
 		id:       id,
 		to:       t.toServer[id],
 		from:     t.fromServer[id],
+		park:     &t.clients[id],
 		pending:  make([]pendingFIFO, t.cfg.Partitions),
 		replyBuf: make([]reply, replyLineMsgs*4),
 	}
@@ -312,30 +350,22 @@ func (t *Table) Close() {
 		return
 	}
 	t.stop.Store(true)
-	for p := range t.wake {
-		select {
-		case t.wake[p] <- struct{}{}:
-		default:
+	// Every wait re-checks stop (servers, Client.Close) or closed (scans).
+	for _, ps := range [][]parker{t.servers, t.clients} {
+		for i := range ps {
+			ps[i].kick()
 		}
+	}
+	for p := range t.scans {
+		t.scans[p].waiter.kick()
 	}
 	t.wg.Wait()
 }
 
 // kick wakes the server goroutine currently owning partition p. Clients
-// call it after publishing requests; the parked flag makes the common
-// (running) case a single atomic load.
+// call it after publishing requests.
 func (t *Table) kick(p int) {
-	t.kickServer(int(t.owner[p].Load()))
-}
-
-// kickServer wakes server goroutine id if it is parked.
-func (t *Table) kickServer(id int) {
-	if t.parked[id].Load() {
-		select {
-		case t.wake[id] <- struct{}{}:
-		default:
-		}
-	}
+	t.servers[t.owner[p].Load()].kick()
 }
 
 // SetActiveServers consolidates all partitions onto the first n server
@@ -352,21 +382,12 @@ func (t *Table) SetActiveServers(n int) error {
 	for p := 0; p < t.cfg.Partitions; p++ {
 		t.target[p].Store(int32(p % n))
 	}
-	// Wake everyone: old owners must run to hand partitions off, new
-	// owners must start polling.
-	for id := range t.wake {
-		t.kickServerAlways(id)
+	// Old owners must run to hand partitions off (anyWork sees the new
+	// target); each kicks the new owner as it does.
+	for id := range t.servers {
+		t.servers[id].kick()
 	}
 	return nil
-}
-
-// kickServerAlways queues a wake token regardless of the parked flag (used
-// by reassignment and shutdown, where missing a parked server would stall).
-func (t *Table) kickServerAlways(id int) {
-	select {
-	case t.wake[id] <- struct{}{}:
-	default:
-	}
 }
 
 // ActiveServers returns how many server goroutines currently own at least
@@ -386,8 +407,10 @@ func (t *Table) Stats() Stats {
 	for _, p := range t.parts {
 		out.Add(p.Stats())
 	}
-	out.Messages = t.messages.Load()
-	out.IdleSweeps = t.idleSweeps.Load()
+	for i := range t.stats {
+		out.Messages += t.stats[i].messages.Load()
+		out.IdleSweeps += t.stats[i].idleSweeps.Load()
+	}
 	return out
 }
 
@@ -453,8 +476,10 @@ func (t *Table) CheckInvariants() error {
 // executes each operation on the local partition, and pushes replies. A
 // partition whose target moved is handed off at the sweep boundary, so a
 // partition's state and rings only ever have one processing goroutine.
-// With no work for SpinBudget consecutive sweeps the server yields; after
-// parkAfterSweeps it parks until a client (or the controller) kicks it.
+// After each batch it kicks the batch's client, which may have parked
+// waiting for the replies or for ring space. With no work for
+// parkAfterSweeps consecutive sweeps it parks until a client (or the
+// controller, or Close) kicks it.
 func (t *Table) serverLoop(id int) {
 	defer t.wg.Done()
 	if t.cfg.LockOSThread {
@@ -466,8 +491,8 @@ func (t *Table) serverLoop(id int) {
 	var processed int64
 	var idleSweeps int64
 	flushStats := func() {
-		t.messages.Add(processed)
-		t.idleSweeps.Add(idleSweeps)
+		t.stats[id].messages.Add(processed)
+		t.stats[id].idleSweeps.Add(idleSweeps)
 		processed, idleSweeps = 0, 0
 	}
 	defer flushStats()
@@ -482,7 +507,7 @@ func (t *Table) serverLoop(id int) {
 				// Hand the partition off; the new owner takes over at its
 				// next sweep.
 				t.owner[p].Store(tgt)
-				t.kickServerAlways(int(tgt))
+				t.servers[tgt].kick()
 				continue
 			}
 			store := t.parts[p]
@@ -492,16 +517,24 @@ func (t *Table) serverLoop(id int) {
 				}
 				in := t.toServer[c][p]
 				out := t.fromServer[c][p]
-				n := in.ConsumeBatchAdaptive(reqs, t.cfg.BatchLowWater, adaptiveSpinBudget)
+				n := in.ConsumeBatchAdaptive(reqs, requestLineMsgs, adaptiveSpinBudget)
 				if n == 0 {
 					continue
 				}
 				work = true
 				processed += int64(n)
 				for i := 0; i < n; i++ {
-					t.execute(store, reqs[i], out)
+					if rep, ok := execute(store, reqs[i]); ok && !out.Produce(rep) {
+						// The reply ring is full mid-batch. Its client may
+						// have parked before any of it was published, so
+						// kick it before spinning on its drain.
+						out.Flush()
+						t.clients[c].kick()
+						out.ProduceSpin(rep)
+					}
 				}
 				out.Flush()
+				t.clients[c].kick()
 			}
 			// Bulk iteration rides the sweep boundary, like handoffs: the
 			// mailbox is drained only by the owner, so a plain Load guards
@@ -509,9 +542,9 @@ func (t *Table) serverLoop(id int) {
 			// a useful ordering guarantee: any Ready/Insert published to
 			// this partition's rings before the scan job was posted is
 			// applied before the scan runs.
-			if t.scans[p].Load() != nil {
-				if j := t.scans[p].Swap(nil); j != nil {
-					t.runScanJob(store, j)
+			if t.scans[p].job.Load() != nil {
+				if j := t.scans[p].job.Swap(nil); j != nil {
+					t.scans[p].run(store, j)
 					work = true
 				}
 			}
@@ -524,29 +557,14 @@ func (t *Table) serverLoop(id int) {
 		if t.stop.Load() {
 			return
 		}
-		idle++
-		if idle%t.cfg.SpinBudget == 0 {
-			flushStats()
-			runtime.Gosched()
+		if idle++; idle < parkAfterSweeps {
+			continue
 		}
-		if idle >= parkAfterSweeps {
-			idle = 0
-			t.parked[id].Store(true)
-			// Final sweep after announcing the park, so a client that
-			// flushed (or a controller that reassigned) before seeing
-			// parked=true cannot be missed.
-			if t.anyWork(id) {
-				t.parked[id].Store(false)
-				continue
-			}
-			<-t.wake[id]
-			t.parked[id].Store(false)
-			if t.stop.Load() {
-				// Drain once more so clients that published just before
-				// stop still complete, then exit via the loop's check.
-				continue
-			}
-		}
+		idle = 0
+		flushStats()
+		// After a wake-up on stop the loop sweeps once more, so requests
+		// published just before stop still complete, then exits above.
+		t.servers[id].park(func() bool { return t.stop.Load() || t.anyWork(id) })
 	}
 }
 
@@ -564,7 +582,7 @@ func (t *Table) anyWork(id int) bool {
 		if own != me {
 			continue
 		}
-		if t.scans[p].Load() != nil {
+		if t.scans[p].job.Load() != nil {
 			return true // a posted scan job awaits this owner
 		}
 		for c := 0; c < t.cfg.MaxClients; c++ {
@@ -576,10 +594,9 @@ func (t *Table) anyWork(id int) bool {
 	return false
 }
 
-// execute runs one request against the local partition. Replies use
-// ProduceSpin: the reply ring can only fill if the client stops draining,
-// and clients always poll replies while spinning, so this cannot deadlock.
-func (t *Table) execute(store *partition.Store, r request, out *ring.SPSC[reply]) {
+// execute runs one request against the local partition and returns its
+// reply, if the request has one.
+func execute(store *partition.Store, r request) (reply, bool) {
 	switch r.op() {
 	case opLookup:
 		e := store.Lookup(r.key())
@@ -593,7 +610,7 @@ func (t *Table) execute(store *partition.Store, r request, out *ring.SPSC[reply]
 			store.Decref(e)
 			ref = refInline
 		}
-		out.ProduceSpin(reply{ref: ref})
+		return reply{ref: ref}, true
 	case opInsert:
 		// A nonzero version (recovery, replica replay, slot migration) is
 		// preserved instead of assigning a fresh one.
@@ -609,7 +626,7 @@ func (t *Table) execute(store *partition.Store, r request, out *ring.SPSC[reply]
 			store.Decref(e)
 			ref = refInline
 		}
-		out.ProduceSpin(reply{ref: ref})
+		return reply{ref: ref}, true
 	case opReady:
 		// Publishing the value also releases the inserter's reference:
 		// a large insert is still exactly the paper's two messages (§6.2).
@@ -620,18 +637,18 @@ func (t *Table) execute(store *partition.Store, r request, out *ring.SPSC[reply]
 		store.Decref(store.Elem(r.ref))
 	case opDelete:
 		if store.Delete(r.key()) {
-			out.ProduceSpin(reply{ref: refDeleted})
-		} else {
-			out.ProduceSpin(reply{})
+			return reply{ref: refDeleted}, true
 		}
+		return reply{}, true
 	case opRMW:
 		// The whole read-modify-write runs here, on the partition's single
 		// owner — no other goroutine can interleave, so no locks. Results
 		// land in the client-owned descriptor before the reply is produced;
 		// the reply ring's release/acquire publishes them to the client.
 		store.RMW(r.key(), &r.o.rmw)
-		out.ProduceSpin(reply{})
+		return reply{}, true
 	case opNop:
 		// ignore; used by tests to exercise the path
 	}
+	return reply{}, false
 }

@@ -148,6 +148,11 @@ func (r *SPSC[T]) Flush() {
 	}
 }
 
+// Full reports whether Produce would fail now. Producer only.
+func (r *SPSC[T]) Full() bool {
+	return r.tmpWrite-r.read.Load() >= uint64(len(r.buf))
+}
+
 // Pending returns the number of produced-but-unpublished messages.
 func (r *SPSC[T]) Pending() int {
 	return int(r.tmpWrite - r.write.Load())
