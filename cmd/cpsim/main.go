@@ -24,8 +24,8 @@ import (
 	"os"
 
 	"cphash/internal/cachesim"
-	"cphash/internal/perf"
 	"cphash/internal/simhash"
+	"cphash/internal/sizeparse"
 	"cphash/internal/topology"
 	"cphash/internal/workload"
 )
@@ -98,7 +98,7 @@ func sweepWS(lru bool) {
 		rcp, rlh := pair(m, spec, ws, 128/sweepScale, lru)
 		cp, lh := rcp.ThroughputQPS(), rlh.ThroughputQPS()
 		fmt.Printf("%-10s %10s %16.3g %16.3g %8.2f\n",
-			perf.FormatBytes(ws), perf.FormatBytes(ws*sweepScale), cp, lh, cp/lh)
+			sizeparse.Format(ws), sizeparse.Format(ws*sweepScale), cp, lh, cp/lh)
 	}
 	fmt.Println()
 }
@@ -151,7 +151,7 @@ func fig9() {
 		spec := workload.Default(ws)
 		rcp, rlh := pair(m, spec, capacity, 128/sweepScale, true)
 		cp, lh := rcp.ThroughputQPS(), rlh.ThroughputQPS()
-		fmt.Printf("%-10s %16.3g %16.3g %8.2f\n", perf.FormatBytes(capacity), cp, lh, cp/lh)
+		fmt.Printf("%-10s %16.3g %16.3g %8.2f\n", sizeparse.Format(capacity), cp, lh, cp/lh)
 	}
 	fmt.Println()
 }

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"cphash/internal/chaos"
-	"cphash/internal/perf"
+	"cphash/internal/obs"
 )
 
 // RunConfig sizes one scenario run. Zero values take the short-mode
@@ -74,8 +74,9 @@ type Scenario struct {
 	WantPromotions int64
 }
 
-// Result is one scenario measurement — the row that lands in
-// BENCH_faults.json.
+// Result is one scenario measurement — the row cpbench -experiment
+// faults records per scenario. Latency quantiles are obs.Hist bucket
+// upper edges, at most 12.5% above the true value.
 type Result struct {
 	Scenario   string  `json:"scenario"`
 	Seed       int64   `json:"seed"`
@@ -101,7 +102,7 @@ func (r Result) TTR() time.Duration { return time.Duration(r.TTRNs) }
 type workload struct {
 	c      *Cluster
 	states []keyState
-	hists  []*perf.Histogram
+	lat    obs.Hist // every writer's op latency, ns
 
 	ops, errs atomic.Int64
 	lastErrNs atomic.Int64
@@ -119,10 +120,8 @@ func startWorkload(c *Cluster, rc RunConfig) *workload {
 	w := &workload{
 		c:      c,
 		states: make([]keyState, rc.Writers*rc.KeysPerWriter),
-		hists:  make([]*perf.Histogram, rc.Writers),
 	}
 	for i := 0; i < rc.Writers; i++ {
-		w.hists[i] = perf.NewHistogram()
 		w.wg.Add(1)
 		go w.writer(i, rc)
 	}
@@ -132,7 +131,6 @@ func startWorkload(c *Cluster, rc RunConfig) *workload {
 func (w *workload) writer(id int, rc RunConfig) {
 	defer w.wg.Done()
 	rng := rand.New(rand.NewSource(rc.Seed + int64(id)*7919))
-	h := w.hists[id]
 	for !w.stop.Load() {
 		k := uint64(id*rc.KeysPerWriter + rng.Intn(rc.KeysPerWriter))
 		st := &w.states[k]
@@ -140,7 +138,7 @@ func (w *workload) writer(id int, rc RunConfig) {
 		val := []byte(fmt.Sprintf("%d:%d", k, ver))
 		t0 := time.Now()
 		err := w.c.Client.Set(k, val)
-		h.Record(time.Since(t0).Nanoseconds())
+		w.lat.Record(time.Since(t0).Nanoseconds())
 		if err != nil {
 			w.errs.Add(1)
 			w.lastErrNs.Store(time.Now().UnixNano())
@@ -151,7 +149,7 @@ func (w *workload) writer(id int, rc RunConfig) {
 		// one-way in the CPHash protocol), so it is measured too.
 		t0 = time.Now()
 		v, found, gerr := w.c.Client.Get(k)
-		h.Record(time.Since(t0).Nanoseconds())
+		w.lat.Record(time.Since(t0).Nanoseconds())
 		if gerr != nil {
 			w.errs.Add(1)
 			w.lastErrNs.Store(time.Now().UnixNano())
@@ -273,19 +271,16 @@ func Run(sc Scenario, rc RunConfig) (Result, error) {
 	wall := time.Since(start)
 
 	lost, stale := w.verify()
-	merged := perf.NewHistogram()
-	for _, h := range w.hists {
-		merged.Merge(h)
-	}
+	lat := w.lat.Snapshot()
 	res := Result{
 		Scenario:   sc.Name,
 		Seed:       rc.Seed,
 		Ops:        w.ops.Load(),
 		Errors:     w.errs.Load(),
 		QPS:        float64(w.ops.Load()) / wall.Seconds(),
-		P50Ns:      merged.Quantile(0.50),
-		P99Ns:      merged.Quantile(0.99),
-		P999Ns:     merged.Quantile(0.999),
+		P50Ns:      lat.Quantile(0.50),
+		P99Ns:      lat.Quantile(0.99),
+		P999Ns:     lat.Quantile(0.999),
 		TTRNs:      int64(ttr),
 		Promotions: c.Promotions(),
 		Lost:       lost,

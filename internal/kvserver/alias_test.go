@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"cphash/internal/core"
@@ -138,11 +139,16 @@ func TestNoRetention_LockHashBackend(t *testing.T) {
 // per-connection arenas: pipelined windows of string-key SETs with
 // distinct payloads followed by GETs, so every window rewrites the arenas
 // the previous window decoded into. Any retention of arena bytes by the
-// batch path shows up as a corrupted read.
+// batch path shows up as a corrupted read. Each window's requests and
+// responses both exceed DefaultBufferSize, so the bufio buffers on
+// either side flush mid-window too.
 func TestArenaRecyclingWire(t *testing.T) {
+	const keys = 64
+	const windows = 50
+	const payload = DefaultBufferSize/keys + 512
 	table := core.MustNew(core.Config{
 		Partitions:    2,
-		CapacityBytes: partition.CapacityForValues(4096, 128),
+		CapacityBytes: partition.CapacityForValues(4*keys, payload),
 		MaxClients:    1,
 		Seed:          1,
 	})
@@ -150,26 +156,26 @@ func TestArenaRecyclingWire(t *testing.T) {
 	srv, err := Serve(Config{
 		Addr:       "127.0.0.1:0",
 		Workers:    1,
-		BufferSize: 8 << 10, // small buffers force mid-window flushes too
 		NewBackend: NewCPHashBackend(table),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	bw, br, closer, err := DialBuf(srv.Addr(), 8<<10)
+	bw, br, closer, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closer.Close()
 
-	const keys = 64
-	const windows = 50
+	value := func(w, k int) string {
+		v := fmt.Sprintf("window-%03d-key-%02d-payload", w, k)
+		return v + strings.Repeat(v[len(v)-16:], (payload-len(v))/16)
+	}
 	for w := 0; w < windows; w++ {
 		for k := 0; k < keys; k++ {
 			key := []byte(fmt.Sprintf("key-%02d", k))
-			val := []byte(fmt.Sprintf("window-%03d-key-%02d-payload", w, k))
-			if err := protocol.WriteRequest(bw, protocol.Request{Op: protocol.OpSetStr, StrKey: key, Value: val}); err != nil {
+			if err := protocol.WriteRequest(bw, protocol.Request{Op: protocol.OpSetStr, StrKey: key, Value: []byte(value(w, k))}); err != nil {
 				t.Fatal(err)
 			}
 			if err := protocol.WriteRequest(bw, protocol.Request{Op: protocol.OpGetStr, StrKey: key}); err != nil {
@@ -186,9 +192,8 @@ func TestArenaRecyclingWire(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := fmt.Sprintf("window-%03d-key-%02d-payload", w, k)
-			if !found || string(dst) != want {
-				t.Fatalf("window %d key %d: got %q (found=%v), want %q — arena recycling corrupted a value",
+			if want := value(w, k); !found || string(dst) != want {
+				t.Fatalf("window %d key %d: got %.40q… (found=%v), want %.40q… — arena recycling corrupted a value",
 					w, k, dst, found, want)
 			}
 		}

@@ -133,11 +133,6 @@ type Config struct {
 	MaxBatch int
 	// QueueDepth bounds queued requests per worker (default 4·MaxBatch).
 	QueueDepth int
-	// BufferSize is the per-connection bufio buffer size in bytes, applied
-	// to both the read and the write side (default 64 KiB). Larger buffers
-	// admit bigger wire batches per syscall at the cost of per-connection
-	// memory; `cpbench -experiment hotpath -bufsize` sweeps it.
-	BufferSize int
 	// NewBackend builds the per-worker backend.
 	NewBackend func(worker int) (Backend, error)
 	// Persist, when non-nil, is the durability pipeline behind the
@@ -182,7 +177,6 @@ type Server struct {
 	ln      net.Listener
 	textLn  net.Listener      // nil without Config.TextAddr
 	text    []*mctext.Metrics // one per worker
-	bufSize int
 	persist *persist.Pipeline
 	repl    *replica.Source
 	m       *obs.ServerMetrics
@@ -326,9 +320,6 @@ func Serve(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4 * cfg.MaxBatch
 	}
-	if cfg.BufferSize <= 0 {
-		cfg.BufferSize = DefaultBufferSize
-	}
 	if cfg.NewBackend == nil {
 		return nil, fmt.Errorf("kvserver: Config.NewBackend is required")
 	}
@@ -343,7 +334,7 @@ func Serve(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, bufSize: cfg.BufferSize, persist: cfg.Persist, repl: cfg.Replication, m: cfg.Metrics, conns: map[net.Conn]struct{}{}}
+	s := &Server{ln: ln, persist: cfg.Persist, repl: cfg.Replication, m: cfg.Metrics, conns: map[net.Conn]struct{}{}}
 	if cfg.TextAddr != "" {
 		if s.textLn, err = listen("tcp", cfg.TextAddr); err != nil {
 			ln.Close()
@@ -553,7 +544,7 @@ func (s *Server) leastLoadedWorker() *worker {
 // gathered by the worker into one batch — without waiting for more.
 func (s *Server) readLoop(conn net.Conn, w *worker, text bool) {
 	defer s.readers.Done()
-	cs := newConnState(conn, bufio.NewWriterSize(conn, s.bufSize), text)
+	cs := newConnState(conn, bufio.NewWriterSize(conn, DefaultBufferSize), text)
 	var dec *mctext.Decoder
 	if text {
 		dec = mctext.NewDecoder(&w.text, s.text)
@@ -575,7 +566,7 @@ func (s *Server) readLoop(conn net.Conn, w *worker, text bool) {
 		w.text.Active.Add(-1)
 		w.queue <- connReq{cs: cs, text: mctext.Reply{Close: true}}
 	}()
-	br := bufio.NewReaderSize(conn, s.bufSize)
+	br := bufio.NewReaderSize(conn, DefaultBufferSize)
 	var req protocol.Request
 	var rp mctext.Reply
 	var spare []byte // acquired arena awaiting a request that needs bytes
@@ -1244,25 +1235,13 @@ var (
 	_ BatchFencer = (*cphashBackend)(nil)
 )
 
-// DefaultBufferSize is the per-connection bufio buffer size used when
-// Config.BufferSize (server side) or DialBuf's bufSize (client side) is
-// not set.
+// DefaultBufferSize is the per-connection bufio buffer size, read and
+// write side, on the server and in Dial.
 const DefaultBufferSize = 64 << 10
 
 // Dial is a tiny client helper used by tests and examples: it connects and
-// returns request/response codecs plus a closer, with default-sized
-// buffers.
+// returns request/response codecs plus a closer.
 func Dial(addr string) (*bufio.Writer, *bufio.Reader, io.Closer, error) {
-	return DialBuf(addr, DefaultBufferSize)
-}
-
-// DialBuf is Dial with an explicit bufio size for both directions, so a
-// benchmark can sweep the client buffers in step with the server's
-// Config.BufferSize.
-func DialBuf(addr string, bufSize int) (*bufio.Writer, *bufio.Reader, io.Closer, error) {
-	if bufSize <= 0 {
-		bufSize = DefaultBufferSize
-	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, nil, nil, err
@@ -1270,7 +1249,7 @@ func DialBuf(addr string, bufSize int) (*bufio.Writer, *bufio.Reader, io.Closer,
 	if tcp, ok := conn.(*net.TCPConn); ok {
 		tcp.SetNoDelay(true)
 	}
-	return bufio.NewWriterSize(conn, bufSize), bufio.NewReaderSize(conn, bufSize), conn, nil
+	return bufio.NewWriterSize(conn, DefaultBufferSize), bufio.NewReaderSize(conn, DefaultBufferSize), conn, nil
 }
 
 // MaskKey clips a wire key into the table's 60-bit key space.

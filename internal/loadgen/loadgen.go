@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"cphash/internal/client"
-	"cphash/internal/perf"
+	"cphash/internal/obs"
 	"cphash/internal/workload"
 )
 
@@ -52,7 +52,7 @@ type Result struct {
 	BadBytes int64 // validation failures (must be 0)
 	Elapsed  time.Duration
 	// Latency is the per-window round-trip distribution in nanoseconds.
-	Latency *perf.Histogram
+	Latency obs.HistSnapshot
 	// Nodes holds per-server client-side counters, keyed by address.
 	Nodes map[string]client.Stats
 }
@@ -109,23 +109,17 @@ func Run(cfg Config) (Result, error) {
 		ops, hits, misses, bad atomic.Int64
 		wg                     sync.WaitGroup
 		firstErr               atomic.Value
-		histMu                 sync.Mutex
+		hist                   obs.Hist
 	)
-	hist := perf.NewHistogram()
 
 	start := time.Now()
 	for ci := 0; ci < cfg.Conns; ci++ {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			h, err := runConn(cli, cfg, ci, &ops, &hits, &misses, &bad)
-			if err != nil {
+			if err := runConn(cli, cfg, ci, &hist, &ops, &hits, &misses, &bad); err != nil {
 				firstErr.CompareAndSwap(nil, err)
-				return
 			}
-			histMu.Lock()
-			hist.Merge(h)
-			histMu.Unlock()
 		}(ci)
 	}
 	wg.Wait()
@@ -135,7 +129,7 @@ func Run(cfg Config) (Result, error) {
 		Misses:   misses.Load(),
 		BadBytes: bad.Load(),
 		Elapsed:  time.Since(start),
-		Latency:  hist,
+		Latency:  hist.Snapshot(),
 		Nodes:    cli.NodeStats(),
 	}
 	if err, _ := firstErr.Load().(error); err != nil {
@@ -146,8 +140,9 @@ func Run(cfg Config) (Result, error) {
 
 // runConn drives one pipelined session: windows of Pipeline requests
 // issued through the client (which routes each key to its node), then the
-// lookup futures drained and scored.
-func runConn(cli *client.Client, cfg Config, ci int, ops, hits, misses, bad *atomic.Int64) (*perf.Histogram, error) {
+// lookup futures drained and scored. Each window's round trip is recorded
+// into hist.
+func runConn(cli *client.Client, cfg Config, ci int, hist *obs.Hist, ops, hits, misses, bad *atomic.Int64) error {
 	pipe := cli.Pipeline()
 	defer pipe.Close()
 	// Each window's futures are fully scored before the next Wait, so the
@@ -159,10 +154,9 @@ func runConn(cli *client.Client, cfg Config, ci int, ops, hits, misses, bad *ato
 	spec.Seed = cfg.Spec.Seed + uint64(ci)*0x9e3779b9 + 17
 	gen, err := workload.NewGenerator(spec)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	hist := perf.NewHistogram()
 	valBuf := make([]byte, cfg.Spec.MaxValueSize())
 	type pendingLookup struct {
 		look *client.Lookup
@@ -184,18 +178,18 @@ func runConn(cli *client.Client, cfg Config, ci int, ops, hits, misses, bad *ato
 			case workload.Insert:
 				v := cfg.Spec.FillValue(key, valBuf)
 				if err := pipe.Set(key, v); err != nil {
-					return nil, fmt.Errorf("loadgen: insert: %w", err)
+					return fmt.Errorf("loadgen: insert: %w", err)
 				}
 			case workload.Lookup:
 				pending = append(pending, pendingLookup{look: pipe.Get(key), key: key})
 			}
 		}
 		if err := pipe.Wait(); err != nil {
-			return nil, fmt.Errorf("loadgen: window: %w", err)
+			return fmt.Errorf("loadgen: window: %w", err)
 		}
 		for _, p := range pending {
 			if err := p.look.Err(); err != nil {
-				return nil, fmt.Errorf("loadgen: lookup: %w", err)
+				return fmt.Errorf("loadgen: lookup: %w", err)
 			}
 			if p.look.Found() {
 				hits.Add(1)
@@ -210,5 +204,5 @@ func runConn(cli *client.Client, cfg Config, ci int, ops, hits, misses, bad *ato
 		ops.Add(int64(window))
 		remaining -= window
 	}
-	return hist, nil
+	return nil
 }

@@ -69,8 +69,12 @@ func TestRunEndToEnd(t *testing.T) {
 	if res.Hits == 0 || res.Misses == 0 {
 		t.Fatalf("degenerate hit/miss split: %d/%d", res.Hits, res.Misses)
 	}
-	if res.Latency.Count() == 0 {
-		t.Fatal("no latency samples")
+	// One sample per window: 2000 ops in windows of 16, on 3 sessions.
+	if res.Latency.Count != 3*125 {
+		t.Fatalf("latency samples = %d, want one per window (375)", res.Latency.Count)
+	}
+	if p50, p99 := res.Latency.Quantile(0.5), res.Latency.Quantile(0.99); p50 > p99 {
+		t.Fatalf("window latency p50 %d > p99 %d", p50, p99)
 	}
 	if res.Throughput() <= 0 || res.String() == "" {
 		t.Fatal("bad summary")

@@ -22,7 +22,7 @@ import (
 	"cphash/internal/client"
 	"cphash/internal/cluster"
 	"cphash/internal/mcclient"
-	"cphash/internal/perf"
+	"cphash/internal/obs"
 	"cphash/internal/workload"
 )
 
@@ -55,23 +55,17 @@ func RunMemcached(cfg Config) (Result, error) {
 		ops, hits, misses, bad atomic.Int64
 		wg                     sync.WaitGroup
 		firstErr               atomic.Value
-		histMu                 sync.Mutex
+		hist                   obs.Hist
 	)
-	hist := perf.NewHistogram()
 
 	start := time.Now()
 	for ci := 0; ci < cfg.Conns; ci++ {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			h, err := runTextConn(ring, cfg, ci, &ops, &hits, &misses, &bad)
-			if err != nil {
+			if err := runTextConn(ring, cfg, ci, &hist, &ops, &hits, &misses, &bad); err != nil {
 				firstErr.CompareAndSwap(nil, err)
-				return
 			}
-			histMu.Lock()
-			hist.Merge(h)
-			histMu.Unlock()
 		}(ci)
 	}
 	wg.Wait()
@@ -81,7 +75,7 @@ func RunMemcached(cfg Config) (Result, error) {
 		Misses:   misses.Load(),
 		BadBytes: bad.Load(),
 		Elapsed:  time.Since(start),
-		Latency:  hist,
+		Latency:  hist.Snapshot(),
 		Nodes:    map[string]client.Stats{},
 	}
 	if err, _ := firstErr.Load().(error); err != nil {
@@ -97,7 +91,7 @@ func textKey(key uint64) string {
 
 // runTextConn drives one synchronous text session: inserts as they are
 // drawn, lookups coalesced per node into one multi-key get per window.
-func runTextConn(ring *cluster.Ring, cfg Config, ci int, ops, hits, misses, bad *atomic.Int64) (*perf.Histogram, error) {
+func runTextConn(ring *cluster.Ring, cfg Config, ci int, hist *obs.Hist, ops, hits, misses, bad *atomic.Int64) error {
 	clients := map[string]*mcclient.Client{}
 	defer func() {
 		for _, c := range clients {
@@ -120,10 +114,9 @@ func runTextConn(ring *cluster.Ring, cfg Config, ci int, ops, hits, misses, bad 
 	spec.Seed = cfg.Spec.Seed + uint64(ci)*0x9e3779b9 + 17
 	gen, err := workload.NewGenerator(spec)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	hist := perf.NewHistogram()
 	valBuf := make([]byte, cfg.Spec.MaxValueSize())
 	pendingKeys := map[string][]uint64{} // addr → native keys to multi-get
 
@@ -144,11 +137,11 @@ func runTextConn(ring *cluster.Ring, cfg Config, ci int, ops, hits, misses, bad 
 			case workload.Insert:
 				c, err := clientFor(addr)
 				if err != nil {
-					return nil, fmt.Errorf("loadgen: dial %s: %w", addr, err)
+					return fmt.Errorf("loadgen: dial %s: %w", addr, err)
 				}
 				v := cfg.Spec.FillValue(key, valBuf)
 				if err := c.Set(textKey(uint64(key)), v, 0, 0); err != nil {
-					return nil, fmt.Errorf("loadgen: set: %w", err)
+					return fmt.Errorf("loadgen: set: %w", err)
 				}
 			case workload.Lookup:
 				pendingKeys[addr] = append(pendingKeys[addr], uint64(key))
@@ -163,11 +156,11 @@ func runTextConn(ring *cluster.Ring, cfg Config, ci int, ops, hits, misses, bad 
 				}
 				c, err := clientFor(addr)
 				if err != nil {
-					return nil, fmt.Errorf("loadgen: dial %s: %w", addr, err)
+					return fmt.Errorf("loadgen: dial %s: %w", addr, err)
 				}
 				got, err := c.GetMulti(names...)
 				if err != nil {
-					return nil, fmt.Errorf("loadgen: get: %w", err)
+					return fmt.Errorf("loadgen: get: %w", err)
 				}
 				for i, k := range batch {
 					item := got[names[i]]
@@ -186,5 +179,5 @@ func runTextConn(ring *cluster.Ring, cfg Config, ci int, ops, hits, misses, bad 
 		ops.Add(int64(window))
 		remaining -= window
 	}
-	return hist, nil
+	return nil
 }

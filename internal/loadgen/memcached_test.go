@@ -42,8 +42,13 @@ func TestRunMemcachedEndToEnd(t *testing.T) {
 	if res.Hits == 0 || res.Misses == 0 {
 		t.Fatalf("degenerate hit/miss split: %d/%d", res.Hits, res.Misses)
 	}
-	if res.Latency.Count() == 0 {
-		t.Fatal("no latency samples")
+	// One sample per window: 3000 ops in windows of 32 (the last holds
+	// 24), on 2 sessions.
+	if res.Latency.Count != 2*94 {
+		t.Fatalf("latency samples = %d, want one per window (188)", res.Latency.Count)
+	}
+	if p50, p99 := res.Latency.Quantile(0.5), res.Latency.Quantile(0.99); p50 > p99 {
+		t.Fatalf("window latency p50 %d > p99 %d", p50, p99)
 	}
 }
 

@@ -3,8 +3,8 @@
 // the HDR-histogram family's: values 0..7 get exact buckets, then every
 // power-of-two octave splits into 8 sub-buckets, so a bucket is never
 // wider than 12.5% of its lower edge — p99/p999 read from a scrape are
-// within that bound of the true quantile, a far tighter promise than the
-// 2× log2 buckets internal/perf trades away for simplicity.
+// within that bound of the true quantile. The server's metrics, the load
+// generator and the fault matrix all record into this one histogram.
 package obs
 
 import (

@@ -48,7 +48,8 @@ func TestHistBucketEdges(t *testing.T) {
 // TestHistQuantileProperty records random samples from several
 // distributions and asserts every reported quantile sits between the
 // exact sample quantile and the histogram's bucket-error bound above
-// it.
+// it, and that quantiles never decrease as q grows. Negative samples
+// clamp to zero.
 func TestHistQuantileProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	distributions := []struct {
@@ -65,6 +66,8 @@ func TestHistQuantileProperty(t *testing.T) {
 			return v
 		}},
 		{"tiny", func() int64 { return rng.Int63n(8) }},
+		{"uint16", func() int64 { return rng.Int63n(1 << 16) }},
+		{"negative-clamps", func() int64 { return rng.Int63n(2000) - 1000 }},
 	}
 	quantiles := []float64{0, 0.5, 0.9, 0.99, 0.999, 1}
 	for _, d := range distributions {
@@ -72,17 +75,23 @@ func TestHistQuantileProperty(t *testing.T) {
 			var h Hist
 			samples := make([]int64, 20000)
 			for i := range samples {
-				samples[i] = d.gen()
-				h.Record(samples[i])
+				v := d.gen()
+				h.Record(v)
+				samples[i] = max(v, 0)
 			}
 			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 			snap := h.Snapshot()
 			if snap.Count != int64(len(samples)) {
 				t.Fatalf("count %d, want %d", snap.Count, len(samples))
 			}
+			prev := int64(-1)
 			for _, q := range quantiles {
 				exact := samples[int64(q*float64(len(samples)-1))]
 				got := snap.Quantile(q)
+				if got < prev {
+					t.Errorf("q=%g: histogram %d below the previous quantile %d", q, got, prev)
+				}
+				prev = got
 				if got < exact {
 					t.Errorf("q=%g: histogram %d below exact %d", q, got, exact)
 				}

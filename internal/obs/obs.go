@@ -20,10 +20,10 @@ package obs
 
 import "sync/atomic"
 
-// Counter is an atomically updated event counter. Unlike perf.Counter it
-// carries no cache-line padding of its own: metric structs group many
-// counters written by one goroutine, so padding belongs at the struct
-// boundary, not between fields.
+// Counter is an atomically updated event counter. It carries no
+// cache-line padding of its own: metric structs group many counters
+// written by one goroutine, so padding belongs at the struct boundary,
+// not between fields.
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n.

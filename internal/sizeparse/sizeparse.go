@@ -1,5 +1,6 @@
 // Package sizeparse parses human-readable byte sizes ("64MiB", "100KB",
-// "4096") for the command-line tools.
+// "4096") for the command-line tools, and formats them back in the
+// paper's axis style.
 package sizeparse
 
 import (
@@ -54,11 +55,17 @@ func hasSuffixFold(s, suffix string) bool {
 	return len(s) >= len(suffix) && strings.EqualFold(s[len(s)-len(suffix):], suffix)
 }
 
-// MustParse is Parse that panics on error, for constant call sites.
-func MustParse(s string) int {
-	n, err := Parse(s)
-	if err != nil {
-		panic(err)
+// Format renders a byte count in the paper's axis style (100KB, 1MB…):
+// the largest binary unit that divides n exactly, so Parse(Format(n)) == n.
+func Format(n int) string {
+	switch {
+	case n >= 1<<30 && n%(1<<30) == 0:
+		return fmt.Sprintf("%dGB", n>>30)
+	case n >= 1<<20 && n%(1<<20) == 0:
+		return fmt.Sprintf("%dMB", n>>20)
+	case n >= 1<<10 && n%(1<<10) == 0:
+		return fmt.Sprintf("%dKB", n>>10)
+	default:
+		return fmt.Sprintf("%dB", n)
 	}
-	return n
 }

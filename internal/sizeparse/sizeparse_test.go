@@ -18,7 +18,7 @@ func TestParse(t *testing.T) {
 		" 7MiB ": 7 << 20,
 		"12 MiB": 12 << 20,
 		// Suffixes fold case: command-line flags (-capacity,
-		// -maxsegment, cpbench -bufsize) accept what humans type.
+		// -maxsegment, cploadgen -ws) accept what humans type.
 		"64kib":  64 << 10,
 		"64kb":   64 << 10,
 		"64k":    64 << 10,
@@ -43,16 +43,33 @@ func TestParse(t *testing.T) {
 	}
 }
 
-func TestMustParse(t *testing.T) {
-	if got := MustParse("64MiB"); got != 64<<20 {
-		t.Fatalf("MustParse(64MiB) = %d", got)
+func TestFormat(t *testing.T) {
+	cases := map[int]string{
+		512:       "512B",
+		100 << 10: "100KB",
+		1 << 20:   "1MB",
+		128 << 20: "128MB",
+		4 << 30:   "4GB",
+		1500:      "1500B",
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParse on garbage did not panic")
+	for in, want := range cases {
+		if got := Format(in); got != want {
+			t.Errorf("Format(%d) = %q, want %q", in, got, want)
 		}
-	}()
-	MustParse("not-a-size")
+	}
+}
+
+// TestFormatRoundTrip: every exact multiple of each unit parses back to
+// the count it was formatted from.
+func TestFormatRoundTrip(t *testing.T) {
+	for _, unit := range []int{1, 1 << 10, 1 << 20, 1 << 30} {
+		for m := 0; m <= 2048; m++ {
+			n := m * unit
+			if got, err := Parse(Format(n)); err != nil || got != n {
+				t.Fatalf("Parse(Format(%d)) = %d, %v (formatted %q)", n, got, err, Format(n))
+			}
+		}
+	}
 }
 
 func TestParseOverflow(t *testing.T) {
