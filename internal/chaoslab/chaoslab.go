@@ -5,12 +5,12 @@
 // property tests (which assert zero acked-write loss and bounded
 // recovery under the same scenarios).
 //
-// Every member is the stack cmd/cpserver builds per instance: a
-// LOCKHASH table, a durability pipeline, a replication source, and a
-// CPSERVER front end — with every dial and listen routed through one
-// Director, so rules addressed by endpoint reach the request wire, the
-// replication wire, the client pools, and the failure detector's
-// probe.
+// The cluster is the control plane cmd/cpserver ships — an
+// internal/node coordinator, its members each a LOCKHASH table, a
+// durability pipeline, a replication source and a CPSERVER front end —
+// with every dial and listen routed through one Director, so rules
+// addressed by endpoint reach the request wire, the replication wire,
+// the client pools, and the failure detector's probe.
 //
 // Endpoint names:
 //
@@ -23,31 +23,20 @@ package chaoslab
 
 import (
 	"fmt"
-	"net"
-	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cphash/internal/chaos"
 	"cphash/internal/client"
-	"cphash/internal/cluster"
-	"cphash/internal/detect"
-	"cphash/internal/kvserver"
-	"cphash/internal/lockhash"
-	"cphash/internal/partition"
+	"cphash/internal/node"
 	"cphash/internal/persist"
 	"cphash/internal/protocol"
-	"cphash/internal/rebalance"
-	"cphash/internal/replica"
 )
 
 // ClientName and DetectorName are the Director endpoint names of the
 // client SDK pools and the failure detector's probe dials.
 const (
 	ClientName   = "client"
-	DetectorName = "detector"
+	DetectorName = node.ProbeEndpoint
 )
 
 // Config parameterizes a lab cluster.
@@ -64,15 +53,15 @@ type Config struct {
 	// the hardening that turns a hung primary into failing ops instead
 	// of a hung workload.
 	OpTimeout time.Duration
-	// Detector enables the failure detector, wired the way cpserver
-	// wires it: probe through the Director's "detector" dialer, act =
-	// promote + mesh rewire.
+	// Detector enables the failure detector, probing through the
+	// Director's "detector" dialer.
 	Detector bool
 	// WitnessProbe extends the probe with cpserver's peer_up witness: a
 	// member whose outgoing replication links are still alive on some
 	// surviving source is not dead, no matter what the dial said. This
-	// is the asymmetric-partition hardening; scenarios that exercise
-	// the flap guard instead use the bare dial probe.
+	// is the asymmetric-partition hardening (cpserver always runs it);
+	// scenarios that exercise the flap guard instead use the bare dial
+	// probe, which no witness can veto.
 	WitnessProbe bool
 	// AppProbe upgrades the probe from a bare TCP dial to detect.Ping:
 	// one protocol LOOKUP round trip under ProbeTimeout. A member that
@@ -127,461 +116,95 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// Member is one replicated cluster member.
-type Member struct {
-	Addr     string // serving address (request wire)
-	ReplAddr string // replication source address
-	srv      *kvserver.Server
-	table    *lockhash.Table
-	pipe     *persist.Pipeline
-	src      *replica.Source
-	dir      string
-}
-
-// Cluster is the lab: members, mesh, client, optional detector, all
-// behind one Director.
+// Cluster is the lab: the shipping coordinator behind one Director.
 type Cluster struct {
-	cfg Config
+	*node.Coordinator
 	Dir *chaos.Director
-
-	Client *client.Client
-	Mig    *rebalance.Migrator
-	Det    *detect.Detector
-
-	members map[string]*Member
-	addrs   []string
-
-	mu    sync.Mutex
-	alive map[string]bool
-	links map[string]map[string]*replica.Follower
-	sets  map[string]map[string]protocol.SlotSet
-
-	promotions atomic.Int64
-	actErrs    atomic.Int64
 }
 
-// New boots the cluster: members, replication mesh at Depth, client,
-// and (optionally) the detector. Close tears everything down.
+// New boots the cluster — members, replication mesh at Depth, client,
+// and (optionally) the detector — and waits for the mesh to sync. Close
+// tears everything down.
 func New(cfg Config) (*Cluster, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{
-		cfg:     cfg,
-		Dir:     chaos.New(chaos.Config{Seed: cfg.Seed}),
-		members: map[string]*Member{},
-		alive:   map[string]bool{},
-		links:   map[string]map[string]*replica.Follower{},
-		sets:    map[string]map[string]protocol.SlotSet{},
+	dir := chaos.New(chaos.Config{Seed: cfg.Seed})
+	nc := node.Config{
+		Backend:    "lockhash",
+		Instances:  cfg.Nodes,
+		Capacity:   8 << 20,
+		Workers:    2,
+		Partitions: 8,
+		Addr:       "127.0.0.1:0",
+		Replicas:   cfg.Depth,
+		Persist:    persist.Config{Dir: cfg.BaseDir, Policy: persist.SyncNone},
+		Client: client.Config{
+			OpTimeout:      cfg.OpTimeout,
+			Dial:           dir.Dialer(ClientName),
+			DownBackoff:    25 * time.Millisecond,
+			DownBackoffMax: 250 * time.Millisecond,
+		},
+		AutoPromote:  cfg.Detector,
+		ProbeTimeout: cfg.ProbeTimeout,
+		AppProbe:     cfg.AppProbe,
+		WitnessProbe: cfg.WitnessProbe,
+		Chaos:        dir,
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		m, err := c.startMember(filepath.Join(cfg.BaseDir, fmt.Sprintf("node-%d", i)))
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.members[m.Addr] = m
-		c.addrs = append(c.addrs, m.Addr)
-		c.alive[m.Addr] = true
-	}
-	cl, err := client.New(client.Config{
-		Nodes:          c.addrs,
-		OpTimeout:      cfg.OpTimeout,
-		Dial:           c.Dir.Dialer(ClientName),
-		DownBackoff:    25 * time.Millisecond,
-		DownBackoffMax: 250 * time.Millisecond,
-		ReplicaDepth:   cfg.Depth,
-	})
+	nc.Source.Heartbeat = 10 * time.Millisecond
+	nc.Source.WriteTimeout = 750 * time.Millisecond
+	nc.Source.HandshakeTimeout = time.Second
+	nc.Follower.Backoff = 20 * time.Millisecond
+	nc.Follower.DialTimeout = 200 * time.Millisecond
+	nc.Follower.ReadTimeout = 2 * time.Second
+	nc.Detect.Interval = cfg.Interval
+	nc.Detect.DownAfter = cfg.DownAfter
+	nc.Detect.Cooldown = cfg.Cooldown
+	nc.Detect.FlapWindow = cfg.FlapWindow
+	nc.Detect.FlapMax = cfg.FlapMax
+	coord, err := node.New(nc)
 	if err != nil {
-		c.Close()
 		return nil, err
 	}
-	c.Client = cl
-	c.Mig = rebalance.New(cl, rebalance.Config{})
-	c.Rewire()
+	c := &Cluster{Coordinator: coord, Dir: dir}
 	if err := c.WaitSynced(10 * time.Second); err != nil {
 		c.Close()
 		return nil, err
 	}
-	if cfg.Detector {
-		det, err := detect.New(detect.Config{
-			Probe:      c.Probe,
-			Act:        c.autoPromote,
-			Interval:   cfg.Interval,
-			DownAfter:  cfg.DownAfter,
-			Cooldown:   cfg.Cooldown,
-			FlapWindow: cfg.FlapWindow,
-			FlapMax:    cfg.FlapMax,
-		})
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		det.SetTargets(c.addrs)
-		det.Start()
-		c.Det = det
-	}
 	return c, nil
-}
-
-// startMember assembles one member stack with every listener routed
-// through the Director.
-func (c *Cluster) startMember(dir string) (*Member, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	pipe, err := persist.Open(persist.Config{Dir: dir, Policy: persist.SyncNone, Streams: 2})
-	if err != nil {
-		return nil, err
-	}
-	table, err := lockhash.New(lockhash.Config{
-		Partitions:    8,
-		CapacityBytes: 8 << 20,
-		Sink:          func(i int) partition.ChangeSink { return pipe.Appender(i) },
-	})
-	if err != nil {
-		pipe.Close()
-		return nil, err
-	}
-	pipe.SetSource(persist.LockHashSource(table))
-	if _, err := persist.RestoreLockHash(pipe, table); err != nil {
-		pipe.Close()
-		return nil, err
-	}
-	if err := pipe.Start(); err != nil {
-		pipe.Close()
-		return nil, err
-	}
-	src, err := replica.NewSource(replica.SourceConfig{
-		Pipe:             pipe,
-		Addr:             "127.0.0.1:0",
-		Heartbeat:        10 * time.Millisecond,
-		WriteTimeout:     750 * time.Millisecond,
-		HandshakeTimeout: time.Second,
-		Listen:           c.Dir.Listen(""),
-	})
-	if err != nil {
-		pipe.Close()
-		return nil, err
-	}
-	srv, err := kvserver.Serve(kvserver.Config{
-		Addr:        "127.0.0.1:0",
-		Workers:     2,
-		NewBackend:  kvserver.NewLockHashBackend(table),
-		Persist:     pipe,
-		Replication: src,
-		Listen:      c.Dir.Listen(""),
-	})
-	if err != nil {
-		src.Close()
-		pipe.Close()
-		return nil, err
-	}
-	return &Member{
-		Addr:     srv.Addr(),
-		ReplAddr: src.Addr(),
-		srv:      srv,
-		table:    table,
-		pipe:     pipe,
-		src:      src,
-		dir:      dir,
-	}, nil
-}
-
-// Addrs returns the members' serving addresses in start order.
-func (c *Cluster) Addrs() []string { return append([]string(nil), c.addrs...) }
-
-// Member returns the member serving at addr (nil if unknown).
-func (c *Cluster) Member(addr string) *Member { return c.members[addr] }
-
-// ReplAddr maps a serving address to its replication listener address.
-func (c *Cluster) ReplAddr(addr string) string {
-	if m := c.members[addr]; m != nil {
-		return m.ReplAddr
-	}
-	return ""
-}
-
-// Promotions returns how many automatic failovers have completed.
-func (c *Cluster) Promotions() int64 { return c.promotions.Load() }
-
-// Probe is the cpserver-style health probe, dialed through the
-// Director's "detector" endpoint so one-way partitions reach it. With
-// AppProbe the dial is upgraded to a protocol-level ping; with
-// WitnessProbe, a live outgoing replication link on any surviving
-// source vouches for a member whose dial failed. A member that dialed
-// but did not answer the ping is down regardless of the witness.
-func (c *Cluster) Probe(addr string) bool {
-	dial := c.Dir.Dialer(DetectorName)
-	if c.cfg.AppProbe {
-		switch detect.Ping(detect.DialFunc(dial), addr, c.cfg.ProbeTimeout) {
-		case detect.PingOK:
-			return true
-		case detect.PingNoReply:
-			return false // accepting but not serving: definitively down
-		}
-		// PingNoDial falls through to the witness below.
-	} else {
-		conn, err := dial("tcp", addr, c.cfg.ProbeTimeout)
-		if err == nil {
-			conn.Close()
-			return true
-		}
-	}
-	if !c.cfg.WitnessProbe {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for a, m := range c.members {
-		if a == addr || !c.alive[a] {
-			continue
-		}
-		for _, p := range m.src.Peers() {
-			if p.Name == addr && p.Up {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// autoPromote is the detector's Act: the cpserver promote path — fence
-// the victim, drain the new owner's link from the corpse, flip
-// ownership, rewire.
-func (c *Cluster) autoPromote(victim string) error {
-	// Fence first, the way cpserver's promote closes the target
-	// instance: a hung-but-alive member must stop serving and drop its
-	// replication source before ownership flips, or the confirm below
-	// would wait out a link the wedged member keeps heartbeating.
-	// Kill is a no-op for a member that is already dead (kill-recover).
-	c.Kill(victim)
-	confirm := func(newOwner string, slots []int) error {
-		f := c.takeLink(newOwner, victim)
-		if f == nil {
-			return fmt.Errorf("no replication link %s <- %s", newOwner, victim)
-		}
-		defer f.Close()
-		if !f.WaitDisconnected(10 * time.Second) {
-			return fmt.Errorf("link %s <- %s did not drain", newOwner, victim)
-		}
-		return nil
-	}
-	if err := c.Mig.Promote(victim, confirm); err != nil {
-		c.actErrs.Add(1)
-		return err
-	}
-	c.mu.Lock()
-	c.alive[victim] = false
-	c.mu.Unlock()
-	c.Rewire()
-	c.promotions.Add(1)
-	return nil
-}
-
-// Kill stops a member the way cpserver's /kill drill does: its own
-// follower links come down first, then the graceful close (fence,
-// barrier, drain the source to its synced followers).
-func (c *Cluster) Kill(addr string) {
-	c.mu.Lock()
-	byOwner := c.links[addr]
-	delete(c.links, addr)
-	delete(c.sets, addr)
-	c.mu.Unlock()
-	for _, f := range byOwner {
-		f.Close()
-	}
-	if m := c.members[addr]; m != nil {
-		m.srv.Close()
-	}
-}
-
-// takeLink removes and returns the link follower <- owner (nil when
-// absent).
-func (c *Cluster) takeLink(follower, owner string) *replica.Follower {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	byOwner := c.links[follower]
-	f := byOwner[owner]
-	delete(byOwner, owner)
-	if s := c.sets[follower]; s != nil {
-		delete(s, owner)
-	}
-	return f
-}
-
-// Rewire reconciles the replication mesh against the client's ring:
-// every slot's owner feeds ranks 1..Depth-1, links whose slot sets are
-// unchanged keep their warm sessions.
-func (c *Cluster) Rewire() {
-	ring := c.Client.Ring()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	want := map[string]map[string]*protocol.SlotSet{}
-	for s := 0; s < protocol.SlotCount; s++ {
-		owner := ring.Owner(s)
-		if !c.alive[owner] {
-			continue
-		}
-		for _, standby := range ring.Replicas(s, c.cfg.Depth) {
-			if standby == owner || !c.alive[standby] {
-				continue
-			}
-			byOwner := want[standby]
-			if byOwner == nil {
-				byOwner = map[string]*protocol.SlotSet{}
-				want[standby] = byOwner
-			}
-			set := byOwner[owner]
-			if set == nil {
-				set = &protocol.SlotSet{}
-				byOwner[owner] = set
-			}
-			set.Add(s)
-		}
-	}
-	for follower, byOwner := range c.links {
-		for owner, f := range byOwner {
-			var w *protocol.SlotSet
-			if m := want[follower]; m != nil {
-				w = m[owner]
-			}
-			if w != nil && *w == c.sets[follower][owner] {
-				continue
-			}
-			f.Close()
-			delete(byOwner, owner)
-			delete(c.sets[follower], owner)
-		}
-	}
-	for follower, byOwner := range want {
-		for owner, set := range byOwner {
-			if c.links[follower][owner] != nil {
-				continue
-			}
-			f, err := replica.StartFollower(replica.FollowerConfig{
-				Source:      c.members[owner].src.Addr(),
-				Name:        follower,
-				Slots:       set,
-				Apply:       replica.NewLockHashApplier(c.members[follower].table),
-				Backoff:     20 * time.Millisecond,
-				DialTimeout: 200 * time.Millisecond,
-				ReadTimeout: 2 * time.Second,
-				Dial:        c.Dir.Dialer(follower),
-			})
-			if err != nil {
-				continue
-			}
-			if c.links[follower] == nil {
-				c.links[follower] = map[string]*replica.Follower{}
-				c.sets[follower] = map[string]protocol.SlotSet{}
-			}
-			c.links[follower][owner] = f
-			c.sets[follower][owner] = *set
-		}
-	}
 }
 
 // WaitSynced blocks until every live source reports all its peers
 // synced with the tail acknowledged (the steady replication state).
 func (c *Cluster) WaitSynced(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for {
-		if c.synced() {
-			return nil
-		}
+	for !c.Synced() {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("chaoslab: mesh did not sync within %v", timeout)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	return nil
 }
-
-func (c *Cluster) synced() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	liveFollowers := 0
-	for f, byOwner := range c.links {
-		if c.alive[f] {
-			liveFollowers += len(byOwner)
-		}
-	}
-	total := 0
-	for addr, m := range c.members {
-		if !c.alive[addr] {
-			continue
-		}
-		tail := m.src.Tail()
-		for _, ps := range m.src.Status() {
-			if !ps.Synced || ps.Acked < tail {
-				return false
-			}
-			total++
-		}
-	}
-	return total >= liveFollowers
-}
-
-// Alive reports whether addr has not been killed or promoted away.
-func (c *Cluster) Alive(addr string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.alive[addr]
-}
-
-// OwnerOf returns the current ring owner of slot.
-func (c *Cluster) OwnerOf(slot int) string { return c.Client.Ring().Owner(slot) }
 
 // VictimFor picks the owner of slot 0 — a member that certainly owns
 // slots, so killing or faulting it is never a no-op.
-func (c *Cluster) VictimFor() string { return c.OwnerOf(0) }
+func (c *Cluster) VictimFor() string { return c.Client().Ring().Owner(0) }
 
 // StandbyOf returns the rank-1 standby of the first slot addr owns.
 func (c *Cluster) StandbyOf(addr string) string {
-	ring := c.Client.Ring()
+	ring := c.Client().Ring()
 	for s := 0; s < protocol.SlotCount; s++ {
-		if ring.Owner(s) != addr {
-			continue
-		}
-		reps := ring.Replicas(s, c.cfg.Depth)
-		for _, r := range reps {
-			if r != addr {
-				return r
-			}
+		if ring.Owner(s) == addr {
+			return ring.Standby(s)
 		}
 	}
 	return ""
 }
 
-// Close tears the lab down: detector, client, links, members.
+// Close lifts every fault rule, then stops the coordinator and its
+// members.
 func (c *Cluster) Close() {
-	if c.Det != nil {
-		c.Det.Close()
-	}
 	c.Dir.Clear()
-	if c.Client != nil {
-		c.Client.Close()
-	}
-	c.mu.Lock()
-	links := c.links
-	c.links = map[string]map[string]*replica.Follower{}
-	c.mu.Unlock()
-	for _, byOwner := range links {
-		for _, f := range byOwner {
-			f.Close()
-		}
-	}
-	for addr, m := range c.members {
-		c.mu.Lock()
-		wasAlive := c.alive[addr]
-		c.mu.Unlock()
-		if wasAlive {
-			m.srv.Close()
-		}
-	}
+	c.Coordinator.Close()
 }
-
-// SlotOf exposes the cluster's key → slot mapping for scenario code.
-func SlotOf(key uint64) int { return cluster.SlotOf(key) }
-
-var _ net.Conn = (net.Conn)(nil)

@@ -100,10 +100,10 @@ func TestAsymmetricPartitionNoPrematureFailover(t *testing.T) {
 	if n := c.Promotions(); n != 0 {
 		t.Fatalf("asymmetric partition triggered %d premature promotions", n)
 	}
-	if !c.Client.Ring().Contains(victim) {
+	if !c.Client().Ring().Contains(victim) {
 		t.Fatal("victim fell out of the ring during a one-way partition")
 	}
-	for _, ts := range c.Det.Status() {
+	for _, ts := range c.Detector().Status() {
 		if ts.Target == victim && !ts.Up {
 			t.Fatalf("witness failed to vouch for the reachable primary: %+v", ts)
 		}
@@ -165,7 +165,7 @@ func TestFlapGuardSuppressesPromotion(t *testing.T) {
 		t.Fatalf("flapping probe path triggered %d promotions", n)
 	}
 	var saw bool
-	for _, ts := range c.Det.Status() {
+	for _, ts := range c.Detector().Status() {
 		if ts.Target != victim {
 			continue
 		}
@@ -178,7 +178,7 @@ func TestFlapGuardSuppressesPromotion(t *testing.T) {
 		}
 	}
 	if !saw {
-		t.Fatalf("victim missing from detector status: %+v", c.Det.Status())
+		t.Fatalf("victim missing from detector status: %+v", c.Detector().Status())
 	}
 	if errs := w.errs.Load(); errs != 0 {
 		t.Fatalf("detector-only flap leaked %d errors to clients", errs)

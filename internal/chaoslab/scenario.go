@@ -137,7 +137,7 @@ func (w *workload) writer(id int, rc RunConfig) {
 		ver := st.attempted.Add(1)
 		val := []byte(fmt.Sprintf("%d:%d", k, ver))
 		t0 := time.Now()
-		err := w.c.Client.Set(k, val)
+		err := w.c.Client().Set(k, val)
 		w.lat.Record(time.Since(t0).Nanoseconds())
 		if err != nil {
 			w.errs.Add(1)
@@ -148,7 +148,7 @@ func (w *workload) writer(id int, rc RunConfig) {
 		// The read-back is where synchronous latency lives (SETs are
 		// one-way in the CPHash protocol), so it is measured too.
 		t0 = time.Now()
-		v, found, gerr := w.c.Client.Get(k)
+		v, found, gerr := w.c.Client().Get(k)
 		w.lat.Record(time.Since(t0).Nanoseconds())
 		if gerr != nil {
 			w.errs.Add(1)
@@ -191,7 +191,7 @@ func (w *workload) verify() (lost, stale int) {
 			err   error
 		)
 		for attempt := 0; attempt < 40; attempt++ {
-			v, found, err = w.c.Client.Get(uint64(k))
+			v, found, err = w.c.Client().Get(uint64(k))
 			if err == nil {
 				break
 			}
@@ -310,8 +310,7 @@ func Scenarios() []Scenario {
 				cfg.WitnessProbe = true
 			},
 			Inject: func(c *Cluster, victim string, _ time.Duration) error {
-				c.Kill(victim)
-				return nil
+				return c.Kill(victim)
 			},
 			Signal:         SignalClient,
 			WantPromotions: 1,

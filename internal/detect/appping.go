@@ -71,11 +71,3 @@ func Ping(dial DialFunc, target string, timeout time.Duration) PingResult {
 	}
 	return PingOK
 }
-
-// PingProbe adapts Ping to Config.Probe for callers with no secondary
-// witness: any non-OK outcome is down.
-func PingProbe(dial DialFunc, timeout time.Duration) func(target string) bool {
-	return func(target string) bool {
-		return Ping(dial, target, timeout) == PingOK
-	}
-}

@@ -59,8 +59,4 @@ func TestPingOutcomes(t *testing.T) {
 	if got := Ping(nil, dead, 100*time.Millisecond); got != PingNoDial {
 		t.Fatalf("ping of a closed port = %v, want PingNoDial", got)
 	}
-
-	if probe := PingProbe(nil, time.Second); !probe(srv.Addr()) || probe(dead) {
-		t.Fatal("PingProbe disagrees with Ping")
-	}
 }

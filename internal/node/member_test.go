@@ -1,4 +1,4 @@
-package main
+package node
 
 import (
 	"bytes"
@@ -13,15 +13,22 @@ import (
 	"cphash/internal/mcclient"
 	"cphash/internal/obs"
 	"cphash/internal/partition"
+	"cphash/internal/persist"
 	"cphash/internal/protocol"
 )
 
-// setBackend points the -backend flag at name for the rest of the test.
-func setBackend(t *testing.T, name string) {
-	t.Helper()
-	old := *backend
-	*backend = name
-	t.Cleanup(func() { *backend = old })
+// memberConfig is a one-member configuration of the given backend.
+func memberConfig(backend, dir string) Config {
+	return Config{
+		Backend:  backend,
+		Capacity: 1 << 20,
+		Workers:  2,
+		Eviction: partition.EvictLRU,
+		Addr:     "127.0.0.1:0",
+		TextAddr: "127.0.0.1:0",
+		Replicas: 1,
+		Persist:  persist.Config{Dir: dir},
+	}
 }
 
 // nativeGet reads one numeric key over the instance's native listener,
@@ -49,7 +56,7 @@ var familyLine = regexp.MustCompile(`(?m)^# TYPE (\S+) `)
 
 // metricFamilies lists the Prometheus family names an instance's collect
 // hook emits, sorted.
-func metricFamilies(in *instance) []string {
+func metricFamilies(in *Member) []string {
 	e := obs.NewExpo()
 	in.collect(e, `{instance="x"}`)
 	var buf bytes.Buffer
@@ -62,7 +69,7 @@ func metricFamilies(in *instance) []string {
 	return names
 }
 
-// TestStartInstanceEveryBackend: all three -backend values run the same
+// TestStartInstanceEveryBackend: all three backends run the same
 // server, so each one serves native and memcached text traffic, persists
 // to -datadir and comes back warm, and exposes the same /stats keys and
 // /metrics families — the memcache baseline being LOCKHASH with one
@@ -71,20 +78,19 @@ func TestStartInstanceEveryBackend(t *testing.T) {
 	families := map[string][]string{}
 	for _, be := range []string{"cphash", "lockhash", "memcache"} {
 		t.Run(be, func(t *testing.T) {
-			setBackend(t, be)
-			dir := t.TempDir()
-			in, err := startInstance("127.0.0.1:0", "127.0.0.1:0", dir, 1<<20, partition.EvictLRU)
+			cfg := memberConfig(be, t.TempDir())
+			in, err := startMember(&cfg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer func() { in.close() }()
 
-			if v, ok := nativeGet(t, in.addr, 7, []byte("seven")); !ok || v != "seven" {
+			if v, ok := nativeGet(t, in.Addr, 7, []byte("seven")); !ok || v != "seven" {
 				t.Fatalf("native GET = %q, %v", v, ok)
 			}
-			mc, err := mcclient.Dial(in.mcAddr, time.Second)
+			mc, err := mcclient.Dial(in.TextAddr, time.Second)
 			if err != nil {
-				t.Fatalf("text listener %q: %v", in.mcAddr, err)
+				t.Fatalf("text listener %q: %v", in.TextAddr, err)
 			}
 			if err := mc.Set("counter", []byte("41"), 0, 0); err != nil {
 				t.Fatal(err)
@@ -109,13 +115,13 @@ func TestStartInstanceEveryBackend(t *testing.T) {
 			// both keys again.
 			in.close()
 			in.close() // idempotent
-			if in, err = startInstance("127.0.0.1:0", "127.0.0.1:0", dir, 1<<20, partition.EvictLRU); err != nil {
+			if in, err = startMember(&cfg, 0); err != nil {
 				t.Fatal(err)
 			}
-			if v, ok := nativeGet(t, in.addr, 7, nil); !ok || v != "seven" {
+			if v, ok := nativeGet(t, in.Addr, 7, nil); !ok || v != "seven" {
 				t.Fatalf("native GET after restart = %q, %v", v, ok)
 			}
-			if mc, err = mcclient.Dial(in.mcAddr, time.Second); err != nil {
+			if mc, err = mcclient.Dial(in.TextAddr, time.Second); err != nil {
 				t.Fatal(err)
 			}
 			defer mc.Close()
@@ -142,19 +148,18 @@ func TestStartInstanceEveryBackend(t *testing.T) {
 // single lock, so a -partitions that asks for more fails at startup
 // instead of being silently overridden.
 func TestMemcacheBackendRejectsPartitions(t *testing.T) {
-	setBackend(t, "memcache")
-	old := *partitions
-	defer func() { *partitions = old }()
+	cfg := memberConfig("memcache", "")
+	cfg.TextAddr = ""
 	for _, n := range []int{0, 1} {
-		*partitions = n
-		in, err := startInstance("127.0.0.1:0", "", "", 1<<20, partition.EvictLRU)
+		cfg.Partitions = n
+		in, err := startMember(&cfg, 0)
 		if err != nil {
 			t.Fatalf("-partitions %d: %v", n, err)
 		}
 		in.close()
 	}
-	*partitions = 4
-	in, err := startInstance("127.0.0.1:0", "", "", 1<<20, partition.EvictLRU)
+	cfg.Partitions = 4
+	in, err := startMember(&cfg, 0)
 	if err == nil {
 		in.close()
 		t.Fatal("memcache backend accepted -partitions 4")
