@@ -102,8 +102,8 @@ type hotPathConn struct {
 // rooted there. With followers > 0, a replication source streams the
 // pipeline's tail to that many in-process followers, each applying into
 // its own table — the full primary-side replication overhead (backlog
-// append, per-peer frame compression, ack reads) plus the followers'
-// apply loops, all inside this process so the allocation gate sees every
+// append, per-peer frame copies, ack reads) plus the followers' CRC
+// checks and apply loops, all inside this process so the allocation gate sees every
 // side of a depth-(followers+1) chain. With a chaos director the server
 // listener and the client connection both run through the fault-injection
 // wrappers (the -chaos deployment shape), which must stay free when no
@@ -309,8 +309,8 @@ func BenchmarkHotPath_WireGetSetPersist(b *testing.B) {
 // BenchmarkHotPath_WireGetSetReplicated adds two live in-process
 // followers on top of the persisted configuration (a -replicas 3 chain's
 // primary side), so the replication overhead — backlog staging on the
-// persister, per-peer frame compression and socket writes on the
-// senders, decompression and applies on the followers — shows up in the
+// persister, per-peer frame copies and socket writes on the senders,
+// CRC checks and applies on the followers — shows up in the
 // benchmark trajectory next to the bare and persist numbers.
 func BenchmarkHotPath_WireGetSetReplicated(b *testing.B) {
 	pw, stop := startHotPathServer(b, b.TempDir(), 2, nil, false)

@@ -52,7 +52,6 @@
 package persist
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -594,12 +593,12 @@ func (p *Pipeline) snapshotLoop() {
 
 // --- Appender: the per-partition change sink ---
 
-// recHeaderLen is the staged payload header: op(1) key(8) expire(8)
+// recHeaderLen is a frame payload's header: op(1) key(8) expire(8)
 // ver(8). The version rides every record so recovery and replica replay
 // restore entries under the CAS version they were stored with.
 const recHeaderLen = 25
 
-// maxPooledRec caps the payload size served from the appender's
+// maxPooledRec caps the staged frame size served from the appender's
 // recycled buffer pool; larger records (rare huge values) take a one-off
 // allocation instead of pinning big buffers in every pool slot.
 const maxPooledRec = 4 << 10
@@ -633,25 +632,21 @@ func (a *Appender) Partition() int { return a.part }
 
 // Set stages a set record (value bytes are copied before return).
 func (a *Appender) Set(key partition.Key, value []byte, expireAt int64, version uint64) {
-	a.append(opSet, key, expireAt, version, value)
+	a.append(OpSet, key, expireAt, version, value)
 }
 
 // Delete stages a delete record.
 func (a *Appender) Delete(key partition.Key) {
-	a.append(opDelete, key, 0, 0, nil)
+	a.append(OpDelete, key, 0, 0, nil)
 }
 
-func (a *Appender) append(op byte, key uint64, expireAt int64, version uint64, value []byte) {
+func (a *Appender) append(op Op, key uint64, expireAt int64, version uint64, value []byte) {
 	if !a.p.accepting.Load() {
 		a.p.dropped.Add(1)
 		return
 	}
-	b := a.getBuf(recHeaderLen + len(value))
-	b = append(b, op)
-	b = binary.LittleEndian.AppendUint64(b, key)
-	b = binary.LittleEndian.AppendUint64(b, uint64(expireAt))
-	b = binary.LittleEndian.AppendUint64(b, version)
-	b = append(b, value...)
+	b := a.getBuf(frameHeaderLen + recHeaderLen + len(value))
+	b = appendUnsealed(b, op, key, expireAt, version, value)
 	a.seq++
 	// Publish, spinning if the persister is behind — durability must not
 	// drop records, so a full ring is backpressure, not loss. (The ring

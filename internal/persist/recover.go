@@ -15,9 +15,9 @@ type Op byte
 const (
 	// OpSet carries a key, value and absolute expiry deadline (0 =
 	// never) on the pipeline's clock.
-	OpSet = Op(opSet)
+	OpSet = Op(1)
 	// OpDelete carries only the key.
-	OpDelete = Op(opDelete)
+	OpDelete = Op(2)
 )
 
 // RecoverStats describes what a Recover pass found and applied.
@@ -110,12 +110,12 @@ func (p *Pipeline) Recover(apply func(op Op, key uint64, expireAt int64, ver uin
 			}
 		}
 		now := p.cfg.Clock()
-		n, torn, err := replaySegment(seg.path, func(op byte, key uint64, exp int64, ver uint64, val []byte) error {
-			if op == opSet && exp != 0 && exp <= now {
+		n, torn, err := replaySegment(seg.path, func(r Record) error {
+			if r.Op == OpSet && r.ExpireAt != 0 && r.ExpireAt <= now {
 				st.SkippedExpired++
-				return apply(OpDelete, key, 0, 0, nil)
+				return apply(OpDelete, r.Key, 0, 0, nil)
 			}
-			return apply(Op(op), key, exp, ver, val)
+			return apply(r.Op, r.Key, r.ExpireAt, r.Ver, r.Value)
 		})
 		st.WALRecords += int64(n)
 		st.WALSegments++

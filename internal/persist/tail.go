@@ -18,13 +18,14 @@ import (
 // TailSink observes every WAL record at the moment the persister writes
 // it to the segment writer. TailRecord is called on the persister
 // goroutines (one per stream, so calls may be concurrent across streams
-// but are ordered per stream, and therefore per key); the payload — the
-// staged op(1)|key(8 LE)|expireAt(8 LE)|ver(8 LE)|value frame — is only valid for
-// the duration of the call, as its buffer is recycled. Implementations
-// must copy what they keep and must not block: they sit on the
-// durability hot path.
+// but are ordered per stream, and therefore per key). frame is the
+// record exactly as the segment receives it: the length and CRC header
+// the persister has just computed, then the payload (see DecodeFrames).
+// It is only valid for the duration of the call, as its buffer is
+// recycled. Implementations must copy what they keep and must not
+// block: they sit on the durability hot path.
 type TailSink interface {
-	TailRecord(payload []byte)
+	TailRecord(frame []byte)
 }
 
 // SetTailSink attaches (or, with nil, detaches) the WAL tail fanout.
@@ -136,11 +137,11 @@ func (p *Pipeline) replayDurableOnce(before map[int]uint64, apply func(op Op, ke
 			}
 		}
 		now := p.cfg.Clock()
-		n, _, err := replaySegment(seg.path, func(op byte, key uint64, exp int64, ver uint64, val []byte) error {
-			if op == opSet && exp != 0 && exp <= now {
-				return apply(OpDelete, key, 0, 0, nil)
+		n, _, err := replaySegment(seg.path, func(r Record) error {
+			if r.Op == OpSet && r.ExpireAt != 0 && r.ExpireAt <= now {
+				return apply(OpDelete, r.Key, 0, 0, nil)
 			}
-			return apply(Op(op), key, exp, ver, val)
+			return apply(r.Op, r.Key, r.ExpireAt, r.Ver, r.Value)
 		})
 		records += int64(n)
 		if err != nil {

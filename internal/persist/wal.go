@@ -3,6 +3,7 @@ package persist
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -26,15 +27,17 @@ import (
 // the end of that segment's valid prefix (a torn final write), never a
 // gap with valid data after it. ops: 1 = set, 2 = delete. CPWAL002 added
 // the per-record CAS version; CPWAL001 segments are not readable.
+//
+// The frame is the only record format in the tree: appenders stage it,
+// the persister seals and writes it, the replication tail ships it
+// unchanged, and WAL replay and the replication follower both read it
+// back through decodeFrame (the follower by way of DecodeFrames).
 const (
 	walMagic  = "CPWAL002"
 	walSuffix = ".wal"
 
 	segHeaderLen   = 8 + 4 + 8
 	frameHeaderLen = 4 + 4
-
-	opSet    = byte(1)
-	opDelete = byte(2)
 
 	// maxRecordLen rejects absurd frame lengths during replay before
 	// allocating (a corrupt length field must not OOM recovery).
@@ -58,9 +61,8 @@ type stream struct {
 	apps atomic.Pointer[[]*Appender]
 
 	// persister-owned segment state
-	f      *os.File
-	bw     *bufio.Writer
-	crcBuf [frameHeaderLen]byte
+	f  *os.File
+	bw *bufio.Writer
 
 	// observable from other goroutines
 	seq     atomic.Uint64
@@ -183,20 +185,6 @@ func (s *stream) seal() error {
 	return nil
 }
 
-// writeRecord frames one staged payload into the segment writer,
-// returning the framed length (stats are batched by drain).
-func (s *stream) writeRecord(payload []byte) (int, error) {
-	binary.LittleEndian.PutUint32(s.crcBuf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(s.crcBuf[4:8], crc32.Checksum(payload, castagnoli))
-	if _, err := s.bw.Write(s.crcBuf[:]); err != nil {
-		return 0, err
-	}
-	if _, err := s.bw.Write(payload); err != nil {
-		return 0, err
-	}
-	return frameHeaderLen + len(payload), nil
-}
-
 // drain consumes every staged record from the stream's appenders and
 // writes it to the segment, rolling to a fresh segment whenever the
 // current one reaches the configured size (the bound holds even when a
@@ -227,7 +215,10 @@ func (s *stream) drain() (int, error) {
 			if !ok {
 				break
 			}
-			w, err := s.writeRecord(b)
+			// The appender staged the frame with its header zeroed; the
+			// CRC is computed here, off the partition owner's goroutine.
+			sealFrame(b)
+			w, err := s.bw.Write(b)
 			if err == nil && sink != nil {
 				sink.TailRecord(b)
 			}
@@ -491,12 +482,106 @@ func (s *stream) roll() (uint64, error) {
 	}
 }
 
+// --- the frame codec ---
+
+// Record is one decoded WAL record; Value aliases the decoded bytes.
+type Record struct {
+	Op       Op
+	Key      uint64
+	ExpireAt int64
+	Ver      uint64
+	Value    []byte
+}
+
+// errBadFrame marks bytes that are not one whole, intact frame: shorter
+// than its header announces, a length out of range, or a CRC mismatch.
+var errBadFrame = errors.New("persist: torn or corrupt frame")
+
+// appendUnsealed appends one record's frame with a zeroed header, which
+// sealFrame fills in later.
+func appendUnsealed(dst []byte, op Op, key uint64, expireAt int64, ver uint64, value []byte) []byte {
+	dst = append(dst, make([]byte, frameHeaderLen)...)
+	dst = append(dst, byte(op))
+	dst = binary.LittleEndian.AppendUint64(dst, key)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(expireAt))
+	dst = binary.LittleEndian.AppendUint64(dst, ver)
+	return append(dst, value...)
+}
+
+// sealFrame writes the length and CRC of frame's payload into its header.
+func sealFrame(frame []byte) {
+	payload := frame[frameHeaderLen:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+}
+
+// AppendFrame appends r to dst as one sealed frame.
+func AppendFrame(dst []byte, r Record) []byte {
+	start := len(dst)
+	dst = appendUnsealed(dst, r.Op, r.Key, r.ExpireAt, r.Ver, r.Value)
+	sealFrame(dst[start:])
+	return dst
+}
+
+// FrameKey returns the key of a staged or sealed frame.
+func FrameKey(frame []byte) uint64 {
+	return binary.LittleEndian.Uint64(frame[frameHeaderLen+1:])
+}
+
+// frameLen returns the whole length of the frame whose header starts
+// hdr, or false when its length field is out of range.
+func frameLen(hdr []byte) (int, bool) {
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	if n < recHeaderLen || n > maxRecordLen {
+		return 0, false
+	}
+	return frameHeaderLen + int(n), true
+}
+
+// decodeFrame decodes the frame at the start of b, returning its record
+// and its length.
+func decodeFrame(b []byte) (Record, int, error) {
+	if len(b) < frameHeaderLen {
+		return Record{}, 0, errBadFrame
+	}
+	n, ok := frameLen(b)
+	if !ok || len(b) < n {
+		return Record{}, 0, errBadFrame
+	}
+	p := b[frameHeaderLen:n]
+	if crc32.Checksum(p, castagnoli) != binary.LittleEndian.Uint32(b[4:8]) {
+		return Record{}, 0, errBadFrame
+	}
+	return Record{
+		Op:       Op(p[0]),
+		Key:      binary.LittleEndian.Uint64(p[1:9]),
+		ExpireAt: int64(binary.LittleEndian.Uint64(p[9:17])),
+		Ver:      binary.LittleEndian.Uint64(p[17:25]),
+		Value:    p[recHeaderLen:],
+	}, n, nil
+}
+
+// DecodeFrames decodes a run of whole frames, appending the records to
+// dst. It is all or nothing — one bad frame fails the run — so a caller
+// can check every record before it applies any.
+func DecodeFrames(dst []Record, b []byte) ([]Record, error) {
+	for len(b) > 0 {
+		r, n, err := decodeFrame(b)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, r)
+		b = b[n:]
+	}
+	return dst, nil
+}
+
 // --- replay ---
 
 // replaySegment streams the valid frame prefix of one segment into fn,
 // stopping cleanly at a torn or corrupt frame. It returns the number of
 // applied records and whether the segment ended with a tear.
-func replaySegment(path string, fn func(op byte, key uint64, expireAt int64, ver uint64, value []byte) error) (records int, torn bool, err error) {
+func replaySegment(path string, fn func(r Record) error) (records int, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, false, err
@@ -510,32 +595,27 @@ func replaySegment(path string, fn func(op byte, key uint64, expireAt int64, ver
 	if string(hdr[:8]) != walMagic {
 		return 0, false, fmt.Errorf("persist: %s: bad segment magic", path)
 	}
-	var frame [frameHeaderLen]byte
-	payload := make([]byte, 0, 4096)
+	frame := make([]byte, frameHeaderLen, 4096)
 	for {
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
+		if _, err := io.ReadFull(br, frame[:frameHeaderLen]); err != nil {
 			return records, err != io.EOF, nil // EOF = clean end; short = torn
 		}
-		n := binary.LittleEndian.Uint32(frame[0:4])
-		want := binary.LittleEndian.Uint32(frame[4:8])
-		if n < recHeaderLen || n > maxRecordLen {
+		n, ok := frameLen(frame)
+		if !ok {
 			return records, true, nil // corrupt length: end of valid prefix
 		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
+		if cap(frame) < n {
+			frame = append(make([]byte, 0, n), frame[:frameHeaderLen]...)
 		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
+		frame = frame[:n]
+		if _, err := io.ReadFull(br, frame[frameHeaderLen:]); err != nil {
 			return records, true, nil // torn mid-payload
 		}
-		if crc32.Checksum(payload, castagnoli) != want {
+		r, _, err := decodeFrame(frame)
+		if err != nil {
 			return records, true, nil // torn or bit-rotted: stop here
 		}
-		op := payload[0]
-		key := binary.LittleEndian.Uint64(payload[1:9])
-		exp := int64(binary.LittleEndian.Uint64(payload[9:17]))
-		ver := binary.LittleEndian.Uint64(payload[17:25])
-		if err := fn(op, key, exp, ver, payload[25:]); err != nil {
+		if err := fn(r); err != nil {
 			return records, false, err
 		}
 		records++

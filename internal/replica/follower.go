@@ -2,7 +2,6 @@ package replica
 
 import (
 	"bufio"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -368,10 +367,8 @@ func (f *Follower) session(conn net.Conn) error {
 	var hdr [frameHeaderLen]byte
 	var ack [ackLen]byte
 	ack[0] = ackByte
-	comp := make([]byte, 0, 64<<10)
 	body := make([]byte, 0, 64<<10)
-	cr := &byteReader{}
-	fr := flate.NewReader(cr)
+	var recs []persist.Record
 	// No acks are sent until the sync-done frame has been applied: the
 	// first ack a source ever receives therefore certifies the whole
 	// initial sync, which is what lets its PeerStatus.Synced (and an
@@ -386,36 +383,26 @@ func (f *Follower) session(conn net.Conn) error {
 		typ := hdr[0]
 		seq := binary.LittleEndian.Uint64(hdr[1:9])
 		ts := int64(binary.LittleEndian.Uint64(hdr[9:17]))
-		ulen := binary.LittleEndian.Uint32(hdr[17:21])
-		clen := binary.LittleEndian.Uint32(hdr[21:25])
-		if ulen > maxFrameLen || clen > maxFrameLen {
-			return frameError("frame length", max32(ulen, clen), maxFrameLen)
+		n := binary.LittleEndian.Uint32(hdr[17:21])
+		if n > maxFrameLen {
+			return fmt.Errorf("replica: frame length %d exceeds limit %d", n, maxFrameLen)
 		}
-		if clen > 0 {
-			if cap(comp) < int(clen) {
-				comp = make([]byte, clen)
-			}
-			comp = comp[:clen]
-			if _, err := io.ReadFull(br, comp); err != nil {
-				return err
-			}
-			if cap(body) < int(ulen) {
-				body = make([]byte, ulen)
-			}
-			body = body[:ulen]
-			cr.b, cr.i = comp, 0
-			if err := fr.(flate.Resetter).Reset(cr, nil); err != nil {
-				return err
-			}
-			if _, err := io.ReadFull(fr, body); err != nil {
-				return fmt.Errorf("replica: inflating frame: %w", err)
-			}
-		} else {
-			body = body[:0]
+		if cap(body) < int(n) {
+			body = make([]byte, n)
+		}
+		body = body[:n]
+		if _, err := io.ReadFull(br, body); err != nil {
+			return err
 		}
 		switch typ {
 		case frameData:
-			if err := f.applyBody(body); err != nil {
+			// Every record's CRC is checked before any is applied: a
+			// corrupt frame applies nothing and is never acknowledged.
+			var err error
+			if recs, err = persist.DecodeFrames(recs[:0], body); err != nil {
+				return fmt.Errorf("replica: frame at seq %d: %w", seq, err)
+			}
+			if err := f.apply(recs); err != nil {
 				return err
 			}
 		case frameSyncDone:
@@ -454,70 +441,22 @@ func (f *Follower) session(conn net.Conn) error {
 	}
 }
 
-// applyBody replays one 'D' body through the applier, flushing at the
-// end so the subsequent ack means "applied", not "received". Flush runs
-// exactly once per frame even on a decode or apply error, so appliers
+// apply replays one 'D' frame's records through the applier, flushing
+// at the end so the subsequent ack means "applied", not "received".
+// Flush runs exactly once per frame even on an apply error, so appliers
 // that acquire per-frame resources on the first Apply (e.g. a lock
 // serializing several links over one table client) always settle.
-func (f *Follower) applyBody(body []byte) (err error) {
+func (f *Follower) apply(recs []persist.Record) (err error) {
 	defer func() {
 		if ferr := f.cfg.Apply.Flush(); err == nil {
 			err = ferr
 		}
 	}()
-	n := 0
-	for len(body) >= recFixedLen {
-		op := body[0]
-		key := binary.LittleEndian.Uint64(body[1:9])
-		exp := int64(binary.LittleEndian.Uint64(body[9:17]))
-		ver := binary.LittleEndian.Uint64(body[17:25])
-		vlen := binary.LittleEndian.Uint32(body[25:29])
-		body = body[recFixedLen:]
-		if uint32(len(body)) < vlen {
-			return fmt.Errorf("replica: truncated record in frame")
+	for _, r := range recs {
+		if err := f.cfg.Apply.Apply(r.Op, r.Key, r.ExpireAt, r.Ver, r.Value); err != nil {
+			return err
 		}
-		if aerr := f.cfg.Apply.Apply(persist.Op(op), key, exp, ver, body[:vlen]); aerr != nil {
-			return aerr
-		}
-		body = body[vlen:]
-		n++
 	}
-	if len(body) != 0 {
-		return fmt.Errorf("replica: trailing bytes in frame body")
-	}
-	f.records.Add(int64(n))
+	f.records.Add(int64(len(recs)))
 	return nil
-}
-
-func max32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// byteReader is a reusable no-copy reader over a byte slice (bytes.Reader
-// without the interface baggage flate does not need). Reused per frame by
-// pointing b at the next compressed body and zeroing i.
-type byteReader struct {
-	b []byte
-	i int
-}
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
-}
-
-func (r *byteReader) ReadByte() (byte, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	b := r.b[r.i]
-	r.i++
-	return b, nil
 }

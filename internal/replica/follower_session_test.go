@@ -4,9 +4,12 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"cphash/internal/persist"
 	"cphash/internal/protocol"
 )
 
@@ -76,11 +79,21 @@ func (h helloReq) reply(t *testing.T, session uint64) {
 	}
 }
 
+// dataFrame builds a 'D' frame at seq carrying recs as WAL frames.
+func dataFrame(seq uint64, recs ...persist.Record) []byte {
+	frame := make([]byte, frameHeaderLen)
+	for _, r := range recs {
+		frame = persist.AppendFrame(frame, r)
+	}
+	putFrameHeader(frame, frameData, seq, time.Now().UnixNano(), len(frame)-frameHeaderLen)
+	return frame
+}
+
 // syncDone sends the sync-done frame at seq and waits for its ack.
 func (h helloReq) syncDone(t *testing.T, seq uint64) {
 	t.Helper()
 	var hdr [frameHeaderLen]byte
-	putFrameHeader(hdr[:], frameSyncDone, seq, time.Now().UnixNano(), 0, 0)
+	putFrameHeader(hdr[:], frameSyncDone, seq, time.Now().UnixNano(), 0)
 	if _, err := h.conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -149,4 +162,85 @@ func TestNoResumeAfterSessionChangeInterruptedSync(t *testing.T) {
 		t.Fatalf("hello after completed resync = (%d, %d), want (200, 9)", h.resumeSession, h.resumeSeq)
 	}
 	h.conn.Close()
+}
+
+// keyApplier records the keys it is asked to apply.
+type keyApplier struct {
+	mu   sync.Mutex
+	keys []uint64
+}
+
+func (a *keyApplier) Apply(op persist.Op, key uint64, expireAt int64, ver uint64, value []byte) error {
+	a.mu.Lock()
+	a.keys = append(a.keys, key)
+	a.mu.Unlock()
+	return nil
+}
+
+func (a *keyApplier) Flush() error { return nil }
+
+func (a *keyApplier) applied() []uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return append([]uint64(nil), a.keys...)
+}
+
+// TestCorruptFrameAppliesNothing pins the end-to-end record checksum: a
+// 'D' frame whose second record has one value byte flipped must fail
+// before its intact first record is applied. The follower hangs up
+// without acking, its watermark stays where it was, and on reconnect a
+// resync delivers both records.
+func TestCorruptFrameAppliesNothing(t *testing.T) {
+	src := newScriptedSource(t)
+	app := &keyApplier{}
+	f, err := StartFollower(FollowerConfig{
+		Source:  src.ln.Addr().String(),
+		Name:    "f",
+		Apply:   app,
+		Backoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	a := persist.Record{Op: persist.OpSet, Key: 1, Ver: 1, Value: []byte("alpha")}
+	b := persist.Record{Op: persist.OpSet, Key: 2, Ver: 2, Value: []byte("bravo")}
+
+	h := src.accept()
+	h.reply(t, 100)
+	h.syncDone(t, 3)
+	bad := dataFrame(5, a, b)
+	bad[len(bad)-1] ^= 0x01 // the last value byte of b
+	if _, err := h.conn.Write(bad); err != nil {
+		t.Fatal(err)
+	}
+	h.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var got [1]byte
+	if _, err := io.ReadFull(h.conn, got[:]); err == nil {
+		t.Fatalf("follower answered a corrupt frame with %q", got[0])
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("follower neither acked nor hung up after a corrupt frame")
+	}
+	h.conn.Close()
+	if keys := app.applied(); len(keys) != 0 {
+		t.Fatalf("corrupt frame applied keys %v", keys)
+	}
+
+	// The follower still stands at seq 3; the resync re-sends both.
+	h = src.accept()
+	if h.resumeSession != 100 || h.resumeSeq != 3 {
+		t.Fatalf("hello after corrupt frame = (%d, %d), want (100, 3)", h.resumeSession, h.resumeSeq)
+	}
+	h.reply(t, 100)
+	if _, err := h.conn.Write(dataFrame(0, a, b)); err != nil {
+		t.Fatal(err)
+	}
+	h.syncDone(t, 5)
+	h.conn.Close()
+	if keys := app.applied(); !reflect.DeepEqual(keys, []uint64{1, 2}) {
+		t.Fatalf("after resync applied %v, want [1 2]", keys)
+	}
+	if st := f.Status(); st.Syncs != 2 || st.Records != 2 {
+		t.Fatalf("status after resync = %+v, want 2 syncs and 2 records", st)
+	}
 }

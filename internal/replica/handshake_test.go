@@ -1,6 +1,7 @@
 package replica_test
 
 import (
+	"bytes"
 	"net"
 	"testing"
 	"time"
@@ -75,5 +76,34 @@ func TestHandshakeTimeoutConfigurable(t *testing.T) {
 		t.Fatal("unexpected reply on a half-open handshake")
 	} else if nerr, ok := err.(net.Error); !ok || !nerr.Timeout() {
 		t.Fatalf("source hung up inside a 2s handshake window after 400ms: %v", err)
+	}
+}
+
+// TestOlderProtocolHelloRefused pins the version check: a CPREPL03
+// follower expects compressed bodies without per-record checksums, so
+// the source must hang up on its hello without a reply and never list
+// it as a peer.
+func TestOlderProtocolHelloRefused(t *testing.T) {
+	n := startNode(t, &replica.SourceConfig{})
+
+	conn, err := net.Dial("tcp", n.src.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := append([]byte("CPREPL03"), 1, 'f')
+	hello = append(hello, bytes.Repeat([]byte{0xff}, 32)...) // every slot
+	hello = append(hello, make([]byte, 16)...)               // no resume
+	if _, err := conn.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if nr, err := conn.Read(make([]byte, 64)); err == nil {
+		t.Fatalf("source replied %d bytes to a CPREPL03 hello", nr)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("source neither replied nor hung up on a CPREPL03 hello")
+	}
+	if peers := n.src.Status(); len(peers) != 0 {
+		t.Fatalf("CPREPL03 follower reached the peer set: %+v", peers)
 	}
 }

@@ -28,10 +28,10 @@
 // One TCP connection per (follower, primary) pair, opened by the
 // follower to the Source's dedicated replication listener:
 //
-//	handshake  F→S: magic "CPREPL03" | nameLen (1) | name | slot bitmap (32)
+//	handshake  F→S: magic "CPREPL04" | nameLen (1) | name | slot bitmap (32)
 //	                | resumeSession (8 LE) | resumeSeq (8 LE)
-//	handshake  S→F: magic "CPREPL03" | flags (1) | session (8 LE)
-//	frame      S→F: type (1) | seq (8 LE) | tsNanos (8 LE) | ulen (4 LE) | clen (4 LE) | body
+//	handshake  S→F: magic "CPREPL04" | flags (1) | session (8 LE)
+//	frame      S→F: type (1) | seq (8 LE) | tsNanos (8 LE) | len (4 LE) | body
 //	ack        F→S: 'A' | seq (8 LE)
 //
 // resumeSession/resumeSeq ask the source to resume the follower's
@@ -44,20 +44,23 @@
 // falls back to the full initial sync. resumeSession 0 (a follower that
 // never synced) never matches.
 //
-// Frame types: 'D' carries a flate-compressed batch of records (body is
-// clen bytes, inflating to ulen); 'S' marks the end of the initial sync;
-// 'R' accepts a resume (the follower is already synced at the frame's
-// seq); 'H' is an idle heartbeat. A record inside a 'D' body is
-// op (1) | key (8 LE) | expireAt ns (8 LE) | ver (8 LE) | vlen (4 LE) | value
-// (CPREPL03 added the CAS version so read-modify-write results replicate
-// with stable tokens; CPREPL02 peers are refused at the handshake).
+// Frame types: 'D' carries a batch of records (body is len bytes); 'S'
+// marks the end of the initial sync; 'R' accepts a resume (the follower
+// is already synced at the frame's seq); 'H' is an idle heartbeat. A 'D'
+// body is a run of WAL frames exactly as the persister wrote them to its
+// segments — length (4 LE) | crc32c (4 LE) | op (1) | key (8 LE) |
+// expireAt ns (8 LE) | ver (8 LE) | value, see persist.DecodeFrames — so
+// every record carries the CRC the persister computed, checked end to
+// end: the follower verifies every record of a frame before it applies
+// any, and a frame that fails applies nothing and is not acknowledged.
+// Bodies are not compressed: every link in this tree is loopback or
+// in-process. Peers speaking an older version are refused at the
+// handshake.
 //
 // seq on 'D'/'H' frames is the Source's tail sequence covered so far —
 // the replication watermark the follower acknowledges; tsNanos is the
 // primary's clock at send time, from which the follower derives the
-// staleness bound for follower reads. Compression is per frame
-// (flate.BestSpeed), so each frame is independently decodable and the
-// writer/reader state is reset-reused, allocation-free in steady state.
+// staleness bound for follower reads.
 //
 // Catch-up is backlog-only by design (the redis chain-replication
 // trade): a follower that falls off the bounded backlog is disconnected
@@ -67,7 +70,6 @@ package replica
 
 import (
 	"encoding/binary"
-	"fmt"
 	"time"
 
 	"cphash/internal/core"
@@ -76,7 +78,7 @@ import (
 )
 
 const (
-	replMagic = "CPREPL03"
+	replMagic = "CPREPL04"
 
 	frameData       = byte('D')
 	frameSyncDone   = byte('S')
@@ -84,7 +86,7 @@ const (
 	frameHeartbeat  = byte('H')
 	ackByte         = byte('A')
 
-	frameHeaderLen = 1 + 8 + 8 + 4 + 4
+	frameHeaderLen = 1 + 8 + 8 + 4
 	ackLen         = 1 + 8
 
 	// helloResumeLen is the trailer of the follower hello: the session id
@@ -95,29 +97,16 @@ const (
 	// replyFlagResumed (reply flags bit 0) grants the requested resume.
 	replyFlagResumed = byte(1)
 
-	recFixedLen = 1 + 8 + 8 + 8 + 4
-
 	// maxFrameLen rejects absurd lengths before allocating, mirroring the
 	// WAL replay guard.
 	maxFrameLen = 64 << 20
 )
 
-func putFrameHeader(dst []byte, typ byte, seq uint64, ts int64, ulen, clen int) {
+func putFrameHeader(dst []byte, typ byte, seq uint64, ts int64, bodyLen int) {
 	dst[0] = typ
 	binary.LittleEndian.PutUint64(dst[1:9], seq)
 	binary.LittleEndian.PutUint64(dst[9:17], uint64(ts))
-	binary.LittleEndian.PutUint32(dst[17:21], uint32(ulen))
-	binary.LittleEndian.PutUint32(dst[21:25], uint32(clen))
-}
-
-// appendRecord frames one record into a 'D' body under assembly.
-func appendRecord(dst []byte, op byte, key uint64, expireAt int64, ver uint64, value []byte) []byte {
-	dst = append(dst, op)
-	dst = binary.LittleEndian.AppendUint64(dst, key)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(expireAt))
-	dst = binary.LittleEndian.AppendUint64(dst, ver)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(value)))
-	return append(dst, value...)
+	binary.LittleEndian.PutUint32(dst[17:21], uint32(bodyLen))
 }
 
 // Applier applies replicated records to the follower's local table. All
@@ -206,9 +195,3 @@ func (a *lockHashApplier) Apply(op persist.Op, key uint64, expireAt int64, ver u
 }
 
 func (a *lockHashApplier) Flush() error { return nil }
-
-// frameError annotates protocol violations so both ends log usable
-// diagnoses rather than bare io errors.
-func frameError(what string, got, limit uint32) error {
-	return fmt.Errorf("replica: %s %d exceeds limit %d", what, got, limit)
-}

@@ -2,8 +2,6 @@ package replica
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -49,7 +47,7 @@ type SourceConfig struct {
 	// job, not the backlog's.
 	BacklogRecords int
 	// BatchBytes bounds the records packed into one 'D' frame (default
-	// 32 KiB before compression).
+	// 32 KiB of WAL frames).
 	BatchBytes int
 	// Clock supplies frame timestamps (nil = wall clock). Followers
 	// compute staleness against it, so primary and follower clocks must
@@ -89,8 +87,8 @@ func (c *SourceConfig) setDefaults() error {
 	return nil
 }
 
-// blEntry is one backlog slot; rec (the staged WAL payload, copied) is
-// reused in place across generations, so steady-state appends allocate
+// blEntry is one backlog slot; rec (the WAL frame, copied) is reused in
+// place across generations, so steady-state appends allocate
 // nothing once every slot has warmed to the workload's record size. at
 // stamps the append (source-clock nanos) so a scrape can turn a peer's
 // record lag into a wall-time lag.
@@ -109,13 +107,13 @@ type backlog struct {
 	next uint64
 }
 
-// append stamps a record with the next tail seq and stores it.
-func (b *backlog) append(payload []byte, at int64) {
+// append stamps a frame with the next tail seq and stores it.
+func (b *backlog) append(frame []byte, at int64) {
 	b.mu.Lock()
 	e := &b.buf[b.next%uint64(len(b.buf))]
 	e.seq = b.next
 	e.at = at
-	e.rec = append(e.rec[:0], payload...)
+	e.rec = append(e.rec[:0], frame...)
 	b.next++
 	b.mu.Unlock()
 }
@@ -155,8 +153,8 @@ func (b *backlog) stampAt(seq uint64) int64 {
 	return e.at
 }
 
-// collect copies records [from, tail] matching slots into dst (up to
-// maxBytes of body), returning the extended body, the next unconsumed
+// collect copies the frames of records [from, tail] matching slots into
+// dst (up to maxBytes), returning the extended body, the next unconsumed
 // seq, how many records matched, and whether from has already been
 // overwritten (the peer fell off the backlog).
 func (b *backlog) collect(from uint64, slots *protocol.SlotSet, dst []byte, maxBytes int) (out []byte, next uint64, matched int, overrun bool) {
@@ -173,11 +171,8 @@ func (b *backlog) collect(from uint64, slots *protocol.SlotSet, dst []byte, maxB
 	next = from
 	for next < b.next && len(dst) < maxBytes {
 		rec := b.buf[next%n].rec
-		key := binary.LittleEndian.Uint64(rec[1:9])
-		if slots == nil || slots.Has(cluster.SlotOf(key)) {
-			exp := int64(binary.LittleEndian.Uint64(rec[9:17]))
-			ver := binary.LittleEndian.Uint64(rec[17:25])
-			dst = appendRecord(dst, rec[0], key, exp, ver, rec[25:])
+		if slots == nil || slots.Has(cluster.SlotOf(persist.FrameKey(rec))) {
+			dst = append(dst, rec...)
 			matched++
 		}
 		next++
@@ -189,7 +184,6 @@ func (b *backlog) collect(from uint64, slots *protocol.SlotSet, dst []byte, maxB
 type peer struct {
 	src    *Source
 	conn   net.Conn
-	bw     *bufio.Writer
 	name   string
 	slots  *protocol.SlotSet // nil = all
 	cursor atomic.Uint64     // next backlog seq to consume
@@ -198,11 +192,10 @@ type peer struct {
 	resumeSession uint64
 	resumeSeq     uint64
 
-	// frame assembly, reused per frame
+	// frame assembly, reused per frame: hdr for frames without a body,
+	// staging for 'D' frames (header room, then the body)
 	hdr     [frameHeaderLen]byte
 	staging []byte
-	comp    bytes.Buffer
-	fw      *flate.Writer
 
 	acked  atomic.Uint64
 	synced atomic.Bool
@@ -324,11 +317,11 @@ func (s *Source) Tail() uint64 { return s.bl.tail() }
 
 // TailRecord implements persist.TailSink: called on the persister
 // goroutines for every record written to a segment. It copies the
-// payload into the backlog and wakes idle peer senders — no blocking, no
+// frame into the backlog and wakes idle peer senders — no blocking, no
 // steady-state allocation, which is what keeps the request hot path at
 // zero allocs with replication enabled.
-func (s *Source) TailRecord(payload []byte) {
-	s.bl.append(payload, s.cfg.Clock().UnixNano())
+func (s *Source) TailRecord(frame []byte) {
+	s.bl.append(frame, s.cfg.Clock().UnixNano())
 	if pl := s.peerList.Load(); pl != nil {
 		for _, p := range *pl {
 			if p.idle.Load() {
@@ -596,13 +589,12 @@ func (s *Source) storePeerListLocked() {
 func (s *Source) serve(conn net.Conn) {
 	defer s.wg.Done()
 	p := &peer{
-		src:  s,
-		conn: conn,
-		bw:   bufio.NewWriterSize(conn, 64<<10),
-		wake: make(chan struct{}, 1),
-		dead: make(chan struct{}),
+		src:     s,
+		conn:    conn,
+		staging: make([]byte, frameHeaderLen),
+		wake:    make(chan struct{}, 1),
+		dead:    make(chan struct{}),
 	}
-	p.fw, _ = flate.NewWriter(io.Discard, flate.BestSpeed)
 	if err := p.readHello(); err != nil {
 		conn.Close()
 		return
@@ -644,7 +636,7 @@ func (s *Source) serve(conn net.Conn) {
 
 	if resume {
 		s.resumesRun.Add(1)
-		if p.sendFrame(frameResumeDone, p.resumeSeq, nil) != nil {
+		if p.sendFrame(frameResumeDone, p.resumeSeq, p.hdr[:]) != nil {
 			return
 		}
 	} else if err := p.initialSync(); err != nil {
@@ -710,31 +702,12 @@ func (p *peer) writeReply(resumed bool) error {
 	return err
 }
 
-// sendFrame compresses (if body is non-empty) and writes one frame.
-func (p *peer) sendFrame(typ byte, seq uint64, body []byte) error {
-	clen := 0
-	if len(body) > 0 {
-		p.comp.Reset()
-		p.fw.Reset(&p.comp)
-		if _, err := p.fw.Write(body); err != nil {
-			return err
-		}
-		if err := p.fw.Close(); err != nil {
-			return err
-		}
-		clen = p.comp.Len()
-	}
-	putFrameHeader(p.hdr[:], typ, seq, p.src.cfg.Clock().UnixNano(), len(body), clen)
+// sendFrame stamps the header into frame[:frameHeaderLen] and writes the
+// frame in one call; the rest of frame is the body.
+func (p *peer) sendFrame(typ byte, seq uint64, frame []byte) error {
+	putFrameHeader(frame, typ, seq, p.src.cfg.Clock().UnixNano(), len(frame)-frameHeaderLen)
 	p.conn.SetWriteDeadline(time.Now().Add(p.src.cfg.WriteTimeout))
-	if _, err := p.bw.Write(p.hdr[:]); err != nil {
-		return err
-	}
-	if clen > 0 {
-		if _, err := p.bw.Write(p.comp.Bytes()); err != nil {
-			return err
-		}
-	}
-	if err := p.bw.Flush(); err != nil {
+	if _, err := p.conn.Write(frame); err != nil {
 		return err
 	}
 	p.src.framesSent.Add(1)
@@ -742,30 +715,30 @@ func (p *peer) sendFrame(typ byte, seq uint64, body []byte) error {
 }
 
 // initialSync streams the durable prefix: roll every stream (the
-// barrier), then replay snapshot + sealed segments below it, batched
-// into 'D' frames with seq 0 (pre-tail), then the sync-done marker at
-// the tail position where live streaming begins. Records between peer
-// registration and the roll barrier appear in both phases; replay
-// idempotency makes that overlap correct.
+// barrier), then replay snapshot + sealed segments below it, re-framed
+// as WAL frames and batched into 'D' frames with seq 0 (pre-tail), then
+// the sync-done marker at the tail position where live streaming begins.
+// Records between peer registration and the roll barrier appear in both
+// phases; replay idempotency makes that overlap correct.
 func (p *peer) initialSync() error {
 	bar, err := p.src.cfg.Pipe.RollAll()
 	if err != nil {
 		return err
 	}
-	p.staging = p.staging[:0]
+	p.staging = p.staging[:frameHeaderLen]
 	flushBatch := func() error {
-		if len(p.staging) == 0 {
+		if len(p.staging) == frameHeaderLen {
 			return nil
 		}
 		err := p.sendFrame(frameData, 0, p.staging)
-		p.staging = p.staging[:0]
+		p.staging = p.staging[:frameHeaderLen]
 		return err
 	}
 	_, err = p.src.cfg.Pipe.ReplayDurable(bar, func(op persist.Op, key uint64, exp int64, ver uint64, val []byte) error {
 		if p.slots != nil && !p.slots.Has(cluster.SlotOf(key)) {
 			return nil
 		}
-		p.staging = appendRecord(p.staging, byte(op), key, exp, ver, val)
+		p.staging = persist.AppendFrame(p.staging, persist.Record{Op: op, Key: key, ExpireAt: exp, Ver: ver, Value: val})
 		if len(p.staging) >= p.src.cfg.BatchBytes {
 			return flushBatch()
 		}
@@ -777,7 +750,7 @@ func (p *peer) initialSync() error {
 	if err := flushBatch(); err != nil {
 		return err
 	}
-	return p.sendFrame(frameSyncDone, p.cursor.Load()-1, nil)
+	return p.sendFrame(frameSyncDone, p.cursor.Load()-1, p.hdr[:])
 }
 
 // live streams the backlog from the peer's cursor, heartbeating when
@@ -793,14 +766,13 @@ func (p *peer) live() {
 			return
 		default:
 		}
-		p.staging = p.staging[:0]
-		body, next, matched, overrun := p.src.bl.collect(p.cursor.Load(), p.slots, p.staging, p.src.cfg.BatchBytes)
-		p.staging = body
+		frame, next, matched, overrun := p.src.bl.collect(p.cursor.Load(), p.slots, p.staging[:frameHeaderLen], p.src.cfg.BatchBytes)
+		p.staging = frame
 		if overrun {
 			return // fell off the backlog: disconnect, follower resyncs
 		}
 		if matched > 0 {
-			if err := p.sendFrame(frameData, next-1, body); err != nil {
+			if err := p.sendFrame(frameData, next-1, frame); err != nil {
 				return
 			}
 			p.cursor.Store(next)
@@ -815,7 +787,7 @@ func (p *peer) live() {
 		select {
 		case <-p.wake:
 		case <-ticker.C:
-			if err := p.sendFrame(frameHeartbeat, p.cursor.Load()-1, nil); err != nil {
+			if err := p.sendFrame(frameHeartbeat, p.cursor.Load()-1, p.hdr[:]); err != nil {
 				p.idle.Store(false)
 				return
 			}
