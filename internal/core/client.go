@@ -35,7 +35,7 @@ const (
 type Op struct {
 	typ    OpType
 	key    Key
-	insVal []byte // insert payload; copied into the element by the server (≤ inlineMax) or on reply
+	insVal []byte // insert payload; copied into the element by the server before its reply
 	elem   partition.Element
 	server int
 	done   bool
@@ -104,14 +104,6 @@ func (o *Op) Version() uint64 {
 	return o.elem.Version()
 }
 
-// TwoPhase reports whether an insert takes the paper's two-message path
-// (value larger than one cache line): its value becomes visible, and its
-// change record reaches the sink, only when the server later processes the
-// fire-and-forget Ready — not by the time the op is Done. A one-message
-// insert is published before its reply, so ring FIFO order alone makes it
-// visible to every later operation from this client.
-func (o *Op) TwoPhase() bool { return o.typ == OpInsert && len(o.insVal) > inlineMax }
-
 // RMW returns the op's read-modify-write descriptor: inputs as issued
 // and, once the op is Done, the server-written results (Status, OutVer,
 // Num). Valid until Release.
@@ -154,15 +146,9 @@ type Client struct {
 	from []*ring.SPSC[reply]
 	park *parker // kicked by a server that consumed from or replied to this client
 
-	pending []pendingFIFO
-	// replyBuf holds the batch of replies being completed: those of
-	// server batchSrv, of which replyBuf[batchPos:batchLen] are still to
-	// do. The cursor lives here, not in Poll, because completing an insert
-	// sends a Ready message, and send polls when the request ring is full:
-	// the nested Poll must carry on from the interrupted batch, in order.
-	replyBuf                     []reply
-	batchSrv, batchPos, batchLen int
-	outstanding                  int
+	pending     []pendingFIFO
+	replyBuf    []reply // Poll's batch of consumed replies
+	outstanding int
 	// maxOutstanding bounds in-flight replied operations (the paper's
 	// pipeline/batch size; 1,000 in §6.1). IssueAsync blocks (polling)
 	// at the bound.
@@ -215,13 +201,10 @@ func (c *Client) LookupAsync(key Key) *Op {
 	return o
 }
 
-// InsertAsync issues an insert of value under key. A value of at most one
-// cache line (64 B) is copied and published by the server before it
-// replies: one message, and visible to everything behind it on the ring.
-// A larger value is copied into server-allocated space when the allocation
-// reply arrives (the paper's client-copies rule, §3.2), then a Ready
-// message publishes it. The caller must keep value unchanged until the op
-// is Done.
+// InsertAsync issues an insert of value under key. The server copies and
+// publishes the value before it replies, whatever its size: one message,
+// and visible to everything behind it on the ring. The caller must keep
+// value unchanged until the op is Done.
 func (c *Client) InsertAsync(key Key, value []byte) *Op {
 	return c.InsertTTLVerAsync(key, value, 0, 0)
 }
@@ -230,8 +213,7 @@ func (c *Client) InsertAsync(key Key, value []byte) *Op {
 // invisible once ttl elapses on the server's clock (resolution one
 // millisecond, rounded up; capped at ~49 days). ttl <= 0 means "never
 // expires". The TTL rides the insert message's packed arg word, so a TTL
-// insert costs what a plain one does: one message up to 64 B, the paper's
-// two beyond.
+// insert costs what a plain one does: one message.
 func (c *Client) InsertTTLAsync(key Key, value []byte, ttl time.Duration) *Op {
 	return c.InsertTTLVerAsync(key, value, ttl, 0)
 }
@@ -240,7 +222,7 @@ func (c *Client) InsertTTLAsync(key Key, value []byte, ttl time.Duration) *Op {
 // replay-side primitive that keeps versions stable across recovery,
 // follower catch-up and slot migration. ver 0 is the normal assign-next
 // insert. The version rides the op's embedded descriptor, so it costs no
-// allocation and the message count is unchanged on both paths.
+// allocation and no extra message.
 func (c *Client) InsertTTLVerAsync(key Key, value []byte, ttl time.Duration, ver uint64) *Op {
 	o := c.newOp(OpInsert, key)
 	if uint64(len(value)) > math.MaxUint32 {
@@ -318,10 +300,6 @@ func (c *Client) send(s int, r request) {
 	c.t.kick(s) // the server may be parked while we wait for ring space
 	for spins := 0; !rq.Produce(r); {
 		if c.Poll() == 0 {
-			// Ready messages sent from inside an earlier Poll take the
-			// fast path above, which does not kick: they can refill the
-			// ring after the server drained it and parked.
-			c.t.kick(s)
 			c.pause(&spins, func() bool { return !rq.Full() || c.repliesReady() })
 		}
 	}
@@ -374,7 +352,7 @@ func (c *Client) Flush(k Key) {
 // Poll drains available replies from every server and completes their ops,
 // returning how many ops completed. It never blocks.
 func (c *Client) Poll() int {
-	done := c.drainBatch() // non-empty only when re-entered from complete
+	done := 0
 	for s := range c.from {
 		if c.pending[s].len() == 0 {
 			continue
@@ -384,23 +362,11 @@ func (c *Client) Poll() int {
 			if n == 0 {
 				break
 			}
-			c.batchSrv, c.batchPos, c.batchLen = s, 0, n
-			done += c.drainBatch()
+			for _, rep := range c.replyBuf[:n] {
+				c.complete(s, rep)
+			}
+			done += n
 		}
-	}
-	return done
-}
-
-// drainBatch completes what is left of the current reply batch. Each
-// reply is taken off the batch before it is completed, so a Poll nested
-// inside complete neither repeats it nor overtakes the ones behind it.
-func (c *Client) drainBatch() int {
-	done := 0
-	for c.batchPos < c.batchLen {
-		rep := c.replyBuf[c.batchPos]
-		c.batchPos++
-		c.complete(c.batchSrv, rep)
-		done++
 	}
 	return done
 }
@@ -420,15 +386,7 @@ func (c *Client) complete(s int, rep reply) {
 			o.elem = c.t.parts[s].Elem(rep.ref)
 		}
 	case OpInsert:
-		o.hit = rep.ref != refNone
-		if !o.hit || rep.ref == refInline {
-			break // no space, or stored and published by the server
-		}
-		// The server allocated NOT_READY space; copy the bytes here in the
-		// client (so large values wipe the *client's* cache, not the
-		// server's — §3.2) and publish with Ready.
-		copy(c.t.parts[s].Elem(rep.ref).Value(), o.insVal)
-		c.send(s, request{keyop: makeKeyop(opReady, o.key), ref: rep.ref})
+		o.hit = rep.ref == refInline // stored and published by the server
 	case OpDelete:
 		o.hit = rep.ref == refDeleted
 	case OpRMW:
@@ -445,8 +403,6 @@ func (c *Client) complete(s int, rep reply) {
 // round trips.
 func (c *Client) Wait(o *Op) {
 	for spins := 0; !o.done; {
-		// Flushing every iteration also publishes Ready messages generated
-		// while completing insert replies inside Poll.
 		c.FlushAll()
 		if c.Poll() == 0 {
 			c.pause(&spins, c.repliesReady)
@@ -462,7 +418,7 @@ func (c *Client) WaitAll() {
 			c.pause(&spins, c.repliesReady)
 		}
 	}
-	c.FlushAll() // publish Ready/Decref generated by the final completions
+	c.FlushAll() // publish Decrefs queued by Release since the last flush
 }
 
 // Release finishes the caller's use of op and recycles the Op. A lookup hit
@@ -552,7 +508,7 @@ func (c *Client) Delete(key Key) bool {
 }
 
 // Close waits for outstanding operations, lets the servers drain any
-// fire-and-forget Ready/Decref messages still queued, and deactivates the
+// fire-and-forget Decref messages still queued, and deactivates the
 // client slot so servers stop polling its rings. The Client must not be
 // used afterwards.
 func (c *Client) Close() {

@@ -347,7 +347,6 @@ func TestRequestString(t *testing.T) {
 	}{
 		{request{keyop: makeKeyop(opLookup, 5)}, "Lookup(5)"},
 		{request{keyop: makeKeyop(opInsert, 6), arg: 16}, "Insert(6, 16 bytes)"},
-		{request{keyop: makeKeyop(opReady, 7)}, "Ready(7)"},
 		{request{keyop: makeKeyop(opDecref, 8)}, "Decref(8)"},
 		{request{keyop: makeKeyop(opDelete, 9)}, "Delete(9)"},
 	}
@@ -394,63 +393,6 @@ func TestSmallRingBackpressure(t *testing.T) {
 		if _, ok := c.Get(k, nil); !ok {
 			t.Fatalf("Get(%d) missed", k)
 		}
-	}
-}
-
-// TestPollReentrant pins the full-ring send path's two invariants.
-// Completing a two-phase insert reply (a value larger than a cache line)
-// sends a Ready message, and with the request ring full that send polls: (1) the nested Poll must carry on from the
-// batch the outer one is halfway through — not refill the shared reply
-// buffer under it and pop pending ops out of order, which completed
-// replies twice or against the wrong op ("Decref without matching
-// reference", or a value under the wrong key); (2) a send waiting for
-// ring space must keep kicking the server, because those Ready messages
-// can refill the ring, unkicked, after the server drained it and parked
-// (a hang with every server asleep). Each round nests Polls hundreds of
-// times; without either fix the test fails in nearly every run.
-func TestPollReentrant(t *testing.T) {
-	for round := 0; round < 40; round++ {
-		tb := MustNew(Config{Partitions: 2, RingCapacity: 8, CapacityBytes: 1 << 20, MaxClients: 1, Seed: 1})
-		c := tb.MustClient(0)
-		c.SetPipeline(64) // far above the ring capacity of 8
-		const keys = 300
-		vals := make([][]byte, keys)
-		ops := make([]*Op, keys)
-		for k := range ops {
-			// Longer than a cache line: only two-phase inserts send Ready.
-			vals[k] = []byte(fmt.Sprintf("value-%05d-%02d-%064d", k, round, k))
-			ops[k] = c.InsertAsync(Key(k), vals[k])
-		}
-		c.WaitAll()
-		for k, o := range ops {
-			if !o.Hit() {
-				t.Fatalf("round %d: insert %d failed", round, k)
-			}
-			c.Release(o)
-		}
-		// Lookups interleaved with inserts: a lookup reply completed
-		// against an insert op (or the reverse) shows as a wrong value.
-		ins := make([]*Op, keys)
-		for k := range ops {
-			ops[k] = c.LookupAsync(Key(k))
-			ins[k] = c.InsertAsync(Key(k+keys), vals[k])
-		}
-		c.WaitAll()
-		for k, o := range ops {
-			if !o.Hit() || string(o.Value()) != string(vals[k]) {
-				t.Fatalf("round %d: lookup %d = %q, hit %v; want %q", round, k, o.Value(), o.Hit(), vals[k])
-			}
-			c.Release(o)
-			if !ins[k].Hit() {
-				t.Fatalf("round %d: second insert %d failed", round, k)
-			}
-			c.Release(ins[k])
-		}
-		if c.Outstanding() != 0 || c.Issued() != c.Completed() {
-			t.Fatalf("round %d: %d outstanding, issued %d, completed %d", round, c.Outstanding(), c.Issued(), c.Completed())
-		}
-		c.Close()
-		tb.Close()
 	}
 }
 

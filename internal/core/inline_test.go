@@ -26,28 +26,29 @@ func TestMessageSizes(t *testing.T) {
 }
 
 // TestMessageCounts pins the one-message rule as a count the servers make
-// themselves: an operation whose value fits a cache line (64 B) is one
-// request, a larger one is the paper's two (Lookup+Decref, Insert+Ready),
-// and misses, deletes and RMWs are one whatever they carry. The count
-// repeats exactly, so a regression to two messages fails here and not only
-// in the benchmark's core.msgs_per_op.
+// themselves: an insert is one request at every size; a lookup hit whose
+// value fits a cache line (64 B) is one, a larger one the paper's two
+// (Lookup+Decref); misses, deletes and RMWs are one whatever they carry.
+// The count repeats exactly, so a regression to two messages fails here
+// and not only in the benchmark's core.msgs_per_op.
 func TestMessageCounts(t *testing.T) {
 	const keys = 7 // per step; distinct keys, so every lookup is a hit
 	cases := []struct {
 		name       string
 		size       int
-		msgs       int64 // per insert, and per lookup hit
+		hitMsgs    int64 // per lookup hit; an insert is always one
 		viaTTL     bool
 		viaVersion bool
 	}{
-		{name: "0B", size: 0, msgs: 1},
-		{name: "8B", size: 8, msgs: 1},
-		{name: "64B", size: 64, msgs: 1},
-		{name: "64B/ttl", size: 64, msgs: 1, viaTTL: true},
-		{name: "64B/ver", size: 64, msgs: 1, viaVersion: true},
-		{name: "65B", size: 65, msgs: 2},
-		{name: "1KiB", size: 1024, msgs: 2},
-		{name: "1KiB/ver", size: 1024, msgs: 2, viaVersion: true},
+		{name: "0B", size: 0, hitMsgs: 1},
+		{name: "8B", size: 8, hitMsgs: 1},
+		{name: "64B", size: 64, hitMsgs: 1},
+		{name: "64B/ttl", size: 64, hitMsgs: 1, viaTTL: true},
+		{name: "64B/ver", size: 64, hitMsgs: 1, viaVersion: true},
+		{name: "65B", size: 65, hitMsgs: 2},
+		{name: "1KiB", size: 1024, hitMsgs: 2},
+		{name: "1KiB/ttl", size: 1024, hitMsgs: 2, viaTTL: true},
+		{name: "1KiB/ver", size: 1024, hitMsgs: 2, viaVersion: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,9 +64,6 @@ func TestMessageCounts(t *testing.T) {
 					o = c.InsertTTLVerAsync(k, value(k, tc.size), 0, 100+k)
 				default:
 					o = c.InsertAsync(k, value(k, tc.size))
-				}
-				if o.TwoPhase() != (tc.msgs == 2) {
-					t.Fatalf("TwoPhase() = %v for %d bytes", o.TwoPhase(), tc.size)
 				}
 				ops = append(ops, o)
 			}
@@ -108,7 +106,7 @@ func TestMessageCounts(t *testing.T) {
 				t.Fatalf("stats = %+v", st)
 			}
 			// inserts + hits + misses + deletes (found, absent) + RMWs (add, append)
-			want := keys * (2*tc.msgs + 1 + 2 + 2)
+			want := keys * (1 + tc.hitMsgs + 1 + 2 + 2)
 			if st.Messages != want {
 				t.Fatalf("messages = %d, want %d", st.Messages, want)
 			}
@@ -119,8 +117,7 @@ func TestMessageCounts(t *testing.T) {
 
 // checkNoLeaks inspects the partitions of a closed table (its server
 // goroutines have exited, so the stores are safe to touch): every linked
-// element must be ready — no NOT_READY leftover of an insert whose Ready
-// never came — and once every key is deleted no byte may stay allocated,
+// element must be ready — no NOT_READY leftover of an insert — and once every key is deleted no byte may stay allocated,
 // which a reference that was never dropped would keep.
 func checkNoLeaks(t *testing.T, tb *Table) {
 	t.Helper()
@@ -213,10 +210,10 @@ func TestInlineEdgeSemantics(t *testing.T) {
 		c.Release(o)
 	}
 
-	// A NOT_READY element — a two-phase insert whose inserter has not yet
-	// copied and published — is a miss; a value that fits the line never
-	// is NOT_READY, so it hits as soon as its insert was executed.
-	for _, size := range []int{64, 65} {
+	// The server publishes every insert before it replies, so even a value
+	// past the line hits as soon as its insert was executed, before the
+	// inserter has polled the reply.
+	for _, size := range []int{64, 65, 1024} {
 		k := Key(500 + size)
 		before := tb.Stats().Inserts
 		ins := other.InsertAsync(k, value(k, size))
@@ -225,8 +222,8 @@ func TestInlineEdgeSemantics(t *testing.T) {
 			time.Sleep(50 * time.Microsecond) // until the server executed it
 		}
 		o := lookup(k)
-		if want := size <= 64; o.Hit() != want {
-			t.Fatalf("%d B: lookup before the inserter polled: hit %v", size, o.Hit())
+		if !o.Hit() || !bytes.Equal(o.Value(), value(k, size)) {
+			t.Fatalf("%d B: lookup before the inserter polled: hit %v, %d bytes", size, o.Hit(), o.Size())
 		}
 		c.Release(o)
 		other.Release(ins)

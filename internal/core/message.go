@@ -1,6 +1,6 @@
 // Package core implements CPHASH itself (Section 3 of the paper): a hash
 // table partitioned across per-core server goroutines, where client
-// goroutines send Lookup/Insert/Ready/Decref operations over shared-memory
+// goroutines send Lookup/Insert/Decref operations over shared-memory
 // SPSC rings instead of locking shared state.
 //
 // # Mapping from the paper to this implementation
@@ -26,17 +26,20 @@
 //     GC must see, so it is one 32-byte struct (2 per line). The batching
 //     economics (one line transfer carries several messages, indices are
 //     published per line) are identical.
-//   - one message per small operation: a value of at most inlineMax bytes
-//     (one cache line) travels with the message instead of behind it. A
-//     lookup hit that fits is copied by the server into the client-owned Op
-//     and its reference dropped before the reply, so no Decref follows; an
-//     insert that fits is copied by the server out of the client's buffer
-//     and published before the reply, so no Ready follows and the element
-//     is never visible NOT_READY. Every such operation is exactly one
-//     request and one reply. Larger values keep the paper's §3.2 protocol
-//     — the server allocates, the *client* copies, Lookup+Decref and
-//     Insert+Ready, two messages each — because that rule exists to keep
-//     big copies out of the server's cache.
+//   - one message per insert, and per small lookup: the server copies
+//     every insert's value out of the client's buffer and publishes it
+//     before the reply, so an insert is exactly one request and one reply
+//     whatever its size, its change record reaches the durability sink
+//     before the reply, and an element is never visible NOT_READY. The
+//     paper's §3.2 has the *client* copy into server-allocated space and
+//     send a Ready message, to keep big copies out of the server core's
+//     cache on an 80-core machine; on the few cores this runs on that
+//     second message costs more than the copy (README, "Where this differs
+//     from the paper"). A lookup hit of at most inlineMax bytes (one cache
+//     line) is copied by the server into the client-owned Op and its
+//     reference dropped before the reply, so no Decref follows; a larger
+//     hit keeps the paper's Lookup+Decref: the client reads the pinned
+//     element and returns it with a Decref message.
 package core
 
 import (
@@ -63,17 +66,10 @@ const (
 	// with the element's ref, pinned by one reference the client returns
 	// with opDecref. A miss is refNone.
 	opLookup
-	// opInsert asks the server to allocate arg bytes under keyop's key
-	// (refNone reply if space cannot be made). A value of at most inlineMax
-	// bytes is copied from the Op's insVal and published on the spot
-	// (refInline reply); for a larger one the reply is the ref of the
-	// NOT_READY element holding one reference, which the client fills and
-	// publishes with opReady.
+	// opInsert asks the server to store the Op's insVal (arg bytes) under
+	// keyop's key. The server copies and publishes the value before it
+	// replies refInline, or replies refNone if space cannot be made.
 	opInsert
-	// opReady publishes the value bytes of the element at ref (the client
-	// has finished copying) and releases the inserter's reference. No
-	// reply. Sent only for values larger than inlineMax.
-	opReady
 	// opDecref releases one reference on the element at ref. No reply.
 	// Sent only for lookup hits larger than inlineMax.
 	opDecref
@@ -94,17 +90,17 @@ const (
 // Reply refs that name no element (partition.Store.Ref is 0 for none and
 // never below 8 otherwise): refNone is a miss, a failed insert, a delete of
 // an absent key or a finished RMW; refDeleted a delete that removed the
-// key; refInline a lookup hit or insert completed in one message — the
-// value already copied (into the Op, or out of it), no reference held.
+// key; refInline a stored insert or a lookup hit completed in one message —
+// the value already copied (out of the Op, or into it), no reference held.
 const (
 	refNone uint32 = iota
 	refDeleted
 	refInline
 )
 
-// inlineMax is the largest value, in bytes, that travels with its message:
-// one cache line. It is the only thing that selects between the
-// one-message and the two-message protocol.
+// inlineMax is the largest lookup hit, in bytes, that travels with its
+// reply: one cache line. It is the only thing that selects between the
+// one-message and the two-message lookup.
 const inlineMax = 64
 
 const (
@@ -117,7 +113,7 @@ const (
 // Packing: op lives in the top 4 bits of keyop, the 60-bit key below it.
 // arg carries the value size (low 32 bits) and TTL in milliseconds (high
 // 32 bits; 0 = never expires) for opInsert. ref names the element for
-// opReady/opDecref. o points at the client-owned Op for opLookup (the
+// opDecref. o points at the client-owned Op for opLookup (the
 // inline value buffer), opInsert (the payload and an optional explicit CAS
 // version) and opRMW (the descriptor): the server reads and writes it only
 // before producing the reply, and the reply ring's release/acquire pair
@@ -143,10 +139,10 @@ func (r request) insertTTL() uint32 { return uint32(r.arg >> 32) }
 // requestLineMsgs is the request-ring flush granularity.
 const requestLineMsgs = 4
 
-// reply is one server→client message: for opLookup/opInsert the element's
-// ref, refNone on miss/failure, or refInline; for opDelete refDeleted or
-// refNone. Replies are matched to requests purely by FIFO order, as the
-// rings preserve per-pair ordering.
+// reply is one server→client message: for opLookup the element's ref,
+// refNone on a miss, or refInline; for opInsert refInline or refNone on
+// failure; for opDelete refDeleted or refNone. Replies are matched to
+// requests purely by FIFO order, as the rings preserve per-pair ordering.
 type reply struct {
 	ref uint32
 }
@@ -171,8 +167,6 @@ func (r request) String() string {
 			return fmt.Sprintf("Insert(%d, %d bytes, ttl %dms)", r.key(), r.insertSize(), ttl)
 		}
 		return fmt.Sprintf("Insert(%d, %d bytes)", r.key(), r.insertSize())
-	case opReady:
-		return fmt.Sprintf("Ready(%d)", r.key())
 	case opDecref:
 		return fmt.Sprintf("Decref(%d)", r.key())
 	case opDelete:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -178,4 +179,40 @@ func TestIdleServersStopSweeping(t *testing.T) {
 	if after := tb.Stats().IdleSweeps; after != before {
 		t.Fatalf("idle sweeps grew %d → %d with no traffic", before, after)
 	}
+}
+
+// TestStatsAdvanceWhileBusy: a server that never parks still adds its
+// message count to Stats every statsFlushMsgs messages, so a scrape taken
+// under sustained load sees cphash_table_messages_total move.
+func TestStatsAdvanceWhileBusy(t *testing.T) {
+	ps := parkAfterSweeps
+	parkAfterSweeps = math.MaxInt // flushing on park or exit would hide the bound
+	t.Cleanup(func() { parkAfterSweeps = ps })
+	tb := newTestTable(t, Config{Partitions: 1})
+	c := tb.MustClient(0)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		defer c.Close()
+		val := []byte("busy")
+		ops := make([]*Op, 64)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := range ops {
+				ops[i] = c.InsertAsync(Key(i), val)
+			}
+			c.WaitAll()
+			for _, o := range ops {
+				c.Release(o)
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	waitFor(t, "a busy server's first flush", func() bool { return tb.Stats().Messages >= statsFlushMsgs })
+	first := tb.Stats().Messages
+	waitFor(t, "a busy server's next flush", func() bool { return tb.Stats().Messages > first })
 }

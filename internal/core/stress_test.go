@@ -16,27 +16,15 @@ import (
 var stressSeed = flag.Int64("stress.seed", 0, "seed of TestSmallRingStress (0 = from the clock)")
 
 // The stress below drives rings of 4 and 8 messages — smaller than any
-// pipeline — so that every send path runs full: a request waiting for
-// ring space, a Ready or Decref issued from inside a nested Poll, and the
-// one-message and two-message protocols interleaved on one ring. Each
-// client owns the keys ≡ its id and checks them against an exact model;
-// all clients also hammer a few shared keys, where only integrity can be
-// checked (any value read was written whole by someone).
-
-// stressVisibility says whether the two-phase insert that was in flight on
-// an op's key when the op was issued had been published by the time the
-// server executed the op. The Ready message is sent when the client
-// completes the insert's reply, so an insert that was Done before the op
-// was issued is published; one still not Done after the op was issued is
-// not; one that completed inside the issue (which polls when the pipeline
-// or the ring is full) may be either.
-type stressVisibility uint8
-
-const (
-	visReady stressVisibility = iota
-	visNotReady
-	visEither
-)
+// pipeline — so that every send path runs full: a request or a Decref
+// waiting for ring space, and one-message and two-message lookups
+// interleaved with inserts of both sizes on one ring. Each client owns the
+// keys ≡ its id and checks them against an exact model: a key's
+// operations share one FIFO ring and the server publishes an insert before
+// it replies, so every op behind an executed insert must see it, whether
+// or not the client has polled the insert's reply. All clients also
+// hammer a few shared keys, where only integrity can be checked (any
+// value read was written whole by someone).
 
 type stressKind uint8
 
@@ -50,25 +38,20 @@ const (
 // stressOp is one issued operation awaiting its model check.
 type stressOp struct {
 	o      *Op
-	seq    uint64 // issue number, from 1 (Ops are recycled, so pointers do not identify)
 	kind   stressKind
 	key    Key
 	val    []byte // insert payload / RMW operand, unchanged until Done; a held hit's bytes
 	ver    uint64 // explicit insert version (0 = none)
-	pend   uint64 // seq of the two-phase insert in flight on the key at issue, if any
-	vis    stressVisibility
 	shared bool
 	hold   int // lookups: harvest rounds to keep the hit pinned before Release
 }
 
 // stressKey is the model of one owned key.
 type stressKey struct {
-	present bool      // an element is linked (ready or not)
-	val     []byte    // its value
-	ver     uint64    // its CAS version; 0 = not yet observed
-	src     uint64    // seq of the insert that linked it; 0 if an RMW or a sync Put did
-	pend    *stressOp // the key's latest two-phase insert, until it is harvested
-	lastVer uint64    // a version seen by an earlier lookup, for CAS operands
+	present bool   // an element is linked
+	val     []byte // its value
+	ver     uint64 // its CAS version; 0 = not yet observed
+	lastVer uint64 // a version seen by an earlier lookup, for CAS operands
 }
 
 type stressClient struct {
@@ -80,7 +63,6 @@ type stressClient struct {
 	queue  []*stressOp // issue order
 	held   []*stressOp // completed lookups pinned a little longer
 	nextV  uint64
-	seq    uint64
 	errorf func(format string, args ...any)
 }
 
@@ -118,8 +100,7 @@ func (sc *stressClient) ownedKey() Key {
 
 // issue sends one random asynchronous operation.
 func (sc *stressClient) issue() {
-	sc.seq++
-	so := &stressOp{seq: sc.seq}
+	so := &stressOp{}
 	if sc.rng.Intn(5) == 0 {
 		so.shared = true
 		so.key = stressSharedBase + Key(sc.rng.Intn(stressSharedKeys))
@@ -128,15 +109,11 @@ func (sc *stressClient) issue() {
 	}
 	size := stressSizes[sc.rng.Intn(len(stressSizes))]
 	var mk *stressKey
-	var pend *Op // the key's two-phase insert not yet Done, if any
 	if !so.shared {
 		mk = sc.keys[so.key]
 		if mk == nil {
 			mk = &stressKey{}
 			sc.keys[so.key] = mk
-		}
-		if mk.pend != nil && !mk.pend.o.Done() {
-			so.pend, pend = mk.pend.seq, mk.pend.o
 		}
 	}
 	switch r := sc.rng.Intn(10); {
@@ -153,21 +130,9 @@ func (sc *stressClient) issue() {
 			so.ver = sc.nextV + uint64(sc.id)
 		}
 		so.o = sc.c.InsertTTLVerAsync(so.key, so.val, ttl, so.ver)
-		if so.o.TwoPhase() != (size > 64) {
-			sc.errorf("TwoPhase() = %v for %d bytes", so.o.TwoPhase(), size)
-		}
-		if mk != nil {
-			mk.pend = nil
-			if size > 64 {
-				mk.pend = so
-			}
-		}
 	case r < 8:
 		so.kind = stressDelete
 		so.o = sc.c.DeleteAsync(so.key)
-		if mk != nil {
-			mk.pend = nil
-		}
 	default:
 		if so.shared { // RMW outcomes on shared keys depend on the other clients
 			so.kind = stressLookup
@@ -187,14 +152,6 @@ func (sc *stressClient) issue() {
 		}
 		req.Val = so.val
 		so.o = sc.c.RMWAsync(so.key, req)
-	}
-	switch {
-	case pend == nil:
-		so.vis = visReady
-	case !pend.Done():
-		so.vis = visNotReady
-	default:
-		so.vis = visEither
 	}
 	sc.queue = append(sc.queue, so)
 }
@@ -249,21 +206,10 @@ func (sc *stressClient) check(so *stressOp) {
 		return
 	}
 	mk := sc.keys[so.key]
-	// visible: may the op have seen the key's element? Two answers are
-	// possible only while the element's own two-phase insert was in flight.
-	canSee, canMiss := mk.present, !mk.present
-	if mk.present && mk.src != 0 && mk.src == so.pend {
-		switch so.vis {
-		case visNotReady:
-			canSee, canMiss = false, true
-		case visEither:
-			canMiss = true
-		}
-	}
 	switch so.kind {
 	case stressLookup:
-		if o.Hit() && !canSee || !o.Hit() && !canMiss {
-			sc.errorf("key %d: lookup hit = %v, model present = %v (vis %d)", so.key, o.Hit(), mk.present, so.vis)
+		if o.Hit() != mk.present {
+			sc.errorf("key %d: lookup hit = %v, model present = %v", so.key, o.Hit(), mk.present)
 			return
 		}
 		if !o.Hit() {
@@ -284,16 +230,12 @@ func (sc *stressClient) check(so *stressOp) {
 		if !o.Hit() {
 			sc.errorf("key %d: insert of %d bytes found no space", so.key, len(so.val))
 		}
-		if mk.pend == so {
-			mk.pend = nil // Done: its Ready precedes everything issued from now on
-		}
-		*mk = stressKey{present: true, val: so.val, ver: so.ver, src: so.seq, pend: mk.pend, lastVer: mk.lastVer}
+		*mk = stressKey{present: true, val: so.val, ver: so.ver, lastVer: mk.lastVer}
 	case stressDelete:
-		// A delete finds a NOT_READY element too.
 		if o.Hit() != mk.present {
 			sc.errorf("key %d: delete found = %v, model present = %v", so.key, o.Hit(), mk.present)
 		}
-		mk.present, mk.val, mk.ver, mk.src = false, nil, 0, 0
+		mk.present, mk.val, mk.ver = false, nil, 0
 	case stressRMW:
 		r := o.RMW()
 		saw := false // did the RMW act on a visible element?
@@ -309,8 +251,8 @@ func (sc *stressClient) check(so *stressOp) {
 			sc.errorf("key %d: %v returned %v", so.key, r.Op, r.Status)
 			return
 		}
-		if saw && !canSee || !saw && !canMiss {
-			sc.errorf("key %d: %v returned %v, model present = %v (vis %d)", so.key, r.Op, r.Status, mk.present, so.vis)
+		if saw != mk.present {
+			sc.errorf("key %d: %v returned %v, model present = %v", so.key, r.Op, r.Status, mk.present)
 			return
 		}
 		if r.Op == partition.RMWCas && saw {
@@ -330,7 +272,7 @@ func (sc *stressClient) check(so *stressOp) {
 			if r.Op == partition.RMWAppend {
 				val = append(append([]byte{}, mk.val...), so.val...)
 			}
-			mk.present, mk.val, mk.ver, mk.src = true, val, r.OutVer, 0
+			mk.present, mk.val, mk.ver = true, val, r.OutVer
 		}
 	}
 }

@@ -157,9 +157,14 @@ var (
 	clientSpins     = 64
 )
 
+// statsFlushMsgs bounds how many processed messages a busy server holds
+// back from its serverStats, so Stats moves under sustained load too.
+const statsFlushMsgs = 4096
+
 // serverStats are one server goroutine's counters, on a cache line of
-// their own: the server adds to them when it parks and when it exits, so
-// a flush does not evict the table fields every sweep reads.
+// their own: the server adds to them when it parks, when it exits and
+// every statsFlushMsgs messages, so a flush does not evict the table
+// fields every sweep reads.
 type serverStats struct {
 	messages, idleSweeps atomic.Int64
 	_                    [48]byte
@@ -522,7 +527,9 @@ func (t *Table) serverLoop(id int) {
 					continue
 				}
 				work = true
-				processed += int64(n)
+				if processed += int64(n); processed >= statsFlushMsgs {
+					flushStats()
+				}
 				for i := 0; i < n; i++ {
 					if rep, ok := execute(store, reqs[i]); ok && !out.Produce(rep) {
 						// The reply ring is full mid-batch. Its client may
@@ -539,9 +546,9 @@ func (t *Table) serverLoop(id int) {
 			// Bulk iteration rides the sweep boundary, like handoffs: the
 			// mailbox is drained only by the owner, so a plain Load guards
 			// the (rare) Swap. Checking it AFTER the ring drain gives scans
-			// a useful ordering guarantee: any Ready/Insert published to
-			// this partition's rings before the scan job was posted is
-			// applied before the scan runs.
+			// a useful ordering guarantee: any Insert published to this
+			// partition's rings before the scan job was posted is applied
+			// before the scan runs.
 			if t.scans[p].job.Load() != nil {
 				if j := t.scans[p].job.Swap(nil); j != nil {
 					t.scans[p].run(store, j)
@@ -616,23 +623,16 @@ func execute(store *partition.Store, r request) (reply, bool) {
 		// preserved instead of assigning a fresh one.
 		ttl := time.Duration(r.insertTTL()) * time.Millisecond
 		e := store.InsertTTLVer(r.key(), r.insertSize(), ttl, r.o.rmw.Ver)
-		ref := store.Ref(e) // refNone when space cannot be made
-		if e != nil && e.Size() <= inlineMax {
-			// The value fits a cache line: copy it out of the client's
-			// buffer and publish here, so the change sink fires before the
-			// reply and the client owes no Ready.
-			copy(e.Value(), r.o.insVal)
-			store.MarkReady(e)
-			store.Decref(e)
-			ref = refInline
+		if e == nil {
+			return reply{ref: refNone}, true // space cannot be made
 		}
-		return reply{ref: ref}, true
-	case opReady:
-		// Publishing the value also releases the inserter's reference:
-		// a large insert is still exactly the paper's two messages (§6.2).
-		e := store.Elem(r.ref)
+		// Copy the value out of the client's buffer and publish it here,
+		// so the change sink fires before the reply and the element is
+		// never seen NOT_READY.
+		copy(e.Value(), r.o.insVal)
 		store.MarkReady(e)
 		store.Decref(e)
+		return reply{ref: refInline}, true
 	case opDecref:
 		store.Decref(store.Elem(r.ref))
 	case opDelete:

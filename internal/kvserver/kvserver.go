@@ -80,25 +80,19 @@ type Result struct {
 // batch's responses have been buffered), results, and buf are all reused
 // by the worker; ProcessBatch must not retain any of them — not in the
 // table, not in goroutines it spawns — past its return. Anything a
-// backend stores must be copied first (the CPHASH backend copies values
-// while settling its pipelined inserts; LOCKHASH copies under the
-// partition lock). The buffer-aliasing regression tests in alias_test.go
-// enforce this by scribbling over the arena after the batch settles.
+// backend stores must be copied first (CPHASH's owning server copies each
+// value before it replies, and the backend waits for every reply;
+// LOCKHASH copies under the partition lock). The buffer-aliasing
+// regression tests in alias_test.go enforce this by scribbling over the
+// arena after the batch settles.
+//
+// Durability contract: every change record of a batch has reached the
+// table's durability sink when ProcessBatch returns (CPHASH's server
+// publishes it before the reply; LOCKHASH under the partition lock), so
+// group commit's barrier right after it covers the whole batch.
 type Backend interface {
 	ProcessBatch(reqs []protocol.Request, results []Result, buf []byte) []byte
 	Close()
-}
-
-// BatchFencer is the optional Backend extension group commit needs: a
-// backend whose writes become durable-visible asynchronously (CPHASH's
-// Ready messages — sent for values larger than one cache line — are
-// fire-and-forget, so a batch's change records may still be in flight
-// toward the durability sink when ProcessBatch returns) must implement
-// FenceBatch to block until every record of the previously processed
-// batches has reached the sink. Synchronous backends (LOCKHASH publishes
-// under the partition lock) need not implement it.
-type BatchFencer interface {
-	FenceBatch()
 }
 
 // SlotScanner is the optional Backend extension behind the protocol v3
@@ -295,16 +289,11 @@ type worker struct {
 	groupCommit bool
 }
 
-// commit is the group-commit barrier: under sync=always it first fences
-// the backend (flushing any in-flight fire-and-forget publications into
-// the change rings) and then blocks until every published record is
-// fsynced. Responses are written only after it returns, so an
-// acknowledged write is on disk.
+// commit is the group-commit barrier: under sync=always it blocks until
+// every record the backend published is fsynced. Responses are written
+// only after it returns, so an acknowledged write is on disk.
 func (w *worker) commit() {
 	if w.groupCommit {
-		if f, ok := w.backend.(BatchFencer); ok {
-			f.FenceBatch()
-		}
 		w.persist.Barrier()
 	}
 }
@@ -448,23 +437,14 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	for _, w := range s.workers {
-		// With the workers stopped, fence each backend once more so the
-		// final batches' fire-and-forget publications are in the change
-		// rings before the pipeline's closing drain.
-		if s.persist != nil {
-			if f, ok := w.backend.(BatchFencer); ok {
-				f.FenceBatch()
-			}
-		}
 		w.backend.Close()
 	}
-	// The worker queues are drained and the backends fenced, so every
-	// processed mutation has been published to the pipeline's change
-	// rings. A replication source must see those final records, so the
-	// pipeline is barriered (rings drained through the tail fanout) and
-	// the source closed BEFORE the pipeline: followers receive everything
-	// this server processed, then the WAL flushes and closes. Shutdown is
-	// the one flush even sync=none gets.
+	// The worker queues are drained, so every processed mutation has been
+	// published to the pipeline's change rings. A replication source must
+	// see those final records, so the pipeline is barriered (rings drained
+	// through the tail fanout) and the source closed BEFORE the pipeline:
+	// followers receive everything this server processed, then the WAL
+	// flushes and closes. Shutdown is the one flush even sync=none gets.
 	if s.repl != nil {
 		if s.persist != nil {
 			s.persist.Barrier()
@@ -739,6 +719,14 @@ func (w *worker) run() {
 			}
 			start = end
 		}
+		n := int64(len(items) - none)
+		none = 0
+		if n > 0 {
+			// Counted before any response goes out, so a client that has
+			// read a response sees its request in Stats.
+			w.requests.Add(n)
+			w.batches.Add(1)
+		}
 		for i, cs := range touched {
 			if cs.wErr == nil {
 				cs.wErr = cs.w.Flush()
@@ -753,8 +741,6 @@ func (w *worker) run() {
 			touched[i] = nil
 		}
 		touched = touched[:0]
-		n := int64(len(items) - none)
-		none = 0
 		if n == 0 {
 			continue // nothing but canned replies: not a batch of requests
 		}
@@ -762,8 +748,6 @@ func (w *worker) run() {
 		w.m.BatchLatency.Record(elapsed)
 		w.m.BatchSize.Record(n)
 		w.m.OpLatency.RecordN(elapsed/n, n)
-		w.requests.Add(n)
-		w.batches.Add(1)
 	}
 }
 
@@ -877,20 +861,6 @@ type cphashBackend struct {
 	ops    []*core.Op
 	idx    []int    // result index per op; -1 for inserts
 	keys   [][]byte // string key per op for GET_STR verification; else nil
-	// inserted holds the keys of this batch's two-phase inserts
-	// (core.Op.TwoPhase), which a later lookup or RMW of the same key must
-	// wait out; see ProcessBatch.
-	inserted map[uint64]struct{}
-	// fenceKeys holds, per partition, one key inserted in two phases since
-	// the last FenceBatch. Such an insert's change record is published by
-	// the server goroutine only when it processes the (fire-and-forget)
-	// Ready message, so "batch settled" does not imply "records
-	// published"; FenceBatch closes that gap with a lookup per touched
-	// partition — its reply rides the same FIFO ring, so receiving it
-	// proves every earlier Ready executed. A one-message insert's record
-	// is in the sink before its reply, so settling it is proof enough.
-	// Bounded by the partition count.
-	fenceKeys map[int]uint64
 	// entryBuf stages SET_STR stored entries (klen|key|value framing) for
 	// the current batch. It is sized up front so mid-batch appends never
 	// reallocate: in-flight inserts hold pointers into it until they
@@ -907,26 +877,20 @@ func NewCPHashBackend(t *core.Table) func(worker int) (Backend, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &cphashBackend{client: c, table: t, inserted: map[uint64]struct{}{}, fenceKeys: map[int]uint64{}}, nil
+		return &cphashBackend{client: c, table: t}, nil
 	}
 }
 
-// ProcessBatch pipelines the whole batch asynchronously — deletes ride the
-// same rings as lookups and inserts. One subtlety: a LOOKUP of a key
-// INSERTed earlier in the same batch must observe the new value, but a
-// value larger than one cache line only becomes visible once the client
-// has copied it and the server has processed the Ready message (§3.2's
-// NOT_READY protocol). Waiting for the insert completion before issuing
-// the dependent lookup suffices: the Ready message then precedes the
-// lookup on the same FIFO ring, so the server is guaranteed to publish
-// before it looks up. A smaller value is published by the server as part
-// of the insert itself, and a DELETE carries no value, so for those ring
-// FIFO order alone makes a later same-batch LOOKUP answer correctly.
+// ProcessBatch pipelines the whole batch asynchronously — deletes and RMWs
+// ride the same rings as lookups and inserts. The owning server publishes
+// an insert, and its change record, before it replies, and a key's
+// operations all travel one FIFO ring, so a LOOKUP or RMW of a key
+// written earlier in the same batch observes the write without waiting
+// for it.
 func (b *cphashBackend) ProcessBatch(reqs []protocol.Request, results []Result, buf []byte) []byte {
 	b.ops = b.ops[:0]
 	b.idx = b.idx[:0]
 	b.keys = b.keys[:0]
-	clear(b.inserted)
 	// Pre-size the SET_STR staging slab: growing it mid-batch would move
 	// entries out from under in-flight inserts.
 	need := 0
@@ -939,89 +903,62 @@ func (b *cphashBackend) ProcessBatch(reqs []protocol.Request, results []Result, 
 		b.entryBuf = make([]byte, 0, need+need/2)
 	}
 	b.entryBuf = b.entryBuf[:0]
-	pendingStart := 0
 	for i, r := range reqs {
 		key := routedKey(r)
 		switch r.Op {
 		case protocol.OpLookup, protocol.OpGetStr, protocol.OpGets, protocol.OpGetsStr:
-			if _, dep := b.inserted[key]; dep {
-				buf = b.settle(results, buf, pendingStart)
-				pendingStart = len(b.ops)
-				clear(b.inserted)
-			}
 			b.ops = append(b.ops, b.client.LookupAsync(key))
 			b.idx = append(b.idx, i)
 			b.keys = append(b.keys, r.StrKey)
 		case protocol.OpInsert, protocol.OpInsertTTL:
 			// INSERTs are silent; still track the op so values (owned by
 			// the reader-created request) stay live until copied.
-			b.insert(key, b.client.InsertTTLAsync(key, r.Value, wireTTL(r.TTL)))
+			b.insert(b.client.InsertTTLAsync(key, r.Value, wireTTL(r.TTL)))
 		case protocol.OpSetStr:
 			// Embed the string key in the stored entry so collisions are
 			// detectable at read time. The entry bytes must stay stable
-			// until the op settles (the client copies on reply); they live
-			// in the pre-sized batch slab, which cannot reallocate.
+			// until the server has copied them; they live in the pre-sized
+			// batch slab, which cannot reallocate.
 			mark := len(b.entryBuf)
 			b.entryBuf = protocol.AppendStringEntry(b.entryBuf, r.StrKey, r.Value)
 			entry := b.entryBuf[mark:len(b.entryBuf):len(b.entryBuf)]
-			b.insert(key, b.client.InsertTTLAsync(key, entry, wireTTL(r.TTL)))
+			b.insert(b.client.InsertTTLAsync(key, entry, wireTTL(r.TTL)))
 		case protocol.OpDelete, protocol.OpDelStr:
 			b.ops = append(b.ops, b.client.DeleteAsync(key))
 			b.idx = append(b.idx, i)
 			b.keys = append(b.keys, nil)
-			// A later same-batch lookup of this key needs no settle
-			// barrier: the delete precedes it on the FIFO ring.
-			delete(b.inserted, key)
 		case protocol.OpInsertVer:
 			// Replay-with-version (migration, replica catch-up): silent
 			// like INSERT, value bytes already carry any string framing.
-			b.insert(key, b.client.InsertTTLVerAsync(key, r.Value, wireTTL(r.TTL), r.Ver))
+			b.insert(b.client.InsertTTLVerAsync(key, r.Value, wireTTL(r.TTL), r.Ver))
 		default:
 			if !protocol.IsRMW(r.Op) {
 				continue
-			}
-			// An RMW of a key INSERTed in two phases earlier in this batch
-			// must not observe the not-ready element (it reads as absent);
-			// the settle barrier dependent lookups use closes that window.
-			// The RMW itself needs no fence key: its change record is
-			// published inline on the owning server goroutine before the
-			// reply, so settling the op already proves publication. A
-			// stored result is immediately ready, so later same-batch
-			// lookups need no barrier either (ring FIFO suffices).
-			if _, dep := b.inserted[key]; dep {
-				buf = b.settle(results, buf, pendingStart)
-				pendingStart = len(b.ops)
-				clear(b.inserted)
 			}
 			b.ops = append(b.ops, b.client.RMWAsync(key, rmwReqOf(r)))
 			b.idx = append(b.idx, i)
 			b.keys = append(b.keys, nil)
 		}
 	}
-	buf = b.settle(results, buf, pendingStart)
+	buf = b.settle(results, buf)
 	b.ops = b.ops[:0]
 	b.keys = b.keys[:0]
 	return buf
 }
 
 // insert tracks a just-issued (silent) insert so its value stays live
-// until copied, and records the settle and fence dependencies only a
-// two-phase insert creates.
-func (b *cphashBackend) insert(key uint64, op *core.Op) {
+// until the server has copied it.
+func (b *cphashBackend) insert(op *core.Op) {
 	b.ops = append(b.ops, op)
 	b.idx = append(b.idx, -1)
 	b.keys = append(b.keys, nil)
-	if op.TwoPhase() {
-		b.inserted[key] = struct{}{}
-		b.fenceKeys[b.table.PartitionOf(key)] = key
-	}
 }
 
-// settle waits for the ops issued since from, harvests lookup and delete
+// settle waits for every op of the batch, harvests lookup, delete and RMW
 // results, and releases everything.
-func (b *cphashBackend) settle(results []Result, buf []byte, from int) []byte {
+func (b *cphashBackend) settle(results []Result, buf []byte) []byte {
 	b.client.WaitAll()
-	for j := from; j < len(b.ops); j++ {
+	for j := range b.ops {
 		op := b.ops[j]
 		i := b.idx[j]
 		if i >= 0 {
@@ -1056,27 +993,6 @@ func (b *cphashBackend) settle(results []Result, buf []byte, from int) []byte {
 }
 
 func (b *cphashBackend) Close() { b.client.Close() }
-
-// FenceBatch implements BatchFencer: one pipelined lookup per partition
-// with unfenced two-phase inserts. Each reply proves, by per-ring FIFO
-// order, that every Ready message issued before it — and therefore every
-// change record of the settled batches — has executed on the owning
-// server goroutine and been published to the durability sink.
-func (b *cphashBackend) FenceBatch() {
-	if len(b.fenceKeys) == 0 {
-		return
-	}
-	from := len(b.ops)
-	for _, key := range b.fenceKeys {
-		b.ops = append(b.ops, b.client.LookupAsync(key))
-	}
-	b.client.WaitAll()
-	for _, op := range b.ops[from:] {
-		b.client.Release(op)
-	}
-	b.ops = b.ops[:from]
-	clear(b.fenceKeys)
-}
 
 // slotFilter adapts a wire slot bitmap to the key predicate the tables'
 // scan paths take. Keys land in slots exactly as the client-side continuum
@@ -1224,15 +1140,12 @@ func (b *lockhashBackend) PurgeSlots(slots *protocol.SlotSet, cursor uint64) (in
 	return removed, next, nil
 }
 
-// Sanity: both backends implement Backend and its migration extension;
-// only CPHASH needs the group-commit fence (LOCKHASH publishes change
-// records synchronously under the partition lock).
+// Sanity: both backends implement Backend and its migration extension.
 var (
 	_ Backend     = (*cphashBackend)(nil)
 	_ Backend     = (*lockhashBackend)(nil)
 	_ SlotScanner = (*cphashBackend)(nil)
 	_ SlotScanner = (*lockhashBackend)(nil)
-	_ BatchFencer = (*cphashBackend)(nil)
 )
 
 // DefaultBufferSize is the per-connection bufio buffer size, read and

@@ -1,6 +1,7 @@
 package kvserver
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -127,36 +128,37 @@ func TestGracefulShutdownFlushesWAL(t *testing.T) {
 
 // TestGroupCommitSurvivesCrash: under sync=always a response reaches the
 // client only after the batch's change records are fsynced, so even an
-// abrupt kill (no drain, no flush) right after the ack loses nothing.
+// abrupt kill (no drain, no flush) right after the ack loses nothing — for
+// a value within a cache line and for a 1 KiB one alike.
 func TestGroupCommitSurvivesCrash(t *testing.T) {
-	dir := t.TempDir()
-	srv, table, pipe, _ := persistServer(t, dir, persist.SyncAlways)
-	const n = 300
-	val := []byte("group-commit")
-	ackWrites(t, srv.Addr(), n, val)
+	for _, val := range [][]byte{[]byte("group-commit"), bytes.Repeat([]byte("group-commit-1KiB"), 61)[:1024]} {
+		dir := t.TempDir()
+		srv, table, pipe, _ := persistServer(t, dir, persist.SyncAlways)
+		const n = 300
+		ackWrites(t, srv.Addr(), n, val)
 
-	// Crash: persisters die in place; then tear down the serving side
-	// without the graceful pipeline flush (Close sees the pipeline
-	// already dead and skips it).
-	pipe.Kill()
-	srv.Close()
-	table.Close()
+		// Crash: persisters die in place; then tear down the serving side
+		// without the graceful pipeline flush (Close sees the pipeline
+		// already dead and skips it).
+		pipe.Kill()
+		srv.Close()
+		table.Close()
 
-	got := recoverKeys(t, dir)
-	for k := 0; k < n; k++ {
-		if got[uint64(k)] != string(val) {
-			t.Fatalf("acked key %d lost by crash under sync=always (have %d keys)", k, len(got))
+		got := recoverKeys(t, dir)
+		for k := 0; k < n; k++ {
+			if got[uint64(k)] != string(val) {
+				t.Fatalf("%d B: acked key %d lost by crash under sync=always (have %d keys)", len(val), k, len(got))
+			}
 		}
 	}
 }
 
 // TestGroupCommitKeepsOverwriteOrder: a key overwritten while its first
-// insert is still in flight recovers to the value the table serves. The
-// two sizes take different routes to the sink — a value of at most a cache
-// line is logged when the server executes the insert, a larger one when it
-// executes the later Ready message — so the large insert's record can reach
-// the sink after the small overwrite's; the store must not log a value that
-// was replaced before it was published.
+// insert is still in flight recovers to the value the table serves. Both
+// sizes take one route to the sink — the owning server logs the insert
+// when it executes it, before the reply — so a key's records reach the
+// sink in the order its inserts ran, whichever of a small and a large
+// value came last.
 func TestGroupCommitKeepsOverwriteOrder(t *testing.T) {
 	dir := t.TempDir()
 	srv, table, pipe, _ := persistServer(t, dir, persist.SyncAlways)

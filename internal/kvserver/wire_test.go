@@ -229,9 +229,12 @@ func TestWireStringCollisionSafety(t *testing.T) {
 }
 
 // TestWireSetThenGetSameBatch: SET k v; GET k written in one flush (so,
-// normally, one batch) returns the new value on every backend, for a value
-// CPHASH stores with one message (16 B: no settle barrier) and for one it
-// stores in two phases (1 KiB: the barrier still holds the GET back).
+// normally, one batch) returns the new value on every backend, for a 16 B
+// and a 1 KiB value alike. CPHASH's owning server publishes every insert
+// before it replies, so ring FIFO order alone holds the GET behind the
+// SET. The same goes for RMWs: an APPEND right behind the 1 KiB SET
+// extends it, a GETS behind both reads the result and its version, and a
+// CAS with that version then stores.
 func TestWireSetThenGetSameBatch(t *testing.T) {
 	eachBackend(t, 1, func(t *testing.T, srv *Server) {
 		c, closeConn := dialT(t, srv.Addr())
@@ -247,6 +250,9 @@ func TestWireSetThenGetSameBatch(t *testing.T) {
 				c.send(protocol.Request{Op: protocol.OpSetStr, StrKey: fmt.Appendf(nil, "s%d", i), Value: v})
 				c.send(protocol.Request{Op: protocol.OpGetStr, StrKey: fmt.Appendf(nil, "s%d", i)})
 			}
+			large := uint64(len(want) - 1)
+			c.send(protocol.Request{Op: protocol.OpAppend, Key: large, Value: []byte("+")})
+			c.send(protocol.Request{Op: protocol.OpGets, Key: large})
 			c.w.Flush()
 			for i, v := range want {
 				for _, kind := range []string{"GET", "GET_STR"} {
@@ -258,6 +264,23 @@ func TestWireSetThenGetSameBatch(t *testing.T) {
 						t.Fatalf("round %d: %s after SET of %d bytes: found %v, %d bytes", round, kind, len(want[i]), found, len(got))
 					}
 				}
+			}
+			status, appendVer, _, err := protocol.ReadRMWResponse(c.r)
+			if err != nil || status != protocol.RMWStatusStored {
+				t.Fatalf("round %d: APPEND after SET of 1 KiB: status %d, err %v", round, status, err)
+			}
+			got, ver, found, err := protocol.ReadGetsResponseInto(c.r, nil)
+			if err != nil || !found || ver != appendVer || !bytes.Equal(got, append(want[large], '+')) {
+				t.Fatalf("round %d: GETS after APPEND: found %v, %d bytes, v%d (APPEND stored v%d), err %v", round, found, len(got), ver, appendVer, err)
+			}
+			c.send(protocol.Request{Op: protocol.OpCas, Key: large, Ver: ver, Value: want[0]})
+			c.send(protocol.Request{Op: protocol.OpLookup, Key: large})
+			c.w.Flush()
+			if status, _, _, err := protocol.ReadRMWResponse(c.r); err != nil || status != protocol.RMWStatusStored {
+				t.Fatalf("round %d: CAS with the GETS version: status %d, err %v", round, status, err)
+			}
+			if got, found, err := protocol.ReadLookupResponse(c.r, nil); err != nil || !found || !bytes.Equal(got, want[0]) {
+				t.Fatalf("round %d: GET after CAS: found %v, %d bytes, err %v", round, found, len(got), err)
 			}
 		}
 	})

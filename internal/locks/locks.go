@@ -1,39 +1,19 @@
-// Package locks provides the spin-lock family discussed in Section 6.2 of
-// the CPHash paper: a plain test-and-set spinlock (what LOCKHASH uses to
-// protect each partition), a ticket lock, Anderson's array-based queue lock
-// [Anderson 1990], and an MCS list-based queue lock.
+// Package locks provides the lock LOCKHASH puts around each partition: a
+// test-and-set spinlock with bounded backoff (Section 6.2 of the CPHash
+// paper).
 //
 // The paper's observation is that an *uncontended* spinlock costs one cache
-// miss to acquire and none to release, whereas Anderson's scalable lock
-// costs a constant two misses to acquire and one to release — so LOCKHASH
-// prefers a spinlock plus enough partitions (4,096) to keep contention low.
-// BenchmarkLocks* in the repository root quantifies the same trade-off.
+// miss to acquire and none to release, whereas Anderson's scalable queue
+// lock [Anderson 1990] costs a constant two misses to acquire and one to
+// release — so LOCKHASH prefers a spinlock plus enough partitions (4,096)
+// to keep contention low. BenchmarkSpinlock and BenchmarkMutex in this
+// package's tests price the spinlock against sync.Mutex.
 package locks
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
-
-// Locker is the subset of sync.Locker implemented by every lock here.
-// It exists so benchmarks and the hash tables can swap implementations.
-type Locker interface {
-	Lock()
-	Unlock()
-}
-
-// Assert interface satisfaction at compile time.
-var (
-	_ Locker = (*Spinlock)(nil)
-	_ Locker = (*TicketLock)(nil)
-	_ Locker = (*AndersonLock)(nil)
-	_ Locker = (*MCSLock)(nil)
-	_ Locker = (*sync.Mutex)(nil)
-)
-
-// pad keeps hot lock words on distinct cache lines when embedded in arrays.
-type pad [48]byte
 
 // Spinlock is a test-and-set spinlock with proportional backoff. This is the
 // lock LOCKHASH uses per partition: one cache miss to acquire when
@@ -41,7 +21,7 @@ type pad [48]byte
 // the owner's cache in Modified state).
 type Spinlock struct {
 	state atomic.Uint32
-	_     pad
+	_     [48]byte // one lock per cache line when embedded in arrays
 }
 
 // maxBackoff bounds the spin backoff so that a briefly-held lock is
@@ -80,171 +60,9 @@ func (l *Spinlock) Unlock() {
 	l.state.Store(0)
 }
 
-// TicketLock is a fair FIFO spinlock: acquirers take a ticket and spin until
-// the grant counter reaches it. One atomic add to acquire, one plain store
-// to release; all waiters spin on the same grant word, so under contention
-// every release invalidates every waiter's cached copy.
-type TicketLock struct {
-	next  atomic.Uint64
-	_     pad
-	grant atomic.Uint64
-	_     pad
-}
-
-// Lock acquires the ticket lock.
-func (l *TicketLock) Lock() {
-	ticket := l.next.Add(1) - 1
-	spins := 0
-	for {
-		cur := l.grant.Load()
-		if cur == ticket {
-			return
-		}
-		// Proportional backoff: spin roughly in proportion to queue depth.
-		for i := uint64(0); i < (ticket-cur)*4; i++ {
-			spinPause()
-		}
-		spins = spinOrYield(spins)
-	}
-}
-
-// Unlock releases the ticket lock.
-func (l *TicketLock) Unlock() {
-	l.grant.Add(1)
-}
-
-// andersonSlots is the fixed number of wait slots in an AndersonLock. It
-// bounds the number of simultaneous waiters (not holders); 256 comfortably
-// exceeds any thread count used in this repository.
-const andersonSlots = 256
-
-// AndersonLock is Anderson's array-based queue lock: each waiter spins on
-// its own cache line, so a release invalidates exactly one waiter. The
-// constant cost the paper cites — two misses to acquire, one to release —
-// comes from the atomic slot fetch plus the flag read on acquire, and the
-// next-slot flag write on release.
-type AndersonLock struct {
-	slots [andersonSlots]struct {
-		free atomic.Uint32
-		_    pad
-	}
-	tail atomic.Uint64
-	_    pad
-	// held records the slot index of the current holder for Unlock.
-	held uint64
-}
-
-// NewAndersonLock returns an initialized Anderson lock.
-func NewAndersonLock() *AndersonLock {
-	l := &AndersonLock{}
-	l.slots[0].free.Store(1)
-	return l
-}
-
-// Lock acquires the lock.
-func (l *AndersonLock) Lock() {
-	slot := l.tail.Add(1) - 1
-	idx := slot % andersonSlots
-	spins := 0
-	for l.slots[idx].free.Load() == 0 {
-		spinPause()
-		spins = spinOrYield(spins)
-	}
-	l.slots[idx].free.Store(0)
-	l.held = slot
-}
-
-// Unlock releases the lock, granting it to the next queued waiter.
-func (l *AndersonLock) Unlock() {
-	next := (l.held + 1) % andersonSlots
-	l.slots[next].free.Store(1)
-}
-
-// MCSLock is the Mellor-Crummey/Scott list-based queue lock. Like the
-// Anderson lock each waiter spins locally, but the queue is an explicit
-// linked list so there is no fixed waiter bound.
-type MCSLock struct {
-	tail atomic.Pointer[mcsNode]
-	_    pad
-	// pool recycles queue nodes; MCS needs a per-acquisition node and we
-	// do not want the lock path to allocate.
-	pool sync.Pool
-	// cur is the node owned by the current holder (handed to Unlock).
-	cur *mcsNode
-}
-
-type mcsNode struct {
-	next   atomic.Pointer[mcsNode]
-	locked atomic.Uint32
-	_      pad
-}
-
-// NewMCSLock returns an initialized MCS lock.
-func NewMCSLock() *MCSLock {
-	l := &MCSLock{}
-	l.pool.New = func() any { return new(mcsNode) }
-	return l
-}
-
-// Lock acquires the lock.
-func (l *MCSLock) Lock() {
-	n := l.pool.Get().(*mcsNode)
-	n.next.Store(nil)
-	n.locked.Store(1)
-	prev := l.tail.Swap(n)
-	if prev != nil {
-		prev.next.Store(n)
-		spins := 0
-		for n.locked.Load() == 1 {
-			spinPause()
-			spins = spinOrYield(spins)
-		}
-	}
-	l.cur = n
-}
-
-// Unlock releases the lock.
-func (l *MCSLock) Unlock() {
-	n := l.cur
-	next := n.next.Load()
-	if next == nil {
-		if l.tail.CompareAndSwap(n, nil) {
-			l.pool.Put(n)
-			return
-		}
-		spins := 0
-		for next = n.next.Load(); next == nil; next = n.next.Load() {
-			spinPause()
-			spins = spinOrYield(spins)
-		}
-	}
-	next.locked.Store(0)
-	l.pool.Put(n)
-}
-
 // spinPause burns a few cycles politely inside spin loops. Go offers no
 // portable PAUSE intrinsic; a tiny call that the compiler cannot elide is
 // the conventional substitute.
 //
 //go:noinline
 func spinPause() {}
-
-// yieldAfterSpins bounds how long a waiter spins before letting the
-// scheduler run someone else. The paper's locks assume a dedicated core
-// per thread; on an oversubscribed host (CI boxes, GOMAXPROCS=1) the lock
-// holder may not even be running, and a pure spin then stalls everyone —
-// spectacularly so under the race detector. Short waits never reach the
-// bound, so dedicated-core measurements are unaffected.
-const yieldAfterSpins = 256
-
-// spinOrYield advances a per-wait spin counter, yielding the processor
-// each time the counter reaches the bound. Spinlock's backoff loop has
-// its own equivalent policy.
-func spinOrYield(spins int) int {
-	spins++
-	if spins >= yieldAfterSpins {
-		runtime.Gosched()
-		return 0
-	}
-	return spins
-}

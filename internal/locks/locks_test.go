@@ -5,14 +5,12 @@ import (
 	"testing"
 )
 
-// makers enumerates every lock implementation under a stable name.
-func makers() map[string]func() Locker {
-	return map[string]func() Locker{
-		"Spinlock": func() Locker { return new(Spinlock) },
-		"Ticket":   func() Locker { return new(TicketLock) },
-		"Anderson": func() Locker { return NewAndersonLock() },
-		"MCS":      func() Locker { return NewMCSLock() },
-		"Mutex":    func() Locker { return new(sync.Mutex) },
+// makers enumerates the spinlock and its sync.Mutex reference under a
+// stable name.
+func makers() map[string]func() sync.Locker {
+	return map[string]func() sync.Locker{
+		"Spinlock": func() sync.Locker { return new(Spinlock) },
+		"Mutex":    func() sync.Locker { return new(sync.Mutex) },
 	}
 }
 
@@ -78,79 +76,7 @@ func TestSpinlockTryLock(t *testing.T) {
 	l.Unlock()
 }
 
-// TestTicketLockFairness verifies FIFO ordering: with a single waiter queued
-// behind the holder, the waiter gets the lock on release before a late
-// arrival can barge. We can only observe ordering indirectly, so we check
-// that grant/next stay consistent across a contended episode.
-func TestTicketLockFairness(t *testing.T) {
-	l := new(TicketLock)
-	const n = 4
-	order := make(chan int, n)
-	var start, done sync.WaitGroup
-	start.Add(1)
-	l.Lock() // hold so all goroutines queue up in ticket order
-	for i := 0; i < n; i++ {
-		done.Add(1)
-		i := i
-		go func() {
-			defer done.Done()
-			start.Wait() // released after all tickets are (probably) taken
-			l.Lock()
-			order <- i
-			l.Unlock()
-		}()
-	}
-	start.Done()
-	l.Unlock()
-	done.Wait()
-	close(order)
-	seen := 0
-	for range order {
-		seen++
-	}
-	if seen != n {
-		t.Fatalf("got %d critical sections, want %d", seen, n)
-	}
-	if got, want := l.next.Load(), uint64(n+1); got != want {
-		t.Errorf("next ticket = %d, want %d", got, want)
-	}
-	if got, want := l.grant.Load(), uint64(n+1); got != want {
-		t.Errorf("grant = %d, want %d", got, want)
-	}
-}
-
-// TestAndersonHandoff verifies the slot rotation across many acquisitions
-// (including wraparound past andersonSlots).
-func TestAndersonHandoff(t *testing.T) {
-	l := NewAndersonLock()
-	for i := 0; i < andersonSlots*3; i++ {
-		l.Lock()
-		l.Unlock()
-	}
-	// After N lock/unlock pairs the next slot must be free and all others
-	// busy, otherwise a future acquirer would deadlock or two would enter.
-	free := 0
-	for i := range l.slots {
-		if l.slots[i].free.Load() == 1 {
-			free++
-		}
-	}
-	if free != 1 {
-		t.Fatalf("exactly one free slot expected, got %d", free)
-	}
-}
-
-// TestMCSNoWaiterFastPath checks the uncontended CAS release path.
-func TestMCSNoWaiterFastPath(t *testing.T) {
-	l := NewMCSLock()
-	l.Lock()
-	l.Unlock()
-	if l.tail.Load() != nil {
-		t.Fatal("tail should be nil after uncontended release")
-	}
-}
-
-func benchLock(b *testing.B, mk func() Locker) {
+func benchLock(b *testing.B, mk func() sync.Locker) {
 	l := mk()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -160,8 +86,5 @@ func benchLock(b *testing.B, mk func() Locker) {
 	})
 }
 
-func BenchmarkSpinlock(b *testing.B) { benchLock(b, func() Locker { return new(Spinlock) }) }
-func BenchmarkTicket(b *testing.B)   { benchLock(b, func() Locker { return new(TicketLock) }) }
-func BenchmarkAnderson(b *testing.B) { benchLock(b, func() Locker { return NewAndersonLock() }) }
-func BenchmarkMCS(b *testing.B)      { benchLock(b, func() Locker { return NewMCSLock() }) }
-func BenchmarkMutex(b *testing.B)    { benchLock(b, func() Locker { return new(sync.Mutex) }) }
+func BenchmarkSpinlock(b *testing.B) { benchLock(b, func() sync.Locker { return new(Spinlock) }) }
+func BenchmarkMutex(b *testing.B)    { benchLock(b, func() sync.Locker { return new(sync.Mutex) }) }
