@@ -107,15 +107,6 @@ func New(ids []string) (*Ring, error) {
 	return r, nil
 }
 
-// MustNew is New that panics on error, for tests and constant call sites.
-func MustNew(ids []string) *Ring {
-	r, err := New(ids)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Clone returns an independent copy of the ring; mutating one does not
 // affect the other. Callers that publish snapshots of a mutable ring
 // (the client SDK) hand out clones.

@@ -18,6 +18,15 @@ func nodeNames(n int) []string {
 	return out
 }
 
+// mustNew is New for member sets the tests know to be valid.
+func mustNew(ids []string) *Ring {
+	r, err := New(ids)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Error("New accepted an empty member set")
@@ -42,15 +51,15 @@ func TestNewValidation(t *testing.T) {
 // no hidden state.
 func TestAssignmentDeterminism(t *testing.T) {
 	nodes := nodeNames(5)
-	a := MustNew(nodes)
+	a := mustNew(nodes)
 
 	shuffled := append([]string(nil), nodes...)
 	rng := rand.New(rand.NewSource(42))
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	b := MustNew(shuffled)
+	b := mustNew(shuffled)
 
 	// And a ring that arrives at the same membership via Add/Remove churn.
-	c := MustNew(append([]string(nil), nodes[:3]...))
+	c := mustNew(append([]string(nil), nodes[:3]...))
 	if _, err := c.AddNode("transient:1"); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +101,7 @@ func TestSlotOfRangeAndMasking(t *testing.T) {
 }
 
 func TestStringKeysRouteThroughProtocolHash(t *testing.T) {
-	r := MustNew(nodeNames(3))
+	r := mustNew(nodeNames(3))
 	for _, k := range []string{"", "a", "user:1234", "some-much-longer-cache-key"} {
 		key := []byte(k)
 		if got, want := SlotOfString(key), SlotOf(protocol.HashStringKey(key)); got != want {
@@ -106,7 +115,7 @@ func TestStringKeysRouteThroughProtocolHash(t *testing.T) {
 
 func TestBalance(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 8} {
-		r := MustNew(nodeNames(n))
+		r := mustNew(nodeNames(n))
 		counts := r.SlotCounts()
 		if len(counts) != n {
 			t.Fatalf("n=%d: SlotCounts has %d entries", n, len(counts))
@@ -130,7 +139,7 @@ func TestBalance(t *testing.T) {
 // assignment must equal a fresh ring over the grown member set.
 func TestAddNodeMinimalMovement(t *testing.T) {
 	nodes := nodeNames(4)
-	r := MustNew(nodes)
+	r := mustNew(nodes)
 	before := make(map[int]string, Slots)
 	for s := 0; s < Slots; s++ {
 		before[s] = r.Owner(s)
@@ -157,7 +166,7 @@ func TestAddNodeMinimalMovement(t *testing.T) {
 				s, before[s], r.Owner(s))
 		}
 	}
-	fresh := MustNew(append(append([]string(nil), nodes...), newcomer))
+	fresh := mustNew(append(append([]string(nil), nodes...), newcomer))
 	for s := 0; s < Slots; s++ {
 		if r.Owner(s) != fresh.Owner(s) {
 			t.Fatalf("slot %d: incremental add (%s) differs from fresh ring (%s)",
@@ -170,7 +179,7 @@ func TestAddNodeMinimalMovement(t *testing.T) {
 // assignment must equal a fresh ring over the shrunk member set.
 func TestRemoveNodeMinimalMovement(t *testing.T) {
 	nodes := nodeNames(5)
-	r := MustNew(nodes)
+	r := mustNew(nodes)
 	victim := nodes[2]
 	victimSlots := r.SlotsOf(victim)
 	if len(victimSlots) == 0 {
@@ -190,7 +199,7 @@ func TestRemoveNodeMinimalMovement(t *testing.T) {
 		}
 	}
 	remaining := append(append([]string(nil), nodes[:2]...), nodes[3:]...)
-	fresh := MustNew(remaining)
+	fresh := mustNew(remaining)
 	for s := 0; s < Slots; s++ {
 		if r.Owner(s) != fresh.Owner(s) {
 			t.Fatalf("slot %d: incremental remove (%s) differs from fresh ring (%s)",
@@ -204,7 +213,7 @@ func TestRemoveNodeMinimalMovement(t *testing.T) {
 // hold.
 func TestChurnProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	r := MustNew(nodeNames(3))
+	r := mustNew(nodeNames(3))
 	live := map[string]bool{}
 	for _, id := range r.Nodes() {
 		live[id] = true
@@ -244,7 +253,7 @@ func TestChurnProperty(t *testing.T) {
 }
 
 func TestAddRemoveValidation(t *testing.T) {
-	r := MustNew([]string{"a:1"})
+	r := mustNew([]string{"a:1"})
 	if _, err := r.AddNode("a:1"); err == nil {
 		t.Error("AddNode accepted a duplicate")
 	}
@@ -257,14 +266,14 @@ func TestAddRemoveValidation(t *testing.T) {
 	if _, err := r.RemoveNode("a:1"); err == nil {
 		t.Error("RemoveNode removed the last node")
 	}
-	full := MustNew(nodeNames(MaxNodes))
+	full := mustNew(nodeNames(MaxNodes))
 	if _, err := full.AddNode("overflow:1"); err == nil {
 		t.Error("AddNode grew past the continuum size")
 	}
 }
 
 func TestSlotsOfUnknownNode(t *testing.T) {
-	r := MustNew(nodeNames(2))
+	r := mustNew(nodeNames(2))
 	if got := r.SlotsOf("missing:1"); got != nil {
 		t.Errorf("SlotsOf(unknown) = %v, want nil", got)
 	}
@@ -280,7 +289,7 @@ func TestStandbyIsPromotionTarget(t *testing.T) {
 		n := 2 + rng.Intn(12)
 		names := nodeNames(16)
 		rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
-		r := MustNew(names[:n])
+		r := mustNew(names[:n])
 		for s := 0; s < Slots; s++ {
 			owner, standby := r.Owner(s), r.Standby(s)
 			if standby == "" || standby == owner {
@@ -301,7 +310,7 @@ func TestStandbyIsPromotionTarget(t *testing.T) {
 // TestRankedOwners checks rank order against Owner/Standby and brute-force
 // score sorting, plus clamping behavior.
 func TestRankedOwners(t *testing.T) {
-	r := MustNew(nodeNames(5))
+	r := mustNew(nodeNames(5))
 	for s := 0; s < Slots; s++ {
 		ranks := r.RankedOwners(s, 3)
 		if len(ranks) != 3 {
@@ -327,7 +336,7 @@ func TestRankedOwners(t *testing.T) {
 	if got := r.RankedOwners(0, 0); got != nil {
 		t.Fatalf("RankedOwners(0) = %v, want nil", got)
 	}
-	single := MustNew(nodeNames(1))
+	single := mustNew(nodeNames(1))
 	if got := single.Standby(7); got != "" {
 		t.Fatalf("Standby on single-member ring = %q, want empty", got)
 	}
@@ -342,7 +351,7 @@ func TestRankedOwnerMatchesRankedOwners(t *testing.T) {
 		n := 1 + rng.Intn(10)
 		names := nodeNames(16)
 		rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
-		r := MustNew(names[:n])
+		r := mustNew(names[:n])
 		for s := 0; s < Slots; s += 7 {
 			ranked := r.RankedOwners(s, n)
 			for rank := 0; rank < n; rank++ {
@@ -372,7 +381,7 @@ func TestRankShiftIdentity(t *testing.T) {
 		n := 3 + rng.Intn(10)
 		names := nodeNames(16)
 		rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
-		r := MustNew(names[:n])
+		r := mustNew(names[:n])
 		depth := 2 + rng.Intn(3)
 		if depth > n {
 			depth = n
@@ -396,7 +405,7 @@ func TestRankShiftIdentity(t *testing.T) {
 			}
 		}
 	}
-	single := MustNew(nodeNames(1))
+	single := mustNew(nodeNames(1))
 	if got := single.Replicas(0, 3); got != nil {
 		t.Fatalf("Replicas on single-member ring = %v, want nil", got)
 	}

@@ -12,7 +12,7 @@ import (
 type OpType uint8
 
 const (
-	// OpLookup finds a key and pins its element until Release.
+	// OpLookup finds a key; the owning server copies a hit into the Op.
 	OpLookup OpType = iota
 	// OpInsert stores a value under a key.
 	OpInsert
@@ -23,21 +23,18 @@ const (
 )
 
 // Op is an in-flight asynchronous operation (a future). Ops are created by
-// Client.LookupAsync/InsertAsync/DeleteAsync, complete during Client.Poll
-// (or Wait/WaitAll), and must be returned with Client.Release, which also
-// sends the Decref message for lookup hits larger than one cache line. Ops
-// are recycled; do not retain one past Release.
+// Client.LookupAsync/InsertAsync/DeleteAsync/RMWAsync, complete during
+// Client.Poll (or Wait/WaitAll), and must be returned with Client.Release.
+// Ops are recycled; do not retain one past Release.
 //
 // Lookup, insert and RMW requests carry a pointer to their Op. Between
 // issue and the reply the owning server goroutine may read insVal and rmw
-// and write rmw's outcome fields, inlineLen, inlineVer and inline; the
-// client touches none of them until it has consumed the reply.
+// and write rmw's outcome fields, val and ver; the client touches none of
+// them until it has consumed the reply.
 type Op struct {
 	typ    OpType
 	key    Key
 	insVal []byte // insert payload; copied into the element by the server before its reply
-	elem   partition.Element
-	server int
 	done   bool
 	hit    bool
 	next   *Op // client free list
@@ -47,13 +44,17 @@ type Op struct {
 	// the Op keeps RMW issue/complete allocation-free: the descriptor
 	// recycles with the Op.
 	rmw partition.RMWReq
-	// inline holds the value (and inlineVer its CAS version) of a lookup
-	// hit of at most inlineMax bytes: the hit is then complete in one
-	// message, with no element pinned (elem stays nil).
-	inlineLen int
-	inlineVer uint64
-	inline    [inlineMax]byte
+	// val and ver are a lookup hit's value and CAS version, copied by the
+	// server before its reply. val's buffer recycles with the Op, up to
+	// maxKeptVal bytes.
+	val []byte
+	ver uint64
 }
+
+// maxKeptVal is the largest lookup buffer Release keeps on a recycled Op.
+// A value may be up to 16 MiB; without the bound one large hit would pin
+// that much memory on the free list for good.
+const maxKeptVal = 64 << 10
 
 // Type returns the operation kind.
 func (o *Op) Type() OpType { return o.typ }
@@ -69,39 +70,27 @@ func (o *Op) Done() bool { return o.done }
 // delete found (and removed) the key. Valid only after Done.
 func (o *Op) Hit() bool { return o.hit }
 
-// Value returns the value bytes of a completed lookup hit. The slice
-// aliases the Op (values of at most one cache line) or partition memory
-// owned by the server; either way it is valid until Release.
+// lookupHit reports whether o is a completed lookup that found its key.
+func (o *Op) lookupHit() bool { return o.done && o.hit && o.typ == OpLookup }
+
+// Value returns the value bytes of a completed lookup hit: the server's
+// copy, in a buffer the Op owns, valid until Release.
 func (o *Op) Value() []byte {
-	if !o.done || !o.hit || o.typ != OpLookup {
+	if !o.lookupHit() {
 		return nil
 	}
-	if o.elem == nil {
-		return o.inline[:o.inlineLen]
-	}
-	return o.elem.Value()
+	return o.val
 }
 
 // Size returns the value size of a completed lookup hit.
-func (o *Op) Size() int {
-	if !o.done || !o.hit || o.typ != OpLookup {
-		return 0
-	}
-	if o.elem == nil {
-		return o.inlineLen
-	}
-	return o.elem.Size()
-}
+func (o *Op) Size() int { return len(o.Value()) }
 
 // Version returns the CAS version of a completed lookup hit (0 otherwise).
 func (o *Op) Version() uint64 {
-	if !o.done || !o.hit || o.typ != OpLookup {
+	if !o.lookupHit() {
 		return 0
 	}
-	if o.elem == nil {
-		return o.inlineVer
-	}
-	return o.elem.Version()
+	return o.ver
 }
 
 // RMW returns the op's read-modify-write descriptor: inputs as issued
@@ -111,7 +100,7 @@ func (o *Op) RMW() *partition.RMWReq { return &o.rmw }
 
 // pendingFIFO is a per-server queue of ops awaiting replies. Replies are
 // matched to requests by order alone: rings are FIFO per (client, server)
-// pair and only Lookup/Insert/Delete produce replies.
+// pair and every request produces exactly one reply.
 type pendingFIFO struct {
 	buf  []*Op
 	head int
@@ -178,9 +167,9 @@ func (c *Client) Issued() int64    { return c.issued }
 func (c *Client) Completed() int64 { return c.completed }
 
 // newOp takes an Op off the free list (or allocates one) and resets what
-// the last use may have left behind. Release already dropped elem, insVal
-// and an RMW descriptor, and the inline buffer is read only after a server
-// has written it, so the line-sized buffer is never cleared.
+// the last use may have left behind. Release already dropped insVal and an
+// RMW descriptor, and val and ver are read only after a server has written
+// them, so the lookup buffer is kept for reuse, never cleared.
 func (c *Client) newOp(typ OpType, key Key) *Op {
 	o := c.freeOps
 	if o == nil {
@@ -192,9 +181,8 @@ func (c *Client) newOp(typ OpType, key Key) *Op {
 }
 
 // LookupAsync issues a lookup. The returned Op completes during a future
-// Poll/Wait. A hit of at most one cache line (64 B) arrives whole with the
-// reply and costs one message; for a larger hit the Op pins the server's
-// element and Release sends the Decref.
+// Poll/Wait. The owning server copies a hit of any size into the Op before
+// it replies, so a lookup is one message and pins nothing.
 func (c *Client) LookupAsync(key Key) *Op {
 	o := c.newOp(OpLookup, key)
 	c.issue(o, request{keyop: makeKeyop(opLookup, key), o: o})
@@ -282,7 +270,6 @@ func (c *Client) issue(o *Op, r request) {
 		}
 	}
 	s := c.t.PartitionOf(o.key)
-	o.server = s
 	c.send(s, r)
 	c.pending[s].push(o)
 	c.outstanding++
@@ -379,16 +366,13 @@ func (c *Client) complete(s int, rep reply) {
 	c.completed++
 	switch o.typ {
 	case OpLookup:
-		// A one-message hit is already in o.inline (the server wrote it
-		// before replying, like an RMW's results below) and pins nothing.
-		o.hit = rep.ref != refNone
-		if o.hit && rep.ref != refInline {
-			o.elem = c.t.parts[s].Elem(rep.ref)
-		}
+		// A hit is already in o.val and o.ver: the server wrote them
+		// before replying, like an RMW's results below.
+		o.hit = rep.status == statusHit
 	case OpInsert:
-		o.hit = rep.ref == refInline // stored and published by the server
+		o.hit = rep.status == statusHit // stored and published by the server
 	case OpDelete:
-		o.hit = rep.ref == refDeleted
+		o.hit = rep.status == statusDeleted
 	case OpRMW:
 		// The server wrote Status/OutVer/Num into o.rmw before replying;
 		// consuming the reply from the SPSC ring is the acquire that makes
@@ -418,21 +402,17 @@ func (c *Client) WaitAll() {
 			c.pause(&spins, c.repliesReady)
 		}
 	}
-	c.FlushAll() // publish Decrefs queued by Release since the last flush
 }
 
-// Release finishes the caller's use of op and recycles the Op. A lookup hit
-// larger than one cache line pinned the server's element, so Release sends
-// the Decref that lets the server reclaim it; a hit that arrived inline
-// holds no reference and sends nothing. Every op must be Released exactly
-// once, after Done.
+// Release finishes the caller's use of op and recycles the Op. It sends
+// nothing: the server holds no reference on the caller's behalf. Every op
+// must be Released exactly once, after Done.
 func (c *Client) Release(o *Op) {
 	if !o.done {
 		c.Wait(o)
 	}
-	if o.elem != nil { // only a two-message lookup hit holds an element
-		c.send(o.server, request{keyop: makeKeyop(opDecref, o.key), ref: c.t.parts[o.server].Ref(o.elem)})
-		o.elem = nil
+	if cap(o.val) > maxKeptVal {
+		o.val = nil
 	}
 	o.insVal = nil
 	if o.typ == OpRMW {
@@ -507,28 +487,11 @@ func (c *Client) Delete(key Key) bool {
 	return ok
 }
 
-// Close waits for outstanding operations, lets the servers drain any
-// fire-and-forget Decref messages still queued, and deactivates the
-// client slot so servers stop polling its rings. The Client must not be
-// used afterwards.
+// Close waits for outstanding operations and deactivates the client slot
+// so servers stop polling its rings. Every request gets a reply, so once
+// WaitAll returns the servers have consumed everything this client sent.
+// The Client must not be used afterwards.
 func (c *Client) Close() {
 	c.WaitAll()
-	for spins := 0; !c.drained(); {
-		c.pause(&spins, c.drained)
-	}
 	c.t.clientActive[c.id].Store(false)
-}
-
-// drained reports whether the servers have consumed every request this
-// client sent, or have stopped and never will.
-func (c *Client) drained() bool {
-	if c.t.stop.Load() {
-		return true
-	}
-	for _, r := range c.to {
-		if !r.Drained() {
-			return false
-		}
-	}
-	return true
 }

@@ -215,31 +215,101 @@ func TestEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-func TestLookupPinsAcrossEviction(t *testing.T) {
-	tb := newTestTable(t, Config{Partitions: 1, CapacityBytes: 4 << 10})
+// TestLookupCopiesHit: a completed hit is the server's copy, owned by the
+// Op, so its value and version stay what the lookup read until Release,
+// whatever then happens to the key.
+func TestLookupCopiesHit(t *testing.T) {
+	for _, sz := range []struct {
+		name string
+		size int
+	}{{"16B", 16}, {"1KiB", 1024}} {
+		size := sz.size
+		for _, change := range []string{"overwritten", "deleted", "evicted"} {
+			t.Run(sz.name+"/"+change, func(t *testing.T) {
+				tb := newTestTable(t, Config{Partitions: 1, CapacityBytes: 64 << 10})
+				c := tb.MustClient(0)
+				defer c.Close()
+				const k = Key(7)
+				want := value(k, size)
+				if !c.Put(k, want) {
+					t.Fatal("Put failed")
+				}
+				o := c.LookupAsync(k)
+				c.Wait(o)
+				if !o.Hit() || !bytes.Equal(o.Value(), want) {
+					t.Fatalf("lookup: hit %v, %d bytes", o.Hit(), o.Size())
+				}
+				ver := o.Version()
+				switch change {
+				case "overwritten":
+					// Twice, so the second value may land in the block the
+					// first overwrite freed.
+					for i := byte(1); i <= 2; i++ {
+						if !c.Put(k, stressValue(k, i, size)) {
+							t.Fatal("overwrite failed")
+						}
+					}
+					if got, _ := c.Get(k, nil); !bytes.Equal(got, stressValue(k, 2, size)) {
+						t.Fatal("overwrite not visible")
+					}
+				case "deleted":
+					if !c.Delete(k) {
+						t.Fatal("delete found nothing")
+					}
+					// Another key may reuse the freed block.
+					if !c.Put(k+1, stressValue(k+1, 3, size)) {
+						t.Fatal("Put after delete failed")
+					}
+				case "evicted":
+					// Twice the capacity, written without reading k, so LRU
+					// must evict it.
+					junk := make([]byte, size)
+					for j := 0; j < 2*tb.CapacityBytes()/(size+partition.HeaderBytes); j++ {
+						c.Put(Key(100+j), junk)
+					}
+					if _, ok := c.Get(k, nil); ok {
+						t.Fatal("key never evicted")
+					}
+				}
+				if !bytes.Equal(o.Value(), want) {
+					t.Errorf("after the key was %s, the hit's bytes changed before Release", change)
+				}
+				if o.Version() != ver {
+					t.Errorf("after the key was %s, the hit's version changed from %d to %d", change, ver, o.Version())
+				}
+				c.Release(o)
+			})
+		}
+	}
+}
+
+// TestReleaseBoundsKeptBuffer: Release keeps a hit's buffer for the next
+// lookup, up to maxKeptVal, and drops a larger one.
+func TestReleaseBoundsKeptBuffer(t *testing.T) {
+	tb := newTestTable(t, Config{Partitions: 1, CapacityBytes: 4 << 20})
 	c := tb.MustClient(0)
 	defer c.Close()
-	want := []byte("pinned-value-123")
-	if !c.Put(7, want) {
-		t.Fatal("Put failed")
+	for _, size := range []int{1 << 10, 1 << 20} {
+		k := Key(size)
+		if !c.Put(k, value(k, size)) {
+			t.Fatalf("%d B: Put failed", size)
+		}
+		o := c.LookupAsync(k)
+		c.Wait(o)
+		if !o.Hit() || o.Size() != size {
+			t.Fatalf("%d B: hit %v, %d bytes", size, o.Hit(), o.Size())
+		}
+		c.Release(o)
+		kept := cap(c.freeOps.val)
+		if size <= maxKeptVal && kept < size {
+			t.Fatalf("%d B: Release dropped a buffer within the bound", size)
+		}
+		for f := c.freeOps; f != nil; f = f.next {
+			if cap(f.val) > maxKeptVal {
+				t.Fatalf("%d B: a recycled Op keeps a %d B buffer, bound %d", size, cap(f.val), maxKeptVal)
+			}
+		}
 	}
-	o := c.LookupAsync(7)
-	c.Wait(o)
-	if !o.Hit() {
-		t.Fatal("lookup missed")
-	}
-	// Storm of inserts to force eviction of key 7.
-	junk := make([]byte, 64)
-	for k := Key(100); k < 400; k++ {
-		c.Put(k, junk)
-	}
-	if _, ok := c.Get(7, nil); ok {
-		t.Log("key 7 still resident; eviction pressure insufficient (not fatal)")
-	}
-	if !bytes.Equal(o.Value(), want) {
-		t.Fatalf("pinned value corrupted: %q", o.Value())
-	}
-	c.Release(o)
 }
 
 func TestTwoClientsConcurrent(t *testing.T) {
@@ -347,7 +417,6 @@ func TestRequestString(t *testing.T) {
 	}{
 		{request{keyop: makeKeyop(opLookup, 5)}, "Lookup(5)"},
 		{request{keyop: makeKeyop(opInsert, 6), arg: 16}, "Insert(6, 16 bytes)"},
-		{request{keyop: makeKeyop(opDecref, 8)}, "Decref(8)"},
 		{request{keyop: makeKeyop(opDelete, 9)}, "Delete(9)"},
 	}
 	for _, c := range cases {

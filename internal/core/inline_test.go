@@ -13,9 +13,8 @@ import (
 // value returns n deterministic bytes for key k.
 func value(k Key, n int) []byte { return stressValue(k, byte(n), n) }
 
-// TestMessageSizes pins the packing: elements travel as arena refs, not
-// pointers, so a request stays 32 B (2 per cache line) and a reply is 4 B,
-// a line of them per reply-ring flush.
+// TestMessageSizes pins the packing: a request is 32 B (2 per cache line)
+// and a reply is a 4 B status, a line of them per reply-ring flush.
 func TestMessageSizes(t *testing.T) {
 	if got := reflect.TypeOf(request{}).Size(); got != 32 {
 		t.Errorf("request is %d B, want 32", got)
@@ -26,29 +25,27 @@ func TestMessageSizes(t *testing.T) {
 }
 
 // TestMessageCounts pins the one-message rule as a count the servers make
-// themselves: an insert is one request at every size; a lookup hit whose
-// value fits a cache line (64 B) is one, a larger one the paper's two
-// (Lookup+Decref); misses, deletes and RMWs are one whatever they carry.
-// The count repeats exactly, so a regression to two messages fails here
-// and not only in the benchmark's core.msgs_per_op.
+// themselves: every operation is one request at every size — inserts,
+// lookup hits and misses, deletes and RMWs. The count repeats exactly, so
+// a regression to two messages fails here and not only in the benchmark's
+// core.msgs_per_op.
 func TestMessageCounts(t *testing.T) {
 	const keys = 7 // per step; distinct keys, so every lookup is a hit
 	cases := []struct {
 		name       string
 		size       int
-		hitMsgs    int64 // per lookup hit; an insert is always one
 		viaTTL     bool
 		viaVersion bool
 	}{
-		{name: "0B", size: 0, hitMsgs: 1},
-		{name: "8B", size: 8, hitMsgs: 1},
-		{name: "64B", size: 64, hitMsgs: 1},
-		{name: "64B/ttl", size: 64, hitMsgs: 1, viaTTL: true},
-		{name: "64B/ver", size: 64, hitMsgs: 1, viaVersion: true},
-		{name: "65B", size: 65, hitMsgs: 2},
-		{name: "1KiB", size: 1024, hitMsgs: 2},
-		{name: "1KiB/ttl", size: 1024, hitMsgs: 2, viaTTL: true},
-		{name: "1KiB/ver", size: 1024, hitMsgs: 2, viaVersion: true},
+		{name: "0B", size: 0},
+		{name: "8B", size: 8},
+		{name: "64B", size: 64},
+		{name: "64B/ttl", size: 64, viaTTL: true},
+		{name: "64B/ver", size: 64, viaVersion: true},
+		{name: "65B", size: 65},
+		{name: "1KiB", size: 1024},
+		{name: "1KiB/ttl", size: 1024, viaTTL: true},
+		{name: "1KiB/ver", size: 1024, viaVersion: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,7 +103,7 @@ func TestMessageCounts(t *testing.T) {
 				t.Fatalf("stats = %+v", st)
 			}
 			// inserts + hits + misses + deletes (found, absent) + RMWs (add, append)
-			want := keys * (1 + tc.hitMsgs + 1 + 2 + 2)
+			want := int64(keys * (1 + 1 + 1 + 2 + 2))
 			if st.Messages != want {
 				t.Fatalf("messages = %d, want %d", st.Messages, want)
 			}
@@ -138,8 +135,8 @@ func checkNoLeaks(t *testing.T, tb *Table) {
 	}
 }
 
-// TestInlineEdgeSemantics pins what the inline buffer could silently
-// change, on both sides of the threshold.
+// TestInlineEdgeSemantics pins what the server's copy of a hit could
+// silently change, on both sides of one cache line.
 func TestInlineEdgeSemantics(t *testing.T) {
 	var now atomic.Int64
 	now.Store(1)
@@ -238,29 +235,32 @@ func TestInlineEdgeSemantics(t *testing.T) {
 	checkNoLeaks(t, tb)
 }
 
-// TestInlineOpsDoNotAllocate: a recycled Op carries an inline lookup and
-// an inline insert through the rings and back without allocating.
+// TestInlineOpsDoNotAllocate: a recycled Op carries a lookup and an
+// insert through the rings and back without allocating, below and above
+// one cache line: the lookup reuses the buffer the Op kept.
 func TestInlineOpsDoNotAllocate(t *testing.T) {
 	tb := newTestTable(t, Config{Partitions: 1})
 	c := tb.MustClient(0)
 	defer c.Close()
-	val := value(3, 64)
-	c.Put(3, val)
-	var bad string
-	allocs := testing.AllocsPerRun(500, func() {
-		ins := c.InsertAsync(3, val)
-		get := c.LookupAsync(3)
-		c.WaitAll()
-		if !ins.Hit() || !get.Hit() || len(get.Value()) != len(val) {
-			bad = "inline round trip failed"
+	for _, size := range []int{64, 1024} {
+		val := value(3, size)
+		c.Put(3, val)
+		var bad string
+		allocs := testing.AllocsPerRun(500, func() {
+			ins := c.InsertAsync(3, val)
+			get := c.LookupAsync(3)
+			c.WaitAll()
+			if !ins.Hit() || !get.Hit() || len(get.Value()) != len(val) {
+				bad = "round trip failed"
+			}
+			c.Release(ins)
+			c.Release(get)
+		})
+		if bad != "" {
+			t.Fatalf("%d B: %s", size, bad)
 		}
-		c.Release(ins)
-		c.Release(get)
-	})
-	if bad != "" {
-		t.Fatal(bad)
-	}
-	if allocs != 0 {
-		t.Fatalf("%v allocations per inline insert + lookup, want 0", allocs)
+		if allocs != 0 {
+			t.Fatalf("%d B: %v allocations per insert + lookup, want 0", size, allocs)
+		}
 	}
 }

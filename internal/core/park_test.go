@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -116,43 +115,40 @@ func (g *gateSink) Set(Key, []byte, int64, uint64) {
 
 func (g *gateSink) Delete(Key) {}
 
-// TestCloseWithParkedClients: with one client parked in Wait and another
-// parked in Client.Close's drain behind a stalled server, Table.Close and
-// both clients return once the server moves again.
+// TestCloseWithParkedClients: with two clients parked in Wait behind a
+// stalled server, neither they nor Table.Close return while it is stalled,
+// and all three return once it moves again: the servers' last sweep
+// replies to every request published before Close.
 func TestCloseWithParkedClients(t *testing.T) {
 	g := &gateSink{entered: make(chan struct{}), release: make(chan struct{})}
 	release := sync.OnceFunc(func() { close(g.release) })
 	defer release()
 	tb := MustNew(Config{Partitions: 1, CapacityBytes: 1 << 20, MaxClients: 2, Seed: 1,
 		Sink: func(int) partition.ChangeSink { return g }})
-	waiter, closer := tb.MustClient(0), tb.MustClient(1)
-	closer.Put(1, bytes.Repeat([]byte{7}, 200))
-	held := closer.LookupAsync(1) // a two-message hit: its Release sends a Decref
-	closer.Wait(held)
+	writer, reader := tb.MustClient(0), tb.MustClient(1)
 
 	done := make(chan string, 3)
 	g.armed.Store(true)
 	go func() {
-		waiter.Put(2, []byte("x")) // the server stalls publishing it
-		done <- "waiting client"
+		writer.Put(2, []byte("x")) // the server stalls publishing it
+		done <- "writing client"
 	}()
 	<-g.entered
-	waitFor(t, "the waiting client to park", waiter.park.parked.Load)
-	closer.Release(held)
+	waitFor(t, "the writing client to park", writer.park.parked.Load)
 	go func() {
-		closer.Close() // the Decref stays queued behind the stall
-		done <- "closing client"
+		reader.Get(2, nil) // queued behind the stall
+		done <- "reading client"
 	}()
-	waitFor(t, "the closing client to park", closer.park.parked.Load)
+	waitFor(t, "the reading client to park", reader.park.parked.Load)
+	go func() {
+		tb.Close()
+		done <- "Table.Close"
+	}()
 	select {
 	case who := <-done:
 		t.Fatalf("the %s returned while the server was stalled", who)
 	case <-time.After(20 * time.Millisecond):
 	}
-	go func() {
-		tb.Close()
-		done <- "Table.Close"
-	}()
 	release()
 	for i := 0; i < 3; i++ {
 		select {

@@ -16,9 +16,9 @@ import (
 var stressSeed = flag.Int64("stress.seed", 0, "seed of TestSmallRingStress (0 = from the clock)")
 
 // The stress below drives rings of 4 and 8 messages — smaller than any
-// pipeline — so that every send path runs full: a request or a Decref
-// waiting for ring space, and one-message and two-message lookups
-// interleaved with inserts of both sizes on one ring. Each client owns the
+// pipeline — so that every send path runs full: a request waiting for
+// ring space, and lookups and inserts of values on both sides of one
+// cache line interleaved on one ring. Each client owns the
 // keys ≡ its id and checks them against an exact model: a key's
 // operations share one FIFO ring and the server publishes an insert before
 // it replies, so every op behind an executed insert must see it, whether
@@ -43,7 +43,7 @@ type stressOp struct {
 	val    []byte // insert payload / RMW operand, unchanged until Done; a held hit's bytes
 	ver    uint64 // explicit insert version (0 = none)
 	shared bool
-	hold   int // lookups: harvest rounds to keep the hit pinned before Release
+	hold   int // lookups: harvest rounds to hold the hit before Release
 }
 
 // stressKey is the model of one owned key.
@@ -61,7 +61,7 @@ type stressClient struct {
 	rng    *rand.Rand
 	keys   map[Key]*stressKey
 	queue  []*stressOp // issue order
-	held   []*stressOp // completed lookups pinned a little longer
+	held   []*stressOp // completed lookups held a little longer
 	nextV  uint64
 	errorf func(format string, args ...any)
 }
@@ -167,8 +167,7 @@ func (sc *stressClient) harvest() {
 		n++
 		sc.check(so)
 		if so.kind == stressLookup && so.hold > 0 {
-			// Keep the hit (for a large one, the server's element) pinned
-			// across later traffic.
+			// Keep the hit's copy, unreleased, across later traffic.
 			so.val = append([]byte(nil), so.o.Value()...)
 			sc.held = append(sc.held, so)
 			continue
@@ -183,10 +182,10 @@ func (sc *stressClient) harvest() {
 			kept = append(kept, so)
 			continue
 		}
-		// A pinned hit must still read what it read when it completed,
+		// A held hit must still read what it read when it completed,
 		// whatever replaced or deleted the key since.
 		if !bytes.Equal(so.o.Value(), so.val) {
-			sc.errorf("key %d: pinned value changed before Release", so.key)
+			sc.errorf("key %d: held value changed before Release", so.key)
 		}
 		sc.c.Release(so.o)
 	}

@@ -355,11 +355,11 @@ func (t *Table) Close() {
 		return
 	}
 	t.stop.Store(true)
-	// Every wait re-checks stop (servers, Client.Close) or closed (scans).
-	for _, ps := range [][]parker{t.servers, t.clients} {
-		for i := range ps {
-			ps[i].kick()
-		}
+	// Servers re-check stop and scan waiters closed. A parked client
+	// needs no kick: the servers' last sweep replies to everything
+	// published before stop, and replying kicks it.
+	for i := range t.servers {
+		t.servers[i].kick()
 	}
 	for p := range t.scans {
 		t.scans[p].waiter.kick()
@@ -531,7 +531,7 @@ func (t *Table) serverLoop(id int) {
 					flushStats()
 				}
 				for i := 0; i < n; i++ {
-					if rep, ok := execute(store, reqs[i]); ok && !out.Produce(rep) {
+					if rep := execute(store, reqs[i]); !out.Produce(rep) {
 						// The reply ring is full mid-batch. Its client may
 						// have parked before any of it was published, so
 						// kick it before spinning on its drain.
@@ -602,29 +602,28 @@ func (t *Table) anyWork(id int) bool {
 }
 
 // execute runs one request against the local partition and returns its
-// reply, if the request has one.
-func execute(store *partition.Store, r request) (reply, bool) {
+// reply. Every request has one, and no element stays referenced past it.
+func execute(store *partition.Store, r request) reply {
 	switch r.op() {
 	case opLookup:
 		e := store.Lookup(r.key())
-		ref := store.Ref(e) // refNone on a miss
-		if e != nil && e.Size() <= inlineMax {
-			// The value fits a cache line: hand it over with the reply and
-			// drop the reference now, so the client owes no Decref.
-			o := r.o
-			o.inlineLen = copy(o.inline[:], e.Value())
-			o.inlineVer = e.Version()
-			store.Decref(e)
-			ref = refInline
+		if e == nil {
+			return reply{status: statusMiss}
 		}
-		return reply{ref: ref}, true
+		// Copy the hit into the client's Op before replying and drop the
+		// reference here, so the client never reads partition memory.
+		o := r.o
+		o.val = append(o.val[:0], e.Value()...)
+		o.ver = e.Version()
+		store.Decref(e)
+		return reply{status: statusHit}
 	case opInsert:
 		// A nonzero version (recovery, replica replay, slot migration) is
 		// preserved instead of assigning a fresh one.
 		ttl := time.Duration(r.insertTTL()) * time.Millisecond
 		e := store.InsertTTLVer(r.key(), r.insertSize(), ttl, r.o.rmw.Ver)
 		if e == nil {
-			return reply{ref: refNone}, true // space cannot be made
+			return reply{status: statusMiss} // space cannot be made
 		}
 		// Copy the value out of the client's buffer and publish it here,
 		// so the change sink fires before the reply and the element is
@@ -632,23 +631,18 @@ func execute(store *partition.Store, r request) (reply, bool) {
 		copy(e.Value(), r.o.insVal)
 		store.MarkReady(e)
 		store.Decref(e)
-		return reply{ref: refInline}, true
-	case opDecref:
-		store.Decref(store.Elem(r.ref))
+		return reply{status: statusHit}
 	case opDelete:
 		if store.Delete(r.key()) {
-			return reply{ref: refDeleted}, true
+			return reply{status: statusDeleted}
 		}
-		return reply{}, true
-	case opRMW:
+		return reply{status: statusMiss}
+	default: // opRMW
 		// The whole read-modify-write runs here, on the partition's single
 		// owner — no other goroutine can interleave, so no locks. Results
 		// land in the client-owned descriptor before the reply is produced;
 		// the reply ring's release/acquire publishes them to the client.
 		store.RMW(r.key(), &r.o.rmw)
-		return reply{}, true
-	case opNop:
-		// ignore; used by tests to exercise the path
+		return reply{status: statusMiss}
 	}
-	return reply{}, false
 }

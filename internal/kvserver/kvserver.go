@@ -1051,9 +1051,8 @@ func (b *cphashBackend) PurgeSlots(slots *protocol.SlotSet, cursor uint64) (int,
 
 // lockhashBackend executes a batch synchronously against LOCKHASH.
 type lockhashBackend struct {
-	table   *lockhash.Table
-	scratch []byte // GET_STR staging (raw entry before the key check)
-	entry   []byte // SET_STR staging (Put copies under the lock)
+	table *lockhash.Table
+	entry []byte // SET_STR staging (Put copies under the lock)
 }
 
 // NewLockHashBackend returns a Backend factory over one LOCKHASH table
@@ -1067,21 +1066,24 @@ func NewLockHashBackend(t *lockhash.Table) func(worker int) (Backend, error) {
 func (b *lockhashBackend) ProcessBatch(reqs []protocol.Request, results []Result, buf []byte) []byte {
 	for i, r := range reqs {
 		switch r.Op {
-		case protocol.OpLookup:
-			start := int32(len(buf))
+		case protocol.OpLookup, protocol.OpGetStr, protocol.OpGets, protocol.OpGetsStr:
+			// GetVer copies value and version under one lock hold, so a
+			// GETS pairs the value with its own version.
+			start := len(buf)
+			var ver uint64
 			var found bool
-			buf, found = b.table.Get(r.Key, buf)
-			results[i] = Result{Start: start, End: int32(len(buf)), Found: found}
-		case protocol.OpGetStr:
-			raw, found := b.table.Get(protocol.HashStringKey(r.StrKey), b.scratch[:0])
-			b.scratch = raw
-			if found {
-				if v, ok := protocol.CutStringEntry(raw, r.StrKey); ok {
-					start := int32(len(buf))
-					buf = append(buf, v...)
-					results[i] = Result{Start: start, End: int32(len(buf)), Found: true}
+			if buf, ver, found = b.table.GetVer(routedKey(r), buf); !found {
+				continue
+			}
+			if r.StrKey != nil {
+				// GET_STR/GETS_STR: verify the embedded key and keep only
+				// the value; a 60-bit hash collision stays a miss.
+				v, ok := protocol.CutStringEntry(buf[start:], r.StrKey)
+				if buf = buf[:start+copy(buf[start:], v)]; !ok {
+					continue
 				}
 			}
+			results[i] = Result{Start: int32(start), End: int32(len(buf)), Found: true, Ver: ver}
 		case protocol.OpInsert, protocol.OpInsertTTL:
 			b.table.PutTTL(r.Key, r.Value, wireTTL(r.TTL))
 		case protocol.OpSetStr:
@@ -1091,21 +1093,6 @@ func (b *lockhashBackend) ProcessBatch(reqs []protocol.Request, results []Result
 			results[i] = Result{Found: b.table.Delete(r.Key)}
 		case protocol.OpDelStr:
 			results[i] = Result{Found: b.table.Delete(protocol.HashStringKey(r.StrKey))}
-		case protocol.OpGets, protocol.OpGetsStr:
-			// Value and version must be read atomically; Lookup pins the
-			// element so both come from the same entry generation.
-			if e := b.table.Lookup(routedKey(r)); e != nil {
-				v, ok := e.Value(), true
-				if r.StrKey != nil {
-					v, ok = protocol.CutStringEntry(v, r.StrKey)
-				}
-				if ok {
-					start := int32(len(buf))
-					buf = append(buf, v...)
-					results[i] = Result{Start: start, End: int32(len(buf)), Found: true, Ver: e.Version()}
-				}
-				b.table.Decref(e)
-			}
 		case protocol.OpInsertVer:
 			b.table.PutTTLVer(r.Key, r.Value, wireTTL(r.TTL), r.Ver)
 		default:

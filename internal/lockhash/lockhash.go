@@ -152,36 +152,26 @@ func (t *Table) part(k Key) *lockedPartition {
 // lock (the paper's client threads likewise finish the query before
 // releasing the lock).
 func (t *Table) Get(key Key, dst []byte) ([]byte, bool) {
+	dst, _, ok := t.GetVer(key, dst)
+	return dst, ok
+}
+
+// GetVer is Get that also returns the entry's CAS version. Value and
+// version are read under one lock hold, so both come from the same entry
+// generation, and no element is referenced once it returns.
+func (t *Table) GetVer(key Key, dst []byte) ([]byte, uint64, bool) {
 	p := t.part(key)
 	p.mu.Lock()
 	e := p.store.Lookup(key & partition.MaxKey)
 	if e == nil {
 		p.mu.Unlock()
-		return dst, false
+		return dst, 0, false
 	}
 	dst = append(dst, e.Value()...)
+	ver := e.Version()
 	p.store.Decref(e)
 	p.mu.Unlock()
-	return dst, true
-}
-
-// Lookup pins the element for key, or returns nil. The caller may read
-// Element.Value until it calls Decref. This mirrors CPHASH's zero-copy
-// lookup path so the TCP servers can treat both tables identically.
-func (t *Table) Lookup(key Key) partition.Element {
-	p := t.part(key)
-	p.mu.Lock()
-	e := p.store.Lookup(key & partition.MaxKey)
-	p.mu.Unlock()
-	return e
-}
-
-// Decref releases an element pinned by Lookup.
-func (t *Table) Decref(e partition.Element) {
-	p := t.part(e.Key())
-	p.mu.Lock()
-	p.store.Decref(e)
-	p.mu.Unlock()
+	return dst, ver, true
 }
 
 // Put stores value under key, reporting whether space was obtained. The

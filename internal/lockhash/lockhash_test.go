@@ -1,7 +1,6 @@
 package lockhash
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -59,25 +58,50 @@ func TestPutGetDelete(t *testing.T) {
 	}
 }
 
-func TestLookupPin(t *testing.T) {
+// TestGetVer: GetVer copies the value and reads its version under one
+// lock hold, so the pair always comes from one generation of the entry,
+// even while another goroutine overwrites it, and the copy outlives the
+// overwrite.
+func TestGetVer(t *testing.T) {
 	tb := newTable(t, Config{Partitions: 4, CapacityBytes: 16 << 10})
-	want := []byte("pinned")
-	tb.Put(7, want)
-	e := tb.Lookup(7)
-	if e == nil {
-		t.Fatal("Lookup missed")
+	if _, _, ok := tb.GetVer(7, nil); ok {
+		t.Fatal("GetVer hit an absent key")
 	}
-	// Evict key 7 by filling its partition.
-	junk := make([]byte, 128)
-	for k := Key(100); k < 2000; k++ {
-		tb.Put(k, junk)
+	tb.Put(7, []byte("first"))
+	got, v1, ok := tb.GetVer(7, []byte("dst:"))
+	if !ok || string(got) != "dst:first" || v1 == 0 {
+		t.Fatalf("GetVer = %q, %d, %v", got, v1, ok)
 	}
-	if !bytes.Equal(e.Value(), want) {
-		t.Fatalf("pinned value corrupted: %q", e.Value())
+	tb.Put(7, []byte("again"))
+	if string(got) != "dst:first" {
+		t.Fatalf("the copy changed after an overwrite: %q", got)
 	}
-	tb.Decref(e)
-	if err := tb.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if again, v2, _ := tb.GetVer(7, nil); string(again) != "again" || v2 <= v1 {
+		t.Fatalf("after the overwrite: %q at version %d (was %d)", again, v2, v1)
+	}
+
+	// Each generation's value names its own explicit version.
+	const gens = 20000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		val := make([]byte, 200)
+		for v := uint64(1000); v < 1000+gens; v++ {
+			binary.LittleEndian.PutUint64(val, v)
+			tb.PutTTLVer(9, val, 0, v)
+		}
+	}()
+	var buf []byte
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		var ver uint64
+		if buf, ver, ok = tb.GetVer(9, buf[:0]); ok && binary.LittleEndian.Uint64(buf) != ver {
+			t.Fatalf("value of version %d read with version %d", binary.LittleEndian.Uint64(buf), ver)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@
 // links are uint32 record offsets into the arena, so a partition's memory
 // is two pointer-free slices — the arena and the bucket array — however
 // many entries it holds. Callers name an element by a slice view of its
-// block (Element) or by its offset (Store.Ref), never by a heap object.
+// block (Element) or by its offset (Store.ref), never by a heap object.
 //
 // A partition is owned by exactly one goroutine at a time and is therefore
 // completely lock-free: CPHASH gives each partition to a dedicated server

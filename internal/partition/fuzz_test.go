@@ -465,7 +465,7 @@ func (m *storeModel) check(evicted bool) {
 			_, linked = visible[k]
 		} else {
 			r, _ := m.s.find(k)
-			linked = r == m.s.Ref(me.e)
+			linked = r == m.s.ref(me.e)
 		}
 		if !linked {
 			if !evicted {

@@ -168,7 +168,7 @@ func (s *Store) RMW(k Key, r *RMWReq) {
 		} else if h.is(flagReady) {
 			// Ready only: an insert still in flight from another client has
 			// unpublished bytes, so the entry is invisible, as in Lookup.
-			e = s.Elem(ref)
+			e = s.elem(ref)
 		}
 	}
 	// Unwrap string-entry framing. On a mismatch the resident entry

@@ -102,7 +102,7 @@ func (s *Store) AppendScan(dst []ScanEntry, start, maxBuckets, maxEntries int, f
 			if !live(r) {
 				continue
 			}
-			e := s.Elem(r)
+			e := s.elem(r)
 			var ttl time.Duration
 			if exp := e.ExpireAt(); exp != 0 {
 				ttl = time.Duration(exp - now)

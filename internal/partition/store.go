@@ -117,11 +117,11 @@ func (p EvictionPolicy) String() string {
 // Element is a handle on one stored key/value pair: a view of the
 // element's arena block, header record (HeaderBytes) then value, whose
 // capacity runs to the end of the arena so the store recovers the record's
-// offset from it (Store.Ref). The handle is a slice, not an object: a
+// offset from it (Store.ref). The handle is a slice, not an object: a
 // partition holds no per-element heap memory. Callers only ever hold
 // Elements obtained from Lookup/Insert and must release each with Decref
-// (CPHASH sends a Decref message; LOCKHASH calls it under the partition
-// lock); a nil Element is a miss.
+// (CPHASH's server before it replies, LOCKHASH under the partition lock);
+// a nil Element is a miss.
 type Element []byte
 
 // Key returns the element's key.
@@ -338,20 +338,17 @@ func (s *Store) CapacityBytes() int { return s.arena.Capacity() }
 // including dead-but-referenced elements whose memory is not yet free.
 func (s *Store) UsedBytes() int { return s.arena.Used() }
 
-// Ref returns the arena offset of e's header record: the pointer-free name
-// of an element that a message can carry, or 0 for a nil Element. A ref is
-// never below 8, so callers may use 1–7 as sentinels of their own.
-func (s *Store) Ref(e Element) uint32 {
+// ref returns the arena offset of e's header record: the pointer-free name
+// of an element, or 0 for a nil Element. A ref is never below 8.
+func (s *Store) ref(e Element) uint32 {
 	if e == nil {
 		return 0
 	}
 	return uint32(cap(s.mem) - cap(e))
 }
 
-// Elem returns the handle of the element whose record is at ref. It only
-// reads the record's (immutable) size, so a client holding a reference may
-// call it from another goroutine once the ref was handed over.
-func (s *Store) Elem(ref uint32) Element {
+// elem returns the handle of the element whose record is at ref.
+func (s *Store) elem(ref uint32) Element {
 	return Element(s.mem[ref : ref+HeaderBytes+s.rec(ref).u32(recSize)])
 }
 
@@ -576,7 +573,7 @@ func (s *Store) InsertExpireVer(k Key, size int, expireAt int64, ver uint64) Ele
 	if expireAt != 0 {
 		s.ttlElems++
 	}
-	return s.Elem(r)
+	return s.elem(r)
 }
 
 // allocEvicting allocates an element block — header record plus value, one
@@ -732,7 +729,7 @@ func (s *Store) Decref(e Element) {
 	}
 	h.put32(recRefs, refs-1)
 	if refs == 1 && h.is(flagDead) {
-		s.arena.Free(s.Ref(e))
+		s.arena.Free(s.ref(e))
 	}
 }
 

@@ -315,15 +315,6 @@ func Open(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// MustOpen is Open that panics on error.
-func MustOpen(cfg Config) *Pipeline {
-	p, err := Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Dir returns the pipeline's data directory.
 func (p *Pipeline) Dir() string { return p.cfg.Dir }
 

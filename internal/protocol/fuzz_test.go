@@ -14,7 +14,7 @@ func TestQuickReadRequestNeverPanics(t *testing.T) {
 	f := func(raw []byte) bool {
 		r := bufio.NewReader(bytes.NewReader(raw))
 		for {
-			req, err := ReadRequest(r)
+			req, err := decodeFresh(r)
 			if err != nil {
 				return true // any error terminates parsing cleanly
 			}
@@ -74,12 +74,12 @@ func TestQuickValidStreamAlwaysParses(t *testing.T) {
 		w.Flush()
 		r := bufio.NewReader(&buf)
 		for _, wr := range want {
-			got, err := ReadRequest(r)
+			got, err := decodeFresh(r)
 			if err != nil || got.Op != wr.Op || got.Key != wr.Key || !bytes.Equal(got.Value, wr.Value) {
 				return false
 			}
 		}
-		_, err := ReadRequest(r)
+		_, err := decodeFresh(r)
 		return err == io.EOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -145,12 +145,12 @@ func TestQuickV2StreamRoundTrips(t *testing.T) {
 		w.Flush()
 		r := bufio.NewReader(&buf)
 		for _, wr := range want {
-			got, err := ReadRequest(r)
+			got, err := decodeFresh(r)
 			if err != nil || !requestEqual(got, wr) {
 				return false
 			}
 		}
-		_, err := ReadRequest(r)
+		_, err := decodeFresh(r)
 		return err == io.EOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -204,12 +204,12 @@ func TestQuickV3StreamRoundTrips(t *testing.T) {
 		w.Flush()
 		r := bufio.NewReader(&buf)
 		for _, wr := range want {
-			got, err := ReadRequest(r)
+			got, err := decodeFresh(r)
 			if err != nil || !requestEqual(got, wr) {
 				return false
 			}
 		}
-		_, err := ReadRequest(r)
+		_, err := decodeFresh(r)
 		return err == io.EOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -351,7 +351,7 @@ func TestOversizeFramesRejected(t *testing.T) {
 	// A crafted oversize klen on the wire must be rejected by the reader.
 	buf.Reset()
 	buf.Write([]byte{OpGetStr, 0xff, 0xff}) // klen = 65535 > MaxKeyLen
-	if _, err := ReadRequest(bufio.NewReader(&buf)); err == nil {
+	if _, err := decodeFresh(bufio.NewReader(&buf)); err == nil {
 		t.Error("oversize wire klen accepted by reader")
 	}
 }

@@ -526,26 +526,13 @@ func WriteRequest(w *bufio.Writer, r Request) error {
 	return nil
 }
 
-// ReadRequest parses one request. The returned StrKey/Value slices are
-// fresh copies owned by the caller (they may share one backing array).
-// io.EOF is returned cleanly only at a message boundary. Hot paths should
-// prefer DecodeRequestInto, which recycles the caller's arena instead of
-// allocating per request.
-func ReadRequest(r *bufio.Reader) (Request, error) {
-	var req Request
-	if _, err := DecodeRequestInto(r, &req, nil); err != nil {
-		return Request{}, err
-	}
-	return req, nil
-}
-
 // DecodeRequestInto parses one request into *req, appending any
 // variable-length bytes (string key and value payload) to scratch;
 // req.StrKey and req.Value alias the returned buffer. The returned slice
 // is the grown scratch: the caller owns it and may recycle it once the
 // request has been fully processed (see the no-retention contract on
 // kvserver.Backend.ProcessBatch). A nil scratch allocates a fresh arena
-// sized to the frame, which is exactly what ReadRequest does. On error
+// sized to the frame, so the request owns its bytes. On error
 // *req is undefined, scratch is returned un-grown, and io.EOF is returned
 // cleanly only at a message boundary. The steady-state path (scratch
 // capacity sufficient) performs no heap allocation.

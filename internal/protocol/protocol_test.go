@@ -8,6 +8,14 @@ import (
 	"testing/quick"
 )
 
+// decodeFresh decodes one request into an arena of its own, so the result
+// stays valid across later reads.
+func decodeFresh(r *bufio.Reader) (Request, error) {
+	var req Request
+	_, err := DecodeRequestInto(r, &req, nil)
+	return req, err
+}
+
 func roundTripRequest(t *testing.T, req Request) Request {
 	t.Helper()
 	var buf bytes.Buffer
@@ -16,7 +24,7 @@ func roundTripRequest(t *testing.T, req Request) Request {
 		t.Fatalf("write: %v", err)
 	}
 	w.Flush()
-	got, err := ReadRequest(bufio.NewReader(&buf))
+	got, err := decodeFresh(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -56,7 +64,7 @@ func TestQuickRequestRoundTrip(t *testing.T) {
 			return false
 		}
 		w.Flush()
-		got, err := ReadRequest(bufio.NewReader(&buf))
+		got, err := decodeFresh(bufio.NewReader(&buf))
 		if err != nil || got.Op != req.Op || got.Key != req.Key {
 			return false
 		}
@@ -84,7 +92,7 @@ func TestBatchOfRequests(t *testing.T) {
 	w.Flush()
 	r := bufio.NewReader(&buf)
 	for i, want := range reqs {
-		got, err := ReadRequest(r)
+		got, err := decodeFresh(r)
 		if err != nil {
 			t.Fatalf("req %d: %v", i, err)
 		}
@@ -92,7 +100,7 @@ func TestBatchOfRequests(t *testing.T) {
 			t.Fatalf("req %d mismatch", i)
 		}
 	}
-	if _, err := ReadRequest(r); err != io.EOF {
+	if _, err := decodeFresh(r); err != io.EOF {
 		t.Fatalf("want io.EOF at end, got %v", err)
 	}
 }
@@ -129,7 +137,7 @@ func TestTruncatedStreamErrors(t *testing.T) {
 	}()
 	for cut := 1; cut < len(full); cut++ {
 		r := bufio.NewReader(bytes.NewReader(full[:cut]))
-		if _, err := ReadRequest(r); err != io.ErrUnexpectedEOF {
+		if _, err := decodeFresh(r); err != io.ErrUnexpectedEOF {
 			t.Fatalf("cut at %d: err = %v, want ErrUnexpectedEOF", cut, err)
 		}
 	}
@@ -137,7 +145,7 @@ func TestTruncatedStreamErrors(t *testing.T) {
 
 func TestBadOpRejected(t *testing.T) {
 	r := bufio.NewReader(bytes.NewReader(append([]byte{99}, make([]byte, 12)...)))
-	if _, err := ReadRequest(r); err == nil {
+	if _, err := decodeFresh(r); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 	var buf bytes.Buffer
@@ -162,7 +170,7 @@ func TestOversizeRejected(t *testing.T) {
 	buf.WriteByte(OpInsert)
 	buf.Write(make([]byte, 8))
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadRequest(bufio.NewReader(&buf)); err == nil {
+	if _, err := decodeFresh(bufio.NewReader(&buf)); err == nil {
 		t.Fatal("oversize declared size accepted")
 	}
 }
@@ -172,11 +180,13 @@ func BenchmarkRequestRoundTrip(b *testing.B) {
 	w := bufio.NewWriter(&buf)
 	r := bufio.NewReader(&buf)
 	req := Request{Op: OpInsert, Key: 12345, Value: make([]byte, 64)}
+	var got Request
+	var scratch []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
 		WriteRequest(w, req)
 		w.Flush()
-		ReadRequest(r)
+		scratch, _ = DecodeRequestInto(r, &got, scratch[:0])
 	}
 }

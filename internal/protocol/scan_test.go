@@ -58,15 +58,15 @@ func TestScanRequestRoundTrip(t *testing.T) {
 	w.Flush()
 	r := bufio.NewReader(&buf)
 	for i, want := range reqs {
-		got, err := ReadRequest(r)
+		got, err := decodeFresh(r)
 		if err != nil {
-			t.Fatalf("ReadRequest %d: %v", i, err)
+			t.Fatalf("decode %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round trip %d: got %+v, want %+v", i, got, want)
 		}
 	}
-	if _, err := ReadRequest(r); err != io.EOF {
+	if _, err := decodeFresh(r); err != io.EOF {
 		t.Fatalf("trailing read: %v, want io.EOF", err)
 	}
 }

@@ -160,7 +160,7 @@ func (r *SPSC[T]) Pending() int {
 
 // Consume removes and returns the next message. ok is false when no
 // published message is available. Only the single consumer goroutine may
-// call Consume/ConsumeBatch/Drained.
+// call Consume/ConsumeBatch.
 func (r *SPSC[T]) Consume() (v T, ok bool) {
 	if r.tmpRead == r.cachedWrite {
 		r.cachedWrite = r.write.Load()
@@ -240,11 +240,6 @@ func (r *SPSC[T]) Len() int {
 // Empty reports whether the ring has no published messages. Like Len it is
 // advisory unless called from an endpoint.
 func (r *SPSC[T]) Empty() bool { return r.Len() == 0 }
-
-// Drained reports whether the consumer has caught up with everything this
-// producer ever wrote, including unflushed messages. It must be called from
-// the producer goroutine; producers use it to hand the ring off cleanly.
-func (r *SPSC[T]) Drained() bool { return r.read.Load() == r.tmpWrite }
 
 // SingleSlot is the paper's original message-passing design: a single
 // in-flight value per direction. The producer stores a value and waits for

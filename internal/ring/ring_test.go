@@ -358,29 +358,6 @@ func BenchmarkSingleSlotRoundTrip(b *testing.B) {
 	<-done
 }
 
-// TestDrained tracks the producer-side handoff predicate through produce,
-// flush and consume.
-func TestDrained(t *testing.T) {
-	r := MustSPSC[int](8, 4)
-	if !r.Drained() {
-		t.Fatal("fresh ring not drained")
-	}
-	r.Produce(1) // unpublished message still counts as undrained
-	if r.Drained() {
-		t.Fatal("ring with unflushed message reported drained")
-	}
-	r.Flush()
-	if r.Drained() {
-		t.Fatal("ring with unconsumed message reported drained")
-	}
-	if _, ok := r.Consume(); !ok {
-		t.Fatal("consume failed")
-	}
-	if !r.Drained() {
-		t.Fatal("empty ring not drained after consume")
-	}
-}
-
 // TestLenAndEmpty: advisory occupancy reporting.
 func TestLenAndEmpty(t *testing.T) {
 	r := MustSPSC[int](16, 4)
