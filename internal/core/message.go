@@ -16,7 +16,9 @@
 //   - batching: clients keep up to Config.MaxOutstanding operations in
 //     flight and flush request rings on cache-line boundaries or when they
 //     start waiting; the paper's sweet spot of 512–8,192 outstanding
-//     requests is reproduced by the batch-size ablation bench.
+//     requests is reproduced by the batch-size ablation bench. A server
+//     batches its table work too: it prefetches every consumed batch's
+//     buckets and records (partition.Store.Prefetch) before executing it.
 //   - message packing: the paper packs 8-byte lookups (8/line) and 16-byte
 //     inserts (4/line) because message count is what a server core spends
 //     its time on. A reply here is one 4-byte status word (16 per line),

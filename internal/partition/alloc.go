@@ -3,13 +3,14 @@
 // a reference count, an LRU list for eviction, a NOT_READY/READY insert
 // protocol, and a single-threaded memory allocator.
 //
-// An element is one arena block, as in the paper: a HeaderBytes (64 B,
-// one cache line) header record — key, size, version, expiry, reference
-// count, flags, bucket and LRU links — followed by the value. Buckets and
-// links are uint32 record offsets into the arena, so a partition's memory
-// is two pointer-free slices — the arena and the bucket array — however
-// many entries it holds. Callers name an element by a slice view of its
-// block (Element) or by its offset (Store.ref), never by a heap object.
+// An element is one arena block, as in the paper: a HeaderBytes (64 B, a
+// line's worth, but straddling two cache lines) header record — key,
+// size, version, expiry, reference count, flags, bucket and LRU links —
+// followed by the value. Buckets and links are uint32 record offsets into
+// the arena, so a partition's memory is two pointer-free slices — the
+// arena and the bucket array — however many entries it holds. Callers name
+// an element by a slice view of its block (Element) or by its offset
+// (Store.ref), never by a heap object.
 //
 // A partition is owned by exactly one goroutine at a time and is therefore
 // completely lock-free: CPHASH gives each partition to a dedicated server
@@ -81,15 +82,6 @@ func NewArena(capacity int) (*Arena, error) {
 	a.setPrevSize(0, 0)
 	a.pushFree(0)
 	return a, nil
-}
-
-// MustArena is NewArena that panics on error, for constant-size call sites.
-func MustArena(capacity int) *Arena {
-	a, err := NewArena(capacity)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 // Capacity returns the managed slab size in bytes.

@@ -26,7 +26,7 @@ func TestNewArenaValidation(t *testing.T) {
 }
 
 func TestAllocFreeRoundTrip(t *testing.T) {
-	a := MustArena(4096)
+	a := mustArena(4096)
 	off, ok := a.Alloc(100)
 	if !ok {
 		t.Fatal("Alloc(100) failed on fresh arena")
@@ -51,7 +51,7 @@ func TestAllocFreeRoundTrip(t *testing.T) {
 }
 
 func TestAllocExhaustion(t *testing.T) {
-	a := MustArena(1024)
+	a := mustArena(1024)
 	var offs []uint32
 	for {
 		off, ok := a.Alloc(64)
@@ -84,7 +84,7 @@ func TestCoalescingOrders(t *testing.T) {
 	// Free three adjacent blocks in every order; each order must leave one
 	// coalesced block.
 	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
-		a := MustArena(1024)
+		a := mustArena(1024)
 		var offs [3]uint32
 		for i := range offs {
 			off, ok := a.Alloc(100)
@@ -106,7 +106,7 @@ func TestCoalescingOrders(t *testing.T) {
 }
 
 func TestDoubleFreePanics(t *testing.T) {
-	a := MustArena(1024)
+	a := mustArena(1024)
 	off, _ := a.Alloc(32)
 	a.Free(off)
 	defer func() {
@@ -118,7 +118,7 @@ func TestDoubleFreePanics(t *testing.T) {
 }
 
 func TestAllocZeroAndNegative(t *testing.T) {
-	a := MustArena(1024)
+	a := mustArena(1024)
 	if _, ok := a.Alloc(-1); ok {
 		t.Fatal("Alloc(-1) succeeded")
 	}
@@ -136,7 +136,7 @@ func TestAllocZeroAndNegative(t *testing.T) {
 // invariants, non-overlap, and content integrity throughout.
 func TestAllocRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	a := MustArena(64 << 10)
+	a := mustArena(64 << 10)
 	type block struct {
 		off  uint32
 		n    int
@@ -189,7 +189,7 @@ func TestAllocRandomized(t *testing.T) {
 // without overlap and frees without leaking.
 func TestQuickAllocSizes(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		a := MustArena(1 << 20)
+		a := mustArena(1 << 20)
 		var offs []uint32
 		var ns []int
 		for _, s := range sizes {
@@ -255,7 +255,7 @@ func TestClassFor(t *testing.T) {
 }
 
 func BenchmarkArenaAllocFree(b *testing.B) {
-	a := MustArena(16 << 20)
+	a := mustArena(16 << 20)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		off, ok := a.Alloc(64)

@@ -3,6 +3,7 @@ package partition
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -13,14 +14,15 @@ import (
 // against a map model: inserts of 0–300 B with and without a TTL and an
 // explicit version, NOT_READY inserts published later, lookups whose
 // references stay pinned across overwrite, eviction and delete, deletes,
-// read-modify-writes, bucket-budgeted scans, purges, clock steps and
-// sweeps, under both eviction policies. After every step the store must
-// pass CheckInvariants, serve exactly the model's visible entries (a model
-// entry may vanish only in a step that evicted), and leave every pinned and
-// every unpublished value byte-for-byte intact.
+// read-modify-writes, bucket-budgeted scans, purges, clock steps, sweeps
+// and prefetches, under both eviction policies. After every step the store
+// must pass CheckInvariants, serve exactly the model's visible entries (a
+// model entry may vanish only in a step that evicted), and leave every
+// pinned and every unpublished value byte-for-byte intact.
 func FuzzStore(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 40, 0, 2, 1, 3, 1, 0, 4, 5, 200, 0, 9, 0, 1, 2, 3, 4})
 	f.Add([]byte{1, 0, 2, 255, 0, 0, 3, 255, 1, 2, 2, 1, 7, 3, 0, 6, 9, 9, 8, 20})
+	f.Add([]byte{0, 0, 0, 3, 40, 0, 1, 5, 9, 0, 252, 36, 3, 3, 5, 0, 254, 8, 0, 5, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		newStoreModel(t, data).run()
 	})
@@ -70,7 +72,7 @@ func newStoreModel(t *testing.T, data []byte) *storeModel {
 	if m.next()&1 == 1 {
 		policy = EvictRandom
 	}
-	m.s = MustStore(Config{
+	m.s = mustStore(Config{
 		CapacityBytes: CapacityForValues(6, 96),
 		Buckets:       8,
 		Policy:        policy,
@@ -132,7 +134,13 @@ func (m *storeModel) run() {
 	for len(m.data) > 0 {
 		m.step++
 		evictions := m.s.Stats().Evictions
-		switch op := m.next() % 12; op {
+		op := m.next()
+		if op < 252 {
+			op %= 12 // the decoding the committed corpus was found under
+		} else {
+			op = 12
+		}
+		switch op {
 		case 0, 1:
 			m.insert(op == 1)
 		case 2:
@@ -153,6 +161,8 @@ func (m *storeModel) run() {
 			m.clk.Advance(int64(m.next()) * 4)
 		case 11:
 			m.s.SweepExpired(int(m.next() % 4))
+		case 12:
+			m.prefetch()
 		}
 		m.check(m.s.Stats().Evictions > evictions)
 	}
@@ -383,6 +393,21 @@ func (m *storeModel) rmw() {
 		}
 		m.version(r.OutVer, 0)
 		m.cur[k] = &melem{key: k, val: val, ver: r.OutVer, expire: expire, ready: true}
+	}
+}
+
+// prefetch runs Prefetch over up to 40 keys, absent ones included, and
+// checks that it changed nothing a caller can observe.
+func (m *storeModel) prefetch() {
+	n, base := int(m.next()%41), int(m.next())
+	keys := make([]Key, n)
+	for i := range keys {
+		keys[i] = Key((base + i*5) % (fuzzKeys + 4))
+	}
+	stats, lru, used := m.s.Stats(), m.s.LRUKeys(), m.s.UsedBytes()
+	m.s.Prefetch(keys)
+	if m.s.Stats() != stats || !slices.Equal(m.s.LRUKeys(), lru) || m.s.UsedBytes() != used {
+		m.fatalf("Prefetch(%v) changed the store", keys)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // charges — and its hot operations allocate nothing.
 func TestPointerFree(t *testing.T) {
 	const n = 1 << 16
-	s := MustStore(Config{CapacityBytes: CapacityForValues(2*n, 8), Seed: 1})
+	s := mustStore(Config{CapacityBytes: CapacityForValues(2*n, 8), Seed: 1})
 	insert := func(k Key) {
 		e := s.Insert(k, 8)
 		if e == nil {
@@ -49,11 +49,51 @@ func TestPointerFree(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("lookup: %v allocs/op, want 0", a)
 	}
+	batch := make([]Key, 40) // more than one round of passes
+	for i := range batch {
+		batch[i] = Key(i * 3000) // hits, then misses past the inserted keys
+	}
+	if a := testing.AllocsPerRun(1000, func() { s.Prefetch(batch) }); a != 0 {
+		t.Errorf("prefetch: %v allocs/op, want 0", a)
+	}
 	d := Key(0)
 	if a := testing.AllocsPerRun(1000, func() { s.Delete(d); d++ }); a != 0 {
 		t.Errorf("delete: %v allocs/op, want 0", a)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordLineSpan pins where a header record sits in a cache line. An
+// arena block is 16 B-aligned and its record follows the block's 8 B
+// boundary tag, so every record starts at 8 mod 16: a 64 B header never
+// fits one line, and Prefetch's second pass loads its first and last byte
+// to bring in both of the lines it spans.
+func TestRecordLineSpan(t *testing.T) {
+	s := mustStore(Config{CapacityBytes: 1 << 20, Seed: 1})
+	for k := Key(0); k < 4000; k++ {
+		size := int(k*37) % 300
+		if e := s.Insert(k, size); e != nil {
+			s.MarkReady(e)
+			s.Decref(e)
+		}
+		if k%5 == 0 {
+			s.Delete(k / 2) // free blocks, so later records reuse split ones
+		}
+	}
+	a := s.arena
+	records := 0
+	for b := uint32(0); int(b) < len(a.mem); b += a.size(b) {
+		if !a.allocated(b) {
+			continue
+		}
+		if r := b + hdrSize; r%16 != 8 {
+			t.Fatalf("record at %d: offset %d mod 16, want 8", r, r%16)
+		}
+		records++
+	}
+	if records != s.Len() {
+		t.Fatalf("walked %d records, store holds %d", records, s.Len())
 	}
 }

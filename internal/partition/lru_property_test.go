@@ -41,7 +41,7 @@ func (r *refLRU) equal(got []Key) bool {
 // the store's LRU order against the reference model after every step.
 func TestQuickLRUOrderMatchesModel(t *testing.T) {
 	f := func(ops []uint16) bool {
-		s := MustStore(Config{CapacityBytes: 1 << 20, Policy: EvictLRU})
+		s := mustStore(Config{CapacityBytes: 1 << 20, Policy: EvictLRU})
 		ref := &refLRU{}
 		for _, op := range ops {
 			k := Key(op % 32)
@@ -82,7 +82,7 @@ func TestQuickLRUOrderMatchesModel(t *testing.T) {
 func TestEvictionIsExactlyLRUOrder(t *testing.T) {
 	const n = 16
 	exact := n * int(blockFor(8+HeaderBytes))
-	s := MustStore(Config{CapacityBytes: exact, Policy: EvictLRU})
+	s := mustStore(Config{CapacityBytes: exact, Policy: EvictLRU})
 	for k := Key(0); k < n; k++ {
 		e := s.Insert(k, 8)
 		if e == nil {
@@ -132,7 +132,7 @@ func TestEvictionIsExactlyLRUOrder(t *testing.T) {
 // immortal).
 func TestRandomEvictionEventuallyCyclesKeys(t *testing.T) {
 	const n = 8
-	s := MustStore(Config{CapacityBytes: CapacityForValues(n, 8), Policy: EvictRandom, Seed: 42})
+	s := mustStore(Config{CapacityBytes: CapacityForValues(n, 8), Policy: EvictRandom, Seed: 42})
 	for k := Key(0); k < n; k++ {
 		e := s.Insert(k, 8)
 		s.MarkReady(e)
@@ -162,7 +162,7 @@ func TestRandomEvictionEventuallyCyclesKeys(t *testing.T) {
 // for n values holds n but overflows (evicts) on n + headroom inserts.
 func TestCapacityForValuesTight(t *testing.T) {
 	for _, n := range []int{1, 7, 64, 500} {
-		s := MustStore(Config{CapacityBytes: CapacityForValues(n, 8), Policy: EvictLRU})
+		s := mustStore(Config{CapacityBytes: CapacityForValues(n, 8), Policy: EvictLRU})
 		for k := Key(0); k < Key(n); k++ {
 			if e := s.Insert(k, 8); e == nil {
 				t.Fatalf("n=%d: Insert(%d) failed within sized capacity", n, k)

@@ -11,7 +11,7 @@ import (
 func scanStore(t *testing.T, n int) (*Store, *int64) {
 	t.Helper()
 	now := int64(1_000_000_000)
-	s := MustStore(Config{
+	s := mustStore(Config{
 		CapacityBytes: CapacityForValues(n+8, 8),
 		Clock:         func() int64 { return now },
 	})

@@ -20,8 +20,11 @@ const MaxKey Key = 1<<60 - 1
 // HeaderBytes is the size of the element header record that opens every
 // element's arena block, ahead of its value. The paper's element header —
 // key, size, reference count, bucket and LRU links — fits one cache line
-// (§3.1); here it is exactly that line, and it is the only per-element
-// metadata there is.
+// (§3.1); here it is a line's worth of bytes, and it is the only
+// per-element metadata there is. It is not line-aligned: a record starts
+// 8 B into a 16 B-aligned arena block, so it straddles two cache lines
+// (the key is always in the first; at a line offset of 56 nothing else
+// is), and Prefetch loads both.
 const HeaderBytes = 64
 
 // Header record layout. Links are record offsets in the partition arena
@@ -249,6 +252,10 @@ type Store struct {
 	// It must be store-owned: InsertExpire unlinks the old element BEFORE
 	// allocating the new one, so the old bytes have to be copied out first.
 	rmwBuf []byte
+
+	// prefetched is the sum of the bytes Prefetch loaded. It is never read;
+	// storing it is what keeps the compiler from dropping the loads.
+	prefetched uint64
 }
 
 // NewStore returns an empty partition with the given configuration.
@@ -294,15 +301,6 @@ func NewStore(cfg Config) (*Store, error) {
 		m:       m,
 		verNext: 1,
 	}, nil
-}
-
-// MustStore is NewStore that panics on error.
-func MustStore(cfg Config) *Store {
-	s, err := NewStore(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Stats returns a snapshot of the partition counters, built from atomic
@@ -474,6 +472,63 @@ func (s *Store) find(k Key) (uint32, *record) {
 		r = h.u32(recHNext)
 	}
 	return 0, nil
+}
+
+// prefetchBatch is how many keys one round of Prefetch's passes covers:
+// the most requests a CPHASH server consumes from a ring at once.
+const prefetchBatch = 32
+
+// Prefetch loads, with plain reads, the memory that operations on keys are
+// about to touch, so that their cache misses overlap instead of each
+// operation paying its chain of dependent misses in turn (group
+// prefetching, Chen et al., ICDE 2004). For up to prefetchBatch keys at a
+// time it makes three passes, in each of which the loads for different
+// keys are independent of one another:
+//
+//  1. the bucket word of every key;
+//  2. both cache lines of every chain head record (see HeaderBytes);
+//  3. for a key whose record it finds: under EvictLRU the link words of
+//     its LRU neighbours, which a hit rewrites, and the last byte of its
+//     value.
+//
+// Prefetch changes no state a caller can observe — no counter, heat slot,
+// LRU position, version, expiry or arena block — and allocates nothing. It
+// is a pure hint: running it or not yields the same results. Only the
+// store's owner may call it, like every other method.
+func (s *Store) Prefetch(keys []Key) {
+	var heads [prefetchBatch]uint32
+	var sum uint64
+	for len(keys) > 0 {
+		batch := keys[:min(len(keys), prefetchBatch)]
+		keys = keys[len(batch):]
+		for i, k := range batch {
+			heads[i] = s.buckets[s.bucketIndex(k)]
+		}
+		for _, r := range heads[:len(batch)] {
+			if r != 0 {
+				h := s.rec(r)
+				sum += uint64(h[0]) + uint64(h[HeaderBytes-1])
+			}
+		}
+		for _, k := range batch {
+			r, h := s.find(k)
+			if h == nil {
+				continue
+			}
+			if s.policy == EvictLRU {
+				if p := h.u32(recLPrev); p != 0 {
+					sum += uint64(s.mem[p+recLNext])
+				}
+				if n := h.u32(recLNext); n != 0 {
+					sum += uint64(s.mem[n+recLPrev])
+				}
+			}
+			if size := h.u32(recSize); size != 0 {
+				sum += uint64(s.mem[r+HeaderBytes+size-1])
+			}
+		}
+	}
+	s.prefetched = sum
 }
 
 // Insert allocates space for a size-byte value under key k, unlinking any

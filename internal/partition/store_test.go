@@ -9,6 +9,24 @@ import (
 	"testing/quick"
 )
 
+// mustStore is NewStore for configurations a test knows to be valid.
+func mustStore(cfg Config) *Store {
+	s, err := NewStore(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// mustArena is NewArena for capacities a test knows to be valid.
+func mustArena(capacity int) *Arena {
+	a, err := NewArena(capacity)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 func newTestStore(t testing.TB, capacity int, policy EvictionPolicy) *Store {
 	t.Helper()
 	s, err := NewStore(Config{CapacityBytes: capacity, Policy: policy, Seed: 1})
@@ -268,7 +286,7 @@ func TestZeroSizeValue(t *testing.T) {
 // must agree with the map exactly.
 func TestQuickVsMapModel(t *testing.T) {
 	f := func(ops []uint32) bool {
-		s := MustStore(Config{CapacityBytes: 1 << 20, Policy: EvictLRU})
+		s := mustStore(Config{CapacityBytes: 1 << 20, Policy: EvictLRU})
 		model := map[Key][]byte{}
 		for _, op := range ops {
 			k := Key(op % 64)
@@ -385,7 +403,7 @@ func TestMix64(t *testing.T) {
 }
 
 func BenchmarkStoreLookupHit(b *testing.B) {
-	s := MustStore(Config{CapacityBytes: 1 << 20, Policy: EvictLRU})
+	s := mustStore(Config{CapacityBytes: 1 << 20, Policy: EvictLRU})
 	const n = 4096
 	for k := Key(0); k < n; k++ {
 		e := s.Insert(k, 8)
@@ -402,7 +420,7 @@ func BenchmarkStoreLookupHit(b *testing.B) {
 }
 
 func BenchmarkStoreInsertEvict(b *testing.B) {
-	s := MustStore(Config{CapacityBytes: 256 << 10, Policy: EvictLRU})
+	s := mustStore(Config{CapacityBytes: 256 << 10, Policy: EvictLRU})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := s.Insert(Key(i)&MaxKey, 8)
@@ -485,7 +503,7 @@ func (r *recordingSink) Delete(Key) { r.log = append(r.log, "delete") }
 // publishes nothing — the stream must end on the state the table serves.
 func TestMarkReadyOfUnlinkedElementIsNotStreamed(t *testing.T) {
 	sink := &recordingSink{}
-	s := MustStore(Config{CapacityBytes: 64 << 10, Sink: sink})
+	s := mustStore(Config{CapacityBytes: 64 << 10, Sink: sink})
 	insert := func(v string) Element {
 		e := s.Insert(1, len(v))
 		copy(e.Value(), v)

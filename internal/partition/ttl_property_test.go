@@ -23,7 +23,7 @@ type modelEntry struct {
 // deadline, invisible at and after it, and counted in Stats.Expired.
 func TestTTLExpiryBasics(t *testing.T) {
 	clk := &fakeClock{now: 1000}
-	s := MustStore(Config{CapacityBytes: CapacityForValues(64, 8), Clock: clk.Now})
+	s := mustStore(Config{CapacityBytes: CapacityForValues(64, 8), Clock: clk.Now})
 
 	put := func(k Key, ttl time.Duration) {
 		e := s.InsertTTL(k, 8, ttl)
@@ -82,7 +82,7 @@ func TestTTLExpiryBasics(t *testing.T) {
 // (sweep-before-evict) when a full partition needs room.
 func TestSweepExpiredReclaims(t *testing.T) {
 	clk := &fakeClock{now: 1}
-	s := MustStore(Config{CapacityBytes: CapacityForValues(128, 8), Clock: clk.Now})
+	s := mustStore(Config{CapacityBytes: CapacityForValues(128, 8), Clock: clk.Now})
 	for k := Key(0); k < 100; k++ {
 		ttl := time.Duration(0)
 		if k%2 == 0 {
@@ -114,7 +114,7 @@ func TestSweepExpiredReclaims(t *testing.T) {
 // expired elements are reclaimed before any live element is evicted.
 func TestEvictionSweepsExpiredFirst(t *testing.T) {
 	clk := &fakeClock{now: 1}
-	s := MustStore(Config{CapacityBytes: CapacityForValues(32, 8), Clock: clk.Now})
+	s := mustStore(Config{CapacityBytes: CapacityForValues(32, 8), Clock: clk.Now})
 	fill := func(k Key, ttl time.Duration) bool {
 		e := s.InsertTTL(k, 8, ttl)
 		if e == nil {
@@ -169,7 +169,7 @@ func TestPropertyTTLDeleteEvictVsModel(t *testing.T) {
 			clk := &fakeClock{now: 1}
 			// Tight capacity: ~48 elements for a 128-key space → constant
 			// eviction pressure interleaved with TTL expiry and deletes.
-			s := MustStore(Config{
+			s := mustStore(Config{
 				CapacityBytes: CapacityForValues(48, 8),
 				Policy:        policy,
 				Seed:          11,

@@ -716,19 +716,9 @@ func scanDir(dir string) (segs []segFile, snaps []snapFile, err error) {
 	}
 	for _, e := range ents {
 		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, walSuffix):
-			var st int
-			var seq uint64
-			if _, err := fmt.Sscanf(name, "w%03d-%016x"+walSuffix, &st, &seq); err != nil {
-				continue // not ours
-			}
+		if st, seq, ok := parseWalName(name); ok {
 			segs = append(segs, segFile{path: filepath.Join(dir, name), stream: st, seq: seq})
-		case strings.HasSuffix(name, snapSuffix):
-			var gen uint64
-			if _, err := fmt.Sscanf(name, "s%016x"+snapSuffix, &gen); err != nil {
-				continue
-			}
+		} else if gen, ok := parseSnapName(name); ok {
 			snaps = append(snaps, snapFile{path: filepath.Join(dir, name), gen: gen})
 		}
 	}

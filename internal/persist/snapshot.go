@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // Snapshot on-disk format — a statichash-style compact immutable image:
@@ -37,6 +38,17 @@ const (
 
 func snapName(gen uint64) string {
 	return fmt.Sprintf("s%016x%s", gen, snapSuffix)
+}
+
+// parseSnapName is snapName's inverse for the names it makes; ok is false
+// for any other name.
+func parseSnapName(name string) (gen uint64, ok bool) {
+	const n = len("s0000000000000000") // then snapSuffix
+	if len(name) != n+len(snapSuffix) || name[0] != 's' || name[n:] != snapSuffix {
+		return 0, false
+	}
+	gen, err := strconv.ParseUint(name[1:n], 16, 64)
+	return gen, err == nil
 }
 
 // doSnapshot runs one snapshot cycle: roll every stream, scan the table

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -50,6 +51,22 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // walName formats a segment file name.
 func walName(stream int, seq uint64) string {
 	return fmt.Sprintf("w%03d-%016x%s", stream, seq, walSuffix)
+}
+
+// parseWalName is walName's inverse for the names it makes; ok is false
+// for any other name. It parses with strconv, not fmt: parsing a name
+// of ours allocates nothing.
+func parseWalName(name string) (stream int, seq uint64, ok bool) {
+	const n = len("w000-0000000000000000") // then walSuffix
+	if len(name) != n+len(walSuffix) || name[0] != 'w' || name[4] != '-' || name[n:] != walSuffix {
+		return 0, 0, false
+	}
+	st, err := strconv.ParseUint(name[1:4], 10, 16)
+	if err != nil {
+		return 0, 0, false
+	}
+	seq, err = strconv.ParseUint(name[5:n], 16, 64)
+	return int(st), seq, err == nil
 }
 
 // stream is one WAL stream: a persister goroutine draining the change
