@@ -49,7 +49,7 @@ func TestPointerFree(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("lookup: %v allocs/op, want 0", a)
 	}
-	batch := make([]Key, 40) // more than one round of passes
+	batch := make([]Key, 40) // more than Prefetch covers
 	for i := range batch {
 		batch[i] = Key(i * 3000) // hits, then misses past the inserted keys
 	}

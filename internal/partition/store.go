@@ -474,57 +474,49 @@ func (s *Store) find(k Key) (uint32, *record) {
 	return 0, nil
 }
 
-// prefetchBatch is how many keys one round of Prefetch's passes covers:
-// the most requests a CPHASH server consumes from a ring at once.
+// prefetchBatch is how many keys Prefetch covers: as many requests as a
+// CPHASH server consumes from a ring at once.
 const prefetchBatch = 32
 
 // Prefetch loads, with plain reads, the memory that operations on keys are
 // about to touch, so that their cache misses overlap instead of each
 // operation paying its chain of dependent misses in turn (group
-// prefetching, Chen et al., ICDE 2004). For up to prefetchBatch keys at a
-// time it makes three passes, in each of which the loads for different
-// keys are independent of one another:
+// prefetching, Chen et al., ICDE 2004). It makes passes over the first
+// prefetchBatch keys, in each of which the loads for different keys are
+// independent of one another:
 //
 //  1. the bucket word of every key;
 //  2. both cache lines of every chain head record (see HeaderBytes);
-//  3. for a key whose record it finds: under EvictLRU the link words of
-//     its LRU neighbours, which a hit rewrites, and the last byte of its
-//     value.
+//  3. under EvictLRU, for a key whose record it finds, the link words of
+//     its LRU neighbours, which a hit rewrites.
 //
-// Prefetch changes no state a caller can observe — no counter, heat slot,
-// LRU position, version, expiry or arena block — and allocates nothing. It
-// is a pure hint: running it or not yields the same results. Only the
-// store's owner may call it, like every other method.
+// Keys past the first prefetchBatch are not loaded. Prefetch changes no
+// state a caller can observe — no counter, heat slot, LRU position,
+// version, expiry or arena block — and allocates nothing. It is a pure
+// hint: running it or not yields the same results. Only the store's owner
+// may call it, like every other method.
 func (s *Store) Prefetch(keys []Key) {
+	keys = keys[:min(len(keys), prefetchBatch)]
 	var heads [prefetchBatch]uint32
 	var sum uint64
-	for len(keys) > 0 {
-		batch := keys[:min(len(keys), prefetchBatch)]
-		keys = keys[len(batch):]
-		for i, k := range batch {
-			heads[i] = s.buckets[s.bucketIndex(k)]
+	for i, k := range keys {
+		heads[i] = s.buckets[s.bucketIndex(k)]
+	}
+	for _, r := range heads[:len(keys)] {
+		if r != 0 {
+			h := s.rec(r)
+			sum += uint64(h[0]) + uint64(h[HeaderBytes-1])
 		}
-		for _, r := range heads[:len(batch)] {
-			if r != 0 {
-				h := s.rec(r)
-				sum += uint64(h[0]) + uint64(h[HeaderBytes-1])
-			}
-		}
-		for _, k := range batch {
-			r, h := s.find(k)
-			if h == nil {
-				continue
-			}
-			if s.policy == EvictLRU {
+	}
+	if s.policy == EvictLRU {
+		for _, k := range keys {
+			if _, h := s.find(k); h != nil {
 				if p := h.u32(recLPrev); p != 0 {
 					sum += uint64(s.mem[p+recLNext])
 				}
 				if n := h.u32(recLNext); n != 0 {
 					sum += uint64(s.mem[n+recLPrev])
 				}
-			}
-			if size := h.u32(recSize); size != 0 {
-				sum += uint64(s.mem[r+HeaderBytes+size-1])
 			}
 		}
 	}
