@@ -113,9 +113,9 @@ func TestMessageCounts(t *testing.T) {
 }
 
 // checkNoLeaks inspects the partitions of a closed table (its server
-// goroutines have exited, so the stores are safe to touch): every linked
-// element must be ready — no NOT_READY leftover of an insert — and once every key is deleted no byte may stay allocated,
-// which a reference that was never dropped would keep.
+// goroutines have exited, so the stores are safe to touch): a scan must
+// see every linked element, and once every key is deleted no byte may stay
+// allocated.
 func checkNoLeaks(t *testing.T, tb *Table) {
 	t.Helper()
 	if err := tb.CheckInvariants(); err != nil {
@@ -124,13 +124,13 @@ func checkNoLeaks(t *testing.T, tb *Table) {
 	for p, s := range tb.parts {
 		entries, _, _ := s.AppendScan(nil, 0, 0, 0, nil)
 		if len(entries) != s.Len() {
-			t.Fatalf("partition %d: %d of %d linked elements are ready", p, len(entries), s.Len())
+			t.Fatalf("partition %d: a scan saw %d of %d linked elements", p, len(entries), s.Len())
 		}
 		for _, e := range entries {
 			s.Delete(e.Key)
 		}
 		if s.Len() != 0 || s.UsedBytes() != 0 {
-			t.Fatalf("partition %d: %d elements, %d bytes still allocated after deleting every key (leaked reference)", p, s.Len(), s.UsedBytes())
+			t.Fatalf("partition %d: %d elements, %d bytes still allocated after deleting every key", p, s.Len(), s.UsedBytes())
 		}
 	}
 }

@@ -28,10 +28,11 @@
 //     several messages, indices are published per line) are identical.
 //   - one message per operation: the owning server copies every insert's
 //     value out of the client's Op and every lookup hit's value into it
-//     before it replies, so each operation is exactly one request and one
-//     reply whatever its size, and no element stays pinned across a
-//     message. An insert's change record reaches the durability sink
-//     before the reply, and an element is never visible NOT_READY. The
+//     (partition.Store.Put and Get) before it replies, so each operation
+//     is exactly one request and one reply whatever its size, and no
+//     element is ever shared with a client: a partition keeps no
+//     reference count, no pin and no NOT_READY state. An insert's change
+//     record reaches the durability sink before the reply. The
 //     paper's §3.2 has the *client* copy: into server-allocated space
 //     followed by a Ready message for an insert, out of the pinned element
 //     followed by a Decref message for a lookup hit, to keep big copies

@@ -614,35 +614,25 @@ func (t *Table) anyWork(id int) bool {
 }
 
 // execute runs one request against the local partition and returns its
-// reply. Every request has one, and no element stays referenced past it.
+// reply. Every request has one, and the partition shares no memory with the
+// client: Get copies a hit into the client's Op, Put copies an insert out of
+// it and streams it to the change sink, both before the reply.
 func execute(store *partition.Store, r request) reply {
 	switch r.op() {
 	case opLookup:
-		e := store.Lookup(r.key())
-		if e == nil {
+		o := r.o
+		var hit bool
+		if o.val, o.ver, hit = store.Get(r.key(), o.val[:0]); !hit {
 			return reply{status: statusMiss}
 		}
-		// Copy the hit into the client's Op before replying and drop the
-		// reference here, so the client never reads partition memory.
-		o := r.o
-		o.val = append(o.val[:0], e.Value()...)
-		o.ver = e.Version()
-		store.Decref(e)
 		return reply{status: statusHit}
 	case opInsert:
 		// A nonzero version (recovery, replica replay, slot migration) is
 		// preserved instead of assigning a fresh one.
 		ttl := time.Duration(r.insertTTL()) * time.Millisecond
-		e := store.InsertTTLVer(r.key(), r.insertSize(), ttl, r.o.rmw.Ver)
-		if e == nil {
+		if !store.Put(r.key(), r.o.insVal, store.Deadline(ttl), r.o.rmw.Ver) {
 			return reply{status: statusMiss} // space cannot be made
 		}
-		// Copy the value out of the client's buffer and publish it here,
-		// so the change sink fires before the reply and the element is
-		// never seen NOT_READY.
-		copy(e.Value(), r.o.insVal)
-		store.MarkReady(e)
-		store.Decref(e)
 		return reply{status: statusHit}
 	case opDelete:
 		if store.Delete(r.key()) {

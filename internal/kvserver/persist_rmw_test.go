@@ -17,7 +17,8 @@ import (
 // cached gets token turns into a spurious EXISTS (or worse, a false
 // STORED against a regressed version) after every restart. The WAL
 // replay path makes this work by re-inserting with the logged version
-// (InsertExpireVer) instead of assigning fresh ones.
+// (partition.Store.Put with an explicit version) instead of assigning
+// fresh ones.
 func TestRecoverPreservesRMWVersions(t *testing.T) {
 	dir := t.TempDir()
 	srv, table, pipe, _ := persistServer(t, dir, persist.SyncInterval)

@@ -158,87 +158,48 @@ func (t *Table) Get(key Key, dst []byte) ([]byte, bool) {
 
 // GetVer is Get that also returns the entry's CAS version. Value and
 // version are read under one lock hold, so both come from the same entry
-// generation, and no element is referenced once it returns.
+// generation.
 func (t *Table) GetVer(key Key, dst []byte) ([]byte, uint64, bool) {
 	p := t.part(key)
 	p.mu.Lock()
-	e := p.store.Lookup(key & partition.MaxKey)
-	if e == nil {
-		p.mu.Unlock()
-		return dst, 0, false
-	}
-	dst = append(dst, e.Value()...)
-	ver := e.Version()
-	p.store.Decref(e)
+	dst, ver, ok := p.store.Get(key&partition.MaxKey, dst)
 	p.mu.Unlock()
-	return dst, ver, true
+	return dst, ver, ok
 }
 
 // Put stores value under key, reporting whether space was obtained. The
 // value copy happens under the partition lock.
-func (t *Table) Put(key Key, value []byte) bool {
-	return t.PutTTL(key, value, 0)
-}
+func (t *Table) Put(key Key, value []byte) bool { return t.put(key, value, 0, 0) }
 
 // PutTTL stores value under key with a time-to-live on the table's clock
 // (0 = never expires), reporting whether space was obtained.
 func (t *Table) PutTTL(key Key, value []byte, ttl time.Duration) bool {
-	p := t.part(key)
-	p.mu.Lock()
-	e := p.store.InsertTTL(key&partition.MaxKey, len(value), ttl)
-	if e == nil {
-		p.mu.Unlock()
-		return false
-	}
-	copy(e.Value(), value)
-	p.store.MarkReady(e)
-	p.store.Decref(e)
-	p.mu.Unlock()
-	return true
-}
-
-// PutExpire stores value under key with an absolute expiry deadline on
-// the table's clock in nanoseconds (0 = never expires), reporting whether
-// space was obtained. Durability recovery uses it to restore TTLs
-// exactly as logged.
-func (t *Table) PutExpire(key Key, value []byte, expireAt int64) bool {
-	return t.PutExpireVer(key, value, expireAt, 0)
-}
-
-// PutExpireVer is PutExpire with an explicit CAS version (0 = assign
-// next); recovery and replication replay use it so versions survive a
-// restart or promotion exactly as logged.
-func (t *Table) PutExpireVer(key Key, value []byte, expireAt int64, ver uint64) bool {
-	p := t.part(key)
-	p.mu.Lock()
-	e := p.store.InsertExpireVer(key&partition.MaxKey, len(value), expireAt, ver)
-	if e == nil {
-		p.mu.Unlock()
-		return false
-	}
-	copy(e.Value(), value)
-	p.store.MarkReady(e)
-	p.store.Decref(e)
-	p.mu.Unlock()
-	return true
+	return t.PutTTLVer(key, value, ttl, 0)
 }
 
 // PutTTLVer is PutTTL with an explicit CAS version (0 = assign next);
 // slot migration uses it to move entries without disturbing their CAS
-// tokens.
+// tokens. Every partition runs on the table's one clock, so any of them
+// converts the TTL.
 func (t *Table) PutTTLVer(key Key, value []byte, ttl time.Duration, ver uint64) bool {
+	return t.put(key, value, t.parts[0].store.Deadline(ttl), ver)
+}
+
+// PutExpireVer stores value under key with an absolute expiry deadline on
+// the table's clock in nanoseconds (0 = never expires) and an explicit CAS
+// version (0 = assign next); recovery and replication replay use it so
+// TTLs and versions survive a restart or promotion exactly as logged.
+func (t *Table) PutExpireVer(key Key, value []byte, expireAt int64, ver uint64) bool {
+	return t.put(key, value, expireAt, ver)
+}
+
+// put is every writer: partition.Store.Put under the key's partition lock.
+func (t *Table) put(key Key, value []byte, expireAt int64, ver uint64) bool {
 	p := t.part(key)
 	p.mu.Lock()
-	e := p.store.InsertTTLVer(key&partition.MaxKey, len(value), ttl, ver)
-	if e == nil {
-		p.mu.Unlock()
-		return false
-	}
-	copy(e.Value(), value)
-	p.store.MarkReady(e)
-	p.store.Decref(e)
+	ok := p.store.Put(key&partition.MaxKey, value, expireAt, ver)
 	p.mu.Unlock()
-	return true
+	return ok
 }
 
 // RMW executes one atomic read-modify-write (CAS, add/replace,

@@ -1,16 +1,17 @@
 // Package partition implements the per-partition key/value store from
-// Section 3.1 of the CPHash paper: a chained hash table whose elements carry
-// a reference count, an LRU list for eviction, a NOT_READY/READY insert
-// protocol, and a single-threaded memory allocator.
+// Section 3.1 of the CPHash paper: a chained hash table with an LRU list for
+// eviction and a single-threaded memory allocator. Callers put and get
+// whole values (Store.Put, Store.Get): the store copies a value in or out
+// inside the call, so no element is ever shared with a caller, and the
+// paper's reference count and NOT_READY insert protocol have nothing left
+// to protect.
 //
 // An element is one arena block, as in the paper: a HeaderBytes (64 B, a
 // line's worth, but straddling two cache lines) header record — key,
-// size, version, expiry, reference count, flags, bucket and LRU links —
-// followed by the value. Buckets and links are uint32 record offsets into
-// the arena, so a partition's memory is two pointer-free slices — the
-// arena and the bucket array — however many entries it holds. Callers name
-// an element by a slice view of its block (Element) or by its offset
-// (Store.ref), never by a heap object.
+// size, version, expiry, bucket and LRU links — followed by the value.
+// Buckets and links are uint32 record offsets into the arena, so a
+// partition's memory is two pointer-free slices — the arena and the bucket
+// array — however many entries it holds.
 //
 // A partition is owned by exactly one goroutine at a time and is therefore
 // completely lock-free: CPHASH gives each partition to a dedicated server

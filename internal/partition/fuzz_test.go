@@ -11,15 +11,21 @@ import (
 
 // FuzzStore decodes its input into a sequence of store operations on a
 // partition small enough that every few inserts evict, and checks them
-// against a map model: inserts of 0–300 B with and without a TTL and an
-// explicit version, NOT_READY inserts published later, lookups whose
-// references stay pinned across overwrite, eviction and delete, deletes,
-// read-modify-writes, bucket-budgeted scans, purges, clock steps and
-// sweeps, under both eviction policies. Every step opens with a Prefetch,
-// which reads no input and must change nothing. After every step the store
-// must pass CheckInvariants, serve exactly the model's visible entries (a
-// model entry may vanish only in a step that evicted), and leave every
-// pinned and every unpublished value byte-for-byte intact.
+// against a map model: Puts of 0–300 B with and without a TTL and an
+// explicit version, Gets, deletes, read-modify-writes, bucket-budgeted
+// scans, purges, clock steps and sweeps, under both eviction policies.
+// Every step opens with a Prefetch, which reads no input and must change
+// nothing. After every step the store must pass CheckInvariants (a block
+// is allocated exactly when it is linked) and serve exactly the model's
+// visible entries; a model entry may vanish only in a step that evicted.
+//
+// Op codes 1, 2 and 4 once drove the paper's two-phase protocol: an insert
+// left NOT_READY, its publication, and the release of a pinned lookup.
+// They still read the input bytes they read then, so a committed corpus
+// entry decodes into the op sequence it was saved for up to the first
+// lookup that hits where the two-phase store missed. They now mean: 1 =
+// Put then Get of the same key, 2 = Contains of every key, 4 = Contains
+// of one key, read only while an earlier op 3 lookup counts as held.
 func FuzzStore(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 40, 0, 2, 1, 3, 1, 0, 4, 5, 200, 0, 9, 0, 1, 2, 3, 4})
 	f.Add([]byte{1, 0, 2, 255, 0, 0, 3, 255, 1, 2, 2, 1, 7, 3, 0, 6, 9, 9, 8, 20})
@@ -32,25 +38,15 @@ const (
 	fuzzKeys   = 12  // key space: small, so operations collide
 	fuzzMaxVal = 300 // largest inserted value
 	fuzzMaxRMW = 400 // RMWReq.MaxVal: append/prepend beyond it is TooLarge
-	fuzzPins   = 8   // references held at once
+	fuzzHolds  = 8   // lookups counted as held at once (see peek)
 )
 
-// melem is the model of one inserted element.
+// melem is the model of one stored element.
 type melem struct {
 	key    Key
 	val    []byte
 	ver    uint64
 	expire int64
-	ready  bool
-	e      Element // the store's handle, while the element is unpublished
-}
-
-// pin is a reference held by the fuzzer: the handle and what it must read.
-type pin struct {
-	e   Element
-	key Key
-	val []byte
-	ver uint64
 }
 
 type storeModel struct {
@@ -59,11 +55,10 @@ type storeModel struct {
 	s    *Store
 	clk  *fakeClock
 
-	cur     map[Key]*melem // the model's linked element per key
-	pending []*melem       // inserted, not yet published (ready or dead)
-	pins    []pin
-	maxVer  uint64
-	step    int
+	cur    map[Key]*melem // the model's linked element per key
+	holds  int            // held lookups, bounded by fuzzHolds (see peek)
+	maxVer uint64
+	step   int
 }
 
 func newStoreModel(t *testing.T, data []byte) *storeModel {
@@ -101,7 +96,7 @@ func (m *storeModel) expired(e *melem) bool { return e.expire != 0 && m.clk.now 
 
 // visible reports the model's entry for k if a lookup must find it.
 func (m *storeModel) visible(k Key) *melem {
-	if e := m.cur[k]; e != nil && e.ready && !m.expired(e) {
+	if e := m.cur[k]; e != nil && !m.expired(e) {
 		return e
 	}
 	return nil
@@ -137,13 +132,13 @@ func (m *storeModel) run() {
 		evictions := m.s.Stats().Evictions
 		switch op := m.next() % 12; op {
 		case 0, 1:
-			m.insert(op == 1)
+			m.put(op == 1)
 		case 2:
-			m.publish()
+			m.containsAll()
 		case 3:
-			m.lookup()
+			m.get()
 		case 4:
-			m.unpin()
+			m.peek()
 		case 5:
 			m.delete()
 		case 6, 7:
@@ -159,20 +154,14 @@ func (m *storeModel) run() {
 		}
 		m.check(m.s.Stats().Evictions > evictions)
 	}
-	for len(m.pins) > 0 {
-		m.unpin()
-	}
-	for len(m.pending) > 0 {
-		m.publish()
-	}
-	m.check(false)
 	if m.s.Len() == 0 && m.s.UsedBytes() != 0 {
 		m.fatalf("empty store holds %d bytes", m.s.UsedBytes())
 	}
 }
 
-// insert stores a fresh value; hold leaves it NOT_READY for a later publish.
-func (m *storeModel) insert(hold bool) {
+// put stores a fresh value and checks the element it linked; then, if get
+// is set, reads it back with Get.
+func (m *storeModel) put(get bool) {
 	k := Key(m.next() % fuzzKeys)
 	size := int(m.next()) * fuzzMaxVal / 255
 	flags := m.next()
@@ -185,77 +174,84 @@ func (m *storeModel) insert(hold bool) {
 		ver = m.maxVer + 1 + uint64(m.next())
 	}
 	m.unlink(k)
-	e := m.s.InsertTTLVer(k, size, ttl, ver)
-	if e == nil {
-		// With nothing pinned, eviction can always empty the arena.
-		if int(blockFor(size+HeaderBytes)) <= m.s.CapacityBytes() && len(m.pins)+len(m.pending) == 0 {
-			m.fatalf("Insert(%d, %d B) failed with nothing pinned", k, size)
-		}
-		return
-	}
-	if e.Key() != k || e.Size() != size || e.Ready() {
-		m.fatalf("Insert(%d, %d B) = key %d, %d B, ready %v", k, size, e.Key(), e.Size(), e.Ready())
-	}
-	m.version(e.Version(), ver)
-	me := &melem{key: k, val: make([]byte, size), ver: e.Version(), e: e}
+	me := &melem{key: k, val: make([]byte, size)}
 	if ttl > 0 {
 		me.expire = m.clk.now + int64(ttl)
 	}
-	if e.ExpireAt() != me.expire {
-		m.fatalf("Insert(%d): expiry %d, want %d", k, e.ExpireAt(), me.expire)
-	}
 	m.fill(me.val)
-	copy(e.Value(), me.val)
-	m.cur[k] = me
-	m.pending = append(m.pending, me)
-	if !hold {
-		m.publish()
-	}
-}
-
-// publish marks the newest unpublished insert ready and drops its reference.
-func (m *storeModel) publish() {
-	if len(m.pending) == 0 {
+	if !m.s.Put(k, me.val, m.s.Deadline(ttl), ver) {
+		// Eviction can always empty the arena.
+		if int(blockFor(size+HeaderBytes)) <= m.s.CapacityBytes() {
+			m.fatalf("Put(%d, %d B) failed", k, size)
+		}
 		return
 	}
-	me := m.pending[len(m.pending)-1]
-	m.pending = m.pending[:len(m.pending)-1]
-	m.s.MarkReady(me.e)
-	m.s.Decref(me.e)
-	me.ready, me.e = true, nil
+	// Read the linked record in place: no Get, so no LRU or counter moves.
+	r, h := m.s.find(k)
+	if h == nil {
+		m.fatalf("Put(%d, %d B) linked nothing", k, size)
+	}
+	e := m.s.elem(r)
+	if e.Size() != size || !bytes.Equal(e.Value(), me.val) || e.ExpireAt() != me.expire {
+		m.fatalf("Put(%d, %d B, expiry %d) stored %d B %q, expiry %d", k, size, me.expire, e.Size(), e.Value(), e.ExpireAt())
+	}
+	m.version(e.Version(), ver)
+	me.ver = e.Version()
+	m.cur[k] = me
+	if get {
+		got, gotVer, ok := m.s.Get(k, []byte("dst:"))
+		if !ok || string(got) != "dst:"+string(me.val) || gotVer != me.ver {
+			m.fatalf("Get(%d) after Put = %q v%d %v; want dst:%q v%d", k, got, gotVer, ok, me.val, me.ver)
+		}
+	}
 }
 
-func (m *storeModel) lookup() {
+// containsAll checks Contains, which moves nothing, against the model for
+// every key.
+func (m *storeModel) containsAll() {
+	for k := Key(0); k < fuzzKeys; k++ {
+		if got := m.s.Contains(k); got != (m.visible(k) != nil) {
+			m.fatalf("Contains(%d) = %v, model %v", k, got, !got)
+		}
+	}
+}
+
+// get looks a key up into a dst that already holds bytes. A hit whose
+// input byte asks for a hold counts towards holds.
+func (m *storeModel) get() {
 	k := Key(m.next() % fuzzKeys)
 	hold := m.next()&1 == 0
 	want := m.visible(k)
-	e := m.s.Lookup(k)
-	if e == nil {
+	got, ver, ok := m.s.Get(k, []byte("dst:"))
+	if !ok {
 		if want != nil {
-			m.fatalf("Lookup(%d) missed; model holds version %d", k, want.ver)
+			m.fatalf("Get(%d) missed; model holds version %d", k, want.ver)
 		}
-		if me := m.cur[k]; me != nil && me.ready {
-			m.unlink(k) // expired, and reclaimed by the lookup
+		if string(got) != "dst:" || ver != 0 {
+			m.fatalf("Get(%d) missed but returned %q v%d", k, got, ver)
 		}
+		m.unlink(k) // absent, or expired and reclaimed by the lookup
 		return
 	}
-	if want == nil || !bytes.Equal(e.Value(), want.val) || e.Version() != want.ver || e.Key() != k {
-		m.fatalf("Lookup(%d) = %q v%d; model %+v", k, e.Value(), e.Version(), want)
+	if want == nil || string(got) != "dst:"+string(want.val) || ver != want.ver {
+		m.fatalf("Get(%d) = %q v%d; model %+v", k, got, ver, want)
 	}
-	if hold && len(m.pins) < fuzzPins {
-		m.pins = append(m.pins, pin{e: e, key: k, val: want.val, ver: want.ver})
-	} else {
-		m.s.Decref(e)
+	if hold && m.holds < fuzzHolds {
+		m.holds++
 	}
 }
 
-func (m *storeModel) unpin() {
-	if len(m.pins) == 0 {
+// peek releases one held lookup: it reads an input byte only while one is
+// held, and checks Contains of the key that byte names.
+func (m *storeModel) peek() {
+	if m.holds == 0 {
 		return
 	}
-	i := int(m.next()) % len(m.pins)
-	m.s.Decref(m.pins[i].e)
-	m.pins = append(m.pins[:i], m.pins[i+1:]...)
+	m.holds--
+	k := Key(m.next() % fuzzKeys)
+	if got := m.s.Contains(k); got != (m.visible(k) != nil) {
+		m.fatalf("Contains(%d) = %v, model %v", k, got, !got)
+	}
 }
 
 func (m *storeModel) delete() {
@@ -385,7 +381,7 @@ func (m *storeModel) rmw() {
 			m.fatalf("%v on %d = %d, model %d", r.Op, k, r.Num, num)
 		}
 		m.version(r.OutVer, 0)
-		m.cur[k] = &melem{key: k, val: val, ver: r.OutVer, expire: expire, ready: true}
+		m.cur[k] = &melem{key: k, val: val, ver: r.OutVer, expire: expire}
 	}
 }
 
@@ -459,16 +455,6 @@ func (m *storeModel) check(evicted bool) {
 	if err := m.s.CheckInvariants(); err != nil {
 		m.fatalf("%v", err)
 	}
-	for _, p := range m.pins {
-		if !bytes.Equal(p.e.Value(), p.val) || p.e.Key() != p.key || p.e.Version() != p.ver {
-			m.fatalf("pinned key %d changed under its reference: %q v%d", p.key, p.e.Value(), p.e.Version())
-		}
-	}
-	for _, me := range m.pending {
-		if !bytes.Equal(me.e.Value(), me.val) {
-			m.fatalf("unpublished value of key %d changed", me.key)
-		}
-	}
 	visible := map[Key]ScanEntry{}
 	entries, _, _ := m.s.AppendScan(nil, 0, 0, 0, nil)
 	for _, se := range entries {
@@ -479,14 +465,7 @@ func (m *storeModel) check(evicted bool) {
 			m.unlink(k)
 			continue
 		}
-		linked := false
-		if me.ready {
-			_, linked = visible[k]
-		} else {
-			r, _ := m.s.find(k)
-			linked = r == m.s.ref(me.e)
-		}
-		if !linked {
+		if _, linked := visible[k]; !linked {
 			if !evicted {
 				m.fatalf("key %d (version %d) vanished in a step that evicted nothing", k, me.ver)
 			}

@@ -11,14 +11,11 @@ import (
 func TestPointerFree(t *testing.T) {
 	const n = 1 << 16
 	s := mustStore(Config{CapacityBytes: CapacityForValues(2*n, 8), Seed: 1})
+	val := []byte("abcdefgh")
 	insert := func(k Key) {
-		e := s.Insert(k, 8)
-		if e == nil {
-			t.Fatalf("Insert(%d) failed", k)
+		if !s.Put(k, val, 0, 0) {
+			t.Fatalf("Put(%d) failed", k)
 		}
-		copy(e.Value(), "abcdefgh")
-		s.MarkReady(e)
-		s.Decref(e)
 	}
 
 	var before, after runtime.MemStats
@@ -38,16 +35,17 @@ func TestPointerFree(t *testing.T) {
 
 	next := Key(n)
 	if a := testing.AllocsPerRun(1000, func() { insert(next); next++ }); a != 0 {
-		t.Errorf("insert of a new key: %v allocs/op, want 0", a)
+		t.Errorf("put of a new key: %v allocs/op, want 0", a)
 	}
 	k := Key(0)
+	dst := make([]byte, 0, len(val))
 	if a := testing.AllocsPerRun(1000, func() {
-		if e := s.Lookup(k); e != nil {
-			s.Decref(e)
+		if _, _, ok := s.Get(k, dst[:0]); !ok {
+			t.Fatalf("Get(%d) missed", k)
 		}
 		k++
 	}); a != 0 {
-		t.Errorf("lookup: %v allocs/op, want 0", a)
+		t.Errorf("get into a pre-sized dst: %v allocs/op, want 0", a)
 	}
 	batch := make([]Key, 40) // more than Prefetch covers
 	for i := range batch {

@@ -43,21 +43,17 @@ func TestQuickLRUOrderMatchesModel(t *testing.T) {
 	f := func(ops []uint16) bool {
 		s := mustStore(Config{CapacityBytes: 1 << 20, Policy: EvictLRU})
 		ref := &refLRU{}
+		val := []byte("abcdefgh")
 		for _, op := range ops {
 			k := Key(op % 32)
 			switch (op >> 5) % 3 {
 			case 0: // insert (MRU position; replaces dup)
-				e := s.Insert(k, 8)
-				if e == nil {
+				if !s.Put(k, val, 0, 0) {
 					return false
 				}
-				s.MarkReady(e)
-				s.Decref(e)
 				ref.touch(k)
 			case 1: // lookup hit bumps to MRU; miss changes nothing
-				e := s.Lookup(k)
-				if e != nil {
-					s.Decref(e)
+				if hit(s, k) {
 					ref.touch(k)
 				}
 			case 2: // delete
@@ -83,31 +79,21 @@ func TestEvictionIsExactlyLRUOrder(t *testing.T) {
 	const n = 16
 	exact := n * int(blockFor(8+HeaderBytes))
 	s := mustStore(Config{CapacityBytes: exact, Policy: EvictLRU})
+	val := []byte("abcdefgh")
 	for k := Key(0); k < n; k++ {
-		e := s.Insert(k, 8)
-		if e == nil {
-			t.Fatalf("Insert(%d) failed below capacity", k)
-		}
-		s.MarkReady(e)
-		s.Decref(e)
+		mustPut(t, s, k, val)
 	}
 	if s.Stats().Evictions != 0 {
 		t.Fatalf("evictions before capacity reached: %d", s.Stats().Evictions)
 	}
 	// Touch the even keys so odd keys become the LRU tail.
 	for k := Key(0); k < n; k += 2 {
-		e := s.Lookup(k)
-		s.Decref(e)
+		hit(s, k)
 	}
 	// Insert n/2 new keys: exactly the n/2 least-recently-used (the odd
 	// keys) must be evicted, all even keys retained.
 	for k := Key(100); k < 100+n/2; k++ {
-		e := s.Insert(k, 8)
-		if e == nil {
-			t.Fatalf("Insert(%d) failed", k)
-		}
-		s.MarkReady(e)
-		s.Decref(e)
+		mustPut(t, s, k, val)
 	}
 	if got, want := s.Stats().Evictions, int64(n/2); got != want {
 		t.Fatalf("evictions = %d, want exactly %d", got, want)
@@ -133,20 +119,13 @@ func TestEvictionIsExactlyLRUOrder(t *testing.T) {
 func TestRandomEvictionEventuallyCyclesKeys(t *testing.T) {
 	const n = 8
 	s := mustStore(Config{CapacityBytes: CapacityForValues(n, 8), Policy: EvictRandom, Seed: 42})
+	val := []byte("abcdefgh")
 	for k := Key(0); k < n; k++ {
-		e := s.Insert(k, 8)
-		s.MarkReady(e)
-		s.Decref(e)
+		mustPut(t, s, k, val)
 	}
 	evicted := map[Key]bool{}
 	for i := 0; i < 10000 && len(evicted) < n; i++ {
-		newKey := Key(1000 + i)
-		e := s.Insert(newKey, 8)
-		if e == nil {
-			t.Fatal("insert failed")
-		}
-		s.MarkReady(e)
-		s.Decref(e)
+		mustPut(t, s, Key(1000+i), val)
 		for k := Key(0); k < n; k++ {
 			if !s.Contains(k) {
 				evicted[k] = true
@@ -161,14 +140,12 @@ func TestRandomEvictionEventuallyCyclesKeys(t *testing.T) {
 // TestCapacityForValuesTight: the helper's sizing is tight — a table sized
 // for n values holds n but overflows (evicts) on n + headroom inserts.
 func TestCapacityForValuesTight(t *testing.T) {
+	val := []byte("abcdefgh")
 	for _, n := range []int{1, 7, 64, 500} {
 		s := mustStore(Config{CapacityBytes: CapacityForValues(n, 8), Policy: EvictLRU})
 		for k := Key(0); k < Key(n); k++ {
-			if e := s.Insert(k, 8); e == nil {
-				t.Fatalf("n=%d: Insert(%d) failed within sized capacity", n, k)
-			} else {
-				s.MarkReady(e)
-				s.Decref(e)
+			if !s.Put(k, val, 0, 0) {
+				t.Fatalf("n=%d: Put(%d) failed within sized capacity", n, k)
 			}
 		}
 		if ev := s.Stats().Evictions; ev != 0 {
@@ -176,12 +153,9 @@ func TestCapacityForValuesTight(t *testing.T) {
 		}
 		// Overfill by 25%: evictions must start.
 		for k := Key(n); k < Key(n+n/4+2); k++ {
-			e := s.Insert(k, 8)
-			if e == nil {
-				t.Fatalf("n=%d: overfill Insert failed outright", n)
+			if !s.Put(k, val, 0, 0) {
+				t.Fatalf("n=%d: overfill Put failed outright", n)
 			}
-			s.MarkReady(e)
-			s.Decref(e)
 		}
 		if s.Stats().Evictions == 0 {
 			t.Fatalf("n=%d: no evictions after 25%% overfill", n)

@@ -88,30 +88,26 @@ func prefetchTwins(t *testing.T, policy EvictionPolicy, buckets int) {
 
 // lookupCopy appends a lookup's outcome to dst: hit, version and value.
 func lookupCopy(s *Store, k Key, dst []byte) []byte {
-	e := s.Lookup(k)
-	if e == nil {
+	val, ver, ok := s.Get(k, nil)
+	if !ok {
 		return append(dst, "miss"...)
 	}
-	dst = fmt.Appendf(dst, "hit v%d ", e.Version())
-	dst = append(dst, e.Value()...)
-	s.Decref(e)
-	return dst
+	dst = fmt.Appendf(dst, "hit v%d ", ver)
+	return append(dst, val...)
 }
 
 // insertFilled stores size bytes derived from k, as a server does, and
 // appends the outcome to dst.
 func insertFilled(s *Store, k Key, size int, expireAt int64, dst []byte) []byte {
-	e := s.InsertExpire(k, size, expireAt)
+	val := make([]byte, size)
+	for i := range val {
+		val[i] = byte(k) + byte(i)
+	}
+	e := s.put(k, val, expireAt, 0) // Put, keeping the element for its version
 	if e == nil {
 		return append(dst, "no space"...)
 	}
-	for i := range e.Value() {
-		e.Value()[i] = byte(k) + byte(i)
-	}
-	s.MarkReady(e)
-	dst = fmt.Appendf(dst, "stored v%d", e.Version())
-	s.Decref(e)
-	return dst
+	return fmt.Appendf(dst, "stored v%d", e.Version())
 }
 
 // appendRMW appends a byte to k's value and appends the outcome to dst.
@@ -144,8 +140,8 @@ func sameState(x, y *Store) error {
 // BenchmarkStoreBatch prices Prefetch where it pays: a table far larger
 // than the caches, served a batch at a time the way a CPHASH server serves
 // one ring batch. 2^19 keys of 8 B, uniform, 32-key batches, 30 % inserts
-// (of keys already present, so the size holds) and lookups copied out, as
-// core's execute does. ns/op is per key; the prefetch variants include the
+// (of keys already present, so the size holds) and lookups copied out
+// with Put and Get, as core's execute does. ns/op is per key; the prefetch variants include the
 // cost of Prefetch itself.
 func BenchmarkStoreBatch(b *testing.B) {
 	const (
@@ -157,7 +153,7 @@ func BenchmarkStoreBatch(b *testing.B) {
 		s := mustStore(Config{CapacityBytes: CapacityForValues(keys, 8), Policy: policy, Seed: 1})
 		val := []byte("abcdefgh")
 		for k := Key(0); k < keys; k++ {
-			insertVal(s, k, val)
+			s.Put(k, val, 0, 0)
 		}
 		rng := rand.New(rand.NewSource(1))
 		stream := make([]Key, ops)
@@ -182,23 +178,13 @@ func BenchmarkStoreBatch(b *testing.B) {
 					}
 					for j, k := range ks {
 						if insert[at+j] {
-							insertVal(s, k, val)
-						} else if e := s.Lookup(k); e != nil {
-							dst = append(dst[:0], e.Value()...)
-							s.Decref(e)
+							s.Put(k, val, 0, 0)
+						} else {
+							dst, _, _ = s.Get(k, dst[:0])
 						}
 					}
 				}
 			})
 		}
-	}
-}
-
-// insertVal stores val under k the way core's execute does.
-func insertVal(s *Store, k Key, val []byte) {
-	if e := s.Insert(k, len(val)); e != nil {
-		copy(e.Value(), val)
-		s.MarkReady(e)
-		s.Decref(e)
 	}
 }

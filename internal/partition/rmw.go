@@ -15,7 +15,7 @@ import (
 // locking on any path.
 //
 // Durability reuses the ordinary change stream: a successful RMW stores a
-// brand-new element and MarkReady streams its RESULTING state (value,
+// brand-new element with Put, which streams its RESULTING state (value,
 // expiry, version) through the ChangeSink. The WAL therefore never logs
 // "increment by 5", only "the value is now 12 with version 7", which makes
 // recovery, replica apply and slot migration replay idempotent and keeps
@@ -165,9 +165,7 @@ func (s *Store) RMW(k Key, r *RMWReq) {
 	if ref, h := s.find(k); h != nil {
 		if h.expireAt() != 0 && h.expired(s.clock()) {
 			s.expireElement(ref)
-		} else if h.is(flagReady) {
-			// Ready only: an insert still in flight from another client has
-			// unpublished bytes, so the entry is invisible, as in Lookup.
+		} else {
 			e = s.elem(ref)
 		}
 	}
@@ -198,21 +196,21 @@ func (s *Store) RMW(k Key, r *RMWReq) {
 			r.OutVer = e.Version()
 			return
 		}
-		s.rmwStore(k, r, r.Val, s.rmwDeadline(r.TTL))
+		s.rmwStore(k, r, s.framed(r, r.Val), s.Deadline(r.ttl()))
 
 	case RMWAdd:
 		if e != nil {
 			r.Status = RMWNotStored
 			return
 		}
-		s.rmwStore(k, r, r.Val, s.rmwDeadline(r.TTL))
+		s.rmwStore(k, r, s.framed(r, r.Val), s.Deadline(r.ttl()))
 
 	case RMWReplace:
 		if e == nil {
 			r.Status = RMWNotStored
 			return
 		}
-		s.rmwStore(k, r, r.Val, s.rmwDeadline(r.TTL))
+		s.rmwStore(k, r, s.framed(r, r.Val), s.Deadline(r.ttl()))
 
 	case RMWAppend, RMWPrepend:
 		if e == nil {
@@ -223,10 +221,10 @@ func (s *Store) RMW(k Key, r *RMWReq) {
 			r.Status = RMWBadValue
 			return
 		}
-		// Compose into the store-owned scratch FIRST: the insert below
-		// unlinks the old element before allocating, so reading the old
-		// bytes after it would race the arena reuse.
-		buf := s.rmwBuf[:0]
+		// Compose into the store-owned scratch FIRST: Put unlinks the old
+		// element before allocating, so reading the old bytes after it
+		// would race the arena reuse.
+		buf := s.rmwScratch(r)
 		if r.Op == RMWAppend {
 			buf = append(buf, old...)
 			buf = append(buf, r.Val...)
@@ -259,7 +257,7 @@ func (s *Store) RMW(k Key, r *RMWReq) {
 		} else {
 			n -= r.Delta
 		}
-		buf := append(s.rmwBuf[:0], old[:r.Prefix]...)
+		buf := append(s.rmwScratch(r), old[:r.Prefix]...)
 		buf = strconv.AppendUint(buf, n, 10)
 		s.rmwBuf = buf
 		s.rmwStore(k, r, buf, e.ExpireAt())
@@ -276,7 +274,7 @@ func (s *Store) RMW(k Key, r *RMWReq) {
 		// version is unchanged (memcached touch does not bump cas). The
 		// new state still streams through the sink so a replayed log
 		// reproduces the deadline.
-		newExp := s.rmwDeadline(r.TTL)
+		newExp := s.Deadline(r.ttl())
 		if e.ExpireAt() != 0 && newExp == 0 {
 			s.ttlElems--
 		} else if e.ExpireAt() == 0 && newExp != 0 {
@@ -294,51 +292,46 @@ func (s *Store) RMW(k Key, r *RMWReq) {
 	}
 }
 
-// rmwStore inserts the derived value (re-framing string-keyed entries) and
-// publishes it. val must NOT alias the old element's arena bytes — the
-// insert unlinks the old element first; callers compose derived values in
-// s.rmwBuf for exactly this reason.
+// rmwStore stores val, the value as the store holds it (string-key framing
+// included), and reports the outcome in r. val must NOT alias the old
+// element's arena bytes — Put unlinks the old element first; callers
+// compose derived values in s.rmwBuf for exactly this reason.
 func (s *Store) rmwStore(k Key, r *RMWReq, val []byte, expireAt int64) {
-	size := len(val)
-	if r.StrKey != nil {
-		size += 4 + len(r.StrKey)
-	}
-	if r.MaxVal > 0 && size > r.MaxVal {
+	if r.MaxVal > 0 && len(val) > r.MaxVal {
 		r.Status = RMWTooLarge
 		return
 	}
-	e := s.InsertExpireVer(k, size, expireAt, 0)
+	e := s.put(k, val, expireAt, 0)
 	if e == nil {
 		r.Status = RMWNoSpace
 		return
 	}
-	dst := e.Value()
-	if r.StrKey != nil {
-		binary.LittleEndian.PutUint32(dst, uint32(len(r.StrKey)))
-		copy(dst[4:], r.StrKey)
-		copy(dst[4+len(r.StrKey):], val)
-	} else {
-		copy(dst, val)
-	}
-	s.MarkReady(e)
 	r.OutVer = e.Version()
 	r.Status = RMWStored
-	s.Decref(e)
 }
 
-// rmwDeadline converts a millisecond TTL to an absolute deadline on the
-// store's clock; 0 (and overflow) mean "never expires".
-func (s *Store) rmwDeadline(ttl uint32) int64 {
-	if ttl == 0 {
-		return 0
+// rmwScratch returns the store's emptied scratch, opened with r's
+// string-entry framing when r is string-keyed; the caller appends the
+// derived value and stores the result back in s.rmwBuf.
+func (s *Store) rmwScratch(r *RMWReq) []byte {
+	if r.StrKey == nil {
+		return s.rmwBuf[:0]
 	}
-	now := s.clock()
-	d := now + int64(ttl)*int64(time.Millisecond)
-	if d < now {
-		return 0
-	}
-	return d
+	return AppendStringEntry(s.rmwBuf[:0], r.StrKey, nil)
 }
+
+// framed returns val as the store holds it for r: framed in the scratch
+// for a string key, as is otherwise.
+func (s *Store) framed(r *RMWReq, val []byte) []byte {
+	if r.StrKey == nil {
+		return val
+	}
+	s.rmwBuf = append(s.rmwScratch(r), val...)
+	return s.rmwBuf
+}
+
+// ttl is r.TTL as a duration.
+func (r *RMWReq) ttl() time.Duration { return time.Duration(r.TTL) * time.Millisecond }
 
 // ParseDecimal parses an unsigned decimal byte string without allocating
 // (strconv.ParseUint would force a string conversion on the hot path).

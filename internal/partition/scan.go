@@ -6,8 +6,7 @@ import "time"
 // entries. A Store is single-owner (CPHASH gives it to one server
 // goroutine, LOCKHASH wraps it in a lock), so "safe snapshot iteration"
 // here means: the iteration runs entirely inside one call made by the
-// owner, touches no LRU or refcount state, and copies entries out, so the
-// caller holds no pointers into the partition once the call returns.
+// owner, touches no LRU state, and copies entries out, as Get does.
 // Between calls the table may mutate freely; the bucket cursor only
 // guarantees that an entry present for the whole iteration is visited at
 // least once, and an entry visited once is never visited again unless it
@@ -60,10 +59,10 @@ func (s *Store) NumBuckets() int { return int(s.mask) + 1 }
 // 4096-collision chain). It returns the extended slice, the bucket cursor
 // to resume at, and whether the partition is exhausted.
 //
-// Only ready, unexpired entries are visited; expired ones are skipped
-// without being reclaimed (the scan is strictly read-only — it moves no
-// LRU links, takes no references, and frees nothing, which is what makes
-// it safe to run between any two operations of the owner).
+// Only unexpired entries are visited; expired ones are skipped without
+// being reclaimed (the scan is strictly read-only — it moves no LRU links
+// and frees nothing, which is what makes it safe to run between any two
+// operations of the owner).
 func (s *Store) AppendScan(dst []ScanEntry, start, maxBuckets, maxEntries int, filter func(Key) bool) (out []ScanEntry, next int, done bool) {
 	n := s.NumBuckets()
 	if start < 0 {
@@ -79,7 +78,7 @@ func (s *Store) AppendScan(dst []ScanEntry, start, maxBuckets, maxEntries int, f
 	now := s.clock()
 	live := func(r uint32) bool {
 		h := s.rec(r)
-		return h.is(flagReady) && !h.expired(now) && (filter == nil || filter(h.key()))
+		return !h.expired(now) && (filter == nil || filter(h.key()))
 	}
 	b := start
 	for ; b < start+maxBuckets; b++ {
@@ -105,10 +104,7 @@ func (s *Store) AppendScan(dst []ScanEntry, start, maxBuckets, maxEntries int, f
 			e := s.elem(r)
 			var ttl time.Duration
 			if exp := e.ExpireAt(); exp != 0 {
-				ttl = time.Duration(exp - now)
-				if ttl <= 0 {
-					continue // expired between the clock read and here
-				}
+				ttl = time.Duration(exp - now) // > 0: live checked it
 			}
 			dst = append(dst, ScanEntry{
 				Key:     e.Key(),
@@ -125,8 +121,7 @@ func (s *Store) AppendScan(dst []ScanEntry, start, maxBuckets, maxEntries int, f
 // (nil = all), walking whole bucket chains from bucket start and stopping
 // after maxBuckets buckets (≤ 0 = no bound). It returns how many entries
 // were removed, the bucket cursor to resume at, and whether the partition
-// is exhausted. Removals follow the usual refcount rule (memory held by a
-// referenced element is reclaimed at its final Decref) and are counted as
+// is exhausted. Removals free their memory at once and are counted as
 // deletes; entries whose TTL already elapsed are reclaimed as expired, not
 // counted as purged.
 func (s *Store) PurgeBuckets(start, maxBuckets int, filter func(Key) bool) (removed, next int, done bool) {

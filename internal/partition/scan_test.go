@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"bytes"
 	"testing"
 	"time"
 )
@@ -23,15 +24,9 @@ func scanStore(t *testing.T, n int) (*Store, *int64) {
 		if k%3 == 0 {
 			ttl = time.Duration(k+1) * time.Second
 		}
-		e := s.InsertTTL(Key(k), k%7+1, ttl)
-		if e == nil {
+		if !s.Put(Key(k), bytes.Repeat([]byte{byte(k)}, k%7+1), s.Deadline(ttl), 0) {
 			t.Fatalf("insert %d failed", k)
 		}
-		for i := range e.Value() {
-			e.Value()[i] = byte(k)
-		}
-		s.MarkReady(e)
-		s.Decref(e)
 	}
 	return s, clk
 }
@@ -84,25 +79,16 @@ func TestAppendScanVisitsEveryLiveEntryOnce(t *testing.T) {
 	}
 }
 
-func TestAppendScanSkipsExpiredAndNotReady(t *testing.T) {
+func TestAppendScanSkipsExpired(t *testing.T) {
 	s, clk := scanStore(t, 90)
 	// Advance past the TTL of every key ≤ 59 that has one (ttl = key+1 s).
 	*clk += int64(60 * time.Second)
-
-	// Add a NOT_READY element: it must be invisible to the scan.
-	e := s.Insert(Key(1000), 4)
-	if e == nil {
-		t.Fatal("insert failed")
-	}
 
 	entries, _, done := s.AppendScan(nil, 0, 0, 0, nil)
 	if !done {
 		t.Fatal("unbounded scan did not finish")
 	}
 	for _, got := range entries {
-		if got.Key == 1000 {
-			t.Fatal("scan returned a NOT_READY element")
-		}
 		if got.Key%3 == 0 && got.Key < 60 {
 			t.Fatalf("scan returned expired key %d", got.Key)
 		}
@@ -114,8 +100,6 @@ func TestAppendScanSkipsExpiredAndNotReady(t *testing.T) {
 	if len(entries) != 70 {
 		t.Fatalf("scan returned %d entries, want 70", len(entries))
 	}
-	s.MarkReady(e)
-	s.Decref(e)
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +184,7 @@ func TestPurgeBuckets(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("store not empty after full purge: %d", s.Len())
 	}
-	e := s.Insert(7, 8)
-	if e == nil {
-		t.Fatal("insert after purge failed")
-	}
-	s.MarkReady(e)
-	s.Decref(e)
+	mustPut(t, s, 7, []byte("abcdefgh"))
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

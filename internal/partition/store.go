@@ -30,6 +30,8 @@ const HeaderBytes = 64
 // Header record layout. Links are record offsets in the partition arena
 // (refs); 0 means "none", since the arena's 8-byte boundary tag keeps every
 // record at offset 8 or above. The fields a chain walk reads sit first.
+// Bytes 36–39 and 48–63 are unused: no element outlives the call that
+// touched it, so there is no reference count and no flag to keep.
 const (
 	recKey     = 0  // uint64
 	recHNext   = 8  // uint32 bucket chain
@@ -37,13 +39,8 @@ const (
 	recVersion = 16 // uint64 CAS version; unique per store, immutable per element
 	recExpire  = 24 // int64 clock deadline in ns; 0 = never expires
 	recSize    = 32 // uint32 value size in bytes
-	recRefs    = 36 // uint32 references held by clients
 	recLNext   = 40 // uint32 LRU list (unused under EvictRandom)
 	recLPrev   = 44 // uint32
-	recFlags   = 48 // byte: flagReady | flagDead
-
-	flagReady = 1 // set by MarkReady; clear between Insert and MarkReady
-	flagDead  = 2 // unlinked from the table; memory pending refs == 0
 )
 
 // CapacityForValues converts the paper's capacity convention — "bytes of
@@ -73,9 +70,9 @@ func CapacityForValues(n, valueSize int) int {
 //
 // The stream is the write-ahead contract internal/persist logs:
 //
-//   - Set fires when a value becomes visible (MarkReady of an element
-//     that is still linked), with the element's absolute expiry deadline
-//     on the store's clock (0 = never) and its CAS version.
+//   - Set fires for every stored value, once Put has copied it in and
+//     before Put returns, with the element's absolute expiry deadline on
+//     the store's clock (0 = never) and its CAS version.
 //     Read-modify-write operations stream their RESULTING state through
 //     the same Set — never the operation — so replaying the stream is
 //     idempotent by construction.
@@ -117,14 +114,11 @@ func (p EvictionPolicy) String() string {
 	}
 }
 
-// Element is a handle on one stored key/value pair: a view of the
-// element's arena block, header record (HeaderBytes) then value, whose
-// capacity runs to the end of the arena so the store recovers the record's
-// offset from it (Store.ref). The handle is a slice, not an object: a
-// partition holds no per-element heap memory. Callers only ever hold
-// Elements obtained from Lookup/Insert and must release each with Decref
-// (CPHASH's server before it replies, LOCKHASH under the partition lock);
-// a nil Element is a miss.
+// Element is a view of one element's arena block: header record
+// (HeaderBytes) then value. It is a slice, not an object: a partition holds
+// no per-element heap memory. An Element is valid only until the next call
+// on its store, which may move, free or reuse the block; a nil Element is a
+// miss. Shipping code never holds one: Put and Get copy whole values.
 type Element []byte
 
 // Key returns the element's key.
@@ -133,9 +127,6 @@ func (e Element) Key() Key { return (*record)(e).key() }
 // Size returns the value size in bytes.
 func (e Element) Size() int { return len(e) - HeaderBytes }
 
-// Ready reports whether the value bytes have been published with MarkReady.
-func (e Element) Ready() bool { return (*record)(e).is(flagReady) }
-
 // ExpireAt returns the element's expiry deadline on the store's clock in
 // nanoseconds, or 0 for an element that never expires.
 func (e Element) ExpireAt() int64 { return (*record)(e).expireAt() }
@@ -143,14 +134,10 @@ func (e Element) ExpireAt() int64 { return (*record)(e).expireAt() }
 // Version returns the element's CAS version. Versions are assigned by the
 // store (unique, monotone per partition) when an element is created and
 // never change afterwards, so a compare-and-swap that captured the version
-// at read time detects any intervening write. Valid while the caller holds
-// a reference.
+// at read time detects any intervening write.
 func (e Element) Version() uint64 { return (*record)(e).u64(recVersion) }
 
-// Value returns the value bytes. The slice aliases partition memory: for a
-// looked-up element it is valid until Decref; for a fresh insert the caller
-// copies into it and then calls MarkReady. This is exactly the paper's
-// contract — the server allocates, the *client* copies the data (§3.2).
+// Value returns the value bytes. The slice aliases partition memory.
 func (e Element) Value() []byte {
 	if len(e) == HeaderBytes {
 		return nil
@@ -164,7 +151,7 @@ func (e Element) Value() []byte {
 // goroutine) never tears.
 type Stats struct {
 	Lookups   int64 // lookup requests processed
-	Hits      int64 // lookups that found a ready element
+	Hits      int64 // lookups that found a live element
 	Inserts   int64 // insert requests processed
 	InsertErr int64 // inserts that failed for lack of space
 	Evictions int64 // elements evicted to make room
@@ -248,9 +235,10 @@ type Store struct {
 	verNext uint64
 
 	// rmwBuf is the scratch the read-modify-write engine composes derived
-	// values in (append/prepend concatenations, incr/decr decimal digits).
-	// It must be store-owned: InsertExpire unlinks the old element BEFORE
-	// allocating the new one, so the old bytes have to be copied out first.
+	// values in (append/prepend concatenations, incr/decr decimal digits,
+	// string-key framing). It must be store-owned: Put unlinks the old
+	// element BEFORE allocating the new one, so the old bytes have to be
+	// copied out first.
 	rmwBuf []byte
 
 	// prefetched is the sum of the bytes Prefetch loaded. It is never read;
@@ -332,20 +320,11 @@ func (s *Store) Len() int { return int(s.m.Elements.Load()) }
 // CapacityBytes returns the configured byte capacity.
 func (s *Store) CapacityBytes() int { return s.arena.Capacity() }
 
-// UsedBytes returns bytes charged to live elements (headers + values),
-// including dead-but-referenced elements whose memory is not yet free.
+// UsedBytes returns the arena bytes charged to linked elements (header
+// records, values and block rounding).
 func (s *Store) UsedBytes() int { return s.arena.Used() }
 
-// ref returns the arena offset of e's header record: the pointer-free name
-// of an element, or 0 for a nil Element. A ref is never below 8.
-func (s *Store) ref(e Element) uint32 {
-	if e == nil {
-		return 0
-	}
-	return uint32(cap(s.mem) - cap(e))
-}
-
-// elem returns the handle of the element whose record is at ref.
+// elem returns the view of the element whose record is at ref.
 func (s *Store) elem(ref uint32) Element {
 	return Element(s.mem[ref : ref+HeaderBytes+s.rec(ref).u32(recSize)])
 }
@@ -366,7 +345,6 @@ func (h *record) u64(f int) uint64      { return binary.LittleEndian.Uint64(h[f:
 func (h *record) put64(f int, v uint64) { binary.LittleEndian.PutUint64(h[f:], v) }
 func (h *record) key() Key              { return h.u64(recKey) }
 func (h *record) expireAt() int64       { return int64(h.u64(recExpire)) }
-func (h *record) is(flag byte) bool     { return h[recFlags]&flag != 0 }
 
 // expired reports whether the record's TTL has elapsed at clock reading now.
 func (h *record) expired(now int64) bool { return h.expireAt() != 0 && now >= h.expireAt() }
@@ -426,15 +404,25 @@ func (s *Store) expireElement(r uint32) {
 	s.unlink(r)
 }
 
-// Lookup finds a ready, unexpired element, bumps its reference count,
-// moves it to the LRU head, and returns it; it returns nil on miss. An
-// element whose TTL has elapsed is removed lazily here — the paper-style
-// single-owner store makes this safe without locks. The caller must
-// eventually call Decref exactly once per successful Lookup.
-func (s *Store) Lookup(k Key) Element {
+// Get appends k's value to dst and returns the extended slice with the
+// entry's CAS version; on a miss it returns dst unchanged and ok false. A
+// hit moves k to the LRU head. An entry whose TTL has elapsed is removed
+// here, lazily — the paper-style single-owner store makes this safe
+// without locks — and misses.
+func (s *Store) Get(k Key, dst []byte) (_ []byte, ver uint64, ok bool) {
+	e := s.lookup(k)
+	if e == nil {
+		return dst, 0, false
+	}
+	return append(dst, e.Value()...), e.Version(), true
+}
+
+// lookup is Get's find half: it counts the lookup, reclaims an expired
+// entry, moves a hit to the LRU head and returns it, or nil on a miss.
+func (s *Store) lookup(k Key) Element {
 	s.m.Lookups.Inc()
 	r, h := s.find(k)
-	if h == nil || !h.is(flagReady) {
+	if h == nil {
 		s.heat(k, 0)
 		return nil
 	}
@@ -449,17 +437,16 @@ func (s *Store) Lookup(k Key) Element {
 	s.m.Hits.Inc()
 	s.m.BytesOut.Add(int64(size))
 	s.heat(k, int64(size))
-	h.put32(recRefs, h.u32(recRefs)+1)
 	s.lruMoveFront(r)
 	return Element(s.mem[r : r+HeaderBytes+size])
 }
 
-// Contains reports whether k is linked, ready and unexpired without
-// touching LRU state, reference counts, or (unlike Lookup) removing an
-// expired element (used by tests and admin tooling).
+// Contains reports whether k is linked and unexpired without touching LRU
+// state or (unlike Get) removing an expired element (used by tests and
+// admin tooling).
 func (s *Store) Contains(k Key) bool {
 	_, h := s.find(k)
-	return h != nil && h.is(flagReady) && !(h.expireAt() != 0 && h.expired(s.clock()))
+	return h != nil && !(h.expireAt() != 0 && h.expired(s.clock()))
 }
 
 // find returns the ref and record of k's linked element, or (0, nil).
@@ -523,61 +510,50 @@ func (s *Store) Prefetch(keys []Key) {
 	s.prefetched = sum
 }
 
-// Insert allocates space for a size-byte value under key k, unlinking any
-// existing element with the same key first (to avoid duplicates, §3.2), and
-// returns the new NOT_READY element with one caller reference. The caller
-// copies the value into e.Value(), calls MarkReady, and finally Decref.
-// Insert returns nil when space cannot be made even after evicting
-// everything evictable. The element never expires.
-func (s *Store) Insert(k Key, size int) Element {
-	return s.InsertExpire(k, size, 0)
+// Put stores val under k, replacing any element with the same key (no
+// duplicates, §3.2), and streams the Set to the change sink before it
+// returns. expireAt is an absolute deadline on the store's clock in
+// nanoseconds (0 = never expires; see Deadline); a deadline already past
+// still stores, and the element expires on its first lookup or sweep. ver
+// 0 assigns the store's next CAS version. A nonzero ver is kept — the
+// replay primitive recovery, replica apply and slot migration use, so an
+// in-flight compare-and-swap stays honest — and advances the store's
+// counter past it, so later writes never mint a duplicate. Put reports
+// false for a key above MaxKey or when room cannot be made even by
+// evicting everything. val must not alias the store's memory.
+func (s *Store) Put(k Key, val []byte, expireAt int64, ver uint64) bool {
+	return s.put(k, val, expireAt, ver) != nil
 }
 
-// InsertTTL is Insert with a relative time-to-live on the store's clock;
-// ttl <= 0 means "never expires", and a ttl so large the deadline
-// overflows is treated as "never" too.
-func (s *Store) InsertTTL(k Key, size int, ttl time.Duration) Element {
+// put is Put returning the stored element, or nil.
+func (s *Store) put(k Key, val []byte, expireAt int64, ver uint64) Element {
+	e := s.insert(k, len(val), expireAt, ver)
+	if e != nil {
+		copy(e.Value(), val)
+		s.publish(e)
+	}
+	return e
+}
+
+// Deadline converts a relative time-to-live to an absolute deadline on the
+// store's clock for Put: ttl <= 0 means "never expires", and so does a ttl
+// so large the deadline overflows.
+func (s *Store) Deadline(ttl time.Duration) int64 {
 	if ttl <= 0 {
-		return s.InsertExpire(k, size, 0)
+		return 0
 	}
 	now := s.clock()
-	deadline := now + int64(ttl)
-	if deadline < now {
-		deadline = 0 // overflow: effectively forever
+	if d := now + int64(ttl); d >= now {
+		return d
 	}
-	return s.InsertExpire(k, size, deadline)
+	return 0
 }
 
-// InsertExpire is Insert with an absolute expiry deadline on the store's
-// clock (nanoseconds); expireAt = 0 means "never expires". A deadline
-// already in the past still inserts — the element simply expires on its
-// first lookup or sweep, keeping insert semantics uniform.
-func (s *Store) InsertExpire(k Key, size int, expireAt int64) Element {
-	return s.InsertExpireVer(k, size, expireAt, 0)
-}
-
-// InsertTTLVer is InsertTTL with an explicit CAS version (see
-// InsertExpireVer); ver 0 assigns the store's next version as usual.
-func (s *Store) InsertTTLVer(k Key, size int, ttl time.Duration, ver uint64) Element {
-	if ttl <= 0 {
-		return s.InsertExpireVer(k, size, 0, ver)
-	}
-	now := s.clock()
-	deadline := now + int64(ttl)
-	if deadline < now {
-		deadline = 0 // overflow: effectively forever
-	}
-	return s.InsertExpireVer(k, size, deadline, ver)
-}
-
-// InsertExpireVer is InsertExpire with an explicit CAS version, the replay
-// primitive recovery, replica apply and slot migration use to preserve
-// versions across process boundaries: an entry restored with the version
-// it was stored under keeps in-flight compare-and-swaps honest. ver 0
-// assigns the store's next version (the normal insert path); a nonzero ver
-// also advances the store's version counter past it, so post-replay writes
-// can never mint a duplicate.
-func (s *Store) InsertExpireVer(k Key, size int, expireAt int64, ver uint64) Element {
+// insert is Put's allocate-and-link half: it unlinks any element under k,
+// allocates a size-byte element (evicting as needed), and links it with
+// the given deadline and version (see Put). The value bytes are the
+// caller's to fill before publish.
+func (s *Store) insert(k Key, size int, expireAt int64, ver uint64) Element {
 	s.m.Inserts.Inc()
 	if size < 0 || k > MaxKey {
 		s.m.InsertErr.Inc()
@@ -593,9 +569,9 @@ func (s *Store) InsertExpireVer(k Key, size int, expireAt int64, ver uint64) Ele
 	if !ok {
 		s.m.InsertErr.Inc()
 		if hadOld && s.sink != nil {
-			// The old element is gone and no MarkReady will follow to
-			// supersede its logged value; stream the removal so recovery
-			// does not resurrect it.
+			// The old element is gone and no Set will follow to supersede
+			// its logged value; stream the removal so recovery does not
+			// resurrect it.
 			s.sink.Delete(k)
 		}
 		return nil
@@ -613,7 +589,6 @@ func (s *Store) InsertExpireVer(k Key, size int, expireAt int64, ver uint64) Ele
 	h.put64(recVersion, ver)
 	h.put64(recExpire, uint64(expireAt))
 	h.put32(recSize, uint32(size))
-	h.put32(recRefs, 1)
 	s.linkBucket(r, k)
 	s.lruPushFront(r)
 	s.m.Elements.Inc()
@@ -621,6 +596,14 @@ func (s *Store) InsertExpireVer(k Key, size int, expireAt int64, ver uint64) Ele
 		s.ttlElems++
 	}
 	return s.elem(r)
+}
+
+// publish is Put's last half: the value bytes are complete, so this is the
+// write-ahead point, and the change sink (if any) streams the Set.
+func (s *Store) publish(e Element) {
+	if s.sink != nil {
+		s.sink.Set(e.Key(), e.Value(), e.ExpireAt(), e.Version())
+	}
 }
 
 // allocEvicting allocates an element block — header record plus value, one
@@ -654,7 +637,7 @@ const evictSweepBuckets = 64
 // SweepExpired examines up to maxBuckets bucket chains (resuming where the
 // previous sweep stopped) and unlinks every expired element found,
 // returning how many were removed. Expiry is otherwise lazy — an expired
-// element is reclaimed at its next Lookup — so the sweep exists to reclaim
+// element is reclaimed at its next Get — so the sweep exists to reclaim
 // cold expired entries: eviction runs it before sacrificing live elements,
 // and admin loops may call it periodically. maxBuckets <= 0 sweeps the
 // whole table.
@@ -686,11 +669,8 @@ func (s *Store) SweepExpired(maxBuckets int) int {
 	return removed
 }
 
-// evictOne unlinks one element according to the eviction policy and reports
-// whether it did. Elements still referenced by clients are unlinked but
-// their memory is reclaimed only at the final Decref, exactly like the
-// paper's dangling-pointer rule (§3.2) — so an eviction does not always free
-// bytes immediately.
+// evictOne unlinks one element according to the eviction policy and
+// reports whether it did.
 func (s *Store) evictOne() bool {
 	var victim uint32
 	switch s.policy {
@@ -730,7 +710,7 @@ func (s *Store) randomElement() uint32 {
 
 // Delete unlinks the element with key k, reporting whether it existed. A
 // key whose TTL has elapsed counts as absent (and is reclaimed here, as in
-// Lookup). Memory follows the usual refcount rule.
+// Get).
 func (s *Store) Delete(k Key) bool {
 	r, h := s.find(k)
 	if h == nil {
@@ -749,55 +729,17 @@ func (s *Store) Delete(k Key) bool {
 	return true
 }
 
-// MarkReady publishes a previously inserted element's value (the paper's
-// Ready message). Lookups return the element only after this. Publication
-// is also the write-ahead point: the value bytes are complete, so the
-// change sink (if any) streams the Set here — unless the element was
-// unlinked while its inserter was still copying (a newer insert, a delete
-// or an eviction overtook the Ready message). That key's current state is
-// already what the stream says, and a late Set would make a replay
-// resurrect a value the table never served.
-func (s *Store) MarkReady(e Element) {
-	h := (*record)(e)
-	h[recFlags] |= flagReady
-	if s.sink != nil && !h.is(flagDead) {
-		s.sink.Set(h.key(), e.Value(), h.expireAt(), h.u64(recVersion))
-	}
-}
-
-// Decref drops one caller reference. When the element is dead (evicted or
-// deleted) and the last reference goes away, its memory returns to the
-// arena. Decref on a live element only releases the caller's pin.
-func (s *Store) Decref(e Element) {
-	h := (*record)(e)
-	refs := h.u32(recRefs)
-	if refs == 0 {
-		panic("partition: Decref without matching reference")
-	}
-	h.put32(recRefs, refs-1)
-	if refs == 1 && h.is(flagDead) {
-		s.arena.Free(s.ref(e))
-	}
-}
-
-// unlink removes record r from the bucket chain and LRU list. Memory is
-// released immediately if no client holds a reference, otherwise when the
-// last Decref arrives.
+// unlink removes record r from the bucket chain and LRU list and returns
+// its block to the arena.
 func (s *Store) unlink(r uint32) {
 	h := s.rec(r)
-	if h.is(flagDead) {
-		return
-	}
 	s.unlinkBucket(r)
 	s.lruRemove(r)
 	s.m.Elements.Add(-1)
 	if h.expireAt() != 0 {
 		s.ttlElems--
 	}
-	h[recFlags] |= flagDead
-	if h.u32(recRefs) == 0 {
-		s.arena.Free(r)
-	}
+	s.arena.Free(r)
 }
 
 // --- bucket chain ---
@@ -891,9 +833,8 @@ func (s *Store) LRUKeys() []Key {
 // CheckInvariants validates the arena, then the records in it: every
 // bucket and LRU link names an allocated block, chains and the LRU list are
 // consistent doubly-linked lists over the same linked elements, counts
-// agree with the metrics, and every allocated record that is not linked is
-// dead and still pinned (anything else is a leak). Tests call it after
-// mutation storms.
+// agree with the metrics, and a record is allocated exactly when it is
+// linked (anything else is a leak). Tests call it after mutation storms.
 func (s *Store) CheckInvariants() error {
 	if err := s.arena.CheckInvariants(); err != nil {
 		return err
@@ -927,9 +868,6 @@ func (s *Store) CheckInvariants() error {
 			if s.bucketIndex(h.key()) != uint64(i) {
 				return fmt.Errorf("bucket %d: key %d hashed elsewhere", i, h.key())
 			}
-			if h.is(flagDead) {
-				return fmt.Errorf("bucket %d: dead element %d still linked", i, h.key())
-			}
 			linked++
 			prev = r
 		}
@@ -941,8 +879,8 @@ func (s *Store) CheckInvariants() error {
 		return fmt.Errorf("linked TTL elements = %d, ttlElems = %d", ttl, s.ttlElems)
 	}
 	for r, isLinked := range records {
-		if h := s.rec(r); !isLinked && (!h.is(flagDead) || h.u32(recRefs) == 0) {
-			return fmt.Errorf("record %d (key %d) is allocated but neither linked nor a pinned dead element", r, h.key())
+		if !isLinked {
+			return fmt.Errorf("record %d (key %d) is allocated but not linked", r, s.rec(r).key())
 		}
 	}
 	if s.policy == EvictLRU {

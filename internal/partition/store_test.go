@@ -36,16 +36,27 @@ func newTestStore(t testing.TB, capacity int, policy EvictionPolicy) *Store {
 	return s
 }
 
-// put inserts key with an 8-byte value derived from the key and publishes it.
+// put stores key with an 8-byte value derived from the key.
 func put(t testing.TB, s *Store, k Key) {
 	t.Helper()
-	e := s.Insert(k, 8)
-	if e == nil {
-		t.Fatalf("Insert(%d) failed", k)
+	if !s.Put(k, binary.LittleEndian.AppendUint64(nil, k^0xabcdef), 0, 0) {
+		t.Fatalf("Put(%d) failed", k)
 	}
-	binary.LittleEndian.PutUint64(e.Value(), k^0xabcdef)
-	s.MarkReady(e)
-	s.Decref(e)
+}
+
+// mustPut stores val under k with no deadline and an assigned version.
+func mustPut(t testing.TB, s *Store, k Key, val []byte) {
+	t.Helper()
+	if !s.Put(k, val, 0, 0) {
+		t.Fatalf("Put(%d, %d B) failed", k, len(val))
+	}
+}
+
+// hit reports whether k is stored, refreshing its LRU position as a read
+// does.
+func hit(s *Store, k Key) bool {
+	_, _, ok := s.Get(k, nil)
+	return ok
 }
 
 func TestInsertLookup(t *testing.T) {
@@ -53,18 +64,18 @@ func TestInsertLookup(t *testing.T) {
 	for k := Key(1); k <= 100; k++ {
 		put(t, s, k)
 	}
+	var dst []byte
 	for k := Key(1); k <= 100; k++ {
-		e := s.Lookup(k)
-		if e == nil {
-			t.Fatalf("Lookup(%d) missed", k)
+		var ok bool
+		if dst, _, ok = s.Get(k, dst[:0]); !ok {
+			t.Fatalf("Get(%d) missed", k)
 		}
-		if got := binary.LittleEndian.Uint64(e.Value()); got != k^0xabcdef {
-			t.Fatalf("Lookup(%d) value = %#x, want %#x", k, got, k^0xabcdef)
+		if got := binary.LittleEndian.Uint64(dst); got != k^0xabcdef {
+			t.Fatalf("Get(%d) value = %#x, want %#x", k, got, k^0xabcdef)
 		}
-		s.Decref(e)
 	}
-	if s.Lookup(999) != nil {
-		t.Fatal("Lookup of absent key hit")
+	if got, ver, ok := s.Get(999, dst[:0]); ok || len(got) != 0 || ver != 0 {
+		t.Fatalf("Get of absent key = %q v%d %v", got, ver, ok)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -75,41 +86,17 @@ func TestInsertLookup(t *testing.T) {
 	}
 }
 
-func TestNotReadyInvisible(t *testing.T) {
-	s := newTestStore(t, 4<<10, EvictLRU)
-	e := s.Insert(42, 8)
-	if e == nil {
-		t.Fatal("insert failed")
-	}
-	// Before MarkReady the key must not be visible to lookups (§3.2).
-	if s.Lookup(42) != nil {
-		t.Fatal("NOT_READY element visible to Lookup")
-	}
-	s.MarkReady(e)
-	s.Decref(e)
-	if s.Lookup(42) == nil {
-		t.Fatal("element invisible after MarkReady")
-	}
-}
-
 func TestDuplicateInsertReplaces(t *testing.T) {
 	s := newTestStore(t, 16<<10, EvictLRU)
 	put(t, s, 7)
-	e := s.Insert(7, 16)
-	if e == nil {
-		t.Fatal("re-insert failed")
-	}
-	copy(e.Value(), bytes.Repeat([]byte{0xee}, 16))
-	s.MarkReady(e)
-	s.Decref(e)
+	_, v1, _ := s.Get(7, nil)
+	mustPut(t, s, 7, bytes.Repeat([]byte{0xee}, 16))
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d after duplicate insert, want 1", s.Len())
 	}
-	got := s.Lookup(7)
-	if got == nil || got.Size() != 16 {
-		t.Fatalf("lookup after replace: %+v", got)
+	if got, v2, ok := s.Get(7, nil); !ok || !bytes.Equal(got, bytes.Repeat([]byte{0xee}, 16)) || v2 <= v1 {
+		t.Fatalf("Get after replace = %q v%d %v; want 16 B of 0xee above v%d", got, v2, ok, v1)
 	}
-	s.Decref(got)
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,41 +128,13 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-func TestLookupProtectsFromEviction(t *testing.T) {
-	s := newTestStore(t, 2048, EvictLRU)
-	put(t, s, 1)
-	held := s.Lookup(1)
-	if held == nil {
-		t.Fatal("setup lookup failed")
-	}
-	val := binary.LittleEndian.Uint64(held.Value())
-	// Fill until key 1 is evicted.
-	for k := Key(2); s.Contains(1); k++ {
-		put(t, s, k)
-	}
-	// Element is unlinked but our reference keeps the memory alive and
-	// uncorrupted — the paper's dangling-pointer rule.
-	if got := binary.LittleEndian.Uint64(held.Value()); got != val {
-		t.Fatalf("held value corrupted after eviction: %#x != %#x", got, val)
-	}
-	used := s.UsedBytes()
-	s.Decref(held)
-	if s.UsedBytes() >= used {
-		t.Fatal("memory not reclaimed at final Decref of dead element")
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLRUTouchOnLookup(t *testing.T) {
 	s := newTestStore(t, 64<<10, EvictLRU)
 	for k := Key(1); k <= 3; k++ {
 		put(t, s, k)
 	}
 	// Order is now [3 2 1]; touching 1 makes it [1 3 2].
-	e := s.Lookup(1)
-	s.Decref(e)
+	hit(s, 1)
 	got := s.LRUKeys()
 	want := []Key{1, 3, 2}
 	if len(got) != len(want) {
@@ -226,22 +185,19 @@ func TestDelete(t *testing.T) {
 
 func TestInsertRejectsBadArgs(t *testing.T) {
 	s := newTestStore(t, 4<<10, EvictLRU)
-	if e := s.Insert(MaxKey+1, 8); e != nil {
-		t.Fatal("Insert accepted key above 60 bits")
+	if s.Put(MaxKey+1, []byte("x"), 0, 0) {
+		t.Fatal("Put accepted key above 60 bits")
 	}
-	if e := s.Insert(1, -1); e != nil {
-		t.Fatal("Insert accepted negative size")
-	}
-	if s.Stats().InsertErr != 2 {
-		t.Fatalf("InsertErr = %d, want 2", s.Stats().InsertErr)
+	if st := s.Stats(); st.InsertErr != 1 || st.Elements != 0 {
+		t.Fatalf("InsertErr = %d, Elements = %d; want 1 and 0", st.InsertErr, st.Elements)
 	}
 }
 
 func TestInsertTooLargeFails(t *testing.T) {
 	s := newTestStore(t, 4<<10, EvictLRU)
 	put(t, s, 1)
-	if e := s.Insert(2, 1<<20); e != nil {
-		t.Fatal("Insert of value larger than partition succeeded")
+	if s.Put(2, make([]byte, 1<<20), 0, 0) {
+		t.Fatal("Put of value larger than partition succeeded")
 	}
 	// The failed insert may have evicted everything (paper does not define
 	// partial-failure semantics) but the store must stay consistent.
@@ -250,35 +206,12 @@ func TestInsertTooLargeFails(t *testing.T) {
 	}
 }
 
-func TestDecrefPanicsWithoutRef(t *testing.T) {
-	s := newTestStore(t, 4<<10, EvictLRU)
-	e := s.Insert(1, 8)
-	s.MarkReady(e)
-	s.Decref(e)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unbalanced Decref did not panic")
-		}
-	}()
-	s.Decref(e)
-}
-
 func TestZeroSizeValue(t *testing.T) {
 	s := newTestStore(t, 4<<10, EvictLRU)
-	e := s.Insert(9, 0)
-	if e == nil {
-		t.Fatal("zero-size insert failed")
+	mustPut(t, s, 9, nil)
+	if got, _, ok := s.Get(9, []byte("dst")); !ok || string(got) != "dst" {
+		t.Fatalf("zero-size Get = %q %v, want the untouched dst and a hit", got, ok)
 	}
-	if e.Value() != nil {
-		t.Fatal("zero-size value should be nil slice")
-	}
-	s.MarkReady(e)
-	s.Decref(e)
-	got := s.Lookup(9)
-	if got == nil || got.Size() != 0 {
-		t.Fatal("zero-size lookup failed")
-	}
-	s.Decref(got)
 }
 
 // TestQuickVsMapModel drives random Insert/Lookup/Delete against a Go map
@@ -292,30 +225,19 @@ func TestQuickVsMapModel(t *testing.T) {
 			k := Key(op % 64)
 			switch (op >> 8) % 3 {
 			case 0: // insert
-				n := int(op>>16) % 128
-				e := s.Insert(k, n)
-				if e == nil {
-					return false
-				}
-				v := make([]byte, n)
+				v := make([]byte, int(op>>16)%128)
 				for i := range v {
 					v[i] = byte(op + uint32(i))
 				}
-				copy(e.Value(), v)
-				s.MarkReady(e)
-				s.Decref(e)
-				model[k] = v
-			case 1: // lookup
-				e := s.Lookup(k)
-				want, ok := model[k]
-				if (e != nil) != ok {
+				if !s.Put(k, v, 0, 0) {
 					return false
 				}
-				if e != nil {
-					if !bytes.Equal(e.Value(), want) {
-						return false
-					}
-					s.Decref(e)
+				model[k] = v
+			case 1: // lookup
+				got, _, hit := s.Get(k, nil)
+				want, ok := model[k]
+				if hit != ok || !bytes.Equal(got, want) {
+					return false
 				}
 			case 2: // delete
 				_, ok := model[k]
@@ -332,51 +254,31 @@ func TestQuickVsMapModel(t *testing.T) {
 	}
 }
 
-// TestChurnWithEviction runs a long mixed workload with eviction pressure
-// and outstanding references, then checks structural invariants.
+// TestChurnWithEviction runs a long mixed workload with eviction pressure,
+// checking every hit's bytes, then checks structural invariants.
 func TestChurnWithEviction(t *testing.T) {
 	for _, policy := range []EvictionPolicy{EvictLRU, EvictRandom} {
 		t.Run(policy.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			s := newTestStore(t, 8<<10, policy)
-			var held []Element
+			var dst []byte
 			for step := 0; step < 20000; step++ {
 				k := Key(rng.Intn(512))
 				switch rng.Intn(4) {
 				case 0, 1:
-					size := rng.Intn(64)
-					if e := s.Insert(k, size); e != nil {
-						for i := range e.Value() {
-							e.Value()[i] = byte(k)
-						}
-						s.MarkReady(e)
-						s.Decref(e)
-					}
+					s.Put(k, bytes.Repeat([]byte{byte(k)}, rng.Intn(64)), 0, 0)
 				case 2:
-					if e := s.Lookup(k); e != nil {
-						if len(held) < 16 && rng.Intn(2) == 0 {
-							held = append(held, e)
-						} else {
-							s.Decref(e)
+					var ok bool
+					if dst, _, ok = s.Get(k, dst[:0]); ok {
+						for _, b := range dst {
+							if b != byte(k) {
+								t.Fatalf("step %d: value for key %d corrupted", step, k)
+							}
 						}
 					}
 				case 3:
-					if len(held) > 0 {
-						i := rng.Intn(len(held))
-						// Held values must never be corrupted, linked or not.
-						for _, b := range held[i].Value() {
-							if b != byte(held[i].Key()) {
-								t.Fatalf("held value for key %d corrupted", held[i].Key())
-							}
-						}
-						s.Decref(held[i])
-						held[i] = held[len(held)-1]
-						held = held[:len(held)-1]
-					}
+					s.Delete(k)
 				}
-			}
-			for _, e := range held {
-				s.Decref(e)
 			}
 			if err := s.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -405,88 +307,23 @@ func TestMix64(t *testing.T) {
 func BenchmarkStoreLookupHit(b *testing.B) {
 	s := mustStore(Config{CapacityBytes: 1 << 20, Policy: EvictLRU})
 	const n = 4096
+	val := []byte("abcdefgh")
 	for k := Key(0); k < n; k++ {
-		e := s.Insert(k, 8)
-		s.MarkReady(e)
-		s.Decref(e)
+		s.Put(k, val, 0, 0)
 	}
+	var dst []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := s.Lookup(Key(i) % n)
-		if e != nil {
-			s.Decref(e)
-		}
+		dst, _, _ = s.Get(Key(i)%n, dst[:0])
 	}
 }
 
 func BenchmarkStoreInsertEvict(b *testing.B) {
 	s := mustStore(Config{CapacityBytes: 256 << 10, Policy: EvictLRU})
+	val := []byte("abcdefgh")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := s.Insert(Key(i)&MaxKey, 8)
-		if e != nil {
-			s.MarkReady(e)
-			s.Decref(e)
-		}
-	}
-}
-
-// TestDeleteWhileReferenced: deleting a pinned element unlinks it but its
-// memory survives until the last Decref — the same rule as eviction.
-func TestDeleteWhileReferenced(t *testing.T) {
-	s := newTestStore(t, 16<<10, EvictLRU)
-	put(t, s, 21)
-	e := s.Lookup(21)
-	if e == nil {
-		t.Fatal("lookup failed")
-	}
-	val := binary.LittleEndian.Uint64(e.Value())
-	if !s.Delete(21) {
-		t.Fatal("delete reported absent")
-	}
-	if s.Contains(21) {
-		t.Fatal("key visible after delete")
-	}
-	if s.UsedBytes() == 0 {
-		t.Fatal("memory freed while a reference is held")
-	}
-	if got := binary.LittleEndian.Uint64(e.Value()); got != val {
-		t.Fatal("pinned value corrupted by delete")
-	}
-	s.Decref(e)
-	if s.UsedBytes() != 0 {
-		t.Fatalf("UsedBytes = %d after final Decref", s.UsedBytes())
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestReinsertWhileOldReferenced: replacing a pinned key gives the new
-// element fresh memory; the pinned old value stays intact.
-func TestReinsertWhileOldReferenced(t *testing.T) {
-	s := newTestStore(t, 16<<10, EvictLRU)
-	put(t, s, 33)
-	old := s.Lookup(33)
-	oldVal := binary.LittleEndian.Uint64(old.Value())
-	e := s.Insert(33, 8)
-	if e == nil {
-		t.Fatal("re-insert failed")
-	}
-	binary.LittleEndian.PutUint64(e.Value(), 0xFFFF)
-	s.MarkReady(e)
-	s.Decref(e)
-	if got := binary.LittleEndian.Uint64(old.Value()); got != oldVal {
-		t.Fatal("old pinned value corrupted by re-insert")
-	}
-	fresh := s.Lookup(33)
-	if fresh == nil || binary.LittleEndian.Uint64(fresh.Value()) != 0xFFFF {
-		t.Fatal("new value not visible")
-	}
-	s.Decref(fresh)
-	s.Decref(old)
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
+		s.Put(Key(i)&MaxKey, val, 0, 0)
 	}
 }
 
@@ -498,32 +335,24 @@ func (r *recordingSink) Set(k Key, v []byte, _ int64, _ uint64) {
 }
 func (r *recordingSink) Delete(Key) { r.log = append(r.log, "delete") }
 
-// TestMarkReadyOfUnlinkedElementIsNotStreamed: an element replaced or
-// deleted between Insert and MarkReady (its inserter was still copying)
-// publishes nothing — the stream must end on the state the table serves.
-func TestMarkReadyOfUnlinkedElementIsNotStreamed(t *testing.T) {
+// TestChangeStream: every Put streams the value it stored, and a key that
+// vanishes without a Set to supersede it — an explicit delete, or a Put
+// over it that then finds no room — streams a delete, so the stream ends on
+// the state the table serves.
+func TestChangeStream(t *testing.T) {
 	sink := &recordingSink{}
-	s := mustStore(Config{CapacityBytes: 64 << 10, Sink: sink})
-	insert := func(v string) Element {
-		e := s.Insert(1, len(v))
-		copy(e.Value(), v)
-		return e
-	}
-	publish := func(e Element) {
-		s.MarkReady(e)
-		s.Decref(e)
-	}
-
-	slow := insert("slow")
-	publish(insert("fast")) // overtakes, unlinking slow
-	publish(slow)
-	slow = insert("doomed")
+	s := mustStore(Config{CapacityBytes: 4 << 10, Sink: sink})
+	mustPut(t, s, 1, []byte("slow"))
+	mustPut(t, s, 1, []byte("fast"))
 	s.Delete(1)
-	publish(slow)
-	if got, want := sink.log, []string{"set fast", "delete"}; !slices.Equal(got, want) {
+	mustPut(t, s, 2, []byte("kept"))
+	if s.Put(2, make([]byte, 8<<10), 0, 0) {
+		t.Fatal("Put larger than the store succeeded")
+	}
+	if got, want := sink.log, []string{"set slow", "set fast", "delete", "set kept", "delete"}; !slices.Equal(got, want) {
 		t.Fatalf("stream = %q, want %q", got, want)
 	}
-	if s.Contains(1) || s.UsedBytes() != 0 {
-		t.Fatalf("key present = %v, %d bytes allocated; want an empty store", s.Contains(1), s.UsedBytes())
+	if s.Contains(1) || s.Contains(2) || s.UsedBytes() != 0 {
+		t.Fatalf("%d bytes allocated; want an empty store", s.UsedBytes())
 	}
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,13 +27,9 @@ func TestTTLExpiryBasics(t *testing.T) {
 	s := mustStore(Config{CapacityBytes: CapacityForValues(64, 8), Clock: clk.Now})
 
 	put := func(k Key, ttl time.Duration) {
-		e := s.InsertTTL(k, 8, ttl)
-		if e == nil {
-			t.Fatalf("InsertTTL(%d) failed", k)
+		if !s.Put(k, []byte("12345678"), s.Deadline(ttl), 0) {
+			t.Fatalf("Put(%d, ttl %v) failed", k, ttl)
 		}
-		copy(e.Value(), []byte("12345678"))
-		s.MarkReady(e)
-		s.Decref(e)
 	}
 	put(1, 0)                    // never expires
 	put(2, 500*time.Nanosecond)  // expires at 1500
@@ -45,8 +42,8 @@ func TestTTLExpiryBasics(t *testing.T) {
 	if s.Contains(2) {
 		t.Error("key 2 visible at its deadline")
 	}
-	if e := s.Lookup(2); e != nil {
-		t.Error("Lookup(2) hit after expiry")
+	if hit(s, 2) {
+		t.Error("Get(2) hit after expiry")
 	}
 	if got := s.Stats().Expired; got != 1 {
 		t.Errorf("Expired = %d, want 1 (lazy reclaim on lookup)", got)
@@ -88,12 +85,9 @@ func TestSweepExpiredReclaims(t *testing.T) {
 		if k%2 == 0 {
 			ttl = 100 * time.Nanosecond
 		}
-		e := s.InsertTTL(k, 8, ttl)
-		if e == nil {
+		if !s.Put(k, []byte("12345678"), s.Deadline(ttl), 0) {
 			t.Fatalf("insert %d failed", k)
 		}
-		s.MarkReady(e)
-		s.Decref(e)
 	}
 	clk.Advance(1_000)
 	if n := s.SweepExpired(0); n != 50 {
@@ -116,13 +110,7 @@ func TestEvictionSweepsExpiredFirst(t *testing.T) {
 	clk := &fakeClock{now: 1}
 	s := mustStore(Config{CapacityBytes: CapacityForValues(32, 8), Clock: clk.Now})
 	fill := func(k Key, ttl time.Duration) bool {
-		e := s.InsertTTL(k, 8, ttl)
-		if e == nil {
-			return false
-		}
-		s.MarkReady(e)
-		s.Decref(e)
-		return true
+		return s.Put(k, []byte("12345678"), s.Deadline(ttl), 0)
 	}
 	// Fill the store with short-TTL entries until the first eviction
 	// fires — the store is then at physical capacity.
@@ -191,37 +179,28 @@ func TestPropertyTTLDeleteEvictVsModel(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						ttl = time.Duration(1 + rng.Intn(2000)) // 1–2000ns on the fake clock
 					}
-					e := s.InsertTTL(k, 8, ttl)
-					if e == nil {
-						t.Fatalf("step %d: InsertTTL(%d) failed; store can always evict", i, k)
-					}
 					fill := byte(i)
-					for j := range e.Value() {
-						e.Value()[j] = fill
+					if !s.Put(k, bytes.Repeat([]byte{fill}, 8), s.Deadline(ttl), 0) {
+						t.Fatalf("step %d: Put(%d, ttl %v) failed; store can always evict", i, k, ttl)
 					}
-					s.MarkReady(e)
-					s.Decref(e)
 					m := modelEntry{value: fill}
 					if ttl > 0 {
 						m.expire = clk.now + int64(ttl)
 					}
 					model[k] = m
 				case op < 7: // lookup
-					e := s.Lookup(k)
+					got, _, hit := s.Get(k, nil)
 					m, inModel := model[k]
-					if e != nil {
+					if hit {
 						if !inModel || expired(m) {
-							t.Fatalf("step %d: Lookup(%d) hit a key the model says is absent/expired", i, k)
+							t.Fatalf("step %d: Get(%d) hit a key the model says is absent/expired", i, k)
 						}
-						if e.Value()[0] != m.value {
-							t.Fatalf("step %d: Lookup(%d) = fill %d, model says %d", i, k, e.Value()[0], m.value)
+						if got[0] != m.value {
+							t.Fatalf("step %d: Get(%d) = fill %d, model says %d", i, k, got[0], m.value)
 						}
-						s.Decref(e)
-					} else if inModel && expired(m) {
-						delete(model, k) // store lazily reclaimed it; model follows
-					}
-					// A miss on an unexpired model key is legal: eviction.
-					if e == nil {
+					} else {
+						// The store reclaimed an expired key lazily, or
+						// (legal for an unexpired one) evicted it.
 						delete(model, k)
 					}
 				case op < 8: // delete

@@ -60,6 +60,7 @@ func (p *Pipeline) Recover(apply func(op Op, key uint64, expireAt int64, ver uin
 	if err != nil {
 		return st, err
 	}
+	br := newReplayReader()
 
 	// Newest snapshot that validates wins; an invalid one is rejected
 	// whole and only counted — deletion is left to the next successful
@@ -68,12 +69,12 @@ func (p *Pipeline) Recover(apply func(op Op, key uint64, expireAt int64, ver uin
 	var minSeqs map[int]uint64
 	for i := len(snaps) - 1; i >= 0; i-- {
 		s := snaps[i]
-		if _, _, err := readSnapshot(s.path, nil); err != nil {
+		if _, _, err := readSnapshot(br, s.path, nil); err != nil {
 			st.InvalidSnapshots++
 			continue
 		}
 		now := p.cfg.Clock()
-		n, ms, err := readSnapshot(s.path, func(key uint64, exp int64, ver uint64, val []byte) error {
+		n, ms, err := readSnapshot(br, s.path, func(key uint64, exp int64, ver uint64, val []byte) error {
 			if exp != 0 && exp <= now {
 				st.SkippedExpired++
 				return nil
@@ -110,7 +111,7 @@ func (p *Pipeline) Recover(apply func(op Op, key uint64, expireAt int64, ver uin
 			}
 		}
 		now := p.cfg.Clock()
-		n, torn, err := replaySegment(seg.path, func(r Record) error {
+		n, torn, err := replaySegment(br, seg.path, func(r Record) error {
 			if r.Op == OpSet && r.ExpireAt != 0 && r.ExpireAt <= now {
 				st.SkippedExpired++
 				return apply(OpDelete, r.Key, 0, 0, nil)

@@ -216,10 +216,11 @@ func syncDir(dir string) {
 }
 
 // readSnapshot validates path and, if apply is non-nil, streams its
-// records into apply. Returns the record count and the per-stream minSeq
+// records into apply, reading through br (reset onto the file; see
+// newReplayReader). Returns the record count and the per-stream minSeq
 // replay table. Callers validate with apply == nil first, then re-read
 // to apply — a snapshot is rejected whole on any inconsistency.
-func readSnapshot(path string, apply func(key uint64, expireAt int64, ver uint64, value []byte) error) (count int64, minSeqs map[int]uint64, err error) {
+func readSnapshot(br *bufio.Reader, path string, apply func(key uint64, expireAt int64, ver uint64, value []byte) error) (count int64, minSeqs map[int]uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, nil, err
@@ -230,7 +231,7 @@ func readSnapshot(path string, apply func(key uint64, expireAt int64, ver uint64
 		return 0, nil, err
 	}
 	crc := crc32.New(castagnoli)
-	br := bufio.NewReaderSize(f, 256<<10)
+	br.Reset(f)
 
 	var hdr [8 + 8 + 4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {

@@ -93,18 +93,19 @@ func (p *Pipeline) replayDurableOnce(before map[int]uint64, apply func(op Op, ke
 	if err != nil {
 		return 0, err
 	}
+	br := newReplayReader()
 	var records int64
 	var minSeqs map[int]uint64
 	for i := len(snaps) - 1; i >= 0; i-- {
 		s := snaps[i]
-		if _, _, err := readSnapshot(s.path, nil); err != nil {
+		if _, _, err := readSnapshot(br, s.path, nil); err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
 				return records, err // deleted underfoot: restart
 			}
 			continue // invalid: fall back to an older snapshot, like Recover
 		}
 		now := p.cfg.Clock()
-		n, ms, err := readSnapshot(s.path, func(key uint64, exp int64, ver uint64, val []byte) error {
+		n, ms, err := readSnapshot(br, s.path, func(key uint64, exp int64, ver uint64, val []byte) error {
 			if exp != 0 && exp <= now {
 				return nil
 			}
@@ -137,7 +138,7 @@ func (p *Pipeline) replayDurableOnce(before map[int]uint64, apply func(op Op, ke
 			}
 		}
 		now := p.cfg.Clock()
-		n, _, err := replaySegment(seg.path, func(r Record) error {
+		n, _, err := replaySegment(br, seg.path, func(r Record) error {
 			if r.Op == OpSet && r.ExpireAt != 0 && r.ExpireAt <= now {
 				return apply(OpDelete, r.Key, 0, 0, nil)
 			}

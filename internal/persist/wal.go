@@ -595,16 +595,21 @@ func DecodeFrames(dst []Record, b []byte) ([]Record, error) {
 
 // --- replay ---
 
+// newReplayReader returns the read buffer a replay pass shares across its
+// files: readSnapshot and replaySegment reset it onto each one.
+func newReplayReader() *bufio.Reader { return bufio.NewReaderSize(nil, 256<<10) }
+
 // replaySegment streams the valid frame prefix of one segment into fn,
-// stopping cleanly at a torn or corrupt frame. It returns the number of
-// applied records and whether the segment ended with a tear.
-func replaySegment(path string, fn func(r Record) error) (records int, torn bool, err error) {
+// reading through br (reset onto the file), and stops cleanly at a torn
+// or corrupt frame. It returns the number of applied records and whether
+// the segment ended with a tear.
+func replaySegment(br *bufio.Reader, path string, fn func(r Record) error) (records int, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, false, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 256<<10)
+	br.Reset(f)
 	var hdr [segHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return 0, true, nil // shorter than a header: torn at birth

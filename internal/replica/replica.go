@@ -176,7 +176,7 @@ func (a *CoreApplier) Close() {
 }
 
 // lockHashApplier replays into a LOCKHASH table, preserving absolute
-// deadlines exactly (PutExpire), mirroring persist.RestoreLockHash.
+// deadlines exactly (PutExpireVer), mirroring persist.RestoreLockHash.
 type lockHashApplier struct{ t *lockhash.Table }
 
 // NewLockHashApplier builds an Applier over a LOCKHASH table.

@@ -13,7 +13,6 @@ package topology
 
 import (
 	"fmt"
-	"runtime"
 )
 
 // Cache line size, in bytes, assumed everywhere in this repository. Both the
@@ -67,27 +66,6 @@ func AMDMachine() Machine {
 		L2Size:         512 << 10,
 		L3Size:         6 << 20,
 		ClockHz:        2_000_000_000,
-	}
-}
-
-// HostMachine returns a best-effort model of the machine the process is
-// running on: a single socket holding runtime.NumCPU() single-threaded cores
-// with typical cache sizes. Go exposes no portable cache/socket probing, so
-// this is intentionally coarse; it is used only when an experiment asks to
-// run "at host scale".
-func HostMachine() Machine {
-	n := runtime.NumCPU()
-	if n < 1 {
-		n = 1
-	}
-	return Machine{
-		Sockets:        1,
-		CoresPerSocket: n,
-		ThreadsPerCore: 1,
-		L1Size:         32 << 10,
-		L2Size:         512 << 10,
-		L3Size:         16 << 20,
-		ClockHz:        2_400_000_000,
 	}
 }
 
