@@ -262,7 +262,7 @@ func hotPathWarmup(tb testing.TB, pw *hotPathConn, val, dst []byte) []byte {
 	}
 	if pw.src != nil {
 		// Enough extra SET traffic (~10% of the mix) to cycle the whole
-		// replication backlog ring, warming every slot's reused buffer.
+		// replication backlog, growing its byte ring to the mix's frames.
 		dst, err = hotPathMix(pw.bw, pw.br, 8192, val, dst)
 		if err != nil {
 			tb.Fatal(err)

@@ -28,14 +28,14 @@ func TestSameBatchSemantics(t *testing.T) {
 	entered, release, scanned := make(chan struct{}), make(chan struct{}), make(chan error)
 	go func() {
 		held := false
-		_, _, _, err := tb.ScanEntries(0, 1, func(Key) bool {
+		_, _, _, _, err := tb.ScanEntries(0, 1, func(Key) bool {
 			if !held { // runs on the server goroutine
 				held = true
 				close(entered)
 				<-release
 			}
 			return false
-		})
+		}, nil, nil)
 		scanned <- err
 	}()
 	<-entered

@@ -221,7 +221,7 @@ func (c *Client) InsertTTLVerAsync(key Key, value []byte, ttl time.Duration, ver
 	}
 	o.insVal = value
 	o.rmw.Ver = ver
-	c.issue(o, request{keyop: makeKeyop(opInsert, key), arg: makeInsertArg(len(value), ttlMillis(ttl)), o: o})
+	c.issue(o, request{keyop: makeKeyop(opInsert, key), arg: uint64(ttlMillis(ttl)), o: o})
 	return o
 }
 

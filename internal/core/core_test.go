@@ -416,7 +416,8 @@ func TestRequestString(t *testing.T) {
 		want string
 	}{
 		{request{keyop: makeKeyop(opLookup, 5)}, "Lookup(5)"},
-		{request{keyop: makeKeyop(opInsert, 6), arg: 16}, "Insert(6, 16 bytes)"},
+		{request{keyop: makeKeyop(opInsert, 6), o: &Op{insVal: make([]byte, 16)}}, "Insert(6, 16 bytes)"},
+		{request{keyop: makeKeyop(opInsert, 7), arg: 250, o: &Op{insVal: make([]byte, 3)}}, "Insert(7, 3 bytes, ttl 250ms)"},
 		{request{keyop: makeKeyop(opDelete, 9)}, "Delete(9)"},
 	}
 	for _, c := range cases {

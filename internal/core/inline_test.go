@@ -122,7 +122,7 @@ func checkNoLeaks(t *testing.T, tb *Table) {
 		t.Fatal(err)
 	}
 	for p, s := range tb.parts {
-		entries, _, _ := s.AppendScan(nil, 0, 0, 0, nil)
+		entries, _, _, _ := s.AppendScan(nil, nil, 0, 0, 0, nil)
 		if len(entries) != s.Len() {
 			t.Fatalf("partition %d: a scan saw %d of %d linked elements", p, len(entries), s.Len())
 		}

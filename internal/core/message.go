@@ -63,8 +63,8 @@ const (
 	// into the request's Op, drops its reference and replies statusHit; a
 	// miss is statusMiss.
 	opLookup opcode = iota
-	// opInsert asks the server to store the Op's insVal (arg bytes) under
-	// keyop's key. The server copies and publishes the value before it
+	// opInsert asks the server to store the Op's insVal under keyop's
+	// key, expiring after arg milliseconds (0 = never). The server copies and publishes the value before it
 	// replies statusHit, or replies statusMiss if space cannot be made.
 	opInsert
 	// opDelete unlinks keyop's key. Replies with statusDeleted when the key
@@ -99,8 +99,8 @@ const (
 // request is one client→server message.
 //
 // Packing: op lives in the top 4 bits of keyop, the 60-bit key below it.
-// arg carries the value size (low 32 bits) and TTL in milliseconds (high
-// 32 bits; 0 = never expires) for opInsert. o points at the client-owned
+// arg carries an opInsert's TTL in milliseconds (0 = never expires). o
+// points at the client-owned
 // Op for opLookup (the hit's destination), opInsert (the payload and an
 // optional explicit CAS version) and opRMW (the descriptor): the server
 // reads and writes it only before producing the reply, and the reply
@@ -116,13 +116,7 @@ type request struct {
 	o     *Op
 }
 
-// makeInsertArg packs a value size and TTL into a request's arg word.
-func makeInsertArg(size int, ttlMillis uint32) uint64 {
-	return uint64(uint32(size)) | uint64(ttlMillis)<<32
-}
-
-func (r request) insertSize() int   { return int(uint32(r.arg)) }
-func (r request) insertTTL() uint32 { return uint32(r.arg >> 32) }
+func (r request) insertTTL() uint32 { return uint32(r.arg) }
 
 // requestLineMsgs is the request-ring flush granularity.
 const requestLineMsgs = 4
@@ -150,10 +144,14 @@ func (r request) String() string {
 	case opLookup:
 		return fmt.Sprintf("Lookup(%d)", r.key())
 	case opInsert:
-		if ttl := r.insertTTL(); ttl != 0 {
-			return fmt.Sprintf("Insert(%d, %d bytes, ttl %dms)", r.key(), r.insertSize(), ttl)
+		size := 0
+		if r.o != nil {
+			size = len(r.o.insVal)
 		}
-		return fmt.Sprintf("Insert(%d, %d bytes)", r.key(), r.insertSize())
+		if ttl := r.insertTTL(); ttl != 0 {
+			return fmt.Sprintf("Insert(%d, %d bytes, ttl %dms)", r.key(), size, ttl)
+		}
+		return fmt.Sprintf("Insert(%d, %d bytes)", r.key(), size)
 	case opDelete:
 		return fmt.Sprintf("Delete(%d)", r.key())
 	case opRMW:

@@ -32,6 +32,7 @@ type scanJob struct {
 
 	// results, valid once finished
 	entries []partition.ScanEntry
+	vals    []byte // value slab the entries alias
 	removed int
 	next    int
 	done    bool
@@ -64,7 +65,7 @@ func (box *scanBox) run(store *partition.Store, j *scanJob) {
 	if j.purge {
 		j.removed, j.next, j.done = store.PurgeBuckets(j.start, j.maxBuckets, j.filter)
 	} else {
-		j.entries, j.next, j.done = store.AppendScan(j.entries, j.start, j.maxBuckets, j.maxEntries, j.filter)
+		j.entries, j.vals, j.next, j.done = store.AppendScan(j.entries, j.vals, j.start, j.maxBuckets, j.maxEntries, j.filter)
 	}
 	j.finished.Store(true)
 	box.waiter.kick()
@@ -93,34 +94,40 @@ func (t *Table) postScanJob(p int, j *scanJob) error {
 }
 
 // ScanEntries copies live entries whose key satisfies filter (nil = all)
-// out of the table, resuming at cursor (0 starts an iteration) and
-// returning at least one entry when any remain within the call's bucket
-// budget. It returns the entries, the cursor to resume at, and whether the
-// whole table has been iterated. Any goroutine may call it, concurrently
-// with regular traffic; entries inserted or removed while an iteration is
-// in flight may or may not be observed (cache-migration semantics).
-func (t *Table) ScanEntries(cursor uint64, maxEntries int, filter func(Key) bool) (entries []partition.ScanEntry, next uint64, done bool, err error) {
+// out of the table, appending them to dst and their values to the slab
+// vals (see partition.Store.AppendScan), resuming at cursor (0 starts an
+// iteration) and returning at least one entry when any remain within the
+// call's bucket budget. It returns the extended entries and slab, the
+// cursor to resume at, and whether the whole table has been iterated. Any
+// goroutine may call it, concurrently with regular traffic; entries
+// inserted or removed while an iteration is in flight may or may not be
+// observed (cache-migration semantics).
+func (t *Table) ScanEntries(cursor uint64, maxEntries int, filter func(Key) bool, dst []partition.ScanEntry, vals []byte) (entries []partition.ScanEntry, outVals []byte, next uint64, done bool, err error) {
 	if maxEntries <= 0 {
 		maxEntries = 1
 	}
+	entries, base := dst, len(dst)
 	p, bucket := partition.DecodeScanCursor(cursor)
 	budget := scanCallBuckets
-	for p < t.cfg.Partitions && budget > 0 && len(entries) < maxEntries {
+	// One job serves the whole call: a finished job is the poster's again.
+	j := new(scanJob)
+	for p < t.cfg.Partitions && budget > 0 && len(entries)-base < maxEntries {
 		mb := scanJobBuckets
 		if mb > budget {
 			mb = budget
 		}
-		j := &scanJob{
+		*j = scanJob{
 			start:      bucket,
 			maxBuckets: mb,
-			maxEntries: maxEntries - len(entries),
+			maxEntries: maxEntries - (len(entries) - base),
 			filter:     filter,
 			entries:    entries,
+			vals:       vals,
 		}
 		if err := t.postScanJob(p, j); err != nil {
-			return entries, cursor, false, err
+			return entries, vals, cursor, false, err
 		}
-		entries = j.entries
+		entries, vals = j.entries, j.vals
 		if adv := j.next - bucket; adv > 0 {
 			budget -= adv
 		} else {
@@ -133,9 +140,9 @@ func (t *Table) ScanEntries(cursor uint64, maxEntries int, filter func(Key) bool
 		}
 	}
 	if p >= t.cfg.Partitions {
-		return entries, 0, true, nil
+		return entries, vals, 0, true, nil
 	}
-	return entries, partition.EncodeScanCursor(p, bucket), false, nil
+	return entries, vals, partition.EncodeScanCursor(p, bucket), false, nil
 }
 
 // PurgeEntries removes live entries whose key satisfies filter (nil =

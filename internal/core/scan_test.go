@@ -42,7 +42,7 @@ func TestScanEntriesVisitsEverything(t *testing.T) {
 	seen := map[Key]int{}
 	cursor := uint64(0)
 	for {
-		entries, next, done, err := tb.ScanEntries(cursor, 64, nil)
+		entries, _, next, done, err := tb.ScanEntries(cursor, 64, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestScanEntriesFilterAndPurge(t *testing.T) {
 	var got int
 	cursor := uint64(0)
 	for {
-		entries, next, done, err := tb.ScanEntries(cursor, 100, odd)
+		entries, _, next, done, err := tb.ScanEntries(cursor, 100, odd, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestScanConcurrentWithTraffic(t *testing.T) {
 			for round := 0; round < 20; round++ {
 				cursor := uint64(0)
 				for {
-					_, next, done, err := tb.ScanEntries(cursor, 32, nil)
+					_, _, next, done, err := tb.ScanEntries(cursor, 32, nil, nil, nil)
 					if err != nil {
 						t.Error(err)
 						return

@@ -42,7 +42,7 @@ func decodeIntoArena(t *testing.T, arena []byte, wire ...protocol.Request) ([]pr
 // decode a batch into a recycled arena, process it, settle the responses,
 // scribble over the arena (as the recycling reader will), and verify that
 // both the stored values and the already-buffered wire responses are
-// unaffected.
+// unaffected. A SCAN gets the same treatment with its value slab.
 func runNoRetentionTest(t *testing.T, backend Backend) {
 	t.Helper()
 	const (
@@ -107,6 +107,56 @@ func runNoRetentionTest(t *testing.T, backend Backend) {
 		t.Fatalf("stored string-key value = %q (found=%v), want %q — the backend retained arena bytes",
 			buf2[r.Start:r.End], r.Found, strVal)
 	}
+
+	// SCAN: buffer the response as respondScan does, then scribble over
+	// the scanned values — they alias the backend's scan slab, which its
+	// next scan refills. Neither the buffered response nor the stored
+	// values may change.
+	want := map[uint64][]byte{
+		fixedKey:                               fixedVal,
+		protocol.HashStringKey([]byte(strKey)): protocol.AppendStringEntry(nil, []byte(strKey), strVal),
+	}
+	var all protocol.SlotSet
+	for slot := 0; slot < protocol.SlotCount; slot++ {
+		all.Add(slot)
+	}
+	sc := backend.(SlotScanner)
+	entries, next, err := sc.ScanSlots(&all, 0, protocol.MaxScanBatch, nil)
+	if err != nil || next != protocol.ScanDone {
+		t.Fatalf("scan: next %d, err %v", next, err)
+	}
+	var scanOut bytes.Buffer
+	sw := bufio.NewWriter(&scanOut)
+	if err := protocol.WriteScanResponse(sw, next, entries); err != nil {
+		t.Fatal(err)
+	}
+	sw.Flush()
+	for _, e := range entries {
+		for i := range e.Value {
+			e.Value[i] = 0xEE
+		}
+	}
+	checkScan := func(what string, got []protocol.ScanEntry) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+		}
+		for _, e := range got {
+			if !bytes.Equal(e.Value, want[e.Key]) {
+				t.Fatalf("%s: key %d = %q, want %q", what, e.Key, e.Value, want[e.Key])
+			}
+		}
+	}
+	_, buffered, err := protocol.ReadScanResponse(bufio.NewReader(&scanOut), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkScan("buffered SCAN response after the slab was scribbled", buffered)
+	again, _, err := sc.ScanSlots(&all, 0, protocol.MaxScanBatch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkScan("rescan after the slab was scribbled", again)
 }
 
 func TestNoRetention_CPHashBackend(t *testing.T) {

@@ -105,7 +105,9 @@ type Backend interface {
 // by the zero entry count.
 type SlotScanner interface {
 	// ScanSlots appends up to max live entries whose keys fall in the
-	// selected continuum slots to dst, resuming at cursor.
+	// selected continuum slots to dst, resuming at cursor. Their values
+	// may alias a slab the backend reuses, so they are valid until its
+	// next ScanSlots call.
 	ScanSlots(slots *protocol.SlotSet, cursor uint64, max int, dst []protocol.ScanEntry) (out []protocol.ScanEntry, next uint64, err error)
 	// PurgeSlots removes live entries in the selected slots, resuming at
 	// cursor, returning how many this call removed.
@@ -752,8 +754,11 @@ func (w *worker) run() {
 }
 
 // respondScan serves one SCAN/PURGE request against the worker's backend,
-// reusing scanBuf across calls. A backend error (the table is closing)
-// poisons the connection's writer so no misaligned response follows.
+// reusing scanBuf across calls. The response is buffered into the
+// connection's writer before it returns, so the backend's scan slab the
+// entries alias may be refilled by the next scan. A backend error (the
+// table is closing) poisons the connection's writer so no misaligned
+// response follows.
 func (w *worker) respondScan(cs *connState, req protocol.Request, scanBuf []protocol.ScanEntry) ([]protocol.ScanEntry, error) {
 	sc, ok := w.backend.(SlotScanner)
 	if !ok {
@@ -866,6 +871,7 @@ type cphashBackend struct {
 	// reallocate: in-flight inserts hold pointers into it until they
 	// settle, which all happens before ProcessBatch returns.
 	entryBuf []byte
+	scan     scanScratch
 }
 
 // NewCPHashBackend returns a Backend factory over one CPHASH table: worker
@@ -1014,9 +1020,18 @@ func ttlMillis(ttl time.Duration) uint32 {
 	return uint32(ms)
 }
 
+// scanScratch is a backend's reusable SCAN output: the table's entries
+// and the value slab they alias. A backend serves one worker, which
+// buffers each SCAN response before its next scan, so the slab is
+// refilled only after the bytes it held have been written out.
+type scanScratch struct {
+	entries []partition.ScanEntry
+	vals    []byte
+}
+
 // appendWireEntries converts partition scan entries to wire entries. The
-// value bytes were already copied out of the partition by the scan, so the
-// wire entry aliases them instead of copying again.
+// value bytes were already copied out of the partition into the scan
+// slab, so the wire entry aliases them instead of copying again.
 func appendWireEntries(dst []protocol.ScanEntry, entries []partition.ScanEntry) []protocol.ScanEntry {
 	for _, e := range entries {
 		dst = append(dst, protocol.ScanEntry{Key: e.Key, TTL: ttlMillis(e.TTL), Version: e.Version, Value: e.Value})
@@ -1027,7 +1042,8 @@ func appendWireEntries(dst []protocol.ScanEntry, entries []partition.ScanEntry) 
 // ScanSlots implements SlotScanner over the CPHASH table: iteration jobs
 // execute on the owning server goroutines at sweep boundaries.
 func (b *cphashBackend) ScanSlots(slots *protocol.SlotSet, cursor uint64, max int, dst []protocol.ScanEntry) ([]protocol.ScanEntry, uint64, error) {
-	entries, next, done, err := b.table.ScanEntries(cursor, max, slotFilter(slots))
+	entries, vals, next, done, err := b.table.ScanEntries(cursor, max, slotFilter(slots), b.scan.entries[:0], b.scan.vals[:0])
+	b.scan = scanScratch{entries, vals}
 	if err != nil {
 		return dst, cursor, err
 	}
@@ -1053,6 +1069,7 @@ func (b *cphashBackend) PurgeSlots(slots *protocol.SlotSet, cursor uint64) (int,
 type lockhashBackend struct {
 	table *lockhash.Table
 	entry []byte // SET_STR staging (Put copies under the lock)
+	scan  scanScratch
 }
 
 // NewLockHashBackend returns a Backend factory over one LOCKHASH table
@@ -1111,7 +1128,8 @@ func (b *lockhashBackend) Close() {}
 // ScanSlots implements SlotScanner over the LOCKHASH table, holding each
 // partition spinlock only for a bounded bucket stretch.
 func (b *lockhashBackend) ScanSlots(slots *protocol.SlotSet, cursor uint64, max int, dst []protocol.ScanEntry) ([]protocol.ScanEntry, uint64, error) {
-	entries, next, done := b.table.ScanEntries(cursor, max, slotFilter(slots))
+	entries, vals, next, done := b.table.ScanEntries(cursor, max, slotFilter(slots), b.scan.entries[:0], b.scan.vals[:0])
+	b.scan = scanScratch{entries, vals}
 	if done {
 		next = protocol.ScanDone
 	}

@@ -1,6 +1,7 @@
 package kvserver
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -206,5 +207,58 @@ func TestWireScanInterleavedWithTraffic(t *testing.T) {
 		}
 		close(stop)
 		<-done
+	})
+}
+
+// TestWirePipelinedScansKeepTheirValues: SCANs of disjoint slot halves
+// sent in one flush are served from one worker batch, each refilling the
+// backend's scan slab. Every response must carry its own entries' values,
+// so a slab refilled before the previous response was buffered shows up
+// as another key's bytes.
+func TestWirePipelinedScansKeepTheirValues(t *testing.T) {
+	eachBackend(t, 1, func(t *testing.T, srv *Server) {
+		c, closeConn := dialT(t, srv.Addr())
+		defer closeConn()
+		const n = 400
+		value := func(k uint64) []byte {
+			return []byte(fmt.Sprintf("%0*d", 40+int(k%200), k))
+		}
+		for k := uint64(0); k < n; k++ {
+			c.send(protocol.Request{Op: protocol.OpInsert, Key: k, Value: value(k)})
+		}
+		if _, found := c.get(0); !found {
+			t.Fatal("barrier get missed")
+		}
+		var lo, hi protocol.SlotSet
+		for s := 0; s < cluster.Slots; s++ {
+			if s < cluster.Slots/2 {
+				lo.Add(s)
+			} else {
+				hi.Add(s)
+			}
+		}
+		const rounds = 4
+		for i := 0; i < rounds; i++ {
+			c.send(protocol.Request{Op: protocol.OpScan, Slots: lo})
+			c.send(protocol.Request{Op: protocol.OpScan, Slots: hi})
+		}
+		c.w.Flush()
+		for i := 0; i < 2*rounds; i++ {
+			next, entries, err := protocol.ReadScanResponse(c.r, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next != protocol.ScanDone || len(entries) == 0 {
+				t.Fatalf("response %d: %d entries, next %d", i, len(entries), next)
+			}
+			for _, e := range entries {
+				if inLo := cluster.SlotOf(e.Key) < cluster.Slots/2; inLo != (i%2 == 0) {
+					t.Fatalf("response %d: key %d from the wrong half", i, e.Key)
+				}
+				if !bytes.Equal(e.Value, value(e.Key)) {
+					t.Fatalf("response %d: key %d = %q, want %q", i, e.Key, e.Value, value(e.Key))
+				}
+			}
+		}
 	})
 }

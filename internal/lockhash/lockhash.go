@@ -269,17 +269,20 @@ const scanCallBuckets = 1 << 16
 const scanLockBuckets = 1 << 12
 
 // ScanEntries copies live entries whose key satisfies filter (nil = all)
-// out of the table, resuming at cursor (0 starts an iteration). It takes
-// each partition's spinlock for at most one bucket-budget stretch, returns
-// at least one entry when any remain within the call's budget, and
-// reports the cursor to resume at plus whether iteration is complete.
-func (t *Table) ScanEntries(cursor uint64, maxEntries int, filter func(Key) bool) (entries []partition.ScanEntry, next uint64, done bool) {
+// out of the table, appending them to dst and their values to the slab
+// vals (see partition.Store.AppendScan), resuming at cursor (0 starts an
+// iteration). It takes each partition's spinlock for at most one
+// bucket-budget stretch, returns at least one entry when any remain
+// within the call's budget, and reports the extended entries and slab,
+// the cursor to resume at, and whether iteration is complete.
+func (t *Table) ScanEntries(cursor uint64, maxEntries int, filter func(Key) bool, dst []partition.ScanEntry, vals []byte) (entries []partition.ScanEntry, outVals []byte, next uint64, done bool) {
 	if maxEntries <= 0 {
 		maxEntries = 1
 	}
+	entries, base := dst, len(dst)
 	pi, bucket := partition.DecodeScanCursor(cursor)
 	budget := scanCallBuckets
-	for pi < len(t.parts) && budget > 0 && len(entries) < maxEntries {
+	for pi < len(t.parts) && budget > 0 && len(entries)-base < maxEntries {
 		p := &t.parts[pi]
 		mb := scanLockBuckets
 		if mb > budget {
@@ -288,7 +291,7 @@ func (t *Table) ScanEntries(cursor uint64, maxEntries int, filter func(Key) bool
 		p.mu.Lock()
 		var pdone bool
 		var nb int
-		entries, nb, pdone = p.store.AppendScan(entries, bucket, mb, maxEntries-len(entries), filter)
+		entries, vals, nb, pdone = p.store.AppendScan(entries, vals, bucket, mb, maxEntries-(len(entries)-base), filter)
 		p.mu.Unlock()
 		if adv := nb - bucket; adv > 0 {
 			budget -= adv
@@ -302,9 +305,9 @@ func (t *Table) ScanEntries(cursor uint64, maxEntries int, filter func(Key) bool
 		}
 	}
 	if pi >= len(t.parts) {
-		return entries, 0, true
+		return entries, vals, 0, true
 	}
-	return entries, partition.EncodeScanCursor(pi, bucket), false
+	return entries, vals, partition.EncodeScanCursor(pi, bucket), false
 }
 
 // PurgeEntries removes live entries whose key satisfies filter (nil =

@@ -409,7 +409,7 @@ func (m *storeModel) scan() {
 	for b, done := 0, false; !done; {
 		var out []ScanEntry
 		prev := b
-		out, b, done = m.s.AppendScan(nil, b, maxBuckets, maxEntries, nil)
+		out, _, b, done = m.s.AppendScan(nil, nil, b, maxBuckets, maxEntries, nil)
 		if b <= prev && !done {
 			m.fatalf("AppendScan made no progress at bucket %d", prev)
 		}
@@ -456,7 +456,7 @@ func (m *storeModel) check(evicted bool) {
 		m.fatalf("%v", err)
 	}
 	visible := map[Key]ScanEntry{}
-	entries, _, _ := m.s.AppendScan(nil, 0, 0, 0, nil)
+	entries, _, _, _ := m.s.AppendScan(nil, nil, 0, 0, 0, nil)
 	for _, se := range entries {
 		visible[se.Key] = se
 	}

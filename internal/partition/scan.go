@@ -14,7 +14,8 @@ import "time"
 
 // ScanEntry is one live entry copied out of a partition: the key, the
 // remaining time-to-live on the store's clock (0 = never expires), the
-// entry's CAS version, and a fresh copy of the value bytes.
+// entry's CAS version, and a copy of the value bytes in the caller's
+// value slab (see AppendScan).
 type ScanEntry struct {
 	Key     Key
 	TTL     time.Duration
@@ -48,28 +49,36 @@ func DecodeScanCursor(cur uint64) (part, bucket int) {
 func (s *Store) NumBuckets() int { return int(s.mask) + 1 }
 
 // AppendScan copies live entries whose key satisfies filter (nil = all)
-// into dst, walking whole bucket chains from bucket start. It stops after
-// maxBuckets buckets (≤ 0 = no bound) or at maxEntries entries (≤ 0 = no
-// bound): a bucket whose matches would exceed the remaining entry budget
-// is left for the next call rather than overshooting — callers feed the
-// batches straight into wire frames with a hard size bound — unless it is
-// the first bucket of the call (iteration must always progress, so a
-// single chain larger than the whole budget is returned in full; with the
-// wire bound at protocol.MaxScanBatch ≥ 4096 that needs a pathological
-// 4096-collision chain). It returns the extended slice, the bucket cursor
-// to resume at, and whether the partition is exhausted.
+// into dst and their values onto the slab vals, walking whole bucket
+// chains from bucket start. It stops after maxBuckets buckets (≤ 0 = no
+// bound) or at maxEntries entries (≤ 0 = no bound): a bucket whose
+// matches would exceed the remaining entry budget is left for the next
+// call rather than overshooting — callers feed the batches straight into
+// wire frames with a hard size bound — unless it is the first bucket of
+// the call (iteration must always progress, so a single chain larger than
+// the whole budget is returned in full; with the wire bound at
+// protocol.MaxScanBatch ≥ 4096 that needs a pathological 4096-collision
+// chain). It returns the extended slice, the extended
+// slab, the bucket cursor to resume at, and whether the partition is
+// exhausted.
+//
+// Each entry's Value is a slice of the returned slab with its capacity
+// clipped to its length, so appending to the slab or to one value never
+// writes into another; it stays valid until the caller reuses the slab.
+// A caller that keeps its entries and slab across calls (slab[:0])
+// allocates nothing once they have grown to its batch.
 //
 // Only unexpired entries are visited; expired ones are skipped without
 // being reclaimed (the scan is strictly read-only — it moves no LRU links
 // and frees nothing, which is what makes it safe to run between any two
 // operations of the owner).
-func (s *Store) AppendScan(dst []ScanEntry, start, maxBuckets, maxEntries int, filter func(Key) bool) (out []ScanEntry, next int, done bool) {
+func (s *Store) AppendScan(dst []ScanEntry, vals []byte, start, maxBuckets, maxEntries int, filter func(Key) bool) (out []ScanEntry, outVals []byte, next int, done bool) {
 	n := s.NumBuckets()
 	if start < 0 {
 		start = 0
 	}
 	if start >= n {
-		return dst, n, true
+		return dst, vals, n, true
 	}
 	if maxBuckets <= 0 || start+maxBuckets > n {
 		maxBuckets = n - start
@@ -85,7 +94,7 @@ func (s *Store) AppendScan(dst []ScanEntry, start, maxBuckets, maxEntries int, f
 		if maxEntries > 0 && len(dst) > base {
 			budget := maxEntries - (len(dst) - base)
 			if budget <= 0 {
-				return dst, b, false
+				return dst, vals, b, false
 			}
 			matches := 0
 			for r := s.buckets[b]; r != 0 && matches <= budget; r = s.rec(r).u32(recHNext) {
@@ -94,7 +103,7 @@ func (s *Store) AppendScan(dst []ScanEntry, start, maxBuckets, maxEntries int, f
 				}
 			}
 			if matches > budget {
-				return dst, b, false // chain would blow the budget: next call
+				return dst, vals, b, false // chain would blow the budget: next call
 			}
 		}
 		for r := s.buckets[b]; r != 0; r = s.rec(r).u32(recHNext) {
@@ -106,15 +115,17 @@ func (s *Store) AppendScan(dst []ScanEntry, start, maxBuckets, maxEntries int, f
 			if exp := e.ExpireAt(); exp != 0 {
 				ttl = time.Duration(exp - now) // > 0: live checked it
 			}
+			m := len(vals)
+			vals = append(vals, e.Value()...)
 			dst = append(dst, ScanEntry{
 				Key:     e.Key(),
 				TTL:     ttl,
 				Version: e.Version(),
-				Value:   append([]byte(nil), e.Value()...),
+				Value:   vals[m:len(vals):len(vals)],
 			})
 		}
 	}
-	return dst, b, b == n
+	return dst, vals, b, b == n
 }
 
 // PurgeBuckets unlinks every live entry whose key satisfies filter

@@ -39,7 +39,7 @@ func TestAppendScanVisitsEveryLiveEntryOnce(t *testing.T) {
 	seen := map[Key]int{}
 	cursor := 0
 	for {
-		entries, next, done := s.AppendScan(nil, cursor, 0, 17, nil)
+		entries, _, next, done := s.AppendScan(nil, nil, cursor, 0, 17, nil)
 		for _, e := range entries {
 			seen[e.Key]++
 			if len(e.Value) != int(e.Key)%7+1 {
@@ -84,7 +84,7 @@ func TestAppendScanSkipsExpired(t *testing.T) {
 	// Advance past the TTL of every key ≤ 59 that has one (ttl = key+1 s).
 	*clk += int64(60 * time.Second)
 
-	entries, _, done := s.AppendScan(nil, 0, 0, 0, nil)
+	entries, _, _, done := s.AppendScan(nil, nil, 0, 0, 0, nil)
 	if !done {
 		t.Fatal("unbounded scan did not finish")
 	}
@@ -108,7 +108,7 @@ func TestAppendScanSkipsExpired(t *testing.T) {
 func TestAppendScanFilter(t *testing.T) {
 	s, _ := scanStore(t, 300)
 	even := func(k Key) bool { return k%2 == 0 }
-	entries, _, done := s.AppendScan(nil, 0, 0, 0, even)
+	entries, _, _, done := s.AppendScan(nil, nil, 0, 0, 0, even)
 	if !done {
 		t.Fatal("scan did not finish")
 	}
@@ -128,7 +128,7 @@ func TestAppendScanBucketBudget(t *testing.T) {
 	cursor := 0
 	rounds := 0
 	for {
-		entries, next, done := s.AppendScan(nil, cursor, 3, 0, nil)
+		entries, _, next, done := s.AppendScan(nil, nil, cursor, 3, 0, nil)
 		total += len(entries)
 		rounds++
 		if done {
@@ -205,5 +205,82 @@ func TestPurgeBucketsCountsExpiredSeparately(t *testing.T) {
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// slabSizes are the value sizes the slab tests store: empty, around the
+// header and cache-line sizes, and past 64 KiB.
+var slabSizes = []int{0, 1, 7, 8, 63, 64, 65, 1000, 4096, 1 << 15, 1<<16 + 1}
+
+// slabStore holds one entry per size in slabSizes, repeated reps times,
+// each value a key-dependent byte pattern.
+func slabStore(t *testing.T, reps int) (*Store, map[Key][]byte) {
+	t.Helper()
+	total := 0
+	for _, n := range slabSizes {
+		total += n + HeaderBytes + 64
+	}
+	s := mustStore(Config{CapacityBytes: 2 * reps * total})
+	want := map[Key][]byte{}
+	for r := 0; r < reps; r++ {
+		for i, n := range slabSizes {
+			k := Key(r*len(slabSizes) + i)
+			v := make([]byte, n)
+			for j := range v {
+				v[j] = byte(uint64(k)*31 + uint64(j))
+			}
+			if !s.Put(k, v, 0, 0) {
+				t.Fatalf("put of %d B failed", n)
+			}
+			want[k] = v
+		}
+	}
+	return s, want
+}
+
+// TestAppendScanSlabMatchesFreshCopies: values copied onto one reused slab
+// equal the store's own copies (Get) at every size, batch after batch.
+func TestAppendScanSlabMatchesFreshCopies(t *testing.T) {
+	s, want := slabStore(t, 3)
+	var entries []ScanEntry
+	var vals []byte
+	seen := 0
+	for cursor, done := 0, false; !done; {
+		entries, vals, cursor, done = s.AppendScan(entries[:0], vals[:0], cursor, 0, 5, nil)
+		for _, e := range entries {
+			ref, _, ok := s.Get(e.Key, nil)
+			if !ok || !bytes.Equal(e.Value, ref) || !bytes.Equal(e.Value, want[e.Key]) {
+				t.Fatalf("key %d: scanned %d B differ from the stored %d B", e.Key, len(e.Value), len(want[e.Key]))
+			}
+			seen++
+		}
+	}
+	if seen != len(want) {
+		t.Fatalf("scanned %d entries, stored %d", seen, len(want))
+	}
+}
+
+// TestAppendScanValuesAreClipped: an entry's Value has no spare capacity,
+// so appending to the returned slab, or to one entry's value, cannot
+// write into an entry already returned.
+func TestAppendScanValuesAreClipped(t *testing.T) {
+	s, want := slabStore(t, 1)
+	vals := make([]byte, 0, 1<<20) // room to spare: appends stay in place
+	entries, vals, _, done := s.AppendScan(nil, vals, 0, 0, 0, nil)
+	if !done || len(entries) != len(want) {
+		t.Fatalf("scan returned %d entries (done %v), want %d", len(entries), done, len(want))
+	}
+	for _, e := range entries {
+		if cap(e.Value) != len(e.Value) {
+			t.Fatalf("key %d: value len %d cap %d", e.Key, len(e.Value), cap(e.Value))
+		}
+		_ = append(e.Value, 0xAA, 0xBB, 0xCC)
+	}
+	_ = append(vals, bytes.Repeat([]byte{0xEE}, 1<<16)...)
+	more, _, _, _ := s.AppendScan(entries, vals, 0, 0, 0, nil)
+	for _, e := range more[:len(entries)] {
+		if !bytes.Equal(e.Value, want[e.Key]) {
+			t.Fatalf("key %d: value changed by a later append to the slab", e.Key)
+		}
 	}
 }

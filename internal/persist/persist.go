@@ -109,8 +109,11 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 
 // Source is the snapshot scan: a cursor-resumable iteration over the
 // table's live entries (core.Table.ScanEntries / lockhash.Table
-// adapters). It is called repeatedly until done.
-type Source func(cursor uint64, maxEntries int) (entries []partition.ScanEntry, next uint64, done bool, err error)
+// adapters). It is called repeatedly until done. It appends entries to
+// dst and their values to the slab vals and returns both extended; the
+// snapshotter passes the previous call's results back truncated, so the
+// entries and values it gets are valid until the next call.
+type Source func(cursor uint64, maxEntries int, dst []partition.ScanEntry, vals []byte) (entries []partition.ScanEntry, outVals []byte, next uint64, done bool, err error)
 
 // Config parameterizes a Pipeline.
 type Config struct {
@@ -562,6 +565,7 @@ func (p *Pipeline) WALStatus() []StreamStatus {
 // snapshotLoop serves the periodic and manual snapshot triggers.
 func (p *Pipeline) snapshotLoop() {
 	defer p.snapWG.Done()
+	var buf scanBuf
 	var tickC <-chan time.Time
 	if p.cfg.SnapshotInterval > 0 {
 		t := time.NewTicker(p.cfg.SnapshotInterval)
@@ -573,9 +577,9 @@ func (p *Pipeline) snapshotLoop() {
 		case <-p.snapStop:
 			return
 		case reply := <-p.snapReq:
-			reply <- p.doSnapshot()
+			reply <- p.doSnapshot(&buf)
 		case <-tickC:
-			if err := p.doSnapshot(); err != nil {
+			if err := p.doSnapshot(&buf); err != nil {
 				p.snapErrors.Add(1)
 			}
 		}

@@ -446,8 +446,8 @@ func TestStreamsReconfigured(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries := []partition.ScanEntry{{Key: 77, Value: []byte("v2")}}
-	p2.SetSource(func(cursor uint64, max int) ([]partition.ScanEntry, uint64, bool, error) {
-		return entries, 0, true, nil
+	p2.SetSource(func(cursor uint64, max int, dst []partition.ScanEntry, vals []byte) ([]partition.ScanEntry, []byte, uint64, bool, error) {
+		return append(dst, entries...), vals, 0, true, nil
 	})
 	if err := p2.Start(); err != nil {
 		t.Fatal(err)

@@ -146,16 +146,16 @@ func minSeqOverall(minSeqs map[int]uint64) uint64 {
 // CoreSource adapts a CPHASH table's safe-snapshot scan to the
 // pipeline's snapshot Source.
 func CoreSource(t *core.Table) Source {
-	return func(cursor uint64, max int) ([]partition.ScanEntry, uint64, bool, error) {
-		return t.ScanEntries(cursor, max, nil)
+	return func(cursor uint64, max int, dst []partition.ScanEntry, vals []byte) ([]partition.ScanEntry, []byte, uint64, bool, error) {
+		return t.ScanEntries(cursor, max, nil, dst, vals)
 	}
 }
 
 // LockHashSource adapts a LOCKHASH table's scan to the snapshot Source.
 func LockHashSource(t *lockhash.Table) Source {
-	return func(cursor uint64, max int) ([]partition.ScanEntry, uint64, bool, error) {
-		entries, next, done := t.ScanEntries(cursor, max, nil)
-		return entries, next, done, nil
+	return func(cursor uint64, max int, dst []partition.ScanEntry, vals []byte) ([]partition.ScanEntry, []byte, uint64, bool, error) {
+		entries, vals, next, done := t.ScanEntries(cursor, max, nil, dst, vals)
+		return entries, vals, next, done, nil
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+
+	"cphash/internal/partition"
 )
 
 // Snapshot on-disk format — a statichash-style compact immutable image:
@@ -51,11 +53,24 @@ func parseSnapName(name string) (gen uint64, ok bool) {
 	return gen, err == nil
 }
 
+// scanBuf is the snapshotter goroutine's scan output, refilled by every
+// Source call: one entries slice and the value slab they alias. Reusing
+// it makes a snapshot of a warm table allocate O(1) per Source call
+// rather than a slice per entry.
+type scanBuf struct {
+	entries []partition.ScanEntry
+	vals    []byte
+}
+
+// snapSlabKeep bounds the value slab kept between snapshots: one built
+// from a batch of unusually large values is dropped rather than held.
+const snapSlabKeep = 4 << 20
+
 // doSnapshot runs one snapshot cycle: roll every stream, scan the table
-// through the source, write + commit the snapshot, then delete the
-// covered WAL segments and older snapshots. Runs on the snapshotter
-// goroutine only.
-func (p *Pipeline) doSnapshot() error {
+// through the source into buf, write + commit the snapshot, then delete
+// the covered WAL segments and older snapshots. Runs on the snapshotter
+// goroutine only, which owns buf.
+func (p *Pipeline) doSnapshot(buf *scanBuf) error {
 	srcp := p.source.Load()
 	if srcp == nil {
 		return fmt.Errorf("persist: no snapshot source configured")
@@ -108,13 +123,19 @@ func (p *Pipeline) doSnapshot() error {
 
 	var count, bytes int64
 	var rec [snapRecFixed]byte
+	defer func() {
+		if cap(buf.vals) > snapSlabKeep {
+			*buf = scanBuf{} // the entries alias the slab too
+		}
+	}()
 	cursor := uint64(0)
 	for {
-		entries, next, done, err := src(cursor, snapScanMax)
+		entries, vals, next, done, err := src(cursor, snapScanMax, buf.entries[:0], buf.vals[:0])
 		if err != nil {
 			f.Close()
 			return fmt.Errorf("persist: snapshot scan: %w", err)
 		}
+		buf.entries, buf.vals = entries, vals
 		now := p.cfg.Clock()
 		for _, e := range entries {
 			exp := int64(0)

@@ -151,6 +151,16 @@ type Follower struct {
 	// resume, marking a follower synced that never received the durable
 	// prefix. Resume is requested only when syncedSession == lastSession.
 	syncedSession uint64
+
+	// Session buffers (run-goroutine only), kept across sessions so that
+	// a resync does not allocate its ~400 KiB again: the hello, the
+	// connection's reader and ack writer, the frame body and its decoded
+	// records.
+	hello []byte
+	br    *bufio.Reader
+	aw    *bufio.Writer
+	body  []byte
+	recs  []persist.Record
 }
 
 // StartFollower validates cfg and starts the link's goroutine.
@@ -316,8 +326,7 @@ func isClosing(err error) bool {
 // frames until the connection dies.
 func (f *Follower) session(conn net.Conn) error {
 	conn.SetWriteDeadline(time.Now().Add(f.cfg.DialTimeout))
-	hello := make([]byte, 0, len(replMagic)+1+len(f.cfg.Name)+protocol.SlotCount/8+helloResumeLen)
-	hello = append(hello, replMagic...)
+	hello := append(f.hello[:0], replMagic...)
 	hello = append(hello, byte(len(f.cfg.Name)))
 	hello = append(hello, f.cfg.Name...)
 	var set protocol.SlotSet
@@ -341,11 +350,20 @@ func (f *Follower) session(conn net.Conn) error {
 	}
 	hello = binary.LittleEndian.AppendUint64(hello, resumeSession)
 	hello = binary.LittleEndian.AppendUint64(hello, resumeSeq)
+	f.hello = hello
 	if _, err := conn.Write(hello); err != nil {
 		return err
 	}
 	conn.SetReadDeadline(time.Now().Add(f.cfg.DialTimeout))
-	br := bufio.NewReaderSize(conn, 256<<10)
+	if f.br == nil {
+		f.br = bufio.NewReaderSize(conn, 256<<10)
+		f.aw = bufio.NewWriterSize(conn, 4<<10)
+		f.body = make([]byte, 0, 64<<10)
+	} else {
+		f.br.Reset(conn)
+		f.aw.Reset(conn)
+	}
+	br, aw := f.br, f.aw
 	var reply [replyLen]byte
 	if _, err := io.ReadFull(br, reply[:]); err != nil {
 		return err
@@ -363,12 +381,9 @@ func (f *Follower) session(conn net.Conn) error {
 	}
 	f.connected.Store(true)
 
-	aw := bufio.NewWriterSize(conn, 4<<10)
 	var hdr [frameHeaderLen]byte
 	var ack [ackLen]byte
 	ack[0] = ackByte
-	body := make([]byte, 0, 64<<10)
-	var recs []persist.Record
 	// No acks are sent until the sync-done frame has been applied: the
 	// first ack a source ever receives therefore certifies the whole
 	// initial sync, which is what lets its PeerStatus.Synced (and an
@@ -387,10 +402,10 @@ func (f *Follower) session(conn net.Conn) error {
 		if n > maxFrameLen {
 			return fmt.Errorf("replica: frame length %d exceeds limit %d", n, maxFrameLen)
 		}
-		if cap(body) < int(n) {
-			body = make([]byte, n)
+		if cap(f.body) < int(n) {
+			f.body = make([]byte, n)
 		}
-		body = body[:n]
+		body := f.body[:n]
 		if _, err := io.ReadFull(br, body); err != nil {
 			return err
 		}
@@ -399,10 +414,10 @@ func (f *Follower) session(conn net.Conn) error {
 			// Every record's CRC is checked before any is applied: a
 			// corrupt frame applies nothing and is never acknowledged.
 			var err error
-			if recs, err = persist.DecodeFrames(recs[:0], body); err != nil {
+			if f.recs, err = persist.DecodeFrames(f.recs[:0], body); err != nil {
 				return fmt.Errorf("replica: frame at seq %d: %w", seq, err)
 			}
-			if err := f.apply(recs); err != nil {
+			if err := f.apply(f.recs); err != nil {
 				return err
 			}
 		case frameSyncDone:

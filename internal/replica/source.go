@@ -87,35 +87,122 @@ func (c *SourceConfig) setDefaults() error {
 	return nil
 }
 
-// blEntry is one backlog slot; rec (the WAL frame, copied) is reused in
-// place across generations, so steady-state appends allocate
-// nothing once every slot has warmed to the workload's record size. at
-// stamps the append (source-clock nanos) so a scrape can turn a peer's
-// record lag into a wall-time lag.
+// blEntry is one backlog record: its tail seq, its append stamp
+// (source-clock nanos, so a scrape can turn a peer's record lag into a
+// wall-time lag), and where its frame lies in the byte ring: n bytes at
+// absolute offset off, i.e. data[off%len(data):][:n].
 type blEntry struct {
 	seq uint64
 	at  int64
-	rec []byte
+	off uint64
+	n   uint64
 }
+
+// ringBytesPerRecord sizes the byte ring's first allocation: room for
+// the record bound's worth of frames of a ~100 B value (a frame's own
+// headers are 33 B). Starting near a usual window spares the doublings
+// up from a small ring, each of which leaves the old ring as garbage.
+const ringBytesPerRecord = 128
 
 // backlog is the bounded tail ring: TailRecord appends under the mutex
 // (persister goroutines, one per WAL stream), peer senders copy out
 // under it. Sequence numbers start at 1 and never wrap in practice.
+//
+// Records and their bytes live in two rings. buf holds the last
+// len(buf) records' entries; data holds their frames back to back,
+// addressed by an absolute byte offset modulo len(data). A frame that
+// would straddle the end of data starts again at its front instead, so
+// every frame is one contiguous slice of data. When the live frames plus
+// a new one do not fit, data doubles and the live frames are copied to
+// its front, renumbered from offset 0; it never shrinks. The backlog
+// thus holds about the bytes of its last len(buf) frames, and it is
+// pointer-free, so the collector never scans it.
 type backlog struct {
 	mu   sync.Mutex
 	buf  []blEntry
+	data []byte
+	head uint64 // absolute offset just past the newest frame
 	next uint64
+}
+
+// init sizes an empty backlog for the given record bound.
+func (b *backlog) init(records int) {
+	b.buf = make([]blEntry, records)
+	b.data = make([]byte, records*ringBytesPerRecord)
+	b.next = 1
+}
+
+// oldestLocked returns the oldest retained seq (next when empty).
+func (b *backlog) oldestLocked() uint64 {
+	if n := uint64(len(b.buf)); b.next > n {
+		return b.next - n
+	}
+	return 1
+}
+
+// frameLocked returns the stored frame of a retained record.
+func (b *backlog) frameLocked(e *blEntry) []byte {
+	at := e.off % uint64(len(b.data))
+	return b.data[at : at+e.n]
 }
 
 // append stamps a frame with the next tail seq and stores it.
 func (b *backlog) append(frame []byte, at int64) {
 	b.mu.Lock()
-	e := &b.buf[b.next%uint64(len(b.buf))]
-	e.seq = b.next
-	e.at = at
-	e.rec = append(e.rec[:0], frame...)
+	n := uint64(len(frame))
+	// The records that stay live once this one evicts the oldest slot.
+	keep := b.oldestLocked()
+	if b.next-keep+1 > uint64(len(b.buf)) {
+		keep++
+	}
+	off := b.place(b.head, n)
+	start := off
+	if keep < b.next {
+		start = b.buf[keep%uint64(len(b.buf))].off
+	}
+	if off+n-start > uint64(len(b.data)) {
+		b.grow(keep, n)
+		off = b.head
+	}
+	copy(b.data[off%uint64(len(b.data)):], frame)
+	b.buf[b.next%uint64(len(b.buf))] = blEntry{seq: b.next, at: at, off: off, n: n}
+	b.head = off + n
 	b.next++
 	b.mu.Unlock()
+}
+
+// place returns the offset at or after head where an n-byte frame sits
+// contiguously: head itself, or the start of the next lap when the frame
+// would straddle the end of data.
+func (b *backlog) place(head, n uint64) uint64 {
+	size := uint64(len(b.data))
+	if at := head % size; at+n > size {
+		return head + size - at
+	}
+	return head
+}
+
+// grow doubles data until the frames of records [keep, next) plus an
+// n-byte frame fit, copying those frames to its front.
+func (b *backlog) grow(keep, n uint64) {
+	live := n
+	for s := keep; s < b.next; s++ {
+		live += b.buf[s%uint64(len(b.buf))].n
+	}
+	size := 2 * len(b.data)
+	for uint64(size) < live {
+		size *= 2
+	}
+	data := make([]byte, size)
+	var off uint64
+	for s := keep; s < b.next; s++ {
+		e := &b.buf[s%uint64(len(b.buf))]
+		copy(data[off:], b.frameLocked(e))
+		e.off = off
+		off += e.n
+	}
+	b.data = data
+	b.head = off
 }
 
 // tail returns the last assigned seq (0 = nothing yet).
@@ -131,11 +218,7 @@ func (b *backlog) tail() uint64 {
 func (b *backlog) covers(from uint64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	oldest := uint64(1)
-	if n := uint64(len(b.buf)); b.next > n {
-		oldest = b.next - n
-	}
-	return from >= oldest && from <= b.next
+	return from >= b.oldestLocked() && from <= b.next
 }
 
 // stampAt returns the append timestamp of seq, or 0 when seq is not (or
@@ -160,17 +243,12 @@ func (b *backlog) stampAt(seq uint64) int64 {
 func (b *backlog) collect(from uint64, slots *protocol.SlotSet, dst []byte, maxBytes int) (out []byte, next uint64, matched int, overrun bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n := uint64(len(b.buf))
-	oldest := uint64(1)
-	if b.next > n {
-		oldest = b.next - n
-	}
-	if from < oldest {
+	if from < b.oldestLocked() {
 		return dst, from, 0, true
 	}
 	next = from
 	for next < b.next && len(dst) < maxBytes {
-		rec := b.buf[next%n].rec
+		rec := b.frameLocked(&b.buf[next%uint64(len(b.buf))])
 		if slots == nil || slots.Has(cluster.SlotOf(persist.FrameKey(rec))) {
 			dst = append(dst, rec...)
 			matched++
@@ -300,8 +378,7 @@ func NewSource(cfg SourceConfig) (*Source, error) {
 	for s.session == 0 {
 		s.session = rand.Uint64()
 	}
-	s.bl.buf = make([]blEntry, cfg.BacklogRecords)
-	s.bl.next = 1
+	s.bl.init(cfg.BacklogRecords)
 	cfg.Pipe.SetTailSink(s)
 	s.wg.Add(1)
 	go s.acceptLoop()
