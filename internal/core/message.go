@@ -64,8 +64,9 @@ const (
 	// miss is statusMiss.
 	opLookup opcode = iota
 	// opInsert asks the server to store the Op's insVal under keyop's
-	// key, expiring after arg milliseconds (0 = never). The server copies and publishes the value before it
-	// replies statusHit, or replies statusMiss if space cannot be made.
+	// key, expiring after arg milliseconds (0 = never). The server copies
+	// and publishes the value before it replies statusHit, or replies
+	// statusMiss if space cannot be made.
 	opInsert
 	// opDelete unlinks keyop's key. Replies with statusDeleted when the key
 	// existed and statusMiss otherwise; either way the reply lets callers
@@ -100,15 +101,14 @@ const (
 //
 // Packing: op lives in the top 4 bits of keyop, the 60-bit key below it.
 // arg carries an opInsert's TTL in milliseconds (0 = never expires). o
-// points at the client-owned
-// Op for opLookup (the hit's destination), opInsert (the payload and an
-// optional explicit CAS version) and opRMW (the descriptor): the server
-// reads and writes it only before producing the reply, and the reply
-// ring's release/acquire pair hands it back to the client. The struct is
-// padded to 32 bytes, so the ring's flush of every 4 messages is 2 whole
-// cache lines, preserving the paper's several-messages-per-line batching
-// even though Go's pointer rules stop us from matching its exact byte
-// density.
+// points at the client-owned Op for opLookup (the hit's destination),
+// opInsert (the payload and an optional explicit CAS version) and opRMW
+// (the descriptor): the server reads and writes it only before producing
+// the reply, and the reply ring's release/acquire pair hands it back to
+// the client. The struct is padded to 32 bytes, so the ring's flush of
+// every 4 messages is 2 whole cache lines, preserving the paper's
+// several-messages-per-line batching even though Go's pointer rules stop
+// us from matching its exact byte density.
 type request struct {
 	keyop uint64
 	arg   uint64

@@ -62,10 +62,6 @@ type scanBuf struct {
 	vals    []byte
 }
 
-// snapSlabKeep bounds the value slab kept between snapshots: one built
-// from a batch of unusually large values is dropped rather than held.
-const snapSlabKeep = 4 << 20
-
 // doSnapshot runs one snapshot cycle: roll every stream, scan the table
 // through the source into buf, write + commit the snapshot, then delete
 // the covered WAL segments and older snapshots. Runs on the snapshotter
@@ -123,11 +119,6 @@ func (p *Pipeline) doSnapshot(buf *scanBuf) error {
 
 	var count, bytes int64
 	var rec [snapRecFixed]byte
-	defer func() {
-		if cap(buf.vals) > snapSlabKeep {
-			*buf = scanBuf{} // the entries alias the slab too
-		}
-	}()
 	cursor := uint64(0)
 	for {
 		entries, vals, next, done, err := src(cursor, snapScanMax, buf.entries[:0], buf.vals[:0])

@@ -155,7 +155,9 @@ type Follower struct {
 	// Session buffers (run-goroutine only), kept across sessions so that
 	// a resync does not allocate its ~400 KiB again: the hello, the
 	// connection's reader and ack writer, the frame body and its decoded
-	// records.
+	// records. A body grown past bodyKeep by one large frame (an initial
+	// sync batch) is dropped, with the records aliasing it, when its
+	// session ends.
 	hello []byte
 	br    *bufio.Reader
 	aw    *bufio.Writer
@@ -321,6 +323,9 @@ func isClosing(err error) bool {
 	return errors.Is(err, net.ErrClosed)
 }
 
+// bodyKeep is the frame body capacity a follower keeps between sessions.
+const bodyKeep = 64 << 10
+
 // session runs one connection: handshake (requesting a warm resume of
 // the previous session when this follower has ever synced), then apply
 // frames until the connection dies.
@@ -358,11 +363,18 @@ func (f *Follower) session(conn net.Conn) error {
 	if f.br == nil {
 		f.br = bufio.NewReaderSize(conn, 256<<10)
 		f.aw = bufio.NewWriterSize(conn, 4<<10)
-		f.body = make([]byte, 0, 64<<10)
 	} else {
 		f.br.Reset(conn)
 		f.aw.Reset(conn)
 	}
+	if f.body == nil {
+		f.body = make([]byte, 0, bodyKeep)
+	}
+	defer func() {
+		if cap(f.body) > bodyKeep {
+			f.body, f.recs = nil, nil
+		}
+	}()
 	br, aw := f.br, f.aw
 	var reply [replyLen]byte
 	if _, err := io.ReadFull(br, reply[:]); err != nil {

@@ -244,3 +244,35 @@ func TestCorruptFrameAppliesNothing(t *testing.T) {
 		t.Fatalf("status after resync = %+v, want 2 syncs and 2 records", st)
 	}
 }
+
+// TestFollowerDropsOutgrownBody pins what a follower keeps between
+// sessions: the first-size frame body, but not one that a single large
+// frame (an initial-sync batch) grew, nor the records aliasing it.
+func TestFollowerDropsOutgrownBody(t *testing.T) {
+	src := newScriptedSource(t)
+	f, err := StartFollower(FollowerConfig{
+		Source:  src.ln.Addr().String(),
+		Name:    "f",
+		Apply:   nopApplier{},
+		Backoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := persist.Record{Op: persist.OpSet, Key: 1, Ver: 1, Value: make([]byte, 1<<20)}
+
+	h := src.accept()
+	h.reply(t, 100)
+	if _, err := h.conn.Write(dataFrame(0, big)); err != nil {
+		t.Fatal(err)
+	}
+	h.syncDone(t, 1) // acked, so the big frame was applied
+	h.conn.Close()
+	h = src.accept() // the first session has ended
+	f.Close()        // and the second too; Close waits for both
+	h.conn.Close()
+	if cap(f.body) != bodyKeep || f.recs != nil {
+		t.Fatalf("after a 1 MiB frame the follower keeps a %d B body and %d records, want %d B and none",
+			cap(f.body), cap(f.recs), bodyKeep)
+	}
+}

@@ -98,11 +98,14 @@ type blEntry struct {
 	n   uint64
 }
 
-// ringBytesPerRecord sizes the byte ring's first allocation: room for
-// the record bound's worth of frames of a ~100 B value (a frame's own
-// headers are 33 B). Starting near a usual window spares the doublings
-// up from a small ring, each of which leaves the old ring as garbage.
-const ringBytesPerRecord = 128
+// ringBytesPerRecord sizes the byte ring's first allocation from
+// measured traffic. A frame is 33 B of headers (8 B WAL framing, 25 B
+// record header) plus its value; durable_set50's frames average ~140 B,
+// and the space skipped at the ring's end adds to that. At 256 B per
+// record (16 MiB at the default 65 536) the ring never doubles there;
+// at 128 B it doubled once per source and the outgrown 8 MiB ring stayed
+// resident (rss_mb 115 against 98).
+const ringBytesPerRecord = 256
 
 // backlog is the bounded tail ring: TailRecord appends under the mutex
 // (persister goroutines, one per WAL stream), peer senders copy out
