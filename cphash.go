@@ -91,7 +91,7 @@ type Stats = core.Stats
 // a sensible default.
 type Options struct {
 	// Capacity is the table's payload budget in bytes — the memory holding
-	// values plus a 64-byte per-element header charge. Required.
+	// values plus a 40-byte per-element header charge. Required.
 	Capacity int
 	// Partitions is the partition count. For CPHASH this is also the
 	// number of server goroutines (default: GOMAXPROCS). For LOCKHASH it

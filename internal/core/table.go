@@ -21,8 +21,10 @@ type Config struct {
 	// of two so partition selection is a mask of the key hash.
 	Partitions int
 	// CapacityBytes is the total byte budget across all partitions
-	// (values + one 64-byte header charge per element). It is divided
-	// evenly; the paper keeps all partitions the same size (§3.1).
+	// (values + one partition.HeaderBytes header charge per element). It
+	// is divided evenly; the paper keeps all partitions the same size
+	// (§3.1). A partition share too small for one element is refused by
+	// partition.NewStore.
 	CapacityBytes int
 	// MaxClients is the number of client handles that may be created with
 	// Table.Client; the rings for every (client, server) pair are
@@ -69,10 +71,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.RingCapacity < requestLineMsgs || c.RingCapacity&(c.RingCapacity-1) != 0 {
 		return fmt.Errorf("core: RingCapacity %d must be a power of two ≥ %d", c.RingCapacity, requestLineMsgs)
-	}
-	per := c.CapacityBytes / c.Partitions
-	if per < partition.HeaderBytes*2 {
-		return fmt.Errorf("core: CapacityBytes %d gives only %d bytes per partition", c.CapacityBytes, per)
 	}
 	return nil
 }

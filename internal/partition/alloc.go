@@ -6,9 +6,10 @@
 // paper's reference count and NOT_READY insert protocol have nothing left
 // to protect.
 //
-// An element is one arena block, as in the paper: a HeaderBytes (64 B, a
-// line's worth, but straddling two cache lines) header record — key,
-// size, version, expiry, bucket and LRU links — followed by the value.
+// An element is one arena block, as in the paper: a HeaderBytes (40 B)
+// header record — key, size, version, expiry, a singly linked bucket chain
+// and the LRU links — followed by the value. With the block's 8 B boundary
+// tag, an element of up to 16 value bytes is one 64 B block.
 // Buckets and links are uint32 record offsets into the arena, so a
 // partition's memory is two pointer-free slices — the arena and the bucket
 // array — however many entries it holds.

@@ -19,28 +19,29 @@ const MaxKey Key = 1<<60 - 1
 
 // HeaderBytes is the size of the element header record that opens every
 // element's arena block, ahead of its value. The paper's element header —
-// key, size, reference count, bucket and LRU links — fits one cache line
-// (§3.1); here it is a line's worth of bytes, and it is the only
-// per-element metadata there is. It is not line-aligned: a record starts
-// 8 B into a 16 B-aligned arena block, so it straddles two cache lines
-// (the key is always in the first; at a line offset of 56 nothing else
-// is), and Prefetch loads both.
-const HeaderBytes = 64
+// key, size, bucket and LRU links — fits one cache line (§3.1); here it is
+// 40 B, and it is the only per-element metadata there is. A record starts
+// 8 B into a 16 B-aligned arena block, behind the block's boundary tag. An
+// element of up to 16 value bytes is one 64 B block, and lies in one cache
+// line when its block starts on one; any other record may straddle two
+// lines (the key is always in the first), and Prefetch loads both ends.
+const HeaderBytes = 40
 
 // Header record layout. Links are record offsets in the partition arena
 // (refs); 0 means "none", since the arena's 8-byte boundary tag keeps every
-// record at offset 8 or above. The fields a chain walk reads sit first.
-// Bytes 36–39 and 48–63 are unused: no element outlives the call that
+// record at offset 8 or above. The fields a chain walk reads sit first, and
+// each uint64 stays 8-aligned. Bucket chains are singly linked: a chain
+// holds about one element at the store's load factor, so an unlink finds
+// its predecessor from the bucket head. No element outlives the call that
 // touched it, so there is no reference count and no flag to keep.
 const (
 	recKey     = 0  // uint64
 	recHNext   = 8  // uint32 bucket chain
-	recHPrev   = 12 // uint32
+	recSize    = 12 // uint32 value size in bytes
 	recVersion = 16 // uint64 CAS version; unique per store, immutable per element
 	recExpire  = 24 // int64 clock deadline in ns; 0 = never expires
-	recSize    = 32 // uint32 value size in bytes
-	recLNext   = 40 // uint32 LRU list (unused under EvictRandom)
-	recLPrev   = 44 // uint32
+	recLNext   = 32 // uint32 LRU list (unused under EvictRandom)
+	recLPrev   = 36 // uint32
 )
 
 // CapacityForValues converts the paper's capacity convention — "bytes of
@@ -253,8 +254,10 @@ func NewStore(cfg Config) (*Store, error) {
 	}
 	nb := cfg.Buckets
 	if nb <= 0 {
-		// Target ~1 element per bucket for 8-byte values: each element
-		// costs HeaderBytes + a 32-byte arena block.
+		// Target about one element per bucket for 8-byte values. Such an
+		// element is a 64 B block, so CapacityBytes/(HeaderBytes+minBlock)
+		// rounded up to a power of two puts 0.56–1.125 elements in a bucket
+		// when the arena is full.
 		nb = cfg.CapacityBytes / (HeaderBytes + minBlock)
 		if nb < 8 {
 			nb = 8
@@ -473,7 +476,8 @@ const prefetchBatch = 32
 // independent of one another:
 //
 //  1. the bucket word of every key;
-//  2. both cache lines of every chain head record (see HeaderBytes);
+//  2. the first and last byte of every chain head record, which may span
+//     two cache lines (see HeaderBytes);
 //  3. under EvictLRU, for a key whose record it finds, the link words of
 //     its LRU neighbours, which a hit rewrites.
 //
@@ -744,31 +748,27 @@ func (s *Store) unlink(r uint32) {
 
 // --- bucket chain ---
 
+// linkBucket pushes record r at the head of k's chain.
 func (s *Store) linkBucket(r uint32, k Key) {
 	idx := s.bucketIndex(k)
-	head := s.buckets[idx]
-	h := s.rec(r)
-	h.put32(recHNext, head)
-	h.put32(recHPrev, 0)
-	if head != 0 {
-		s.rec(head).put32(recHPrev, r)
-	}
+	s.rec(r).put32(recHNext, s.buckets[idx])
 	s.buckets[idx] = r
 }
 
+// unlinkBucket removes record r from its chain, walking from the bucket
+// head to r's predecessor.
 func (s *Store) unlinkBucket(r uint32) {
 	h := s.rec(r)
-	prev, next := h.u32(recHPrev), h.u32(recHNext)
-	if prev != 0 {
-		s.rec(prev).put32(recHNext, next)
+	next := h.u32(recHNext)
+	idx := s.bucketIndex(h.key())
+	if p := s.buckets[idx]; p == r {
+		s.buckets[idx] = next
 	} else {
-		s.buckets[s.bucketIndex(h.key())] = next
+		for s.rec(p).u32(recHNext) != r {
+			p = s.rec(p).u32(recHNext)
+		}
+		s.rec(p).put32(recHNext, next)
 	}
-	if next != 0 {
-		s.rec(next).put32(recHPrev, prev)
-	}
-	h.put32(recHNext, 0)
-	h.put32(recHPrev, 0)
 }
 
 // --- LRU list (skipped entirely under EvictRandom, as in §6.3) ---
@@ -831,10 +831,11 @@ func (s *Store) LRUKeys() []Key {
 }
 
 // CheckInvariants validates the arena, then the records in it: every
-// bucket and LRU link names an allocated block, chains and the LRU list are
-// consistent doubly-linked lists over the same linked elements, counts
-// agree with the metrics, and a record is allocated exactly when it is
-// linked (anything else is a leak). Tests call it after mutation storms.
+// bucket and LRU link names an allocated block, each chain holds only keys
+// that hash to its bucket, the LRU list is a consistent doubly-linked list
+// over the same linked elements, counts agree with the metrics, and a
+// record is allocated exactly when it is linked (anything else is a leak).
+// Tests call it after mutation storms.
 func (s *Store) CheckInvariants() error {
 	if err := s.arena.CheckInvariants(); err != nil {
 		return err
@@ -852,7 +853,6 @@ func (s *Store) CheckInvariants() error {
 	}
 	linked, ttl := 0, 0
 	for i, head := range s.buckets {
-		var prev uint32
 		for r := head; r != 0; r = s.rec(r).u32(recHNext) {
 			if seen, ok := records[r]; !ok || seen {
 				return fmt.Errorf("bucket %d: link %d is not an allocated, unvisited record", i, r)
@@ -862,14 +862,10 @@ func (s *Store) CheckInvariants() error {
 			if h.expireAt() != 0 {
 				ttl++
 			}
-			if h.u32(recHPrev) != prev {
-				return fmt.Errorf("bucket %d: broken hPrev at key %d", i, h.key())
-			}
 			if s.bucketIndex(h.key()) != uint64(i) {
 				return fmt.Errorf("bucket %d: key %d hashed elsewhere", i, h.key())
 			}
 			linked++
-			prev = r
 		}
 	}
 	if linked != int(s.m.Elements.Load()) {
