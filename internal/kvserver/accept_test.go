@@ -140,7 +140,7 @@ func TestCloseRaceLeavesNoPhantomConns(t *testing.T) {
 	close(stop)
 	<-done
 
-	// After Close returns, every readLoop has exited; counts must balance.
+	// After Close returns, every serveConn has exited; counts must balance.
 	if n := activeConns(s); n != 0 {
 		t.Fatalf("%d phantom connections left on workers after Close", n)
 	}

@@ -13,10 +13,11 @@ import (
 	"cphash/internal/protocol"
 )
 
-// encodeBatch serializes requests the way a client would put them on the
-// wire, then decodes them back through DecodeRequestInto into one shared
-// arena — exactly the server readLoop's code path.
-func decodeIntoArena(t *testing.T, arena []byte, wire ...protocol.Request) ([]protocol.Request, []byte) {
+// decodeBatch serializes requests the way a client would put them on the
+// wire, then decodes them back as cs's goroutine does after a read: into
+// its batch, all their bytes into its one decode buffer, which the
+// previous batch's requests used too.
+func decodeBatch(t *testing.T, cs *connState, wire ...protocol.Request) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
@@ -27,22 +28,20 @@ func decodeIntoArena(t *testing.T, arena []byte, wire ...protocol.Request) ([]pr
 	}
 	w.Flush()
 	br := bufio.NewReader(&buf)
-	out := make([]protocol.Request, len(wire))
-	for i := range out {
-		var err error
-		arena, err = protocol.DecodeRequestInto(br, &out[i], arena)
-		if err != nil {
+	cs.reset()
+	for range wire {
+		if err := cs.decode(br); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return out, arena
 }
 
 // runNoRetentionTest drives the no-retention contract for one Backend:
-// decode a batch into a recycled arena, process it, settle the responses,
-// scribble over the arena (as the recycling reader will), and verify that
-// both the stored values and the already-buffered wire responses are
-// unaffected. A SCAN gets the same treatment with its value slab.
+// decode a batch into a connection's decode buffer, process it, settle
+// the responses, scribble over the buffer (as the connection's next
+// batch will), and verify that both the stored values and the
+// already-buffered wire responses are unaffected. A SCAN gets the same
+// treatment with its value slab.
 func runNoRetentionTest(t *testing.T, backend Backend) {
 	t.Helper()
 	const (
@@ -52,18 +51,19 @@ func runNoRetentionTest(t *testing.T, backend Backend) {
 	fixedVal := []byte("fixed-key-value-bytes")
 	strVal := []byte("string-key-value-bytes")
 
-	arena := make([]byte, 0, 1024)
-	reqs, arena := decodeIntoArena(t, arena,
+	cs := &connState{bytes: make([]byte, 0, 1024)}
+	decodeBatch(t, cs,
 		protocol.Request{Op: protocol.OpInsertTTL, Key: fixedKey, TTL: 0, Value: fixedVal},
 		protocol.Request{Op: protocol.OpSetStr, StrKey: []byte(strKey), Value: strVal},
 		protocol.Request{Op: protocol.OpLookup, Key: fixedKey},
 		protocol.Request{Op: protocol.OpGetStr, StrKey: []byte(strKey)},
 	)
-	results := make([]Result, len(reqs))
-	buf := backend.ProcessBatch(reqs, results, nil)
+	results := make([]Result, len(cs.reqs))
+	buf := backend.ProcessBatch(cs.reqs, results, nil)
 
-	// Buffer the lookup responses like the worker does, then recycle the
-	// arena: every byte the requests carried gets clobbered.
+	// Buffer the lookup responses like the worker does, then scribble
+	// over the decode buffer: every byte the requests carried gets
+	// clobbered.
 	var wireOut bytes.Buffer
 	bw := bufio.NewWriter(&wireOut)
 	for i := 2; i < 4; i++ {
@@ -76,8 +76,8 @@ func runNoRetentionTest(t *testing.T, backend Backend) {
 		}
 	}
 	bw.Flush()
-	for i := range arena {
-		arena[i] = 0xEE
+	for i := range cs.bytes {
+		cs.bytes[i] = 0xEE
 	}
 
 	// The wire responses were copied before the scribble.
@@ -91,20 +91,21 @@ func runNoRetentionTest(t *testing.T, backend Backend) {
 		t.Fatalf("string-key response = %q (found=%v, err=%v), want %q", got, found, err, strVal)
 	}
 
-	// And the stored values must be copies, not aliases of the arena: a
-	// fresh batch on a fresh arena must read the original bytes back.
-	reqs2, _ := decodeIntoArena(t, nil,
+	// And the stored values must be copies, not aliases of the decode
+	// buffer: the connection's next batch must read the original bytes
+	// back.
+	decodeBatch(t, cs,
 		protocol.Request{Op: protocol.OpLookup, Key: fixedKey},
 		protocol.Request{Op: protocol.OpGetStr, StrKey: []byte(strKey)},
 	)
-	results2 := make([]Result, len(reqs2))
-	buf2 := backend.ProcessBatch(reqs2, results2, nil)
+	results2 := make([]Result, len(cs.reqs))
+	buf2 := backend.ProcessBatch(cs.reqs, results2, nil)
 	if r := results2[0]; !r.Found || !bytes.Equal(buf2[r.Start:r.End], fixedVal) {
-		t.Fatalf("stored fixed-key value = %q (found=%v), want %q — the backend retained arena bytes",
+		t.Fatalf("stored fixed-key value = %q (found=%v), want %q — the backend retained decode-buffer bytes",
 			buf2[r.Start:r.End], r.Found, fixedVal)
 	}
 	if r := results2[1]; !r.Found || !bytes.Equal(buf2[r.Start:r.End], strVal) {
-		t.Fatalf("stored string-key value = %q (found=%v), want %q — the backend retained arena bytes",
+		t.Fatalf("stored string-key value = %q (found=%v), want %q — the backend retained decode-buffer bytes",
 			buf2[r.Start:r.End], r.Found, strVal)
 	}
 
@@ -185,11 +186,11 @@ func TestNoRetention_LockHashBackend(t *testing.T) {
 	runNoRetentionTest(t, b)
 }
 
-// TestArenaRecyclingWire hammers the full server path through recycled
-// per-connection arenas: pipelined windows of string-key SETs with
-// distinct payloads followed by GETs, so every window rewrites the arenas
-// the previous window decoded into. Any retention of arena bytes by the
-// batch path shows up as a corrupted read. Each window's requests and
+// TestArenaRecyclingWire hammers the full server path through the
+// connection's reused decode buffer: pipelined windows of string-key SETs
+// with distinct payloads followed by GETs, so every batch rewrites the
+// bytes the previous one decoded into. Any retention of decode-buffer
+// bytes by the batch path shows up as a corrupted read. Each window's requests and
 // responses both exceed DefaultBufferSize, so the bufio buffers on
 // either side flush mid-window too.
 func TestArenaRecyclingWire(t *testing.T) {
@@ -243,7 +244,7 @@ func TestArenaRecyclingWire(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := value(w, k); !found || string(dst) != want {
-				t.Fatalf("window %d key %d: got %.40q… (found=%v), want %.40q… — arena recycling corrupted a value",
+				t.Fatalf("window %d key %d: got %.40q… (found=%v), want %.40q… — decode-buffer reuse corrupted a value",
 					w, k, dst, found, want)
 			}
 		}

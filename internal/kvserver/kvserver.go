@@ -6,14 +6,17 @@
 // INCR/DECR/TOUCH/GETS/INSERT_VER).
 //
 // Architecture (Figure 4): an acceptor assigns each new connection to the
-// client thread (worker) with the fewest active connections. Per-connection
-// reader goroutines parse requests and feed their worker's queue; the
-// worker gathers as many requests as possible into a batch, hands the batch
-// to its hash-table backend in one go — which is what lets CPHASH pipeline
-// the whole batch (lookups, inserts AND deletes) through its message rings
-// — and then writes the LOOKUP/GET_STR and DELETE/DEL_STR responses back
-// to the right connections in request order. INSERT/INSERT_TTL/SET_STR are
-// silent, per the protocol.
+// client thread (worker) with the fewest active connections. Each
+// connection's goroutine reads for itself: it decodes every request its
+// read buffer holds into one batch and runs that batch on its worker's
+// hash-table backend in one go — which is what lets CPHASH pipeline the
+// whole batch (lookups, inserts AND deletes) through its message rings —
+// then writes the LOOKUP/GET_STR and DELETE/DEL_STR responses in request
+// order and flushes. INSERT/INSERT_TTL/SET_STR are silent, per the
+// protocol. A worker is a lock and a queue, not a goroutine: a connection
+// that finds it busy queues its batch, and the connection holding it runs
+// every queued batch with its own as one backend batch (flat combining),
+// so connections sharing a worker still share its batches.
 //
 // String keys are routed onto the fixed 60-bit key space with
 // protocol.HashStringKey and stored with the key embedded in the value
@@ -28,11 +31,11 @@
 //
 // With Config.TextAddr the server also listens for the memcached text
 // protocol. A text connection differs from a native one only in its codec
-// (internal/mctext): its reader tokenises commands straight into
-// protocol.Requests, and its worker renders text replies; placement,
-// batching, backend, group commit, metrics and shutdown are shared, so a
-// client that pipelines text commands gets them executed — and their
-// replies flushed — a batch at a time.
+// (internal/mctext): it tokenises commands straight into protocol.Requests,
+// and its replies are rendered as text; placement, batching, backend,
+// group commit, metrics and shutdown are shared, so a client that
+// pipelines text commands gets them executed — and their replies flushed
+// — a batch at a time.
 package kvserver
 
 import (
@@ -40,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,20 +75,21 @@ type Result struct {
 // Backend executes one batch of requests against a hash table.
 // Implementations must fill results[i] for every LOOKUP/GET_STR and
 // DELETE/DEL_STR request i and may append value bytes to buf, returning
-// the grown buffer. A Backend instance is owned by a single worker
-// goroutine.
+// the grown buffer. A Backend instance belongs to one worker: its calls
+// never overlap, though successive calls may come from the goroutines of
+// different connections, ordered by the worker's lock.
 //
 // No-retention contract: everything a Backend is handed is on loan for
 // the duration of the call. reqs, each request's StrKey/Value bytes (they
-// alias per-connection decode arenas that are recycled as soon as the
-// batch's responses have been buffered), results, and buf are all reused
-// by the worker; ProcessBatch must not retain any of them — not in the
-// table, not in goroutines it spawns — past its return. Anything a
-// backend stores must be copied first (CPHASH's owning server copies each
-// value before it replies, and the backend waits for every reply;
-// LOCKHASH copies under the partition lock). The buffer-aliasing
-// regression tests in alias_test.go enforce this by scribbling over the
-// arena after the batch settles.
+// alias the decode buffers of the connections in the batch, which decode
+// their next batch into them as soon as this one's responses have been
+// buffered), results, and buf are all reused by the worker; ProcessBatch
+// must not retain any of them — not in the table, not in goroutines it
+// spawns — past its return. Anything a backend stores must be copied
+// first (CPHASH's owning server copies each value before it replies, and
+// the backend waits for every reply; LOCKHASH copies under the partition
+// lock). The buffer-aliasing regression tests in alias_test.go enforce
+// this by scribbling over the decode buffer after the batch settles.
 //
 // Durability contract: every change record of a batch has reached the
 // table's durability sink when ProcessBatch returns (CPHASH's server
@@ -99,7 +104,7 @@ type Backend interface {
 // SCAN/PURGE ops, the primitives online slot migration is built on. Both
 // methods are bounded per call and cursor-resumable (next ==
 // protocol.ScanDone once iteration completes); both may be called by any
-// worker goroutine concurrently with regular batches. A backend that does
+// worker concurrently with other workers' batches. A backend that does
 // not implement it answers SCAN/PURGE with an immediate empty ScanDone, so
 // migrating away from it silently moves nothing — callers can detect that
 // by the zero entry count.
@@ -124,18 +129,17 @@ type Config struct {
 	TextAddr string
 	// Workers is the number of client threads (default 1).
 	Workers int
-	// MaxBatch bounds a worker's batch (default 512, within the paper's
-	// effective 512–8,192 pipeline band).
+	// MaxBatch bounds the requests a connection decodes per read, and a
+	// backend batch (default 512, within the paper's effective
+	// 512–8,192 pipeline band).
 	MaxBatch int
-	// QueueDepth bounds queued requests per worker (default 4·MaxBatch).
-	QueueDepth int
 	// NewBackend builds the per-worker backend.
 	NewBackend func(worker int) (Backend, error)
 	// Persist, when non-nil, is the durability pipeline behind the
 	// backend's table. The server owns its lifecycle from here on: under
 	// SyncAlways every batch group-commits (the WAL is fsynced before
-	// any of the batch's responses reach the wire), and Close drains the
-	// worker queues and then flushes and closes the pipeline, so a
+	// any of the batch's responses reach the wire), and Close waits for
+	// every batch in flight and then flushes and closes the pipeline, so a
 	// graceful shutdown loses nothing. The pipeline must already be
 	// Started.
 	Persist *persist.Pipeline
@@ -177,8 +181,8 @@ type Server struct {
 	repl    *replica.Source
 	m       *obs.ServerMetrics
 	workers []*worker
-	wg      sync.WaitGroup // acceptor + workers
-	readers sync.WaitGroup // per-connection readers
+	wg      sync.WaitGroup // acceptors
+	readers sync.WaitGroup // per-connection goroutines
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
 	closed  atomic.Bool
@@ -186,96 +190,51 @@ type Server struct {
 	accepted atomic.Int64
 }
 
-// maxConnArenas bounds how many decode arenas one connection may have in
-// flight; a reader that outruns its worker by more blocks until the worker
-// recycles one, which is the backpressure we want.
-const maxConnArenas = 256
+// maxKeptDecode is the largest decode buffer a connection keeps for its
+// next batch. A batch's frames after its first are whole in the read
+// buffer, so only a first frame larger than that buffer (a rare huge
+// value) takes it past this size; such a buffer goes to the GC, so one
+// large request cannot pin megabytes on an idle connection.
+const maxKeptDecode = 2 * DefaultBufferSize
 
-// maxRecycledArena is the largest arena returned to a connection's free
-// list; oversized ones (a rare huge value) are dropped to the GC so a
-// single large request cannot pin megabytes per pooled slot.
-const maxRecycledArena = 64 << 10
-
+// connState is one connection: its writer, and the batch its goroutine
+// decoded from one read and hands to its worker.
 type connState struct {
 	conn net.Conn
 	w    *bufio.Writer
 	wErr error
-	// text marks a memcached text connection: replies are rendered by
-	// mctext, and the worker, not the reader, closes the socket.
-	text bool
-	// touched is worker-private: whether this connection is already on the
-	// current batch's flush list.
-	touched bool
-	// closing is worker-private: close the socket after this batch's flush.
-	closing bool
+	// dec is a memcached text connection's codec (nil on a native one):
+	// it decodes the requests, and replies are rendered as text.
+	dec *mctext.Decoder
 
-	// Decode-arena recycling. The readLoop acquires an arena, decodes a
-	// request's variable-length bytes into it, and attaches it to the
-	// queued request; the worker returns it once the batch segment holding
-	// the request has been processed and its responses buffered. mu/cond
-	// see traffic from exactly two goroutines (the connection's reader and
-	// its worker), so contention is negligible.
-	mu      sync.Mutex
-	notFull sync.Cond
-	free    [][]byte
-	created int
+	// The batch: requests decoded from one read, their text reply shapes
+	// (text only), and the bytes their StrKey/Value alias. Each grows on
+	// demand and is reset once the batch has been answered, so a
+	// connection holds what its largest batch needed and a one-request
+	// connection holds one request.
+	reqs    []protocol.Request
+	replies []mctext.Reply
+	bytes   []byte
+
+	// wake and lead are worker.submit's hand-off: a queued connection
+	// sleeps on wake until a holder has answered its batch, or, with lead
+	// set, has handed it the worker.
+	wake chan struct{}
+	lead bool
 }
 
-func newConnState(conn net.Conn, w *bufio.Writer, text bool) *connState {
-	cs := &connState{conn: conn, w: w, text: text}
-	cs.notFull.L = &cs.mu
-	return cs
-}
-
-// getArena takes a recycled decode arena (empty, capacity warm) or nil
-// when the connection is entitled to grow a fresh one; it blocks while
-// maxConnArenas are already in flight.
-func (cs *connState) getArena() []byte {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for {
-		if k := len(cs.free); k > 0 {
-			a := cs.free[k-1]
-			cs.free[k-1] = nil
-			cs.free = cs.free[:k-1]
-			return a[:0]
-		}
-		if cs.created < maxConnArenas {
-			cs.created++
-			return nil
-		}
-		cs.notFull.Wait()
+// reset empties the batch for the next read.
+func (cs *connState) reset() {
+	if cap(cs.bytes) > maxKeptDecode {
+		cs.bytes = nil
+		clear(cs.reqs) // they alias the dropped buffer
 	}
+	cs.reqs, cs.replies, cs.bytes = cs.reqs[:0], cs.replies[:0], cs.bytes[:0]
 }
 
-// putArena recycles a decode arena (dropping oversized ones) and wakes a
-// reader blocked on the in-flight bound.
-func (cs *connState) putArena(a []byte) {
-	cs.mu.Lock()
-	if cap(a) > maxRecycledArena {
-		cs.created-- // let the reader grow a fresh, smaller one
-	} else {
-		cs.free = append(cs.free, a)
-	}
-	cs.mu.Unlock()
-	cs.notFull.Signal()
-}
-
-type connReq struct {
-	cs  *connState
-	req protocol.Request
-	// arena backs req.StrKey/req.Value; nil for requests with no
-	// variable-length bytes. The worker recycles it via cs.putArena once
-	// the request's batch segment has been processed.
-	arena []byte
-	// text is the reply shape of a text connection's request.
-	text mctext.Reply
-}
-
+// worker is a client thread: a backend and the lock that serializes its
+// batches. It has no goroutine; the connection holding it runs batches.
 type worker struct {
-	id       int
-	srv      *Server
-	queue    chan connReq
 	backend  Backend
 	conns    atomic.Int64
 	requests atomic.Int64
@@ -289,6 +248,21 @@ type worker struct {
 	// barriers on the WAL before its responses are written.
 	persist     *persist.Pipeline
 	groupCommit bool
+
+	// mu guards busy (a connection holds the worker) and pending (the
+	// connections whose batches wait for the next round).
+	mu      sync.Mutex
+	busy    bool
+	pending []*connState
+
+	// The holder's alone: the connections of the round being run, the
+	// requests of a round of several, and the batch-wide results and
+	// value buffers.
+	round   []*connState
+	reqs    []protocol.Request
+	results []Result
+	buf     []byte
+	scanBuf []protocol.ScanEntry
 }
 
 // commit is the group-commit barrier: under sync=always it blocks until
@@ -307,9 +281,6 @@ func Serve(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 512
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.MaxBatch
 	}
 	if cfg.NewBackend == nil {
 		return nil, fmt.Errorf("kvserver: Config.NewBackend is required")
@@ -342,9 +313,6 @@ func Serve(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("kvserver: backend %d: %w", i, err)
 		}
 		w := &worker{
-			id:          i,
-			srv:         s,
-			queue:       make(chan connReq, cfg.QueueDepth),
 			backend:     b,
 			maxBatch:    cfg.MaxBatch,
 			m:           cfg.Metrics,
@@ -354,15 +322,8 @@ func Serve(cfg Config) (*Server, error) {
 		s.workers = append(s.workers, w)
 		s.text = append(s.text, &w.text)
 	}
-	// Workers start only once s.text is complete: a "stats" command reads
-	// every worker's counters.
-	for _, w := range s.workers {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			w.run()
-		}()
-	}
+	// Connections are accepted only once s.text is complete: a "stats"
+	// command reads every worker's counters.
 	s.wg.Add(1)
 	go s.acceptLoop(s.ln, false)
 	if s.textLn != nil {
@@ -419,8 +380,8 @@ func (s *Server) Collect(e *obs.Expo, labels string) {
 	}
 }
 
-// Close shuts the server down: stop accepting, close connections, drain
-// workers, close backends.
+// Close shuts the server down: stop accepting, close connections, wait
+// for the batches in flight, close backends.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
@@ -431,17 +392,15 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.mu.Unlock()
-	// Readers exit on their closed connections; only then is it safe to
-	// close the worker queues they feed.
+	// Connection goroutines exit on their closed connections, each after
+	// the batch it is running or has queued; only then may the backends
+	// close.
 	s.readers.Wait()
-	for _, w := range s.workers {
-		close(w.queue)
-	}
 	s.wg.Wait()
 	for _, w := range s.workers {
 		w.backend.Close()
 	}
-	// The worker queues are drained, so every processed mutation has been
+	// No batch is in flight, so every processed mutation has been
 	// published to the pipeline's change rings. A replication source must
 	// see those final records, so the pipeline is barriered (rings drained
 	// through the tail fanout) and the source closed BEFORE the pipeline:
@@ -487,10 +446,10 @@ func (s *Server) acceptLoop(ln net.Listener, text bool) {
 			return
 		}
 		s.conns[conn] = struct{}{}
-		// The worker count is incremented only once the readLoop — whose
+		// The worker count is incremented only once serveConn — whose
 		// defer is the one place it is decremented — is guaranteed to
 		// start. A connection refused above (server closing) or one that
-		// dies instantly inside readLoop therefore balances to zero
+		// dies instantly inside serveConn therefore balances to zero
 		// exactly once; incrementing before the closed-check leaked a
 		// phantom connection onto the worker forever. Both counters are
 		// bumped while mu is still held: Close sets closed before taking
@@ -500,7 +459,7 @@ func (s *Server) acceptLoop(ln net.Listener, text bool) {
 		w.conns.Add(1)
 		s.readers.Add(1)
 		s.mu.Unlock()
-		go s.readLoop(conn, w, text)
+		go s.serveConn(conn, w, text)
 	}
 }
 
@@ -514,279 +473,308 @@ func (s *Server) leastLoadedWorker() *worker {
 	return best
 }
 
-// readLoop parses requests off one connection and feeds the worker.
-// Requests decode into recycled per-connection arenas, so the steady
-// state allocates nothing per request; an arena travels with its request
-// through the worker queue and returns to the pool once the batch segment
-// holding it has been processed.
-//
-// A text connection runs the same loop with mctext's decoder in place of
-// the binary one. Either decoder blocks only while the read buffer holds
-// no complete request, so everything a client pipelined is queued — and
-// gathered by the worker into one batch — without waiting for more.
-func (s *Server) readLoop(conn net.Conn, w *worker, text bool) {
+// serveConn is one connection's goroutine. It decodes every request its
+// read buffer holds, up to MaxBatch, into one batch, runs the batch on
+// its worker, and reads again. Only a batch's first request may wait on
+// the socket: each later one is decoded only once protocol.FrameLen (on a
+// text connection, the Decoder's Ready) has found it whole in the buffer,
+// so everything a client pipelined is served, and answered, without
+// waiting for more. The batch's slices keep their capacity from one read
+// to the next, so the steady state allocates nothing.
+func (s *Server) serveConn(conn net.Conn, w *worker, text bool) {
 	defer s.readers.Done()
-	cs := newConnState(conn, bufio.NewWriterSize(conn, DefaultBufferSize), text)
-	var dec *mctext.Decoder
+	cs := &connState{conn: conn, w: bufio.NewWriterSize(conn, DefaultBufferSize), wake: make(chan struct{}, 1)}
 	if text {
-		dec = mctext.NewDecoder(&w.text, s.text)
+		cs.dec = mctext.NewDecoder(&w.text, s.text)
 		w.text.Connections.Inc()
 		w.text.Active.Inc()
 	}
 	defer func() {
-		w.conns.Add(-1)
-		if !text {
-			s.dropConn(conn)
-			return
+		if text {
+			w.text.Active.Add(-1)
 		}
-		// A text client may send its last command, half-close, and still
-		// expect the replies (printf 'get k\r\n' | nc): the worker drops
-		// the connection once everything queued ahead of this marker has
-		// been flushed. Until then it stays in s.conns, so Close can still
-		// unblock a worker stuck writing to it. The queue is still open —
-		// Close waits for the readers before closing it.
-		w.text.Active.Add(-1)
-		w.queue <- connReq{cs: cs, text: mctext.Reply{Close: true}}
+		w.conns.Add(-1)
+		s.dropConn(conn)
 	}()
 	br := bufio.NewReaderSize(conn, DefaultBufferSize)
-	var req protocol.Request
-	var rp mctext.Reply
-	var spare []byte // acquired arena awaiting a request that needs bytes
-	haveSpare := false
 	for {
-		if !haveSpare {
-			spare = cs.getArena()
-			haveSpare = true
-		}
-		var out []byte
-		var err error
-		if text {
-			rp, out, err = dec.Next(br, &req, spare[:0])
-		} else {
-			out, err = protocol.DecodeRequestInto(br, &req, spare[:0])
-		}
-		if err != nil {
-			return // EOF, truncation, or protocol error: drop the conn
+		err := cs.decode(br)
+		for err == nil && len(cs.reqs) < w.maxBatch && cs.whole(br) {
+			err = cs.decode(br)
 		}
 		if s.closed.Load() {
 			return
 		}
-		if len(out) > 0 {
-			// The request's StrKey/Value alias the arena; hand it off.
-			w.queue <- connReq{cs: cs, req: req, arena: out, text: rp}
-			haveSpare = false
-		} else {
-			spare = out // untouched (or grown empty): reuse for the next frame
-			w.queue <- connReq{cs: cs, req: req, text: rp}
+		// A request that fails to decode (EOF, truncation, a protocol
+		// error) ends the connection, but only once the ones ahead of it
+		// are answered: a text client may send its last command and
+		// half-close (printf 'get k\r\n' | nc), and still want the reply.
+		if len(cs.reqs) > 0 {
+			w.submit(cs)
 		}
+		if err != nil || cs.wErr != nil {
+			return
+		}
+		cs.reset()
 	}
 }
 
-// run is the worker ("client thread") loop: gather a batch, process it
-// through the backend, write responses in order, flush. Every buffer —
-// the request/result batch slices, the backend's value buffer, the
-// response writers, the per-connection decode arenas — is reused across
-// batches, so the steady-state loop allocates nothing.
-func (w *worker) run() {
-	reqs := make([]protocol.Request, 0, w.maxBatch)
-	items := make([]connReq, 0, w.maxBatch)
-	results := make([]Result, 0, w.maxBatch)
-	var buf []byte
-	var scanBuf []protocol.ScanEntry
-	touched := make([]*connState, 0, 16)
-	// none counts the batch's mctext.OpNone items — canned text replies
-	// and closing markers, which hold a place in the reply order but are
-	// not requests: they stay out of the request and latency series.
+// decode appends the next request to the batch, waiting on the socket if
+// the read buffer holds none.
+func (cs *connState) decode(br *bufio.Reader) error {
+	n := len(cs.reqs)
+	cs.reqs = slices.Grow(cs.reqs, 1)[:n+1]
+	var err error
+	if cs.dec != nil {
+		var rp mctext.Reply
+		if rp, cs.bytes, err = cs.dec.Next(br, &cs.reqs[n], cs.bytes); err == nil {
+			cs.replies = append(cs.replies, rp)
+		}
+	} else {
+		cs.bytes, err = protocol.DecodeRequestInto(br, &cs.reqs[n], cs.bytes)
+	}
+	if err != nil {
+		cs.reqs = cs.reqs[:n]
+	}
+	return err
+}
+
+// whole reports whether the read buffer holds all of the next request,
+// so decoding it cannot wait on the socket.
+func (cs *connState) whole(br *bufio.Reader) bool {
+	if cs.dec != nil {
+		return cs.dec.Ready(br)
+	}
+	p, _ := br.Peek(br.Buffered())
+	n, err := protocol.FrameLen(p)
+	return err == nil && n > 0 && n <= len(p)
+}
+
+// submit runs cs's batch on its worker by flat combining. A connection
+// that finds the worker free holds it for one round: it takes the batches
+// queued so far, its own first, up to MaxBatch requests in all, runs them
+// together, wakes their connections, and hands the worker to the first
+// connection still queued. A connection that finds the worker busy queues
+// its batch and sleeps until a holder has answered it or handed it the
+// worker. Alone on its worker, a connection pays two uncontended lock
+// round trips per batch and no channel operation.
+func (w *worker) submit(cs *connState) {
+	w.mu.Lock()
+	w.pending = append(w.pending, cs)
+	if w.busy {
+		w.mu.Unlock()
+		if <-cs.wake; !cs.lead {
+			return // a holder ran the batch
+		}
+		cs.lead = false
+		w.mu.Lock()
+	}
+	// cs heads the queue: it was empty while the worker was free, and the
+	// worker is handed on only to the head.
+	w.busy = true
+	k, n := 1, len(cs.reqs)
+	for k < len(w.pending) && n+len(w.pending[k].reqs) <= w.maxBatch {
+		n += len(w.pending[k].reqs)
+		k++
+	}
+	w.round = append(w.round[:0], w.pending[:k]...)
+	rest := copy(w.pending, w.pending[k:])
+	clear(w.pending[rest:])
+	w.pending = w.pending[:rest]
+	w.mu.Unlock()
+
+	w.run(w.round)
+
+	for i, c := range w.round {
+		if c != cs {
+			c.wake <- struct{}{}
+		}
+		w.round[i] = nil
+	}
+	w.mu.Lock()
+	var next *connState
+	if len(w.pending) > 0 {
+		next = w.pending[0]
+		next.lead = true
+	} else {
+		w.busy = false
+	}
+	w.mu.Unlock()
+	if next != nil {
+		next.wake <- struct{}{}
+	}
+}
+
+// roundCursor maps an index into a round's requests, concatenated in
+// round order, back to its connection and the index in that connection's
+// batch. Indexes must not decrease from one call to the next.
+type roundCursor struct {
+	round   []*connState
+	k, base int
+}
+
+func (c *roundCursor) at(i int) (*connState, int) {
+	for i-c.base >= len(c.round[c.k].reqs) {
+		c.base += len(c.round[c.k].reqs)
+		c.k++
+	}
+	return c.round[c.k], i - c.base
+}
+
+// run executes one round, at most MaxBatch requests: the batches of
+// round's connections, in order, through the backend, then flushes every
+// connection. A lone batch runs from its connection's own slice; several
+// are first copied into one.
+// Every buffer — the worker's results, value and scan buffers, the
+// connections' writers and batch slices — is reused, so the steady state
+// allocates nothing.
+func (w *worker) run(round []*connState) {
+	// One clock read here and one after the flush bound the whole round:
+	// the batch-latency histogram gets one sample, the op-latency
+	// histogram gets one sample per request at the per-op share. Two clock
+	// reads and a handful of atomic adds per round — cheap enough to stay
+	// always-on under the hot-path allocation ceiling.
+	start := time.Now()
+	reqs := round[0].reqs
+	if len(round) > 1 {
+		reqs = w.reqs[:0]
+		for _, cs := range round {
+			reqs = append(reqs, cs.reqs...)
+		}
+		w.reqs = reqs
+	}
+	owner := roundCursor{round: round}
+	// none counts the round's mctext.OpNone requests — canned text
+	// replies, which hold a place in the reply order but are not table
+	// operations: they stay out of the request and latency series.
 	none := 0
 
-	for {
-		first, ok := <-w.queue
-		if !ok {
-			return
+	// SCAN/PURGE are execution barriers: the round is split at each one
+	// so bulk iteration observes every earlier mutation of the round and
+	// none of the later ones — the per-connection FIFO the protocol
+	// promises — while plain segments still flow through the backend as
+	// whole batches.
+	for lo := 0; lo < len(reqs); {
+		hi := lo
+		for hi < len(reqs) && reqs[hi].Op != protocol.OpScan && reqs[hi].Op != protocol.OpPurge {
+			hi++
 		}
-		items = append(items[:0], first)
-	gather:
-		for len(items) < w.maxBatch {
-			select {
-			case it, ok := <-w.queue:
-				if !ok {
-					break gather
-				}
-				items = append(items, it)
-			default:
-				break gather
-			}
-		}
-		// One clock read here and one after the flush bound the whole
-		// batch: the batch-latency histogram gets one sample, the op-latency
-		// histogram gets len(items) samples at the per-op share. Two clock
-		// reads and a handful of atomic adds per batch — cheap enough to
-		// stay always-on under the hot-path allocation ceiling.
-		batchStart := time.Now()
-
-		// SCAN/PURGE are execution barriers: a gathered batch is split at
-		// each one so bulk iteration observes every earlier mutation of
-		// its batch and none of the later ones — the per-connection FIFO
-		// the protocol promises — while plain segments still flow through
-		// the backend as whole batches.
-		for start := 0; start < len(items); {
-			end := start
-			for end < len(items) && items[end].req.Op != protocol.OpScan && items[end].req.Op != protocol.OpPurge {
-				end++
-			}
-			if seg := items[start:end]; len(seg) > 0 {
-				reqs = reqs[:0]
-				mutating := false
-				for _, it := range seg {
-					reqs = append(reqs, it.req)
-					switch it.req.Op {
-					case protocol.OpLookup, protocol.OpGetStr, protocol.OpGets, protocol.OpGetsStr:
-					case mctext.OpNone:
-						none++
-					default:
-						mutating = true
-					}
-				}
-				results = results[:len(seg)]
-				for i := range results {
-					results[i] = Result{}
-				}
-				buf = w.backend.ProcessBatch(reqs, results, buf[:0])
-				// Group commit before any response bytes are staged: the
-				// bufio writers may spill to the socket mid-loop, so the
-				// barrier cannot wait until the flush below. Read-only
-				// segments publish nothing and skip the barrier.
-				if mutating {
-					w.commit()
-				}
-				for i := range seg {
-					cs := seg[i].cs
-					if cs.wErr != nil {
-						continue
-					}
-					r := results[i]
-					if cs.text {
-						cs.wErr = w.text.WriteReply(cs.w, seg[i].text, &seg[i].req,
-							mctext.Outcome{Value: buf[r.Start:r.End], Found: r.Found, Status: r.Status, Ver: r.Ver, Num: r.Num})
-						cs.closing = seg[i].text.Close
-					} else {
-						switch seg[i].req.Op {
-						case protocol.OpLookup, protocol.OpGetStr:
-							cs.wErr = protocol.WriteLookupResponse(cs.w, buf[r.Start:r.End], r.Found)
-						case protocol.OpGets, protocol.OpGetsStr:
-							cs.wErr = protocol.WriteGetsResponse(cs.w, buf[r.Start:r.End], r.Ver, r.Found)
-						case protocol.OpDelete, protocol.OpDelStr:
-							cs.wErr = protocol.WriteDeleteResponse(cs.w, r.Found)
-						default:
-							if protocol.IsRMW(seg[i].req.Op) {
-								cs.wErr = protocol.WriteRMWResponse(cs.w, r.Status, r.Ver, r.Num)
-							} else {
-								continue // inserts are silent
-							}
-						}
-					}
-					if !cs.touched {
-						cs.touched = true
-						touched = append(touched, cs)
-					}
-				}
-				// The segment's responses are buffered (or its writes are
-				// poisoned) and the backend settled without retaining the
-				// request bytes, so the decode arenas can recycle now.
-				for i := range seg {
-					if a := seg[i].arena; a != nil {
-						seg[i].arena = nil
-						seg[i].cs.putArena(a)
-					}
+		if seg := reqs[lo:hi]; len(seg) > 0 {
+			mutating := false
+			for i := range seg {
+				switch seg[i].Op {
+				case protocol.OpLookup, protocol.OpGetStr, protocol.OpGets, protocol.OpGetsStr:
+				case mctext.OpNone:
+					none++
+				default:
+					mutating = true
 				}
 			}
-			if end < len(items) { // the scan/purge that split the batch
-				it := items[end]
-				if it.cs.wErr == nil {
-					scanBuf, it.cs.wErr = w.respondScan(it.cs, it.req, scanBuf)
-					if it.cs.wErr != nil {
-						// A backend error (table closing) means no
-						// response was written; unlike a wire write
-						// failure the socket is still healthy, so close
-						// it — a silently dropped response would leave
-						// the client waiting forever.
-						it.cs.conn.Close()
-					}
-					if !it.cs.touched {
-						it.cs.touched = true
-						touched = append(touched, it.cs)
-					}
+			results := slices.Grow(w.results[:0], len(seg))[:len(seg)]
+			clear(results)
+			w.results = results
+			w.buf = w.backend.ProcessBatch(seg, results, w.buf[:0])
+			// Group commit before any response bytes are staged: the
+			// bufio writers may spill to the socket mid-loop, so the
+			// barrier cannot wait until the flush below. Read-only
+			// segments publish nothing and skip the barrier.
+			if mutating {
+				w.commit()
+			}
+			for i := lo; i < hi; i++ {
+				if cs, j := owner.at(i); cs.wErr == nil {
+					cs.wErr = w.reply(cs, j, results[i-lo])
 				}
-				end++
 			}
-			start = end
 		}
-		n := int64(len(items) - none)
-		none = 0
-		if n > 0 {
-			// Counted before any response goes out, so a client that has
-			// read a response sees its request in Stats.
-			w.requests.Add(n)
-			w.batches.Add(1)
-		}
-		for i, cs := range touched {
-			if cs.wErr == nil {
-				cs.wErr = cs.w.Flush()
+		if hi < len(reqs) && (reqs[hi].Op == protocol.OpScan || reqs[hi].Op == protocol.OpPurge) {
+			if cs, _ := owner.at(hi); cs.wErr == nil {
+				cs.wErr = w.respondScan(cs, &reqs[hi])
 			}
-			// A text connection is dropped here, not by its reader: after
-			// the reader's closing marker, or when a write failed (the
-			// marker would then be skipped like every later reply).
-			if cs.closing || cs.text && cs.wErr != nil {
-				w.srv.dropConn(cs.conn)
-			}
-			cs.touched = false
-			touched[i] = nil
+			hi++
 		}
-		touched = touched[:0]
-		if n == 0 {
-			continue // nothing but canned replies: not a batch of requests
-		}
-		elapsed := time.Since(batchStart).Nanoseconds()
-		w.m.BatchLatency.Record(elapsed)
-		w.m.BatchSize.Record(n)
-		w.m.OpLatency.RecordN(elapsed/n, n)
+		lo = hi
 	}
+	n := int64(len(reqs) - none)
+	if n > 0 {
+		// Counted before any response goes out, so a client that has
+		// read a response sees its request in Stats.
+		w.requests.Add(n)
+		w.batches.Add(1)
+	}
+	for _, cs := range round {
+		if cs.wErr == nil {
+			cs.wErr = cs.w.Flush()
+		}
+	}
+	if n == 0 {
+		return // nothing but canned replies: not a batch of requests
+	}
+	elapsed := time.Since(start).Nanoseconds()
+	w.m.BatchLatency.Record(elapsed)
+	w.m.BatchSize.Record(n)
+	w.m.OpLatency.RecordN(elapsed/n, n)
+}
+
+// reply buffers the response to request j of cs's batch, given its
+// result; inserts are silent.
+func (w *worker) reply(cs *connState, j int, r Result) error {
+	req := &cs.reqs[j]
+	if cs.dec != nil {
+		return w.text.WriteReply(cs.w, cs.replies[j], req,
+			mctext.Outcome{Value: w.buf[r.Start:r.End], Found: r.Found, Status: r.Status, Ver: r.Ver, Num: r.Num})
+	}
+	switch req.Op {
+	case protocol.OpLookup, protocol.OpGetStr:
+		return protocol.WriteLookupResponse(cs.w, w.buf[r.Start:r.End], r.Found)
+	case protocol.OpGets, protocol.OpGetsStr:
+		return protocol.WriteGetsResponse(cs.w, w.buf[r.Start:r.End], r.Ver, r.Found)
+	case protocol.OpDelete, protocol.OpDelStr:
+		return protocol.WriteDeleteResponse(cs.w, r.Found)
+	}
+	if protocol.IsRMW(req.Op) {
+		return protocol.WriteRMWResponse(cs.w, r.Status, r.Ver, r.Num)
+	}
+	return nil
 }
 
 // respondScan serves one SCAN/PURGE request against the worker's backend,
-// reusing scanBuf across calls. The response is buffered into the
-// connection's writer before it returns, so the backend's scan slab the
-// entries alias may be refilled by the next scan. A backend error (the
-// table is closing) poisons the connection's writer so no misaligned
-// response follows.
-func (w *worker) respondScan(cs *connState, req protocol.Request, scanBuf []protocol.ScanEntry) ([]protocol.ScanEntry, error) {
+// reusing the worker's scanBuf across calls. The response is buffered
+// into the connection's writer before it returns, so the backend's scan
+// slab the entries alias may be refilled by the next scan. A backend
+// error (the table is closing) writes nothing and poisons the
+// connection's writer, so the connection ends after the round: no
+// misaligned response follows, and the client is not left waiting for a
+// response that never comes.
+func (w *worker) respondScan(cs *connState, req *protocol.Request) error {
 	sc, ok := w.backend.(SlotScanner)
 	if !ok {
 		if req.Op == protocol.OpPurge {
-			return scanBuf, protocol.WritePurgeResponse(cs.w, protocol.ScanDone, 0)
+			return protocol.WritePurgeResponse(cs.w, protocol.ScanDone, 0)
 		}
-		return scanBuf, protocol.WriteScanResponse(cs.w, protocol.ScanDone, nil)
+		return protocol.WriteScanResponse(cs.w, protocol.ScanDone, nil)
 	}
 	if req.Op == protocol.OpPurge {
 		removed, next, err := sc.PurgeSlots(&req.Slots, req.Cursor)
 		if err != nil {
-			return scanBuf, err
+			return err
 		}
 		// Purges delete entries (migration's post-move cleanup); under
 		// group commit their removal records hit disk before the ack, so
 		// a crash cannot resurrect entries the coordinator saw purged.
 		w.commit()
-		return scanBuf, protocol.WritePurgeResponse(cs.w, next, uint32(removed))
+		return protocol.WritePurgeResponse(cs.w, next, uint32(removed))
 	}
 	max := int(req.Count)
 	if max <= 0 || max > protocol.MaxScanBatch {
 		max = protocol.MaxScanBatch
 	}
-	scanBuf, next, err := sc.ScanSlots(&req.Slots, req.Cursor, max, scanBuf[:0])
+	entries, next, err := sc.ScanSlots(&req.Slots, req.Cursor, max, w.scanBuf[:0])
+	w.scanBuf = entries
 	if err != nil {
-		return scanBuf, err
+		return err
 	}
-	return scanBuf, protocol.WriteScanResponse(cs.w, next, scanBuf)
+	return protocol.WriteScanResponse(cs.w, next, entries)
 }
 
 // --- backends ---

@@ -104,7 +104,7 @@ func recoverKeys(t *testing.T, dir string) map[uint64]string {
 // TestGracefulShutdownFlushesWAL is the shutdown-drain regression test:
 // writes acknowledged only at the cache layer (sync=interval, interval
 // never elapsing) must still be on disk after a graceful Close, because
-// Close quiesces the worker queues and flushes the pipeline before
+// Close waits for the batches in flight and flushes the pipeline before
 // returning. Before the fix the process could exit with the whole WAL
 // tail sitting in user-space buffers.
 func TestGracefulShutdownFlushesWAL(t *testing.T) {

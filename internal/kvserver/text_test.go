@@ -14,6 +14,7 @@ import (
 
 	"cphash/internal/chaos"
 	"cphash/internal/lockhash"
+	"cphash/internal/mctext"
 	"cphash/internal/obs"
 	"cphash/internal/persist"
 	"cphash/internal/protocol"
@@ -157,8 +158,7 @@ func TestTextConnsSharePlacementAndCounters(t *testing.T) {
 	a.c.Close()
 	b.c.Close()
 	waitZeroConns(t, s)
-	// Nor do the readers' closing markers count (Close drains the workers,
-	// so the counters are final).
+	// Close waits for every batch in flight, so the counters are final.
 	s.Close()
 	// (The two-key get may have been gathered as one batch or two.)
 	if st := s.Stats(); st.Requests != 3 || st.Batches > 3 {
@@ -181,22 +181,38 @@ func TestCloseDropsTextConns(t *testing.T) {
 }
 
 // TestCloseUnblocksStalledTextWriter: a text client that pipelines more
-// replies than the socket can hold, never reads, and half-closes leaves
-// its worker blocked in a write with the reader already gone. The
-// connection must still be within Close's reach, or Close never returns.
+// replies than the sockets can hold and never reads leaves the server
+// blocked in a write to it. Close must still reach that connection and
+// return.
 func TestCloseUnblocksStalledTextWriter(t *testing.T) {
 	s := startTextServer(t, 1, nil)
 	tc := dialText(t, s.TextAddr())
 	tc.c.(*net.TCPConn).SetReadBuffer(4 << 10)
 	big := strings.Repeat("x", 64<<10)
 	tc.do(fmt.Sprintf("set big 0 0 %d\r\n%s\r\n", len(big), big), "STORED\r\n")
-	// Fewer requests than the connection has arenas, so the reader is not
-	// held back by the stalled worker and does reach EOF.
-	if _, err := io.WriteString(tc.c, strings.Repeat("get big\r\n", maxConnArenas-6)); err != nil {
+	// 16 MiB of replies: several times what the server's send buffer and
+	// the client's 4 KiB receive buffer hold between them.
+	const gets = 256
+	if _, err := io.WriteString(tc.c, strings.Repeat("get big\r\n", gets)); err != nil {
 		t.Fatal(err)
 	}
-	tc.c.(*net.TCPConn).CloseWrite()
-	waitZeroConns(t, s) // the reader has seen EOF and queued its closing marker
+	// The server is stuck once its reply count stops moving short of the
+	// whole pipeline: each reply is counted before it is written.
+	hits := func() int64 { return mctext.Sum(s.text).GetHits }
+	deadline := time.Now().Add(10 * time.Second)
+	for last, still := hits(), 0; still < 20; time.Sleep(10 * time.Millisecond) {
+		if now := hits(); now != last || now == 0 {
+			last, still = now, 0
+		} else {
+			still++
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replies still moving (or none yet) after 10 s: %d written", hits())
+		}
+	}
+	if n := hits(); n >= gets {
+		t.Fatalf("all %d replies were written to a client that never reads; the test needs a blocked write", n)
+	}
 
 	done := make(chan struct{})
 	go func() {
@@ -206,7 +222,7 @@ func TestCloseUnblocksStalledTextWriter(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close hangs behind a worker blocked writing to a half-closed text connection")
+		t.Fatal("Close hangs behind a connection blocked writing to a text client that never reads")
 	}
 }
 

@@ -3,7 +3,7 @@
 // requests, and the rendering of their outcomes as memcached replies. It
 // does no network I/O of its own. kvserver attaches a text listener to a
 // running server (Config.TextAddr, cpserver -memcached) and runs its
-// connections through the same reader, worker batching, backend and
+// connections through the same per-read batching, workers, backend and
 // group-commit barrier as native ones, with this package as the codec —
 // so a stock memcached client talks to the table with no proxy and no
 // second connection in between.
@@ -38,6 +38,7 @@ package mctext
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -81,11 +82,11 @@ var (
 )
 
 // Metrics counts one worker's share of the text traffic. The hot
-// counters (commands, hits, misses) are written by the worker as it
-// renders replies, so the adds are uncontended; the pads keep two workers'
-// blocks off one cache line. The worker's connections' readers add the
-// rest: connection counts, parse errors, and the commands that never
-// reach the table.
+// counters (commands, hits, misses) are written as replies are rendered,
+// by whichever connection holds the worker, so the adds are uncontended;
+// the pads keep two workers' blocks off one cache line. The worker's
+// connections add the rest as they decode: connection counts, parse
+// errors, and the commands that never reach the table.
 type Metrics struct {
 	_ [64]byte
 
@@ -152,10 +153,6 @@ func (t Totals) appendStats(dst []byte) []byte {
 type Reply struct {
 	NoReply bool // the command said noreply: execute, answer nothing
 	End     bool // last key of a get/gets: "END" follows its value
-	// Close is set by the server, not the Decoder, on the empty OpNone
-	// request it queues once a connection's reader has gone: everything
-	// ahead of it has been answered, so the connection can be dropped.
-	Close bool
 }
 
 // Outcome is the table's answer to one translated request.
@@ -177,12 +174,63 @@ type Decoder struct {
 	keys   [][]byte // keys of the current get/gets not yet handed out; alias the reader's buffer
 	getOp  uint8
 	err    error // sticky: returned once the pending reply has been handed out
+
+	// A command line Ready found whole in the reader's buffer and has
+	// tokenised already, for Next to take over: line is its length with
+	// the line ending, need that plus its data block's, parseErr the
+	// tokenizer's verdict.
+	parsed   bool
+	line     int
+	need     int
+	parseErr error
 }
 
 // NewDecoder returns a connection's decoder. own is the Metrics of the
 // worker serving the connection, all the Metrics of every worker.
 func NewDecoder(own *Metrics, all []*Metrics) *Decoder {
 	return &Decoder{own: own, all: all}
+}
+
+// Ready reports whether Next would return without waiting on br's
+// connection: Next has a get's keys or an error left to hand out, or br's
+// buffer holds a whole command — its line and, for a storage command, its
+// data block — or a line Next rejects as too long. It reads only what br
+// has buffered and discards blank lines. A command line is tokenised
+// once: Ready parses it, and Next takes the parse over. Ready allocates
+// nothing unless the line is malformed.
+func (d *Decoder) Ready(br *bufio.Reader) bool {
+	if len(d.keys) > 0 || d.err != nil {
+		return true
+	}
+	for !d.parsed {
+		p, _ := br.Peek(br.Buffered())
+		i := bytes.IndexByte(p, '\n')
+		if i < 0 {
+			return len(p) == br.Size() // a full buffer without a line end is rejected at once
+		}
+		if i >= MaxLineLen {
+			return true
+		}
+		line := trimCR(p[:i])
+		if len(line) == 0 {
+			br.Discard(i + 1)
+			continue
+		}
+		d.fields, d.parseErr = parseLine(line, &d.cmd, d.fields)
+		d.parsed, d.line, d.need = true, i+1, i+1
+		if d.parseErr == nil && d.cmd.verb >= verbSet && d.cmd.verb <= verbCas {
+			d.need += d.cmd.nbytes + 2
+		}
+	}
+	return br.Buffered() >= d.need
+}
+
+// trimCR drops a line's trailing carriage return.
+func trimCR(line []byte) []byte {
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		return line[:n-1]
+	}
+	return line
 }
 
 // Next parses one request off br into *req. Key and value bytes are
@@ -196,23 +244,30 @@ func (d *Decoder) Next(br *bufio.Reader, req *protocol.Request, arena []byte) (R
 		if d.err != nil {
 			return Reply{}, arena, d.err
 		}
-		line, err := br.ReadSlice('\n')
-		if errors.Is(err, bufio.ErrBufferFull) || len(line) > MaxLineLen {
-			// The rest of the line is unbounded: answer, then hang up.
-			d.err = errLineTooLong
-			return d.reject(req, replyTooLong), arena, nil
+		var err error
+		if d.parsed {
+			// Ready tokenised the line; its keys alias br's buffer, which
+			// no read has refilled since.
+			d.parsed = false
+			br.Discard(d.line)
+			err = d.parseErr
+		} else {
+			line, rerr := br.ReadSlice('\n')
+			if errors.Is(rerr, bufio.ErrBufferFull) || len(line) > MaxLineLen {
+				// The rest of the line is unbounded: answer, then hang up.
+				d.err = errLineTooLong
+				return d.reject(req, replyTooLong), arena, nil
+			}
+			if rerr != nil {
+				return Reply{}, arena, rerr
+			}
+			line = trimCR(line[:len(line)-1])
+			if len(line) == 0 {
+				continue
+			}
+			d.fields, err = parseLine(line, &d.cmd, d.fields)
 		}
 		if err != nil {
-			return Reply{}, arena, err
-		}
-		line = line[:len(line)-1]
-		if n := len(line); n > 0 && line[n-1] == '\r' {
-			line = line[:n-1]
-		}
-		if len(line) == 0 {
-			continue
-		}
-		if d.fields, err = parseLine(line, &d.cmd, d.fields); err != nil {
 			if errors.Is(err, errProtocol) {
 				return d.reject(req, replyError), arena, nil
 			}
@@ -232,8 +287,9 @@ func (d *Decoder) Next(br *bufio.Reader, req *protocol.Request, arena []byte) (R
 			return Reply{}, arena, nil
 		case verbStats:
 			d.own.Commands.Inc()
+			mark := len(arena)
 			arena = Sum(d.all).appendStats(arena)
-			*req = protocol.Request{Value: arena}
+			*req = protocol.Request{Value: arena[mark:]}
 			return Reply{}, arena, nil
 		default:
 			return d.translate(br, req, arena)

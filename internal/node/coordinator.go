@@ -387,8 +387,8 @@ func (c *Coordinator) Collect(e *obs.Expo) {
 
 // quiesce waits (bounded) for the members' request counters to stop
 // moving before a migration starts. A client that just disconnected may
-// still have thousands of silent pipelined INSERTs draining through the
-// servers' worker queues; without this, the migration scan can run before
+// still have thousands of silent pipelined INSERTs draining through its
+// connection's batches on the server; without this, the migration scan can run before
 // those writes land on their (old) owners and the post-move purge then
 // deletes them unreplayed. Unacknowledged writes carry no durability
 // promise — this protects the common populate-then-join pattern, not
@@ -480,8 +480,8 @@ func (c *Coordinator) Leave(addr string) error {
 
 // Promote fails the addressed member over to its slots' standby
 // replicas. The member is stopped first (a real failover starts with a
-// dead primary; a drill makes it one — the graceful close drains its
-// worker queues and barriers its final writes through the replication
+// dead primary; a drill makes it one — the graceful close waits for its
+// batches in flight and barriers its final writes through the replication
 // source), then for every new owner the link from the dead primary is
 // drained so the acked watermark is fully applied before
 // rebalance.Migrator.Promote closes the slot windows. No data is

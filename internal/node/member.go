@@ -14,8 +14,8 @@
 // pipeline in Dir/iNNN: per-partition change rings feeding segmented,
 // CRC-framed WAL streams plus periodic compact snapshots. On start-up a
 // member recovers its table from the newest valid snapshot and the WAL
-// tail, so a restart comes back warm. Closing a member quiesces its
-// worker queues, then flushes and fsyncs the WAL; under SyncAlways a
+// tail, so a restart comes back warm. Closing a member waits for its
+// batches in flight, then flushes and fsyncs the WAL; under SyncAlways a
 // client response is never written before its batch's records are on
 // disk (group commit).
 //
@@ -414,7 +414,7 @@ func startMember(cfg *Config, i int) (*Member, error) {
 			}
 			return out
 		},
-		// srv.Close drains the worker queues, closes the replication
+		// srv.Close waits for the batches in flight, closes the replication
 		// source (followers receive the final records first) and
 		// flushes + closes the pipeline; only then are the replica
 		// applier and the table torn down. The coordinator closes this

@@ -629,6 +629,64 @@ func DecodeRequestInto(r *bufio.Reader, req *Request, scratch []byte) ([]byte, e
 	return scratch, nil
 }
 
+// scanFrameLen is the fixed length of a SCAN/PURGE frame:
+// op | slots(32) | cursor(8) | count(4).
+const scanFrameLen = 1 + SlotCount/8 + 8 + 4
+
+// FrameLen reports the length of the request frame that starts p, reading
+// only p: 0 while p is too short to tell, else the whole frame's length,
+// which may exceed len(p). A header DecodeRequestInto would reject for its
+// opcode, key length or value size is an error. A server uses it on its
+// read buffer's Peek to decode only frames that are already whole, so
+// nothing but a batch's first frame waits on the socket. It allocates
+// nothing unless it returns an error.
+func FrameLen(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	op := p[0]
+	if OpVersion(op) == 0 {
+		return 0, fmt.Errorf("protocol: unknown op %d", op)
+	}
+	if hasSlots(op) {
+		return scanFrameLen, nil
+	}
+	n := 1 + 8
+	if hasStrKey(op) {
+		if len(p) < 3 {
+			return 0, nil
+		}
+		klen := int(p[1]) | int(p[2])<<8
+		if klen > MaxKeyLen {
+			return 0, fmt.Errorf("protocol: key length %d exceeds maximum %d", klen, MaxKeyLen)
+		}
+		n = 3 + klen
+	}
+	if hasTTL(op) {
+		n += 4
+	}
+	if hasVer(op) {
+		n += 8
+	}
+	if hasDelta(op) {
+		n += 8
+	}
+	if hasPrefix(op) {
+		n++
+	}
+	if hasValue(op) {
+		if len(p) < n+4 {
+			return 0, nil
+		}
+		size := uint32(p[n]) | uint32(p[n+1])<<8 | uint32(p[n+2])<<16 | uint32(p[n+3])<<24
+		if size > MaxValueSize {
+			return 0, fmt.Errorf("protocol: value size %d exceeds maximum %d", size, MaxValueSize)
+		}
+		n += 4 + int(size)
+	}
+	return n, nil
+}
+
 // WriteLookupResponse serializes a LOOKUP/GET_STR response; found=false
 // (or an empty value with found=true) is indistinguishable on the wire, as
 // in the paper: "a size field of zero". It performs no heap allocation.
