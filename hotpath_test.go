@@ -372,6 +372,13 @@ func TestHotPathAllocCeiling(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		perOp := float64(after.Mallocs-before.Mallocs) / float64(ops)
 		t.Logf("hot path: %.4f allocs/op (%d allocations over %d ops)", perOp, after.Mallocs-before.Mallocs, ops)
+		if pw.src != nil {
+			// A follower that falls off the backlog catches up from the
+			// WAL; a resync (a sync beyond each follower's first) here
+			// would be a bug, not load.
+			st := pw.src.Stats()
+			t.Logf("replication: %d resyncs, %d catch-ups", st.Syncs-int64(followers), st.CatchUps)
+		}
 		// The steady-state path is allocation-free; the ceiling leaves
 		// room only for incidental runtime activity (timers, GC
 		// bookkeeping).

@@ -252,10 +252,10 @@ func Run(sc Scenario, rc RunConfig) (Result, error) {
 	var ttr time.Duration
 	switch sc.Signal {
 	case SignalMesh:
-		// Writers stop at the heal: the mesh then drains a bounded
-		// backlog, so TTR measures the resync itself rather than a
-		// chase against live load (which the race detector's slowdown
-		// can turn into a moving target).
+		// Writers stop at the heal: the mesh then catches up a bounded
+		// gap, so TTR measures the catch-up itself rather than a chase
+		// against live load (which the race detector's slowdown can
+		// turn into a moving target).
 		w.halt()
 		if err := c.WaitSynced(20 * time.Second); err != nil {
 			return Result{}, fmt.Errorf("%s: %w", sc.Name, err)
@@ -318,7 +318,8 @@ func Scenarios() []Scenario {
 		{
 			// The replication link primary -> standby is fully
 			// partitioned. Clients never notice (async replication);
-			// recovery is the mesh resyncing after heal.
+			// recovery is the standby catching up from the WAL after
+			// heal.
 			Name: "partition-repl",
 			Inject: func(c *Cluster, victim string, _ time.Duration) error {
 				standby := c.StandbyOf(victim)

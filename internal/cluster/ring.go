@@ -311,21 +311,6 @@ func (r *Ring) SlotCounts() map[string]int {
 	return out
 }
 
-// SlotsOf returns the continuum slots owned by one member, ascending.
-func (r *Ring) SlotsOf(id string) []int {
-	idx := r.indexOf(id)
-	if idx < 0 {
-		return nil
-	}
-	var out []int
-	for s := 0; s < Slots; s++ {
-		if int(r.owner[s]) == idx {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 func (r *Ring) indexOf(id string) int {
 	i := sort.SearchStrings(r.ids, id)
 	if i < len(r.ids) && r.ids[i] == id {

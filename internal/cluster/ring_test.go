@@ -175,13 +175,24 @@ func TestAddNodeMinimalMovement(t *testing.T) {
 	}
 }
 
+// slotsOf returns the continuum slots id owns, ascending.
+func slotsOf(r *Ring, id string) []int {
+	var out []int
+	for s := 0; s < Slots; s++ {
+		if r.Owner(s) == id {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // Removing a node must move exactly the slots it owned, and the resulting
 // assignment must equal a fresh ring over the shrunk member set.
 func TestRemoveNodeMinimalMovement(t *testing.T) {
 	nodes := nodeNames(5)
 	r := mustNew(nodes)
 	victim := nodes[2]
-	victimSlots := r.SlotsOf(victim)
+	victimSlots := slotsOf(r, victim)
 	if len(victimSlots) == 0 {
 		t.Fatalf("victim %s owns no slots; pick a different fixture", victim)
 	}
@@ -236,7 +247,7 @@ func TestChurnProperty(t *testing.T) {
 		} else if r.Len() > 1 {
 			ids := r.Nodes()
 			id := ids[rng.Intn(len(ids))]
-			want := r.SlotsOf(id)
+			want := slotsOf(r, id)
 			moved, err := r.RemoveNode(id)
 			if err != nil {
 				t.Fatal(err)
@@ -269,13 +280,6 @@ func TestAddRemoveValidation(t *testing.T) {
 	full := mustNew(nodeNames(MaxNodes))
 	if _, err := full.AddNode("overflow:1"); err == nil {
 		t.Error("AddNode grew past the continuum size")
-	}
-}
-
-func TestSlotsOfUnknownNode(t *testing.T) {
-	r := mustNew(nodeNames(2))
-	if got := r.SlotsOf("missing:1"); got != nil {
-		t.Errorf("SlotsOf(unknown) = %v, want nil", got)
 	}
 }
 

@@ -136,22 +136,6 @@ func New(cfg Config) (*Detector, error) {
 	}, nil
 }
 
-// Watch adds a target (idempotent; a re-added target keeps its history).
-func (d *Detector) Watch(name string) {
-	d.mu.Lock()
-	if _, ok := d.targets[name]; !ok {
-		d.targets[name] = &target{}
-	}
-	d.mu.Unlock()
-}
-
-// Forget drops a target and its history (it left the cluster).
-func (d *Detector) Forget(name string) {
-	d.mu.Lock()
-	delete(d.targets, name)
-	d.mu.Unlock()
-}
-
 // SetTargets reconciles the watch set: members not yet watched are
 // added, watched names not in members are forgotten, survivors keep
 // their history. The mesh calls it after every rewire.

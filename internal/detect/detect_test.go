@@ -126,7 +126,7 @@ func TestActFiresAfterDownAfter(t *testing.T) {
 func TestBlipDoesNotFire(t *testing.T) {
 	clk, h, log := newFakeClock(), newScriptedHealth(), &actLog{}
 	d := newTestDetector(t, clk, h, log)
-	d.Watch("a")
+	d.SetTargets([]string{"a"})
 
 	d.Tick()
 	for cycle := 0; cycle < 3; cycle++ {
@@ -189,7 +189,7 @@ func TestCooldownSerializesActs(t *testing.T) {
 func TestFlapGuardSuppresses(t *testing.T) {
 	clk, h, log := newFakeClock(), newScriptedHealth(), &actLog{}
 	d := newTestDetector(t, clk, h, log)
-	d.Watch("a")
+	d.SetTargets([]string{"a"})
 
 	d.Tick()
 	// 4 transitions (FlapMax) inside the window: down, up, down, up.
@@ -229,7 +229,7 @@ func TestActErrorRetriesAfterCooldown(t *testing.T) {
 	clk, h, log := newFakeClock(), newScriptedHealth(), &actLog{}
 	log.err = fmt.Errorf("promotion raced a join")
 	d := newTestDetector(t, clk, h, log)
-	d.Watch("a")
+	d.SetTargets([]string{"a"})
 
 	d.Tick()
 	h.set("a", true)
@@ -288,7 +288,7 @@ func TestSetTargetsReconciles(t *testing.T) {
 func TestCollectEmitsSeries(t *testing.T) {
 	clk, h, log := newFakeClock(), newScriptedHealth(), &actLog{}
 	d := newTestDetector(t, clk, h, log)
-	d.Watch("n1")
+	d.SetTargets([]string{"n1"})
 	d.Tick()
 	h.set("n1", true)
 	clk.advance(time.Second)
@@ -329,7 +329,7 @@ func TestStartTicksOnWallClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Watch("a")
+	d.SetTargets([]string{"a"})
 	d.Start()
 	deadline := time.Now().Add(5 * time.Second)
 	for len(log.list()) == 0 {

@@ -29,8 +29,13 @@
 // it stands by for; links resync from the durable prefix (snapshot +
 // sealed segments) and then apply the live tail, acknowledging a
 // watermark the coordinator can trust (an acked frame IS applied).
-// Short disconnects resume their session warm — zero entries streamed
-// when the source's backlog still covers the follower.
+// A reconnect resumes without a sync — zero entries of the durable
+// prefix streamed — whenever the follower's WAL positions are of the
+// source's lineage (its data directory, so a restarted member counts)
+// and the source's segment files still hold its next records; what the
+// in-memory backlog no longer holds is read back from those files. Only
+// a follower of another lineage, or one whose segments a snapshot has
+// deleted, full-resyncs.
 //
 // With AutoPromote, a failure detector (internal/detect) probes every
 // member each Detect.Interval, and a member continuously unreachable

@@ -66,35 +66,3 @@ func (s *HeatSnapshot) Sub(prev HeatSnapshot) HeatSnapshot {
 	}
 	return out
 }
-
-// TotalOps sums operations over all slots.
-func (s *HeatSnapshot) TotalOps() int64 {
-	var t int64
-	for _, n := range s.Ops {
-		t += n
-	}
-	return t
-}
-
-// MaxSlot returns the hottest slot by operations and its count.
-func (s *HeatSnapshot) MaxSlot() (slot int, ops int64) {
-	for i, n := range s.Ops {
-		if n > ops {
-			slot, ops = i, n
-		}
-	}
-	return slot, ops
-}
-
-// Skew is the hottest slot's share of operations relative to a uniform
-// spread (max/mean): 1.0 is perfectly even, 256 is all heat on one
-// slot. The number cpbench records for zipfian runs and the threshold
-// signal a load-aware placer would act on.
-func (s *HeatSnapshot) Skew() float64 {
-	total := s.TotalOps()
-	if total == 0 {
-		return 0
-	}
-	_, max := s.MaxSlot()
-	return float64(max) * Slots / float64(total)
-}

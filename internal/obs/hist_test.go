@@ -211,31 +211,3 @@ func TestHeatMergeAssociativity(t *testing.T) {
 		t.Fatal("heat merge is not associative")
 	}
 }
-
-// TestHeatSkew pins the skew metric's endpoints: uniform heat ≈ 1, all
-// heat on one slot = Slots.
-func TestHeatSkew(t *testing.T) {
-	var uniform SlotHeat
-	for s := 0; s < Slots; s++ {
-		uniform.Record(s, 1)
-	}
-	us := uniform.Snapshot()
-	if got := us.Skew(); got != 1 {
-		t.Fatalf("uniform skew = %g, want 1", got)
-	}
-	var spike SlotHeat
-	for i := 0; i < 100; i++ {
-		spike.Record(42, 1)
-	}
-	ss := spike.Snapshot()
-	if got := ss.Skew(); got != Slots {
-		t.Fatalf("single-slot skew = %g, want %d", got, Slots)
-	}
-	if slot, ops := ss.MaxSlot(); slot != 42 || ops != 100 {
-		t.Fatalf("MaxSlot = (%d,%d), want (42,100)", slot, ops)
-	}
-	var empty HeatSnapshot
-	if empty.Skew() != 0 {
-		t.Fatal("empty heat must report zero skew")
-	}
-}

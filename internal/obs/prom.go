@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -204,18 +203,4 @@ func escapeLabelValue(v string) string {
 	}
 	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 	return r.Replace(v)
-}
-
-// SortSamples orders each family's samples lexicographically by label
-// set — handy for deterministic test output; exposition does not
-// require it.
-func (e *Expo) SortSamples() {
-	for _, f := range e.families {
-		sort.SliceStable(f.samples, func(i, j int) bool {
-			if f.samples[i].suffix != f.samples[j].suffix {
-				return f.samples[i].suffix < f.samples[j].suffix
-			}
-			return f.samples[i].labels < f.samples[j].labels
-		})
-	}
 }

@@ -227,6 +227,7 @@ type Pipeline struct {
 	source         atomic.Pointer[Source]
 	tailSink       atomic.Pointer[TailSink] // replication fanout (tail.go)
 
+	lineage uint64        // this directory's WAL history id (lineage.go)
 	nextSeq atomic.Uint64 // global segment sequence allocator
 	nextGen atomic.Uint64 // snapshot generation allocator
 
@@ -296,6 +297,9 @@ func Open(cfg Config) (*Pipeline, error) {
 	}
 	segs, snaps, err := scanDir(cfg.Dir)
 	if err != nil {
+		return nil, err
+	}
+	if p.lineage, err = loadLineage(cfg.Dir); err != nil {
 		return nil, err
 	}
 	maxSeq := uint64(0)

@@ -1,19 +1,40 @@
 package persist
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
+	"path/filepath"
 )
 
 // This file is the replication surface of the durability pipeline: a
-// fanout of the live WAL tail plus a replay of the durable prefix while
-// the pipeline is running. internal/replica composes the two into
-// "recovery, continuously" — a follower first replays the durable state
-// up to a roll barrier, then applies the tail records published after
-// the fanout was attached. Because every record reaches exactly one
-// appender (key → partition → stream), the overlap between the two
-// phases replays idempotently, last writer wins.
+// fanout of the live WAL tail, a replay of the durable prefix while the
+// pipeline is running, and a reader of one stream's segment files from
+// a position. internal/replica composes them into "recovery,
+// continuously" — a follower first replays the durable state up to a
+// roll barrier, then applies the tail records published after the
+// fanout was attached, and one that falls behind the in-memory tail
+// reads the records it missed back from the segments. Because every
+// record reaches exactly one appender (key → partition → stream), a
+// stream's records are one ordered log per key.
+
+// WALPos is a position in one WAL stream: a segment seq and a byte
+// offset in that segment. As a record's position it is the offset just
+// past the record's frame, where the stream's next record begins; a
+// follower that holds a record holds everything of its stream before
+// it. Positions of one stream order by (Seg, Off), since segment seqs
+// only grow. The zero WALPos precedes every record.
+type WALPos struct {
+	Seg uint64
+	Off uint64
+}
+
+// Before reports whether a precedes b in their stream.
+func (a WALPos) Before(b WALPos) bool {
+	return a.Seg < b.Seg || a.Seg == b.Seg && a.Off < b.Off
+}
 
 // TailSink observes every WAL record at the moment the persister writes
 // it to the segment writer. TailRecord is called on the persister
@@ -21,11 +42,12 @@ import (
 // but are ordered per stream, and therefore per key). frame is the
 // record exactly as the segment receives it: the length and CRC header
 // the persister has just computed, then the payload (see DecodeFrames).
-// It is only valid for the duration of the call, as its buffer is
-// recycled. Implementations must copy what they keep and must not
-// block: they sit on the durability hot path.
+// stream is the WAL stream it went to and pos its position there (just
+// past the frame). frame is only valid for the duration of the call, as
+// its buffer is recycled. Implementations must copy what they keep and
+// must not block: they sit on the durability hot path.
 type TailSink interface {
-	TailRecord(frame []byte)
+	TailRecord(frame []byte, stream int, pos WALPos)
 }
 
 // SetTailSink attaches (or, with nil, detaches) the WAL tail fanout.
@@ -58,6 +80,98 @@ func (p *Pipeline) RollAll() (map[int]uint64, error) {
 		out[s.id] = seq
 	}
 	return out, nil
+}
+
+// FlushAll flushes every stream's segment writer to its file and returns
+// each stream's position after the flush, indexed by stream: the segment
+// files hold every record of a stream before its position. Like RollAll
+// it is a barrier for an attached TailSink — every record written after
+// the returned position reaches the sink — but it seals nothing and
+// opens no segment. The pipeline must be running.
+func (p *Pipeline) FlushAll() ([]WALPos, error) {
+	if !p.started.Load() || p.closed.Load() {
+		return nil, fmt.Errorf("persist: pipeline not running")
+	}
+	out := make([]WALPos, len(p.streams))
+	for i, s := range p.streams {
+		pos, err := s.do(false)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = pos
+	}
+	return out, nil
+}
+
+// Streams returns the number of WAL streams; they are numbered from 0.
+func (p *Pipeline) Streams() int { return len(p.streams) }
+
+// Holds reports whether stream's segment files still hold every record
+// after pos, so that ReadStream can start there: the segment pos names
+// exists (a snapshot has not truncated it away) and holds at least
+// pos.Off bytes, or, for the segment being written, that many bytes have
+// been handed to its writer. A position past the end of its segment —
+// records a crash lost before they reached the file — is not held.
+func (p *Pipeline) Holds(stream int, pos WALPos) bool {
+	if stream < 0 || stream >= len(p.streams) || pos.Off < segHeaderLen {
+		return false
+	}
+	if s := p.streams[stream]; s.seq.Load() == pos.Seg && uint64(s.written.Load()) >= pos.Off {
+		return true
+	}
+	fi, err := os.Stat(filepath.Join(p.cfg.Dir, walName(stream, pos.Seg)))
+	return err == nil && uint64(fi.Size()) >= pos.Off
+}
+
+// ReadStream reads stream's records after position from up to position
+// to out of the segment files, in order, reading through br (reset onto
+// each file): fn receives each whole frame exactly as the segment holds
+// it, and its position. to must be a position the files already
+// hold, as FlushAll returns; bytes past it are not read, though the
+// persister may be appending them. A sealed segment's torn tail (a crash
+// cut it short) ends that segment, as in recovery. The result wraps
+// fs.ErrNotExist when a segment it needs is gone, deleted by a
+// snapshot's truncation before or during the read.
+func (p *Pipeline) ReadStream(br *bufio.Reader, stream int, from, to WALPos, fn func(frame []byte, pos WALPos) error) error {
+	if !from.Before(to) {
+		return nil
+	}
+	seqs := []uint64{from.Seg}
+	if to.Seg != from.Seg {
+		segs, _, err := scanDir(p.cfg.Dir)
+		if err != nil {
+			return err
+		}
+		for _, sg := range segs {
+			if sg.stream == stream && sg.seq > from.Seg && sg.seq <= to.Seg {
+				seqs = append(seqs, sg.seq)
+			}
+		}
+	}
+	if seqs[len(seqs)-1] != to.Seg {
+		return fmt.Errorf("persist: stream %d segment %d: %w", stream, to.Seg, fs.ErrNotExist)
+	}
+	for i, seq := range seqs {
+		start, until := int64(segHeaderLen), int64(0)
+		if i == 0 {
+			start = int64(from.Off)
+		}
+		if seq == to.Seg {
+			until = int64(to.Off)
+		}
+		end := start
+		_, _, err := scanSegment(br, filepath.Join(p.cfg.Dir, walName(stream, seq)), start, until, func(frame []byte, _ Record, e int64) error {
+			end = e
+			return fn(frame, WALPos{Seg: seq, Off: uint64(e)})
+		})
+		if err != nil {
+			return err
+		}
+		if seq == to.Seg && end != until {
+			return fmt.Errorf("persist: stream %d segment %d holds whole frames to offset %d, not %d", stream, seq, end, until)
+		}
+	}
+	return nil
 }
 
 // replayAttempts bounds ReplayDurable's restarts when the snapshotter
@@ -151,3 +265,7 @@ func (p *Pipeline) replayDurableOnce(before map[int]uint64, apply func(op Op, ke
 	}
 	return records, nil
 }
+
+// SegmentStart returns the position at the start of segment seq, before
+// its first record: a roll barrier as a position.
+func SegmentStart(seq uint64) WALPos { return WALPos{Seg: seq, Off: segHeaderLen} }

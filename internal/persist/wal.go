@@ -90,13 +90,22 @@ type stream struct {
 	wake    chan struct{}
 	parked  atomic.Bool
 	syncReq atomic.Bool
-	rollReq chan chan rollAck
+	cmds    chan streamCmd
 }
 
-// rollAck reports the seq of the fresh segment a roll opened.
-type rollAck struct {
-	newSeq uint64
-	err    error
+// streamCmd asks the persister, between two drain sweeps, to roll to a
+// fresh segment or only to flush its segment writer to the file.
+type streamCmd struct {
+	roll  bool
+	reply chan cmdAck
+}
+
+// cmdAck reports the stream's position once a command has run: the
+// fresh segment's start after a roll, everything written so far after a
+// flush. Either way the file holds every record before it.
+type cmdAck struct {
+	pos WALPos
+	err error
 }
 
 // atomicString is a tiny atomic string cell (for the segment path).
@@ -112,10 +121,10 @@ func (s *atomicString) Load() string {
 
 func newStream(p *Pipeline, id int) *stream {
 	s := &stream{
-		p:       p,
-		id:      id,
-		wake:    make(chan struct{}, 1),
-		rollReq: make(chan chan rollAck),
+		p:    p,
+		id:   id,
+		wake: make(chan struct{}, 1),
+		cmds: make(chan streamCmd),
 	}
 	empty := []*Appender{}
 	s.apps.Store(&empty)
@@ -236,8 +245,11 @@ func (s *stream) drain() (int, error) {
 			// CRC is computed here, off the partition owner's goroutine.
 			sealFrame(b)
 			w, err := s.bw.Write(b)
+			// written covers the frame before the sink sees it, so a
+			// position a follower holds is never past what Holds checks.
+			end := s.written.Add(int64(w))
 			if err == nil && sink != nil {
-				sink.TailRecord(b)
+				sink.TailRecord(b, s.id, WALPos{Seg: s.seq.Load(), Off: uint64(end)})
 			}
 			a.recycle(b)
 			if err != nil {
@@ -247,7 +259,7 @@ func (s *stream) drain() (int, error) {
 			a.wseq++
 			n++
 			bytes += w
-			if s.written.Add(int64(w)) >= max {
+			if end >= max {
 				s.p.rolls.Add(1)
 				if err := s.openSegment(); err != nil {
 					flush()
@@ -365,10 +377,8 @@ func (s *stream) run() {
 		// Commands are accepted between batches even under continuous
 		// traffic: a snapshot roll must not wait for an idle moment.
 		select {
-		case reply := <-s.rollReq:
-			err := s.openSegment()
-			reply <- rollAck{newSeq: s.seq.Load(), err: err}
-			if err != nil {
+		case c := <-s.cmds:
+			if err := s.command(c); err != nil {
 				fail(err)
 				return
 			}
@@ -439,10 +449,8 @@ func (s *stream) run() {
 		}
 		select {
 		case <-s.wake:
-		case reply := <-s.rollReq:
-			err := s.openSegment()
-			reply <- rollAck{newSeq: s.seq.Load(), err: err}
-			if err != nil {
+		case c := <-s.cmds:
+			if err := s.command(c); err != nil {
 				s.parked.Store(false)
 				fail(err)
 				return
@@ -477,26 +485,44 @@ func (s *stream) anyWork() bool {
 	return false
 }
 
+// command runs one streamCmd on the persister goroutine and replies.
+func (s *stream) command(c streamCmd) error {
+	var err error
+	if c.roll {
+		err = s.openSegment()
+	} else if err = s.bw.Flush(); err != nil {
+		err = fmt.Errorf("persist: wal flush: %w", err)
+	}
+	c.reply <- cmdAck{pos: WALPos{Seg: s.seq.Load(), Off: uint64(s.written.Load())}, err: err}
+	return err
+}
+
+// do hands a command to the persister and waits for its reply.
+func (s *stream) do(roll bool) (WALPos, error) {
+	reply := make(chan cmdAck, 1)
+	select {
+	case s.cmds <- streamCmd{roll: roll, reply: reply}:
+	case <-s.p.killed:
+		return WALPos{}, fmt.Errorf("persist: pipeline killed")
+	case <-s.p.broken:
+		return WALPos{}, fmt.Errorf("persist: stream %d persister failed", s.id)
+	}
+	select {
+	case ack := <-reply:
+		return ack.pos, ack.err
+	case <-s.p.broken:
+		// The persister accepted the request and then died on it.
+		return WALPos{}, fmt.Errorf("persist: stream %d persister failed", s.id)
+	}
+}
+
 // roll asks the persister to seal the current segment and open a fresh
 // one, returning the fresh segment's seq. Used by the snapshotter: every
 // segment sealed before the roll is covered by the snapshot that
 // follows.
 func (s *stream) roll() (uint64, error) {
-	reply := make(chan rollAck, 1)
-	select {
-	case s.rollReq <- reply:
-	case <-s.p.killed:
-		return 0, fmt.Errorf("persist: pipeline killed")
-	case <-s.p.broken:
-		return 0, fmt.Errorf("persist: stream %d persister failed", s.id)
-	}
-	select {
-	case ack := <-reply:
-		return ack.newSeq, ack.err
-	case <-s.p.broken:
-		// The persister accepted the request and then died on it.
-		return 0, fmt.Errorf("persist: stream %d persister failed", s.id)
-	}
+	pos, err := s.do(true)
+	return pos.Seg, err
 }
 
 // --- the frame codec ---
@@ -604,6 +630,16 @@ func newReplayReader() *bufio.Reader { return bufio.NewReaderSize(nil, 256<<10) 
 // or corrupt frame. It returns the number of applied records and whether
 // the segment ended with a tear.
 func replaySegment(br *bufio.Reader, path string, fn func(r Record) error) (records int, torn bool, err error) {
+	return scanSegment(br, path, 0, 0, func(_ []byte, r Record, _ int64) error { return fn(r) })
+}
+
+// scanSegment streams the valid frames of one segment that start at or
+// after byte offset from (a frame boundary; 0 = the first frame) and end
+// by until (0 = the end of the file) into fn: the whole frame as the
+// segment holds it, its decoded record (aliasing the frame) and the
+// offset just past it. It reads through br, reset onto the file, and
+// stops cleanly at a torn or corrupt frame, reporting the tear.
+func scanSegment(br *bufio.Reader, path string, from, until int64, fn func(frame []byte, r Record, end int64) error) (records int, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, false, err
@@ -617,8 +653,16 @@ func replaySegment(br *bufio.Reader, path string, fn func(r Record) error) (reco
 	if string(hdr[:8]) != walMagic {
 		return 0, false, fmt.Errorf("persist: %s: bad segment magic", path)
 	}
+	pos := int64(segHeaderLen)
+	if from > pos {
+		if _, err := f.Seek(from, io.SeekStart); err != nil {
+			return 0, false, err
+		}
+		br.Reset(f)
+		pos = from
+	}
 	frame := make([]byte, frameHeaderLen, 4096)
-	for {
+	for until == 0 || pos < until {
 		if _, err := io.ReadFull(br, frame[:frameHeaderLen]); err != nil {
 			return records, err != io.EOF, nil // EOF = clean end; short = torn
 		}
@@ -637,9 +681,11 @@ func replaySegment(br *bufio.Reader, path string, fn func(r Record) error) (reco
 		if err != nil {
 			return records, true, nil // torn or bit-rotted: stop here
 		}
-		if err := fn(r); err != nil {
+		pos += int64(n)
+		if err := fn(frame, r, pos); err != nil {
 			return records, false, err
 		}
 		records++
 	}
+	return records, false, nil
 }

@@ -109,7 +109,7 @@ func TestPromoteFailsOverToStandby(t *testing.T) {
 
 // TestPromoteResumesAfterConfirmFailure drives the straggler path: one
 // new owner's confirm fails, the promotion stays pending with its
-// windows open, and Resume re-confirms only the failed owner.
+// windows open, and a resume re-confirms only the failed owner.
 func TestPromoteResumesAfterConfirmFailure(t *testing.T) {
 	const nodes = 3
 	addrs := make([]string, nodes)
@@ -151,8 +151,8 @@ func TestPromoteResumesAfterConfirmFailure(t *testing.T) {
 		t.Fatalf("promotion counted before completion: %+v", st)
 	}
 
-	if err := m.Resume(); err != nil {
-		t.Fatalf("Resume: %v", err)
+	if err := resume(m); err != nil {
+		t.Fatalf("resume: %v", err)
 	}
 	if c.MigratingSlots() != 0 {
 		t.Fatalf("windows still open after resume: %d", c.MigratingSlots())

@@ -137,8 +137,8 @@ func (m *Migrator) Stats() Stats {
 // window, never stale routing). A nil confirm flips immediately.
 //
 // On a confirm error the unconfirmed owners' windows stay open and the
-// promotion stays pending: Resume (or the automatic resume before the
-// next topology change) re-confirms only the stragglers. confirm runs
+// promotion stays pending: the automatic resume before the next
+// topology change re-confirms only the stragglers. confirm runs
 // under the Migrator's serialization lock, so it should bound its wait.
 func (m *Migrator) Promote(addr string, confirm func(newOwner string, slots []int) error) error {
 	m.mu.Lock()
@@ -271,14 +271,6 @@ func (m *Migrator) Run(mig *client.Migration) error {
 	return m.runLocked(mig)
 }
 
-// Resume retries the unfinished plan from the last failed migration, if
-// any. It reports nil when there is nothing to resume.
-func (m *Migrator) Resume() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.resumeLocked()
-}
-
 // Pending reports how many sources of a failed plan still await draining
 // (0 = no failed plan outstanding).
 func (m *Migrator) Pending() int {
@@ -290,7 +282,8 @@ func (m *Migrator) Pending() int {
 	return len(m.pending.Moved)
 }
 
-// runLocked executes a fresh plan, remembering it for Resume on failure.
+// runLocked executes a fresh plan, remembering it for resumeLocked on
+// failure.
 // Plan-level counters are charged here, once per plan; retries charge
 // nothing extra (drainSource books only windows it actually closes).
 func (m *Migrator) runLocked(mig *client.Migration) error {
@@ -326,7 +319,7 @@ func (m *Migrator) resumeLocked() error {
 // the source's stale copies, and retire a departing member's pool.
 //
 // On error the affected source's window stays OPEN: reads keep falling
-// back to it, nothing is lost, and a retry (Resume, or the automatic one
+// back to it, nothing is lost, and a retry (the automatic one
 // before the next AddNode/RemoveNode) re-drains exactly the unfinished
 // sources. The other sources proceed independently.
 func (m *Migrator) run(mig *client.Migration) error {

@@ -349,6 +349,14 @@ func TestMigrationRaceUnderLoad(t *testing.T) {
 	}
 }
 
+// resume retries a failed plan or promotion the way the next topology
+// change does before anything else.
+func resume(m *Migrator) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.resumeLocked()
+}
+
 // TestMigrationSourceFailureKeepsWindowOpen: if a source dies mid-stream,
 // the migrator reports the error and the dual-read window stays open, so
 // no settled read path points at data that never moved.
@@ -389,7 +397,7 @@ func TestMigrationSourceFailureKeepsWindowOpen(t *testing.T) {
 	}
 
 	// The coordinator is not wedged: once the fault clears (here the
-	// source comes back empty, as after a crash), Resume finishes the
+	// source comes back empty, as after a crash), a resume finishes the
 	// plan and settles routing.
 	table := lockhash.MustNew(lockhash.Config{Partitions: 16, CapacityBytes: 4 << 20})
 	revived, err := kvserver.Serve(kvserver.Config{
@@ -402,13 +410,13 @@ func TestMigrationSourceFailureKeepsWindowOpen(t *testing.T) {
 	}
 	t.Cleanup(func() { revived.Close() })
 	time.Sleep(50 * time.Millisecond) // let the failed dial's backoff lapse
-	if err := m.Resume(); err != nil {
-		t.Fatalf("Resume after the source returned: %v", err)
+	if err := resume(m); err != nil {
+		t.Fatalf("resume after the source returned: %v", err)
 	}
 	if c.MigratingSlots() != 0 || m.Pending() != 0 {
 		t.Fatalf("resume left %d slots / %d sources pending", c.MigratingSlots(), m.Pending())
 	}
-	if m.Resume() != nil {
-		t.Fatal("Resume with nothing pending must be a no-op")
+	if resume(m) != nil {
+		t.Fatal("a resume with nothing pending must be a no-op")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cphash/internal/cluster"
@@ -13,9 +14,10 @@ import (
 
 // backlogModel checks the byte-ring backlog against the plainest model of
 // what it promises: a slice of the last `records` frames with their
-// stamps. Every operation is decoded from data, so the same code serves
-// the seeded property test and FuzzBacklog. Reading past the end of data
-// ends the run.
+// stamps, streams and WAL positions, and per stream the position from
+// which every record is still held. Every operation is decoded from
+// data, so the same code serves the seeded property test and
+// FuzzBacklog. Reading past the end of data ends the run.
 type backlogModel struct {
 	t    *testing.T
 	data []byte
@@ -28,12 +30,18 @@ type backlogModel struct {
 	// too short to hold a key (down to 1 byte) and never filter.
 	keyed bool
 
-	frames [][]byte // frames[i] holds seq base+i
-	stamps []int64
-	base   uint64 // seq of frames[0]
-	next   uint64 // next seq to assign
-	bound  int    // high-water mark of 4 × live bytes + largest live frame
-	step   int
+	frames  [][]byte // frames[i] holds seq base+i
+	stamps  []int64
+	streams []int
+	poss    []persist.WALPos
+	base    uint64 // seq of frames[0]
+
+	nstreams int
+	hist     [][]persist.WALPos // every position appended, per stream
+	from     []persist.WALPos   // per stream: every record past it is retained
+	next     uint64             // next seq to assign
+	bound    int                // high-water mark of 4 × live bytes + largest live frame
+	step     int
 }
 
 const (
@@ -57,7 +65,10 @@ func newBacklogModel(t *testing.T, data []byte) *backlogModel {
 	b := m.byte()
 	m.records = 1 + int(b%64)
 	m.keyed = b&64 != 0
-	m.bl.init(m.records)
+	m.nstreams = 1 + 2*int(b>>7)
+	m.hist = make([][]persist.WALPos, m.nstreams)
+	m.from = make([]persist.WALPos, m.nstreams)
+	m.bl.init(m.records, m.nstreams)
 	return m
 }
 
@@ -90,9 +101,13 @@ func (m *backlogModel) run() {
 		case 4, 5:
 			m.collect()
 		case 6:
-			m.covers()
+			m.handoff()
 		case 7:
-			m.stamp()
+			if m.byte()&1 == 0 {
+				m.stamp()
+			} else {
+				m.raise()
+			}
 		}
 		if got, want := m.bl.tail(), m.next-1; got != want {
 			m.fatalf("tail = %d, model %d", got, want)
@@ -130,15 +145,34 @@ func (m *backlogModel) append() {
 		binary.LittleEndian.PutUint64(frame[9:], uint64(m.byte())*0x9e3779b97f4a7c15)
 	}
 	at := int64(m.next)*1000 + int64(m.byte())
+	// The stream's next position: further on in its segment, or in a
+	// later one.
+	stream := int(m.byte()) % m.nstreams
+	pos := persist.SegmentStart(1)
+	if h := m.hist[stream]; len(h) > 0 {
+		pos = h[len(h)-1]
+		if m.byte()%8 == 0 {
+			pos = persist.SegmentStart(pos.Seg + 1 + uint64(m.byte()%3))
+		}
+	}
+	pos.Off += uint64(n)
+	m.hist[stream] = append(m.hist[stream], pos)
 	before := len(m.bl.data)
-	m.bl.append(frame, at)
+	m.bl.append(frame, at, stream, pos)
 
 	m.frames = append(m.frames, frame)
 	m.stamps = append(m.stamps, at)
+	m.streams = append(m.streams, stream)
+	m.poss = append(m.poss, pos)
 	m.next++
 	if len(m.frames) > m.records {
+		if s := m.streams[0]; m.from[s].Before(m.poss[0]) {
+			m.from[s] = m.poss[0]
+		}
 		m.frames = m.frames[1:]
 		m.stamps = m.stamps[1:]
+		m.streams = m.streams[1:]
+		m.poss = m.poss[1:]
 		m.base++
 	}
 
@@ -156,6 +190,34 @@ func (m *backlogModel) append() {
 	} else if size != before && size > 4*live+largest {
 		m.fatalf("ring grew to %d B for live frames of %d B (largest %d)", size, live, largest)
 	}
+}
+
+// posArg picks a position of stream s: none, one it has had, or one past
+// its newest.
+func (m *backlogModel) posArg(s int) persist.WALPos {
+	h := m.hist[s]
+	switch i := int(m.byte()) % (len(h) + 2); {
+	case i == 0:
+		return persist.WALPos{}
+	case i <= len(h):
+		return h[i-1]
+	default:
+		p := persist.SegmentStart(1)
+		if len(h) > 0 {
+			p = h[len(h)-1]
+		}
+		p.Off++
+		return p
+	}
+}
+
+// vecArg picks a position vector, one posArg per stream.
+func (m *backlogModel) vecArg() []persist.WALPos {
+	v := make([]persist.WALPos, m.nstreams)
+	for s := range v {
+		v[s] = m.posArg(s)
+	}
+	return v
 }
 
 // seqArg picks a seq around the retained window: overrun, retained, the
@@ -186,18 +248,27 @@ func (m *backlogModel) collect() {
 		prefix[i] = byte(i)
 	}
 
-	out, next, matched, overrun := m.bl.collect(from, slots, append([]byte(nil), prefix...), maxBytes)
+	pos := m.vecArg()
+	wantPos := append([]persist.WALPos(nil), pos...)
+
+	out, next, matched, overrun := m.bl.collect(from, slots, pos, append([]byte(nil), prefix...), maxBytes)
 
 	want := append([]byte(nil), prefix...)
 	wantNext, wantMatched, wantOverrun := from, 0, from < m.base
 	if !wantOverrun {
 		for wantNext < m.next && len(want) < maxBytes {
-			f := m.frames[wantNext-m.base]
+			i := wantNext - m.base
+			wantNext++
+			s := m.streams[i]
+			if !wantPos[s].Before(m.poss[i]) {
+				continue
+			}
+			wantPos[s] = m.poss[i]
+			f := m.frames[i]
 			if slots == nil || slots.Has(cluster.SlotOf(persist.FrameKey(f))) {
 				want = append(want, f...)
 				wantMatched++
 			}
-			wantNext++
 		}
 	}
 	if overrun != wantOverrun || next != wantNext || matched != wantMatched {
@@ -207,21 +278,48 @@ func (m *backlogModel) collect() {
 	if !bytes.Equal(out, want) {
 		m.fatalf("collect(%d, max %d) returned %d B differing from the model's %d B", from, maxBytes, len(out), len(want))
 	}
+	if !slices.Equal(pos, wantPos) {
+		m.fatalf("collect(%d, max %d) left positions %v, model %v", from, maxBytes, pos, wantPos)
+	}
 }
 
-func (m *backlogModel) covers() {
-	from := m.seqArg()
-	want := from >= m.base && from <= m.next
-	if got := m.bl.covers(from); got != want {
-		m.fatalf("covers(%d) = %v, model %v (retained [%d, %d))", from, got, want, m.base, m.next)
+func (m *backlogModel) handoff() {
+	pos := m.vecArg()
+	wantOK := true
+	for s, p := range pos {
+		if p.Before(m.from[s]) {
+			wantOK = false
+		}
+	}
+	var wantCursor uint64
+	if wantOK {
+		for wantCursor = m.base; wantCursor < m.next; wantCursor++ {
+			i := wantCursor - m.base
+			if pos[m.streams[i]].Before(m.poss[i]) {
+				break
+			}
+		}
+	}
+	if cursor, ok := m.bl.handoff(pos); ok != wantOK || cursor != wantCursor {
+		m.fatalf("handoff(%v) = %d, %v; model %d, %v (from %v)", pos, cursor, ok, wantCursor, wantOK, m.from)
+	}
+}
+
+func (m *backlogModel) raise() {
+	pos := m.vecArg()
+	m.bl.raiseFrom(pos)
+	for s, p := range pos {
+		if m.from[s].Before(p) {
+			m.from[s] = p
+		}
 	}
 }
 
 func (m *backlogModel) stamp() {
 	seq := m.seqArg()
 	var want int64
-	if seq != 0 && seq >= m.base && seq < m.next {
-		want = m.stamps[seq-m.base]
+	if seq != 0 && seq < m.next {
+		want = m.stamps[max(seq, m.base)-m.base]
 	}
 	if got := m.bl.stampAt(seq); got != want {
 		m.fatalf("stampAt(%d) = %d, model %d", seq, got, want)
@@ -256,13 +354,16 @@ func FuzzBacklog(f *testing.F) {
 // live bytes, appends allocate nothing.
 func TestBacklogAppendAllocsWarm(t *testing.T) {
 	var b backlog
-	b.init(512)
+	b.init(512, 2)
 	small, large := make([]byte, 90), make([]byte, 1100)
+	var pos persist.WALPos
 	appendPair := func() {
 		for i := 0; i < 9; i++ {
-			b.append(small, 1)
+			pos.Off += 90
+			b.append(small, 1, i%2, pos)
 		}
-		b.append(large, 1)
+		pos.Off += 1100
+		b.append(large, 1, 1, pos)
 	}
 	for i := 0; i < 200; i++ {
 		appendPair()

@@ -108,7 +108,7 @@ type FollowerStatus struct {
 	AppliedSeq  uint64 `json:"appliedSeq"`
 	StalenessMS int64  `json:"stalenessMs"` // -1 until the first sync completes
 	Syncs       int64  `json:"syncs"`
-	Resumes     int64  `json:"resumes"` // warm reconnects: sessions resumed with zero sync entries
+	Resumes     int64  `json:"resumes"` // sessions resumed from the held WAL position, with zero sync entries
 	Frames      int64  `json:"frames"`
 	Records     int64  `json:"records"`
 }
@@ -137,20 +137,16 @@ type Follower struct {
 	frames     atomic.Int64
 	records    atomic.Int64
 
-	// lastSession is the source session id of the previous connection
-	// (run-goroutine only). A reply carrying a different id means a new
-	// Source instance with a fresh sequence space, so the applied
-	// watermark from the old space is discarded rather than left to
-	// poison the monotonic guard — or a later resume request.
-	lastSession uint64
-	// syncedSession is the session in which the last sync actually
-	// COMPLETED (run-goroutine only). everSynced alone is not a resume
-	// certificate: after a source restart appliedSeq resets to 0, and if
-	// the full resync that follows is cut short before sync-done,
-	// (newSession, 0) would otherwise be presented — and granted — as a
-	// resume, marking a follower synced that never received the durable
-	// prefix. Resume is requested only when syncedSession == lastSession.
-	syncedSession uint64
+	// lineage and pos are the resume certificate (run-goroutine only):
+	// the lineage of the source whose records the table holds, and per
+	// WAL stream the position through which it holds all of them.
+	// lineage is set when a sync or a resume completes and cleared when a
+	// source answers a hello with a full sync: from then until that
+	// sync's 'S' frame the table holds no certified prefix, and a resume
+	// presented then would mark a follower synced that never received
+	// the durable prefix. A zero lineage requests no resume.
+	lineage uint64
+	pos     []persist.WALPos
 
 	// Session buffers (run-goroutine only), kept across sessions so that
 	// a resync does not allocate its ~400 KiB again: the hello, the
@@ -326,14 +322,11 @@ func isClosing(err error) bool {
 // bodyKeep is the frame body capacity a follower keeps between sessions.
 const bodyKeep = 64 << 10
 
-// session runs one connection: handshake (requesting a warm resume of
-// the previous session when this follower has ever synced), then apply
-// frames until the connection dies.
+// session runs one connection: handshake (requesting a resume from the
+// held WAL positions when a sync or resume has completed since the last
+// full sync began), then apply frames until the connection dies.
 func (f *Follower) session(conn net.Conn) error {
 	conn.SetWriteDeadline(time.Now().Add(f.cfg.DialTimeout))
-	hello := append(f.hello[:0], replMagic...)
-	hello = append(hello, byte(len(f.cfg.Name)))
-	hello = append(hello, f.cfg.Name...)
 	var set protocol.SlotSet
 	if f.cfg.Slots != nil {
 		set = *f.cfg.Slots
@@ -342,21 +335,12 @@ func (f *Follower) session(conn net.Conn) error {
 			set[i] = 0xff
 		}
 	}
-	hello = append(hello, set[:]...)
-	// Resume is requested only when the last COMPLETED sync happened in
-	// the session being reconnected to: appliedSeq is a valid certificate
-	// of "holds everything through seq" only for that session's sequence
-	// space. A sync that started under a newer session but was cut short
-	// leaves syncedSession behind lastSession, so no resume is requested
-	// and the full sync reruns. lastSession 0 never matches.
-	var resumeSession, resumeSeq uint64
-	if f.everSynced.Load() && f.syncedSession == f.lastSession {
-		resumeSession, resumeSeq = f.lastSession, f.appliedSeq.Load()
+	pos := f.pos
+	if f.lineage == 0 {
+		pos = nil
 	}
-	hello = binary.LittleEndian.AppendUint64(hello, resumeSession)
-	hello = binary.LittleEndian.AppendUint64(hello, resumeSeq)
-	f.hello = hello
-	if _, err := conn.Write(hello); err != nil {
+	f.hello = appendHello(f.hello[:0], f.cfg.Name, &set, f.lineage, pos)
+	if _, err := conn.Write(f.hello); err != nil {
 		return err
 	}
 	conn.SetReadDeadline(time.Now().Add(f.cfg.DialTimeout))
@@ -376,41 +360,48 @@ func (f *Follower) session(conn net.Conn) error {
 		}
 	}()
 	br, aw := f.br, f.aw
-	var reply [replyLen]byte
-	if _, err := io.ReadFull(br, reply[:]); err != nil {
+	var rb [replyLen]byte
+	if _, err := io.ReadFull(br, rb[:]); err != nil {
 		return err
 	}
-	if string(reply[:len(replMagic)]) != replMagic {
-		return fmt.Errorf("replica: bad handshake reply")
+	rep, err := decodeReply(rb[:])
+	if err != nil {
+		return err
 	}
-	session := binary.LittleEndian.Uint64(reply[len(replMagic)+1:])
-	if session != f.lastSession {
-		// A different Source instance numbers records from 1 again; the
-		// old watermark means nothing in the new sequence space and must
-		// not gate the monotonic update below or seed a future resume.
+	if rep.resumed && (rep.lineage != f.lineage || rep.streams != len(f.pos)) {
+		return fmt.Errorf("replica: source granted a resume this follower did not ask for")
+	}
+	if !rep.resumed {
+		// A full sync follows: the table's old prefix certifies nothing
+		// until its 'S' frame, and the old watermark belongs to another
+		// Source instance's sequence space.
+		f.lineage = 0
+		f.pos = make([]persist.WALPos, rep.streams)
 		f.appliedSeq.Store(0)
-		f.lastSession = session
 	}
 	f.connected.Store(true)
 
-	var hdr [frameHeaderLen]byte
-	var ack [ackLen]byte
+	hdr := make([]byte, frameHeaderLen+posLen*rep.streams)
+	fpos := make([]persist.WALPos, rep.streams) // the vector of the frame being read
+	ack := make([]byte, ackFixedLen+posLen*rep.streams)
 	ack[0] = ackByte
-	// No acks are sent until the sync-done frame has been applied: the
-	// first ack a source ever receives therefore certifies the whole
-	// initial sync, which is what lets its PeerStatus.Synced (and an
-	// empty-tail watermark) mean "the follower HAS this data", not "the
-	// follower has been mailed this data".
+	// No acks are sent until the sync-done (or resume-done) frame has
+	// been applied: the first ack a source ever receives therefore
+	// certifies the whole initial sync or catch-up, which is what lets
+	// its PeerStatus.Synced (and an empty-tail watermark) mean "the
+	// follower HAS this data", not "the follower has been mailed this
+	// data".
 	acking := false
 	for {
 		conn.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout))
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr); err != nil {
 			return err
 		}
 		typ := hdr[0]
 		seq := binary.LittleEndian.Uint64(hdr[1:9])
 		ts := int64(binary.LittleEndian.Uint64(hdr[9:17]))
 		n := binary.LittleEndian.Uint32(hdr[17:21])
+		decodePositions(fpos, hdr[frameHeaderLen:])
 		if n > maxFrameLen {
 			return fmt.Errorf("replica: frame length %d exceeds limit %d", n, maxFrameLen)
 		}
@@ -433,21 +424,28 @@ func (f *Follower) session(conn net.Conn) error {
 				return err
 			}
 		case frameSyncDone:
-			f.synced.Store(true)
-			f.everSynced.Store(true)
-			f.syncedSession = f.lastSession
+			f.lineage = rep.lineage
+			f.appliedSeq.Store(seq)
 			f.syncs.Add(1)
-			acking = true
 		case frameResumeDone:
-			f.synced.Store(true)
-			f.everSynced.Store(true)
-			f.syncedSession = f.lastSession
+			f.lineage = rep.lineage
+			f.appliedSeq.Store(seq)
 			f.resumes.Add(1)
-			acking = true
 		case frameHeartbeat:
 			// watermark + timestamp only
 		default:
 			return fmt.Errorf("replica: unknown frame type %q", typ)
+		}
+		if typ == frameSyncDone || typ == frameResumeDone {
+			f.synced.Store(true)
+			f.everSynced.Store(true)
+			acking = true
+		}
+		// The frame is applied: it holds everything through its vector.
+		for st, p := range fpos {
+			if f.pos[st].Before(p) {
+				f.pos[st] = p
+			}
 		}
 		f.frames.Add(1)
 		if seq > f.appliedSeq.Load() {
@@ -458,8 +456,9 @@ func (f *Follower) session(conn net.Conn) error {
 			continue
 		}
 		binary.LittleEndian.PutUint64(ack[1:9], seq)
+		putPositions(ack[ackFixedLen:], f.pos)
 		conn.SetWriteDeadline(time.Now().Add(f.cfg.ReadTimeout))
-		if _, err := aw.Write(ack[:]); err != nil {
+		if _, err := aw.Write(ack); err != nil {
 			return err
 		}
 		if err := aw.Flush(); err != nil {

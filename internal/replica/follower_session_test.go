@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cphash/internal/persist"
-	"cphash/internal/protocol"
 )
 
 // scriptedSource is a fake replication source that accepts one
@@ -22,12 +21,14 @@ type scriptedSource struct {
 	ln net.Listener
 }
 
-// helloReq is the parsed resume trailer of a follower hello.
+// helloReq is an accepted connection and its decoded hello.
 type helloReq struct {
-	conn          net.Conn
-	resumeSession uint64
-	resumeSeq     uint64
+	conn net.Conn
+	hello
 }
+
+// scriptStreams is the stream count the scripted source announces.
+const scriptStreams = 2
 
 func newScriptedSource(t *testing.T) *scriptedSource {
 	t.Helper()
@@ -47,73 +48,80 @@ func (s *scriptedSource) accept() helloReq {
 		s.t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var fixed [len(replMagic) + 1]byte
-	if _, err := io.ReadFull(conn, fixed[:]); err != nil {
-		s.t.Fatal(err)
-	}
-	if string(fixed[:len(replMagic)]) != replMagic {
-		s.t.Fatalf("bad hello magic %q", fixed[:len(replMagic)])
-	}
-	rest := make([]byte, int(fixed[len(replMagic)])+protocol.SlotCount/8+helloResumeLen)
-	if _, err := io.ReadFull(conn, rest); err != nil {
-		s.t.Fatal(err)
-	}
-	tr := rest[len(rest)-helloResumeLen:]
-	return helloReq{
-		conn:          conn,
-		resumeSession: binary.LittleEndian.Uint64(tr[0:8]),
-		resumeSeq:     binary.LittleEndian.Uint64(tr[8:16]),
+	var buf []byte
+	for {
+		h, _, err := decodeHello(buf)
+		if err == nil {
+			return helloReq{conn: conn, hello: h}
+		}
+		if err != errShort {
+			s.t.Fatal(err)
+		}
+		var b [1]byte
+		if _, err := io.ReadFull(conn, b[:]); err != nil {
+			s.t.Fatal(err)
+		}
+		buf = append(buf, b[0])
 	}
 }
 
-// reply completes the handshake under the given session id (never
-// granting a resume — the scripted scenarios deny on purpose).
-func (h helloReq) reply(t *testing.T, session uint64) {
+// reply completes the handshake under the given lineage (never granting
+// a resume — the scripted scenarios deny on purpose).
+func (h helloReq) reply(t *testing.T, lineage uint64) {
 	t.Helper()
-	out := make([]byte, 0, replyLen)
-	out = append(out, replMagic...)
-	out = append(out, 0)
-	out = binary.LittleEndian.AppendUint64(out, session)
+	out := appendReply(nil, reply{lineage: lineage, streams: scriptStreams})
 	if _, err := h.conn.Write(out); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// dataFrame builds a 'D' frame at seq carrying recs as WAL frames.
-func dataFrame(seq uint64, recs ...persist.Record) []byte {
-	frame := make([]byte, frameHeaderLen)
+// vec is a scripted position vector: stream s at (seg, off+s).
+func vec(seg, off uint64) []persist.WALPos {
+	v := make([]persist.WALPos, scriptStreams)
+	for s := range v {
+		v[s] = persist.WALPos{Seg: seg, Off: off + uint64(s)}
+	}
+	return v
+}
+
+// dataFrame builds a 'D' frame at seq and vector pos carrying recs as
+// WAL frames.
+func dataFrame(seq uint64, pos []persist.WALPos, recs ...persist.Record) []byte {
+	frame := make([]byte, frameHeaderLen+posLen*scriptStreams)
 	for _, r := range recs {
 		frame = persist.AppendFrame(frame, r)
 	}
-	putFrameHeader(frame, frameData, seq, time.Now().UnixNano(), len(frame)-frameHeaderLen)
+	putFrameHeader(frame, frameData, seq, time.Now().UnixNano(), len(frame)-frameHeaderLen-posLen*scriptStreams, pos)
 	return frame
 }
 
-// syncDone sends the sync-done frame at seq and waits for its ack.
-func (h helloReq) syncDone(t *testing.T, seq uint64) {
+// syncDone sends the sync-done frame at seq and vector pos and waits for
+// its ack, which must echo both.
+func (h helloReq) syncDone(t *testing.T, seq uint64, pos []persist.WALPos) {
 	t.Helper()
-	var hdr [frameHeaderLen]byte
-	putFrameHeader(hdr[:], frameSyncDone, seq, time.Now().UnixNano(), 0)
-	if _, err := h.conn.Write(hdr[:]); err != nil {
+	hdr := make([]byte, frameHeaderLen+posLen*scriptStreams)
+	putFrameHeader(hdr, frameSyncDone, seq, time.Now().UnixNano(), 0, pos)
+	if _, err := h.conn.Write(hdr); err != nil {
 		t.Fatal(err)
 	}
 	h.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var ack [ackLen]byte
-	if _, err := io.ReadFull(h.conn, ack[:]); err != nil {
+	ack := make([]byte, ackFixedLen+posLen*scriptStreams)
+	if _, err := io.ReadFull(h.conn, ack); err != nil {
 		t.Fatal(err)
 	}
-	if ack[0] != ackByte || binary.LittleEndian.Uint64(ack[1:9]) != seq {
+	got := decodePositions(make([]persist.WALPos, scriptStreams), ack[ackFixedLen:])
+	if ack[0] != ackByte || binary.LittleEndian.Uint64(ack[1:9]) != seq || !reflect.DeepEqual(got, pos) {
 		t.Fatalf("bad ack %v", ack)
 	}
 }
 
 // TestNoResumeAfterSessionChangeInterruptedSync pins the resume
-// certificate across a source restart: a follower whose full resync
-// under the NEW session is cut short before sync-done must NOT present
-// (newSession, 0) as a resume on its next reconnect — everSynced was
-// earned under the OLD session, and a granted resume here would mark a
-// follower synced that never received the new session's durable prefix
-// (acked-write loss on a later promotion).
+// certificate across a change of source lineage: a follower whose full
+// resync from a source of the NEW lineage is cut short before sync-done
+// must NOT present that lineage on its next reconnect — its positions
+// were earned under the OLD lineage, and a granted resume here would
+// mark a follower synced that never received the new source's durable
+// prefix (acked-write loss on a later promotion).
 func TestNoResumeAfterSessionChangeInterruptedSync(t *testing.T) {
 	src := newScriptedSource(t)
 	f, err := StartFollower(FollowerConfig{
@@ -127,39 +135,40 @@ func TestNoResumeAfterSessionChangeInterruptedSync(t *testing.T) {
 	}
 	defer f.Close()
 
-	// Connection 1, session 100: a clean first sync at seq 7.
+	// Connection 1, lineage 100: a clean first sync at seq 7.
 	h := src.accept()
-	if h.resumeSession != 0 {
-		t.Fatalf("first hello requested resume of session %d", h.resumeSession)
+	if h.lineage != 0 || len(h.pos) != 0 {
+		t.Fatalf("first hello requested a resume: lineage %d, positions %v", h.lineage, h.pos)
 	}
 	h.reply(t, 100)
-	h.syncDone(t, 7)
+	h.syncDone(t, 7, vec(3, 100))
 	h.conn.Close()
 
-	// Connection 2: the follower presents its completed session — then
-	// the "restarted" source answers with session 200 and dies before
-	// sync-done, leaving the resync incomplete.
+	// Connection 2: the follower presents its lineage and positions —
+	// then a source of lineage 200 answers with a full sync and dies
+	// before sync-done, leaving the resync incomplete.
 	h = src.accept()
-	if h.resumeSession != 100 || h.resumeSeq != 7 {
-		t.Fatalf("hello after clean sync = (%d, %d), want (100, 7)", h.resumeSession, h.resumeSeq)
+	if h.lineage != 100 || !reflect.DeepEqual(h.pos, vec(3, 100)) {
+		t.Fatalf("hello after clean sync = (%d, %v), want (100, %v)", h.lineage, h.pos, vec(3, 100))
 	}
 	h.reply(t, 200)
 	h.conn.Close()
 
-	// Connection 3: no completed sync under session 200 exists, so no
-	// resume may be requested — (200, 0) here is the bogus certificate.
+	// Connection 3: no sync under lineage 200 completed, so no resume may
+	// be requested — lineage 200 with the zero positions the cut sync left
+	// is the bogus certificate.
 	h = src.accept()
-	if h.resumeSession != 0 || h.resumeSeq != 0 {
-		t.Fatalf("hello after interrupted resync = (%d, %d), want (0, 0)", h.resumeSession, h.resumeSeq)
+	if h.lineage != 0 || len(h.pos) != 0 {
+		t.Fatalf("hello after interrupted resync = (%d, %v), want no resume", h.lineage, h.pos)
 	}
 	h.reply(t, 200)
-	h.syncDone(t, 9)
+	h.syncDone(t, 9, vec(5, 40))
 	h.conn.Close()
 
 	// Connection 4: the sync completed under 200, so resume is back on.
 	h = src.accept()
-	if h.resumeSession != 200 || h.resumeSeq != 9 {
-		t.Fatalf("hello after completed resync = (%d, %d), want (200, 9)", h.resumeSession, h.resumeSeq)
+	if h.lineage != 200 || !reflect.DeepEqual(h.pos, vec(5, 40)) {
+		t.Fatalf("hello after completed resync = (%d, %v), want (200, %v)", h.lineage, h.pos, vec(5, 40))
 	}
 	h.conn.Close()
 }
@@ -208,8 +217,8 @@ func TestCorruptFrameAppliesNothing(t *testing.T) {
 
 	h := src.accept()
 	h.reply(t, 100)
-	h.syncDone(t, 3)
-	bad := dataFrame(5, a, b)
+	h.syncDone(t, 3, vec(2, 60))
+	bad := dataFrame(5, vec(2, 200), a, b)
 	bad[len(bad)-1] ^= 0x01 // the last value byte of b
 	if _, err := h.conn.Write(bad); err != nil {
 		t.Fatal(err)
@@ -226,16 +235,17 @@ func TestCorruptFrameAppliesNothing(t *testing.T) {
 		t.Fatalf("corrupt frame applied keys %v", keys)
 	}
 
-	// The follower still stands at seq 3; the resync re-sends both.
+	// The follower still stands where the sync left it, not at the corrupt
+	// frame's positions; the resync re-sends both.
 	h = src.accept()
-	if h.resumeSession != 100 || h.resumeSeq != 3 {
-		t.Fatalf("hello after corrupt frame = (%d, %d), want (100, 3)", h.resumeSession, h.resumeSeq)
+	if h.lineage != 100 || !reflect.DeepEqual(h.pos, vec(2, 60)) {
+		t.Fatalf("hello after corrupt frame = (%d, %v), want (100, %v)", h.lineage, h.pos, vec(2, 60))
 	}
 	h.reply(t, 100)
-	if _, err := h.conn.Write(dataFrame(0, a, b)); err != nil {
+	if _, err := h.conn.Write(dataFrame(0, vec(0, 0), a, b)); err != nil {
 		t.Fatal(err)
 	}
-	h.syncDone(t, 5)
+	h.syncDone(t, 5, vec(2, 200))
 	h.conn.Close()
 	if keys := app.applied(); !reflect.DeepEqual(keys, []uint64{1, 2}) {
 		t.Fatalf("after resync applied %v, want [1 2]", keys)
@@ -263,10 +273,10 @@ func TestFollowerDropsOutgrownBody(t *testing.T) {
 
 	h := src.accept()
 	h.reply(t, 100)
-	if _, err := h.conn.Write(dataFrame(0, big)); err != nil {
+	if _, err := h.conn.Write(dataFrame(0, vec(0, 0), big)); err != nil {
 		t.Fatal(err)
 	}
-	h.syncDone(t, 1) // acked, so the big frame was applied
+	h.syncDone(t, 1, vec(1, 20)) // acked, so the big frame was applied
 	h.conn.Close()
 	h = src.accept() // the first session has ended
 	f.Close()        // and the second too; Close waits for both

@@ -9,9 +9,10 @@
 // tail into a bounded in-memory backlog; each connected follower gets
 // the durable prefix streamed first (bounded by a RollAll barrier, so
 // the two phases meet with overlap, never a gap) and the backlog after.
-// Records replay idempotently — key → partition → one appender → one
-// stream means per-key FIFO survives the trip — so the overlap is
-// harmless, last writer wins.
+// Every record carries its WAL position, and the source skips backlog
+// records at or before the barrier, so the overlap is never sent twice;
+// key → partition → one appender → one stream means per-key FIFO
+// survives the trip.
 //
 // Placement rides the rendezvous continuum: a slot's replicas live on
 // cluster.Ring.Replicas(slot, d), the rank-1..d-1 scorers, and removing
@@ -21,64 +22,86 @@
 // data is already on the new owner — using the migration machinery's
 // dual-read window until the follower's watermark is confirmed; the mesh
 // then rewires so the new primary re-sources its surviving standbys,
-// which reconnect warm via session resume.
+// which reconnect warm when their positions are of its lineage.
 //
 // # Wire protocol
 //
 // One TCP connection per (follower, primary) pair, opened by the
-// follower to the Source's dedicated replication listener:
+// follower to the Source's dedicated replication listener. A position
+// is a persist.WALPos, seg (8 LE) | off (8 LE); a vector holds one per
+// WAL stream of the source, n of them:
 //
-//	handshake  F→S: magic "CPREPL04" | nameLen (1) | name | slot bitmap (32)
-//	                | resumeSession (8 LE) | resumeSeq (8 LE)
-//	handshake  S→F: magic "CPREPL04" | flags (1) | session (8 LE)
-//	frame      S→F: type (1) | seq (8 LE) | tsNanos (8 LE) | len (4 LE) | body
-//	ack        F→S: 'A' | seq (8 LE)
+//	handshake  F→S: magic "CPREPL05" | nameLen (1) | name | slot bitmap (32)
+//	                | lineage (8 LE) | n (1) | n × position
+//	handshake  S→F: magic "CPREPL05" | flags (1) | lineage (8 LE) | n (1)
+//	frame      S→F: type (1) | seq (8 LE) | tsNanos (8 LE) | len (4 LE)
+//	                | n × position | body
+//	ack        F→S: 'A' | seq (8 LE) | n × position
 //
-// resumeSession/resumeSeq ask the source to resume the follower's
-// previous session at appliedSeq+1 instead of re-running the initial
-// sync: the source grants (reply flags bit 0) iff the session id matches
-// its own — sequence numbers are only comparable within one Source
-// instance — and the backlog still covers the gap. A granted resume
-// streams zero sync entries (a reconnect after a brief blip, or a mesh
-// rewire that re-establishes an identical link, is warm); a denied one
-// falls back to the full initial sync. resumeSession 0 (a follower that
-// never synced) never matches.
+// The replication position is a WAL position: per stream, the position
+// just past the last record the follower holds (its table has applied
+// every record of that stream up to there). Every frame carries the
+// source's vector as of that frame, and the follower echoes its own in
+// every ack. lineage names the source's data directory
+// (persist.Pipeline.Lineage), so a position stays meaningful across
+// source restarts on that directory.
+//
+// The hello's lineage and vector ask to resume instead of re-running
+// the initial sync. The source grants (reply flags bit 0) iff the
+// lineage is its own, the vector has one position per stream, and every
+// stream's segment files still hold the record after its position
+// (persist.Pipeline.Holds). A granted resume first catches up: records
+// the backlog no longer holds are read from the segment files
+// (persist.Pipeline.ReadStream, slot-filtered like the live tail), then
+// the backlog supplies the rest, all in the same session. It streams
+// zero sync entries. Lineage 0 (a follower that never completed a sync,
+// or whose last one was cut short) never matches. A denied resume falls
+// back to the full initial sync. The reply's n is the source's stream
+// count.
 //
 // Frame types: 'D' carries a batch of records (body is len bytes); 'S'
-// marks the end of the initial sync; 'R' accepts a resume (the follower
-// is already synced at the frame's seq); 'H' is an idle heartbeat. A 'D'
-// body is a run of WAL frames exactly as the persister wrote them to its
-// segments — length (4 LE) | crc32c (4 LE) | op (1) | key (8 LE) |
-// expireAt ns (8 LE) | ver (8 LE) | value, see persist.DecodeFrames — so
-// every record carries the CRC the persister computed, checked end to
-// end: the follower verifies every record of a frame before it applies
-// any, and a frame that fails applies nothing and is not acknowledged.
-// Bodies are not compressed: every link in this tree is loopback or
-// in-process. Peers speaking an older version are refused at the
-// handshake.
+// marks the end of the initial sync; 'R' ends a resume's catch-up (the
+// follower holds everything through the frame's vector); 'H' is an idle
+// heartbeat. A 'D' body is a run of WAL frames exactly as the persister
+// wrote them to its segments — length (4 LE) | crc32c (4 LE) | op (1) |
+// key (8 LE) | expireAt ns (8 LE) | ver (8 LE) | value, see
+// persist.DecodeFrames — so every record carries the CRC the persister
+// computed, checked end to end: the follower verifies every record of a
+// frame before it applies any, and a frame that fails applies nothing
+// and is not acknowledged. Bodies are not compressed: every link in
+// this tree is loopback or in-process. Peers speaking an older version
+// are refused at the handshake.
 //
-// seq on 'D'/'H' frames is the Source's tail sequence covered so far —
-// the replication watermark the follower acknowledges; tsNanos is the
-// primary's clock at send time, from which the follower derives the
-// staleness bound for follower reads.
+// seq on 'D'/'H' frames is the Source's tail sequence covered so far:
+// the watermark the follower acknowledges. It is local to one Source
+// instance and serves lag and drain accounting, never resuming. tsNanos
+// is the primary's clock at send time, from which the follower derives
+// the staleness bound for follower reads. Initial-sync 'D' frames carry
+// seq 0 and zero positions; the 'S' frame's vector is the sync's roll
+// barrier.
 //
-// Catch-up is backlog-only by design (the redis chain-replication
-// trade): a follower that falls off the bounded backlog is disconnected
-// and performs a full resync on reconnect, which the snapshot+segment
-// replay makes proportional to the table size, not the outage length.
+// The in-memory backlog is only the fast path. A follower that falls
+// behind it — a stalled applier, a slow link, a long initial sync —
+// catches up from the segment files in the same session, the way a
+// Kafka consumer reads its log by offset. A full resync remains only for
+// a follower of another lineage, or one whose position lies in a
+// segment a snapshot has since truncated away; it costs the table's
+// size, not the outage's length.
 package replica
 
 import (
 	"encoding/binary"
+	"errors"
 	"time"
 
 	"cphash/internal/core"
 	"cphash/internal/lockhash"
 	"cphash/internal/persist"
+	"cphash/internal/protocol"
 )
 
 const (
-	replMagic = "CPREPL04"
+	replMagic = "CPREPL05"
 
 	frameData       = byte('D')
 	frameSyncDone   = byte('S')
@@ -86,27 +109,157 @@ const (
 	frameHeartbeat  = byte('H')
 	ackByte         = byte('A')
 
+	// frameHeaderLen is a frame header's fixed part, before its vector.
 	frameHeaderLen = 1 + 8 + 8 + 4
-	ackLen         = 1 + 8
+	// posLen is one encoded position.
+	posLen = 8 + 8
+	// ackFixedLen is an ack's fixed part, before its vector.
+	ackFixedLen = 1 + 8
 
-	// helloResumeLen is the trailer of the follower hello: the session id
-	// it wants to resume and the seq it has applied through.
-	helloResumeLen = 8 + 8
-	// replyLen is the source's handshake reply: magic, flags, session id.
-	replyLen = len(replMagic) + 1 + 8
+	// replyLen is the source's handshake reply: magic, flags, lineage,
+	// stream count.
+	replyLen = len(replMagic) + 1 + 8 + 1
 	// replyFlagResumed (reply flags bit 0) grants the requested resume.
 	replyFlagResumed = byte(1)
+
+	// maxStreams is the most positions a vector can carry (its count is
+	// one byte).
+	maxStreams = 255
 
 	// maxFrameLen rejects absurd lengths before allocating, mirroring the
 	// WAL replay guard.
 	maxFrameLen = 64 << 20
 )
 
-func putFrameHeader(dst []byte, typ byte, seq uint64, ts int64, bodyLen int) {
+var (
+	// errShort reports a hello or reply cut short: more bytes are needed.
+	errShort = errors.New("replica: handshake cut short")
+	// errMagic reports a hello or reply of another protocol or version.
+	errMagic = errors.New("replica: bad handshake magic")
+)
+
+// hello is a follower's decoded handshake.
+type hello struct {
+	name    string
+	slots   protocol.SlotSet
+	lineage uint64           // 0 = no resume requested
+	pos     []persist.WALPos // the follower's positions, one per stream of lineage
+}
+
+// allSlots reports whether the hello subscribes to every slot.
+func (h *hello) allSlots() bool {
+	for _, b := range h.slots {
+		if b != 0xff {
+			return false
+		}
+	}
+	return true
+}
+
+// appendHello encodes a hello onto dst. name must be at most 255 bytes
+// and pos at most maxStreams positions.
+func appendHello(dst []byte, name string, slots *protocol.SlotSet, lineage uint64, pos []persist.WALPos) []byte {
+	dst = append(dst, replMagic...)
+	dst = append(dst, byte(len(name)))
+	dst = append(dst, name...)
+	dst = append(dst, slots[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, lineage)
+	dst = append(dst, byte(len(pos)))
+	n := len(dst)
+	dst = append(dst, make([]byte, len(pos)*posLen)...)
+	putPositions(dst[n:], pos)
+	return dst
+}
+
+// decodeHello decodes the hello at the start of b, returning it and its
+// length. A proper prefix of a hello returns errShort.
+func decodeHello(b []byte) (h hello, n int, err error) {
+	if len(b) <= len(replMagic) {
+		if n := min(len(b), len(replMagic)); string(b[:n]) != replMagic[:n] {
+			return h, 0, errMagic
+		}
+		return h, 0, errShort
+	}
+	if string(b[:len(replMagic)]) != replMagic {
+		return h, 0, errMagic
+	}
+	nameEnd := len(replMagic) + 1 + int(b[len(replMagic)])
+	fixedEnd := nameEnd + len(h.slots) + 8 + 1
+	if len(b) < fixedEnd {
+		return h, 0, errShort
+	}
+	count := int(b[fixedEnd-1])
+	n = fixedEnd + count*posLen
+	if len(b) < n {
+		return h, 0, errShort
+	}
+	h.name = string(b[len(replMagic)+1 : nameEnd])
+	copy(h.slots[:], b[nameEnd:])
+	h.lineage = binary.LittleEndian.Uint64(b[fixedEnd-9:])
+	h.pos = decodePositions(make([]persist.WALPos, count), b[fixedEnd:n])
+	return h, n, nil
+}
+
+// reply is the source's decoded handshake answer.
+type reply struct {
+	resumed bool
+	lineage uint64
+	streams int
+}
+
+// appendReply encodes a reply onto dst.
+func appendReply(dst []byte, r reply) []byte {
+	dst = append(dst, replMagic...)
+	var flags byte
+	if r.resumed {
+		flags |= replyFlagResumed
+	}
+	dst = append(dst, flags)
+	dst = binary.LittleEndian.AppendUint64(dst, r.lineage)
+	return append(dst, byte(r.streams))
+}
+
+// decodeReply decodes a whole reply (replyLen bytes).
+func decodeReply(b []byte) (reply, error) {
+	if len(b) < replyLen {
+		return reply{}, errShort
+	}
+	if string(b[:len(replMagic)]) != replMagic {
+		return reply{}, errMagic
+	}
+	return reply{
+		resumed: b[len(replMagic)]&replyFlagResumed != 0,
+		lineage: binary.LittleEndian.Uint64(b[len(replMagic)+1:]),
+		streams: int(b[replyLen-1]),
+	}, nil
+}
+
+// putPositions encodes a vector into b, which holds len(pos)*posLen bytes.
+func putPositions(b []byte, pos []persist.WALPos) {
+	for i, p := range pos {
+		binary.LittleEndian.PutUint64(b[i*posLen:], p.Seg)
+		binary.LittleEndian.PutUint64(b[i*posLen+8:], p.Off)
+	}
+}
+
+// decodePositions decodes len(dst) positions from b into dst.
+func decodePositions(dst []persist.WALPos, b []byte) []persist.WALPos {
+	for i := range dst {
+		dst[i] = persist.WALPos{
+			Seg: binary.LittleEndian.Uint64(b[i*posLen:]),
+			Off: binary.LittleEndian.Uint64(b[i*posLen+8:]),
+		}
+	}
+	return dst
+}
+
+// putFrameHeader stamps a frame header, vector included, into dst.
+func putFrameHeader(dst []byte, typ byte, seq uint64, ts int64, bodyLen int, pos []persist.WALPos) {
 	dst[0] = typ
 	binary.LittleEndian.PutUint64(dst[1:9], seq)
 	binary.LittleEndian.PutUint64(dst[9:17], uint64(ts))
 	binary.LittleEndian.PutUint32(dst[17:21], uint32(bodyLen))
+	putPositions(dst[frameHeaderLen:], pos)
 }
 
 // Applier applies replicated records to the follower's local table. All

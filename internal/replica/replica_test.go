@@ -31,16 +31,24 @@ type node struct {
 
 func startNode(t *testing.T, srcCfg *replica.SourceConfig) *node {
 	t.Helper()
-	pipe, err := persist.Open(persist.Config{
-		Dir:     t.TempDir(),
-		Policy:  persist.SyncNone,
-		Streams: 2,
-	})
+	return startNodeIn(t, persist.Config{Dir: t.TempDir(), Policy: persist.SyncNone}, 8, srcCfg)
+}
+
+// startNodeIn is startNode on a given pipeline configuration (two
+// streams unless it says otherwise) and partition count: a data
+// directory to restart on, or a sync policy that leaves frames in the
+// segment writer.
+func startNodeIn(t *testing.T, pc persist.Config, partitions int, srcCfg *replica.SourceConfig) *node {
+	t.Helper()
+	if pc.Streams == 0 {
+		pc.Streams = 2
+	}
+	pipe, err := persist.Open(pc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	table, err := lockhash.New(lockhash.Config{
-		Partitions:    8,
+		Partitions:    partitions,
 		CapacityBytes: 8 << 20,
 		Sink:          func(i int) partition.ChangeSink { return pipe.Appender(i) },
 	})
@@ -197,7 +205,12 @@ func TestSlotFilteredReplication(t *testing.T) {
 	}
 }
 
-func TestFollowerReconnectsAndResyncs(t *testing.T) {
+// TestFollowerResumesAcrossSourceRestart: a source restarted on the same
+// pipeline has the same lineage, so the follower's WAL positions still
+// name records in its segments. The follower resumes instead of
+// re-running the initial sync, and the writes made while no source was
+// up reach it exactly once, read back from the segment files.
+func TestFollowerResumesAcrossSourceRestart(t *testing.T) {
 	hb := 10 * time.Millisecond
 	primary := startNode(t, &replica.SourceConfig{Heartbeat: hb})
 	follower := startNode(t, nil)
@@ -217,7 +230,8 @@ func TestFollowerReconnectsAndResyncs(t *testing.T) {
 		t.Fatal("follower did not notice source death")
 	}
 
-	// Writes during the outage only reach the follower via resync.
+	// Writes during the outage are in no backlog: only the segment files
+	// hold them.
 	for k := uint64(101); k <= 200; k++ {
 		primary.table.Put(k, []byte("two"))
 	}
@@ -237,32 +251,153 @@ func TestFollowerReconnectsAndResyncs(t *testing.T) {
 	waitAcked(t, primary.src, 10*time.Second)
 	for k := uint64(1); k <= 200; k++ {
 		if _, ok := follower.table.Get(k, nil); !ok {
-			t.Fatalf("key %d missing after resync", k)
+			t.Fatalf("key %d missing after resume", k)
 		}
 	}
-	if st := fl.Status(); st.Syncs < 2 {
-		t.Fatalf("expected a second initial sync, status %+v", st)
+	if st := fl.Status(); st.Syncs != 1 || st.Resumes != 1 || st.Records != 200 {
+		t.Fatalf("want one sync, one resume and every record once, status %+v", st)
+	}
+	if st := src2.Stats(); st.Syncs != 0 || st.Resumes != 1 || st.CatchUps != 1 {
+		t.Fatalf("restarted source served %+v, want one resume that caught up from the files", st)
 	}
 }
 
-func TestBacklogOverrunForcesResync(t *testing.T) {
+// TestBacklogOverrunCatchesUpFromWAL is the catch-up property: a
+// follower whose applier stalls while a burst passes a 64-record backlog
+// falls off it, and catches up from the segment files in the same
+// session — no reconnect, no sync, zero sync entries streamed, every
+// record applied once.
+func TestBacklogOverrunCatchesUpFromWAL(t *testing.T) {
 	hb := 5 * time.Millisecond
-	// Tiny backlog: a burst larger than it must disconnect the follower,
-	// which then resyncs and converges anyway.
-	primary := startNode(t, &replica.SourceConfig{Heartbeat: hb, BacklogRecords: 64})
+	primary := startNode(t, &replica.SourceConfig{Heartbeat: hb, BacklogRecords: 64, Listen: smallBufListen})
 	follower := startNode(t, nil)
-	follower.follow(primary.src.Addr(), nil, hb)
+	ap := &stallApplier{
+		inner:   replica.NewLockHashApplier(follower.table),
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	fl := followWith(t, primary.src.Addr(), ap, hb)
 	waitAcked(t, primary.src, 5*time.Second)
 
-	for k := uint64(1); k <= 5000; k++ {
-		primary.table.Put(k, []byte(fmt.Sprintf("v-%d", k)))
+	// A few MiB: past the backlog and the socket buffers both.
+	ap.stall.Store(true)
+	const n = 20000
+	val := make([]byte, 128)
+	for k := uint64(1); k <= n; k++ {
+		copy(val, fmt.Sprintf("v-%d", k))
+		primary.table.Put(k, val)
+		if k == 1 {
+			<-ap.entered
+		}
+	}
+	primary.pipe.Barrier()
+	close(ap.release)
+	waitAcked(t, primary.src, 10*time.Second)
+	for k := uint64(1); k <= n; k++ {
+		if v, ok := follower.table.Get(k, nil); !ok || !strings.HasPrefix(string(v), fmt.Sprintf("v-%d\x00", k)) {
+			t.Fatalf("key %d = %.12q, %v after the catch-up", k, v, ok)
+		}
+	}
+	if st := fl.Status(); st.Syncs != 1 || st.Resumes != 0 || st.Records != n {
+		t.Fatalf("want the first sync only and %d records, each once; status %+v", n, st)
+	}
+	if st := primary.src.Stats(); st.Syncs != 1 || st.CatchUps == 0 {
+		t.Fatalf("source served %+v, want one sync and a catch-up", st)
+	}
+}
+
+// TestTruncatedPositionForcesResync is the catch-up property's limit: a
+// follower kept away while a snapshot truncates the segment its position
+// lies in cannot be caught up from the files, so its hello is denied and
+// it full-resyncs — and still converges.
+func TestTruncatedPositionForcesResync(t *testing.T) {
+	hb := 10 * time.Millisecond
+	primary := startNode(t, &replica.SourceConfig{Heartbeat: hb})
+	proxy := newBlipProxy(t, primary.src.Addr())
+	follower := startNode(t, nil)
+	fl := follower.follow(proxy.addr(), nil, hb)
+	for k := uint64(1); k <= 100; k++ {
+		primary.table.Put(k, []byte("one"))
+	}
+	primary.pipe.Barrier()
+	waitAcked(t, primary.src, 5*time.Second)
+
+	proxy.setDown(true)
+	if !fl.WaitDisconnected(5 * time.Second) {
+		t.Fatal("follower still connected through a down proxy")
+	}
+	for k := uint64(101); k <= 200; k++ {
+		primary.table.Put(k, []byte("two"))
+	}
+	if err := primary.pipe.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	proxy.setDown(false)
+	waitSyncs(t, fl, 2)
+	waitAcked(t, primary.src, 10*time.Second)
+	for k := uint64(1); k <= 200; k++ {
+		if _, ok := follower.table.Get(k, nil); !ok {
+			t.Fatalf("key %d missing after the resync", k)
+		}
+	}
+	if st := fl.Status(); st.Syncs != 2 || st.Resumes != 0 {
+		t.Fatalf("want a full resync, status %+v", st)
+	}
+}
+
+// TestPrimaryRestartResumesFollowers restarts the whole primary — table,
+// pipeline and source — on its data directory: the lineage lives there,
+// so the follower resumes without a sync. A primary started on a fresh
+// directory at the same address is another lineage, and the follower
+// full-resyncs.
+func TestPrimaryRestartResumesFollowers(t *testing.T) {
+	hb := 10 * time.Millisecond
+	dir := t.TempDir()
+	primary := startNodeIn(t, persist.Config{Dir: dir, Policy: persist.SyncNone}, 8, &replica.SourceConfig{Heartbeat: hb})
+	addr := primary.src.Addr()
+	follower := startNode(t, nil)
+	fl := follower.follow(addr, nil, hb)
+	for k := uint64(1); k <= 100; k++ {
+		primary.table.Put(k, []byte("one"))
+	}
+	primary.pipe.Barrier()
+	waitAcked(t, primary.src, 5*time.Second)
+
+	restart := func(dir string) *node {
+		primary.src.Close()
+		primary.pipe.Close()
+		return startNodeIn(t, persist.Config{Dir: dir, Policy: persist.SyncNone}, 8, &replica.SourceConfig{Heartbeat: hb, Addr: addr})
+	}
+	primary = restart(dir)
+	for k := uint64(1); k <= 100; k++ {
+		if _, ok := primary.table.Get(k, nil); !ok {
+			t.Fatalf("restarted primary lost key %d", k)
+		}
+	}
+	for k := uint64(101); k <= 200; k++ {
+		primary.table.Put(k, []byte("two"))
 	}
 	primary.pipe.Barrier()
 	waitAcked(t, primary.src, 10*time.Second)
-	for k := uint64(1); k <= 5000; k++ {
+	for k := uint64(1); k <= 200; k++ {
 		if _, ok := follower.table.Get(k, nil); !ok {
-			t.Fatalf("key %d missing after overrun resync", k)
+			t.Fatalf("key %d missing after the primary restart", k)
 		}
+	}
+	if st := fl.Status(); st.Syncs != 1 || st.Resumes != 1 || st.Records != 200 {
+		t.Fatalf("want a resume of the first sync and every record once, status %+v", st)
+	}
+
+	primary = restart(t.TempDir())
+	primary.table.Put(201, []byte("three"))
+	primary.pipe.Barrier()
+	waitSyncs(t, fl, 2)
+	waitAcked(t, primary.src, 10*time.Second)
+	if _, ok := follower.table.Get(201, nil); !ok {
+		t.Fatal("key 201 missing after the fresh primary's sync")
+	}
+	if st := fl.Status(); st.Syncs != 2 || st.Resumes != 1 {
+		t.Fatalf("want a full sync from the fresh directory, status %+v", st)
 	}
 }
 
@@ -295,6 +430,7 @@ type blipProxy struct {
 	ln    net.Listener
 	mu    sync.Mutex
 	conns []net.Conn
+	down  bool // hang up on every connection, as a partition would
 }
 
 func newBlipProxy(t *testing.T, dst string) *blipProxy {
@@ -309,6 +445,13 @@ func newBlipProxy(t *testing.T, dst string) *blipProxy {
 			c, err := ln.Accept()
 			if err != nil {
 				return
+			}
+			p.mu.Lock()
+			down := p.down
+			p.mu.Unlock()
+			if down {
+				c.Close()
+				continue
 			}
 			up, err := net.Dial("tcp", dst)
 			if err != nil {
@@ -328,6 +471,16 @@ func newBlipProxy(t *testing.T, dst string) *blipProxy {
 
 func (p *blipProxy) addr() string { return p.ln.Addr().String() }
 
+// setDown partitions the link (dropping what is connected) or heals it.
+func (p *blipProxy) setDown(down bool) {
+	p.mu.Lock()
+	p.down = down
+	p.mu.Unlock()
+	if down {
+		p.drop()
+	}
+}
+
 func (p *blipProxy) drop() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -337,10 +490,11 @@ func (p *blipProxy) drop() {
 	p.conns = nil
 }
 
-// TestSessionResumeWarmReconnect proves a reconnect to the SAME source
-// is warm: the session resumes at the follower's applied watermark with
-// zero sync entries re-streamed, where a source restart (different
-// session id) still forces a full resync.
+// TestSessionResumeWarmReconnect proves a reconnect after a link blip is
+// warm: the session resumes at the follower's WAL positions, which are
+// of the source's lineage, with zero sync entries re-streamed. (A source
+// of another lineage still forces a full resync:
+// TestPrimaryRestartResumesFollowers.)
 func TestSessionResumeWarmReconnect(t *testing.T) {
 	hb := 10 * time.Millisecond
 	primary := startNode(t, &replica.SourceConfig{Heartbeat: hb})

@@ -63,14 +63,16 @@ func allocSites() map[string]siteAllocs {
 	return sites
 }
 
-// resyncPhase names the part of a resync a stack belongs to, by the
-// outermost replication frame on it.
+// resyncPhase names the part of a resync or catch-up a stack belongs
+// to, by the outermost replication frame on it.
 func resyncPhase(stack string) string {
 	switch {
 	case strings.Contains(stack, "replica.(*Follower).apply") || strings.Contains(stack, "Applier"):
 		return "follower applier"
 	case strings.Contains(stack, "replica.(*peer).initialSync"):
 		return "source replay (roll + durable replay + framing)"
+	case strings.Contains(stack, "replica.(*peer).catchUp"):
+		return "source catch-up (flush + segment read)"
 	case strings.Contains(stack, "replica.(*Source)") || strings.Contains(stack, "replica.(*peer)"):
 		return "source session (accept, hello, register, ack reader)"
 	case strings.Contains(stack, "replica.(*Follower).session"):
@@ -82,12 +84,25 @@ func resyncPhase(stack string) string {
 	}
 }
 
-// TestResyncAllocationSites forces exactly one resync — a follower whose
-// applier stalls while the primary writes past a 512-record backlog, the
-// shape of TestHotPathAllocCeiling/replicated — and attributes the
-// allocations made between the stall's release and the completed resync
-// to the part of the replication stack that made them.
+// TestResyncAllocationSites forces exactly one resync — a follower kept
+// away while the primary writes past a 512-record backlog (the backlog
+// of TestHotPathAllocCeiling/replicated) and a snapshot truncates the
+// segment its position lies in, so that the segment files cannot catch
+// it up — and attributes the allocations made between its return and
+// the completed resync to the part of the replication stack that made
+// them.
 func TestResyncAllocationSites(t *testing.T) {
+	profileRecovery(t, true)
+}
+
+// TestCatchUpAllocationSites is its twin without the snapshot: the
+// follower resumes, and the records the backlog no longer holds are read
+// back from the segment files.
+func TestCatchUpAllocationSites(t *testing.T) {
+	profileRecovery(t, false)
+}
+
+func profileRecovery(t *testing.T, truncate bool) {
 	if testing.Short() {
 		t.Skip("profiles every allocation")
 	}
@@ -101,18 +116,14 @@ func TestResyncAllocationSites(t *testing.T) {
 	for k := uint64(0); k < keys; k++ {
 		primary.table.Put(k, val)
 	}
+	proxy := newBlipProxy(t, primary.src.Addr())
 	// As in the allocation gate, the follower's table has no pipeline of
 	// its own.
 	ftable := lockhash.MustNew(lockhash.Config{Partitions: 2, CapacityBytes: 8 << 20})
-	ap := &stallApplier{
-		inner:   replica.NewLockHashApplier(ftable),
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
-	}
 	fl, err := replica.StartFollower(replica.FollowerConfig{
-		Source:      primary.src.Addr(),
-		Name:        "stalled",
-		Apply:       ap,
+		Source:      proxy.addr(),
+		Name:        "away",
+		Apply:       replica.NewLockHashApplier(ftable),
 		Backoff:     10 * time.Millisecond,
 		ReadTimeout: 20 * hb,
 	})
@@ -123,37 +134,44 @@ func TestResyncAllocationSites(t *testing.T) {
 	primary.pipe.Barrier()
 	waitAcked(t, primary.src, 10*time.Second)
 
-	// Stall the applier on the next frame, then write past the backlog:
-	// the source drops the peer on overrun.
-	ap.stall.Store(true)
-	primary.table.Put(0, val)
-	<-ap.entered
+	// Cut the follower off, then write past the backlog.
+	proxy.setDown(true)
+	if !fl.WaitDisconnected(5 * time.Second) {
+		t.Fatal("follower still connected through a down proxy")
+	}
 	for k := uint64(1); k <= 2000; k++ {
 		primary.table.Put(k, val)
 	}
 	primary.pipe.Barrier()
-	for deadline := time.Now().Add(10 * time.Second); len(primary.src.Status()) != 0; {
-		if time.Now().After(deadline) {
-			t.Fatalf("source kept the overrun peer: %+v", primary.src.Status())
+	if truncate {
+		if err := primary.pipe.Snapshot(); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
 	}
 
 	before := allocSites()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	close(ap.release)
-	for deadline := time.Now().Add(10 * time.Second); fl.Status().Syncs < 2; {
+	src0 := primary.src.Stats()
+	proxy.setDown(false)
+	for deadline := time.Now().Add(10 * time.Second); fl.Status().Syncs+fl.Status().Resumes < 2; {
 		if time.Now().After(deadline) {
-			t.Fatalf("no resync: %+v", fl.Status())
+			t.Fatalf("follower did not come back: %+v", fl.Status())
 		}
 		time.Sleep(time.Millisecond)
 	}
 	waitAcked(t, primary.src, 10*time.Second)
 	runtime.ReadMemStats(&m1)
 	after := allocSites()
-	if st := fl.Status(); st.Syncs != 2 {
-		t.Fatalf("want exactly one resync, follower status %+v", st)
+	what := "catch-up"
+	st, src := fl.Status(), primary.src.Stats()
+	if truncate {
+		what = "resync"
+		if st.Syncs != 2 || st.Resumes != 0 || src.Syncs-src0.Syncs != 1 {
+			t.Fatalf("want exactly one resync, follower %+v, source %+v", st, src)
+		}
+	} else if st.Syncs != 1 || st.Resumes != 1 || src.CatchUps-src0.CatchUps != 1 {
+		t.Fatalf("want exactly one resume that caught up from the files, follower %+v, source %+v", st, src)
 	}
 
 	phases := map[string]siteAllocs{}
@@ -173,8 +191,8 @@ func TestResyncAllocationSites(t *testing.T) {
 		sites = append(sites, site{stack, d})
 		total = siteAllocs{total.n + d.n, total.bytes + d.bytes}
 	}
-	t.Logf("one resync of %d keys: %d allocations, %d KiB profiled (%d allocations by MemStats)",
-		keys, total.n, total.bytes>>10, m1.Mallocs-m0.Mallocs)
+	t.Logf("one %s of a %d-key table: %d allocations, %d KiB profiled (%d allocations by MemStats)",
+		what, keys, total.n, total.bytes>>10, m1.Mallocs-m0.Mallocs)
 	names := make([]string, 0, len(phases))
 	for name := range phases {
 		names = append(names, name)

@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,8 +21,9 @@ import (
 // SourceConfig parameterizes the primary side of replication.
 type SourceConfig struct {
 	// Pipe is the primary's running durability pipeline; the source
-	// attaches its tail fanout to it and drives RollAll/ReplayDurable for
-	// each follower's initial sync.
+	// attaches its tail fanout to it, drives RollAll/ReplayDurable for
+	// each follower's initial sync and FlushAll/ReadStream for each
+	// catch-up, and takes its lineage.
 	Pipe *persist.Pipeline
 	// Addr is the replication listen address (e.g. "127.0.0.1:0" — the
 	// bound address is available from Addr() afterwards). Replication
@@ -34,17 +35,21 @@ type SourceConfig struct {
 	// staleness on an idle primary.
 	Heartbeat time.Duration
 	// WriteTimeout disconnects a follower that stops draining its
-	// connection (default 10s); it will resync when it recovers.
+	// connection (default 10s); it resumes when it reconnects.
 	WriteTimeout time.Duration
 	// HandshakeTimeout bounds each side of the hello exchange: reading
 	// the follower's hello and writing the reply (default 5s). A dialer
 	// that connects and stalls — a port scanner, a partitioned peer —
 	// holds a serve goroutine no longer than this.
 	HandshakeTimeout time.Duration
-	// BacklogRecords bounds the in-memory tail backlog (default 65536).
-	// A follower that falls more than this many records behind is
-	// disconnected and must full-resync — catch-up storage is the WAL's
-	// job, not the backlog's.
+	// BacklogRecords bounds the in-memory tail backlog (default 4096,
+	// about 1 MiB of frames). The backlog is only the fast path: a
+	// follower that falls further behind reads the records it is missing
+	// back from the WAL's segment files, in the same session, and then
+	// continues from the backlog. Only a follower whose position lies in
+	// a segment a snapshot has truncated away, or that follows another
+	// lineage, must full-resync. Size it to cover a follower's usual lag,
+	// so that reading the files stays the exception.
 	BacklogRecords int
 	// BatchBytes bounds the records packed into one 'D' frame (default
 	// 32 KiB of WAL frames).
@@ -76,7 +81,7 @@ func (c *SourceConfig) setDefaults() error {
 		c.HandshakeTimeout = 5 * time.Second
 	}
 	if c.BacklogRecords <= 0 {
-		c.BacklogRecords = 65536
+		c.BacklogRecords = defaultBacklogRecords
 	}
 	if c.BatchBytes <= 0 {
 		c.BatchBytes = 32 << 10
@@ -87,203 +92,42 @@ func (c *SourceConfig) setDefaults() error {
 	return nil
 }
 
-// blEntry is one backlog record: its tail seq, its append stamp
-// (source-clock nanos, so a scrape can turn a peer's record lag into a
-// wall-time lag), and where its frame lies in the byte ring: n bytes at
-// absolute offset off, i.e. data[off%len(data):][:n].
-type blEntry struct {
-	seq uint64
-	at  int64
-	off uint64
-	n   uint64
-}
-
-// ringBytesPerRecord sizes the byte ring's first allocation from
-// measured traffic. A frame is 33 B of headers (8 B WAL framing, 25 B
-// record header) plus its value; durable_set50's frames average ~140 B,
-// and the space skipped at the ring's end adds to that. At 256 B per
-// record (16 MiB at the default 65 536) the ring never doubles there;
-// at 128 B it doubled once per source and the outgrown 8 MiB ring stayed
-// resident (rss_mb 115 against 98).
-const ringBytesPerRecord = 256
-
-// backlog is the bounded tail ring: TailRecord appends under the mutex
-// (persister goroutines, one per WAL stream), peer senders copy out
-// under it. Sequence numbers start at 1 and never wrap in practice.
-//
-// Records and their bytes live in two rings. buf holds the last
-// len(buf) records' entries; data holds their frames back to back,
-// addressed by an absolute byte offset modulo len(data). A frame that
-// would straddle the end of data starts again at its front instead, so
-// every frame is one contiguous slice of data. When the live frames plus
-// a new one do not fit, data doubles and the live frames are copied to
-// its front, renumbered from offset 0; it never shrinks. The backlog
-// thus holds about the bytes of its last len(buf) frames, and it is
-// pointer-free, so the collector never scans it.
-type backlog struct {
-	mu   sync.Mutex
-	buf  []blEntry
-	data []byte
-	head uint64 // absolute offset just past the newest frame
-	next uint64
-}
-
-// init sizes an empty backlog for the given record bound.
-func (b *backlog) init(records int) {
-	b.buf = make([]blEntry, records)
-	b.data = make([]byte, records*ringBytesPerRecord)
-	b.next = 1
-}
-
-// oldestLocked returns the oldest retained seq (next when empty).
-func (b *backlog) oldestLocked() uint64 {
-	if n := uint64(len(b.buf)); b.next > n {
-		return b.next - n
-	}
-	return 1
-}
-
-// frameLocked returns the stored frame of a retained record.
-func (b *backlog) frameLocked(e *blEntry) []byte {
-	at := e.off % uint64(len(b.data))
-	return b.data[at : at+e.n]
-}
-
-// append stamps a frame with the next tail seq and stores it.
-func (b *backlog) append(frame []byte, at int64) {
-	b.mu.Lock()
-	n := uint64(len(frame))
-	// The records that stay live once this one evicts the oldest slot.
-	keep := b.oldestLocked()
-	if b.next-keep+1 > uint64(len(b.buf)) {
-		keep++
-	}
-	off := b.place(b.head, n)
-	start := off
-	if keep < b.next {
-		start = b.buf[keep%uint64(len(b.buf))].off
-	}
-	if off+n-start > uint64(len(b.data)) {
-		b.grow(keep, n)
-		off = b.head
-	}
-	copy(b.data[off%uint64(len(b.data)):], frame)
-	b.buf[b.next%uint64(len(b.buf))] = blEntry{seq: b.next, at: at, off: off, n: n}
-	b.head = off + n
-	b.next++
-	b.mu.Unlock()
-}
-
-// place returns the offset at or after head where an n-byte frame sits
-// contiguously: head itself, or the start of the next lap when the frame
-// would straddle the end of data.
-func (b *backlog) place(head, n uint64) uint64 {
-	size := uint64(len(b.data))
-	if at := head % size; at+n > size {
-		return head + size - at
-	}
-	return head
-}
-
-// grow doubles data until the frames of records [keep, next) plus an
-// n-byte frame fit, copying those frames to its front.
-func (b *backlog) grow(keep, n uint64) {
-	live := n
-	for s := keep; s < b.next; s++ {
-		live += b.buf[s%uint64(len(b.buf))].n
-	}
-	size := 2 * len(b.data)
-	for uint64(size) < live {
-		size *= 2
-	}
-	data := make([]byte, size)
-	var off uint64
-	for s := keep; s < b.next; s++ {
-		e := &b.buf[s%uint64(len(b.buf))]
-		copy(data[off:], b.frameLocked(e))
-		e.off = off
-		off += e.n
-	}
-	b.data = data
-	b.head = off
-}
-
-// tail returns the last assigned seq (0 = nothing yet).
-func (b *backlog) tail() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.next - 1
-}
-
-// covers reports whether streaming can start at seq from: every record in
-// [from, tail] is still retained (from == next means nothing to stream,
-// which trivially covers).
-func (b *backlog) covers(from uint64) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return from >= b.oldestLocked() && from <= b.next
-}
-
-// stampAt returns the append timestamp of seq, or 0 when seq is not (or
-// no longer) in the backlog.
-func (b *backlog) stampAt(seq uint64) int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if seq == 0 || seq >= b.next {
-		return 0
-	}
-	e := &b.buf[seq%uint64(len(b.buf))]
-	if e.seq != seq {
-		return 0
-	}
-	return e.at
-}
-
-// collect copies the frames of records [from, tail] matching slots into
-// dst (up to maxBytes), returning the extended body, the next unconsumed
-// seq, how many records matched, and whether from has already been
-// overwritten (the peer fell off the backlog).
-func (b *backlog) collect(from uint64, slots *protocol.SlotSet, dst []byte, maxBytes int) (out []byte, next uint64, matched int, overrun bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if from < b.oldestLocked() {
-		return dst, from, 0, true
-	}
-	next = from
-	for next < b.next && len(dst) < maxBytes {
-		rec := b.frameLocked(&b.buf[next%uint64(len(b.buf))])
-		if slots == nil || slots.Has(cluster.SlotOf(persist.FrameKey(rec))) {
-			dst = append(dst, rec...)
-			matched++
-		}
-		next++
-	}
-	return dst, next, matched, false
-}
+// defaultBacklogRecords is BacklogRecords' default; see that field.
+const defaultBacklogRecords = 4096
 
 // peer is one connected follower.
 type peer struct {
 	src    *Source
 	conn   net.Conn
-	name   string
+	hello  hello
 	slots  *protocol.SlotSet // nil = all
 	cursor atomic.Uint64     // next backlog seq to consume
+	// resumed: the session began with a granted resume, so the first ack
+	// certifies a catch-up, not an initial sync.
+	resumed bool
 
-	// resume request from the hello (zero when the follower never synced).
-	resumeSession uint64
-	resumeSeq     uint64
+	// pos is the sender's WAL position vector: per stream, the position
+	// through which every record has been sent (or was already held).
+	// Sender goroutine only.
+	pos []persist.WALPos
 
 	// frame assembly, reused per frame: hdr for frames without a body,
-	// staging for 'D' frames (header room, then the body)
-	hdr     [frameHeaderLen]byte
+	// staging for 'D' frames (header room, then the body); hdrLen is the
+	// header with its vector
+	hdrLen  int
+	hdr     []byte
 	staging []byte
+	// rd reads segment files during a catch-up (made on the first one).
+	rd *bufio.Reader
 
-	acked  atomic.Uint64
-	synced atomic.Bool
-	idle   atomic.Bool
-	wake   chan struct{}
-	dead   chan struct{} // closed by the ack reader on conn failure
-	once   sync.Once
+	acked    atomic.Uint64
+	ackMu    sync.Mutex
+	ackedPos []persist.WALPos // the follower's vector from its last ack
+	synced   atomic.Bool
+	idle     atomic.Bool
+	wake     chan struct{}
+	dead     chan struct{} // closed by the ack reader on conn failure
+	once     sync.Once
 }
 
 // sent returns the highest tail seq covered by sent frames. The peer is
@@ -305,6 +149,9 @@ type PeerStatus struct {
 	Synced bool   `json:"synced"`
 	Sent   uint64 `json:"sent"`  // highest tail seq covered by sent frames
 	Acked  uint64 `json:"acked"` // highest applied seq the follower confirmed
+	// Position is the follower's acked WAL position per stream: the
+	// segment it would catch up from after a disconnect.
+	Position []persist.WALPos `json:"position"`
 }
 
 // PeerHealth describes one follower the source knows of — connected or
@@ -335,11 +182,14 @@ type Source struct {
 	ln  net.Listener
 	bl  backlog
 
-	// session identifies this Source instance (nonzero); sequence numbers
-	// are only meaningful within one session, so a follower may resume —
-	// skip the initial sync — iff it presents this id and the backlog
-	// still covers its applied watermark.
-	session uint64
+	// lineage is the pipeline's data-directory lineage. A follower's WAL
+	// positions are meaningful to any Source on that directory, this one
+	// or one before a restart, so a follower presenting this lineage may
+	// resume — skip the initial sync — whenever the segment files still
+	// hold the records after its positions; what the backlog no longer
+	// holds it reads from them.
+	lineage uint64
+	streams int
 
 	mu       sync.Mutex
 	peers    map[*peer]struct{}
@@ -351,9 +201,28 @@ type Source struct {
 	wg     sync.WaitGroup
 	closed atomic.Bool
 
-	framesSent atomic.Int64
-	syncsRun   atomic.Int64
-	resumesRun atomic.Int64
+	framesSent  atomic.Int64
+	syncsRun    atomic.Int64
+	resumesRun  atomic.Int64
+	catchUpsRun atomic.Int64
+}
+
+// SourceStats counts what a source has served since it started.
+type SourceStats struct {
+	Frames   int64 `json:"frames"`   // frames sent
+	Syncs    int64 `json:"syncs"`    // completed initial syncs
+	Resumes  int64 `json:"resumes"`  // sessions resumed without a sync
+	CatchUps int64 `json:"catchUps"` // gaps read back from the segment files
+}
+
+// Stats snapshots the source's counters.
+func (s *Source) Stats() SourceStats {
+	return SourceStats{
+		Frames:   s.framesSent.Load(),
+		Syncs:    s.syncsRun.Load(),
+		Resumes:  s.resumesRun.Load(),
+		CatchUps: s.catchUpsRun.Load(),
+	}
 }
 
 // NewSource attaches the tail fanout to cfg.Pipe and starts the
@@ -366,23 +235,35 @@ func NewSource(cfg SourceConfig) (*Source, error) {
 	if listen == nil {
 		listen = net.Listen
 	}
+	streams := cfg.Pipe.Streams()
+	if streams > maxStreams {
+		return nil, fmt.Errorf("replica: %d WAL streams exceed the protocol's %d", streams, maxStreams)
+	}
 	ln, err := listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("replica: %w", err)
 	}
 	s := &Source{
-		cfg:    cfg,
-		ln:     ln,
-		peers:  map[*peer]struct{}{},
-		hist:   map[string]peerMemory{},
-		forgot: map[string]struct{}{},
-		stop:   make(chan struct{}),
+		cfg:     cfg,
+		ln:      ln,
+		lineage: cfg.Pipe.Lineage(),
+		streams: streams,
+		peers:   map[*peer]struct{}{},
+		hist:    map[string]peerMemory{},
+		forgot:  map[string]struct{}{},
+		stop:    make(chan struct{}),
 	}
-	for s.session == 0 {
-		s.session = rand.Uint64()
-	}
-	s.bl.init(cfg.BacklogRecords)
+	s.bl.init(cfg.BacklogRecords, streams)
 	cfg.Pipe.SetTailSink(s)
+	// Every record past the flush reaches the backlog; the records
+	// before it that the attach raced are the files' to serve.
+	flushed, err := cfg.Pipe.FlushAll()
+	if err != nil {
+		cfg.Pipe.SetTailSink(nil)
+		ln.Close()
+		return nil, fmt.Errorf("replica: %w", err)
+	}
+	s.bl.raiseFrom(flushed)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -397,11 +278,11 @@ func (s *Source) Tail() uint64 { return s.bl.tail() }
 
 // TailRecord implements persist.TailSink: called on the persister
 // goroutines for every record written to a segment. It copies the
-// frame into the backlog and wakes idle peer senders — no blocking, no
-// steady-state allocation, which is what keeps the request hot path at
-// zero allocs with replication enabled.
-func (s *Source) TailRecord(frame []byte) {
-	s.bl.append(frame, s.cfg.Clock().UnixNano())
+// frame and its WAL position into the backlog and wakes idle peer
+// senders — no blocking, no steady-state allocation, which is what keeps
+// the request hot path at zero allocs with replication enabled.
+func (s *Source) TailRecord(frame []byte, stream int, pos persist.WALPos) {
+	s.bl.append(frame, s.cfg.Clock().UnixNano(), stream, pos)
 	if pl := s.peerList.Load(); pl != nil {
 		for _, p := range *pl {
 			if p.idle.Load() {
@@ -424,13 +305,17 @@ func (s *Source) Status() []PeerStatus {
 		if p.slots != nil {
 			nslots = p.slots.Len()
 		}
+		p.ackMu.Lock()
+		pos := append([]persist.WALPos(nil), p.ackedPos...)
+		p.ackMu.Unlock()
 		out = append(out, PeerStatus{
-			Name:   p.name,
-			Remote: p.conn.RemoteAddr().String(),
-			Slots:  nslots,
-			Synced: p.synced.Load(),
-			Sent:   p.sent(),
-			Acked:  p.acked.Load(),
+			Name:     p.hello.name,
+			Remote:   p.conn.RemoteAddr().String(),
+			Slots:    nslots,
+			Synced:   p.synced.Load(),
+			Sent:     p.sent(),
+			Acked:    p.acked.Load(),
+			Position: pos,
 		})
 	}
 	return out
@@ -457,8 +342,8 @@ func (s *Source) Peers() []PeerHealth {
 		if p.slots != nil {
 			nslots = p.slots.Len()
 		}
-		byName[p.name] = PeerHealth{
-			Name: p.name, Up: true, Synced: p.synced.Load(),
+		byName[p.hello.name] = PeerHealth{
+			Name: p.hello.name, Up: true, Synced: p.synced.Load(),
 			Slots: nslots, Sent: p.sent(), Acked: p.acked.Load(),
 		}
 	}
@@ -482,7 +367,7 @@ func (s *Source) ForgetPeer(name string) {
 	s.mu.Lock()
 	delete(s.hist, name)
 	for p := range s.peers {
-		if p.name == name {
+		if p.hello.name == name {
 			s.forgot[name] = struct{}{}
 			break
 		}
@@ -503,6 +388,7 @@ func (s *Source) Collect(e *obs.Expo, labels string) {
 	e.Counter("cphash_replica_frames_sent_total", "Replication frames sent to followers.", labels, s.framesSent.Load())
 	e.Counter("cphash_replica_resyncs_total", "Completed follower initial syncs.", labels, s.syncsRun.Load())
 	e.Counter("cphash_replica_resumes_total", "Follower sessions resumed warm (zero sync entries streamed).", labels, s.resumesRun.Load())
+	e.Counter("cphash_replica_catchups_total", "Follower gaps read back from the WAL's segment files instead of the backlog.", labels, s.catchUpsRun.Load())
 	peers := s.Peers()
 	live := 0
 	now := s.cfg.Clock().UnixNano()
@@ -552,8 +438,8 @@ func (s *Source) Collect(e *obs.Expo, labels string) {
 // peers matter precisely in the failover edge: right after a promotion
 // the new primary's standbys are resyncing, and a graceful close that
 // cut them loose unsynced would strand acked writes on the closing
-// node. Only a dead peer is skipped — it catches up by resyncing from
-// whoever owns the slots next. Idempotent.
+// node. Only a dead peer is skipped — it catches up from whoever owns
+// the slots next. Idempotent.
 func (s *Source) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
@@ -625,7 +511,7 @@ func (s *Source) register(p *peer) (tail uint64, err error) {
 	s.peers[p] = struct{}{}
 	// A reconnect supersedes any pending forget of the same name: this
 	// peer's eventual disconnect should retain its watermark normally.
-	delete(s.forgot, p.name)
+	delete(s.forgot, p.hello.name)
 	s.storePeerListLocked()
 	s.mu.Unlock()
 	return s.bl.tail(), nil
@@ -634,18 +520,18 @@ func (s *Source) register(p *peer) (tail uint64, err error) {
 func (s *Source) unregister(p *peer) {
 	s.mu.Lock()
 	delete(s.peers, p)
-	if _, forgotten := s.forgot[p.name]; forgotten {
+	if _, forgotten := s.forgot[p.hello.name]; forgotten {
 		// ForgetPeer ran after this peer's connection was closed but
 		// before the close was noticed here: honor it, don't retain.
-		delete(s.forgot, p.name)
-	} else if p.name != "" {
+		delete(s.forgot, p.hello.name)
+	} else if p.hello.name != "" {
 		// Retain the dropped peer's watermark so scrapes (and the failure
 		// detector) see it down-and-lagging rather than gone.
 		nslots := protocol.SlotCount
 		if p.slots != nil {
 			nslots = p.slots.Len()
 		}
-		s.hist[p.name] = peerMemory{
+		s.hist[p.hello.name] = peerMemory{
 			slots:  nslots,
 			sent:   p.sent(),
 			acked:  p.acked.Load(),
@@ -669,12 +555,16 @@ func (s *Source) storePeerListLocked() {
 func (s *Source) serve(conn net.Conn) {
 	defer s.wg.Done()
 	p := &peer{
-		src:     s,
-		conn:    conn,
-		staging: make([]byte, frameHeaderLen),
-		wake:    make(chan struct{}, 1),
-		dead:    make(chan struct{}),
+		src:    s,
+		conn:   conn,
+		hdrLen: frameHeaderLen + posLen*s.streams,
+		wake:   make(chan struct{}, 1),
+		dead:   make(chan struct{}),
 	}
+	p.hdr = make([]byte, p.hdrLen)
+	p.staging = make([]byte, p.hdrLen)
+	p.pos = make([]persist.WALPos, s.streams)
+	p.ackedPos = make([]persist.WALPos, s.streams)
 	if err := p.readHello(); err != nil {
 		conn.Close()
 		return
@@ -685,38 +575,36 @@ func (s *Source) serve(conn net.Conn) {
 		return
 	}
 	defer s.unregister(p)
-	// Grant a warm resume iff the hello names this session — sequence
-	// numbers are incomparable across Source instances — and the backlog
-	// still covers everything past the follower's applied watermark. A
-	// granted resume streams zero sync entries; the follower is already
-	// synced at resumeSeq, which is what makes a mesh rewire (or a brief
-	// link blip) free on a warm pair. If the backlog evicts the gap
-	// between this check and live streaming, collect reports an overrun
-	// and the peer falls back to a full resync on its next connection.
-	resume := p.resumeSession == s.session && p.resumeSeq <= tail && s.bl.covers(p.resumeSeq+1)
-	if resume {
-		p.cursor.Store(p.resumeSeq + 1)
-		p.acked.Store(p.resumeSeq)
-		p.synced.Store(true)
+	// Grant a resume iff the hello's positions are of this lineage and
+	// the segment files still hold every stream's next record. Which
+	// Source instance served the follower before does not matter: the
+	// positions name records in the directory's WAL, not in a backlog. A
+	// granted resume streams zero sync entries; the catch-up below reads
+	// whatever the backlog no longer holds back from the segments.
+	p.resumed = s.canResume(&p.hello)
+	if p.resumed {
+		copy(p.pos, p.hello.pos)
 	} else {
 		p.cursor.Store(tail + 1)
 	}
-	if err := p.writeReply(resume); err != nil {
+	if err := p.writeReply(); err != nil {
 		return
 	}
 
 	// The ack reader starts before the sync so a follower death mid-sync
 	// closes the connection promptly. The follower sends its first ack
-	// only after APPLYING the sync-done frame, so readAcks — not sync
-	// completion here — is what flips the peer to synced: a synced peer
-	// provably holds the data. (A resumed peer proved it last session;
-	// it is synced from the start.)
+	// only after APPLYING the sync-done (or resume-done) frame, so
+	// readAcks — not sync completion here — is what flips the peer to
+	// synced: a synced peer provably holds the data.
 	s.wg.Add(1)
 	go p.readAcks()
 
-	if resume {
+	if p.resumed {
 		s.resumesRun.Add(1)
-		if p.sendFrame(frameResumeDone, p.resumeSeq, p.hdr[:]) != nil {
+		if p.catchUp() != nil {
+			return
+		}
+		if p.sendFrame(frameResumeDone, p.sent(), p.hdr) != nil {
 			return
 		}
 	} else if err := p.initialSync(); err != nil {
@@ -725,67 +613,70 @@ func (s *Source) serve(conn net.Conn) {
 	p.live()
 }
 
-// readHello validates and stores the follower's hello.
+// canResume reports whether a follower's hello may skip the initial
+// sync (see resumable).
+func (s *Source) canResume(h *hello) bool {
+	return resumable(h, s.lineage, s.streams, s.cfg.Pipe.Holds)
+}
+
+// resumable is the resume verdict for a hello at a source of the given
+// lineage and stream count: the hello's positions are of that lineage,
+// one per stream, and holds reports that every stream's segment files
+// still hold the record after its position.
+func resumable(h *hello, lineage uint64, streams int, holds func(stream int, pos persist.WALPos) bool) bool {
+	if h.lineage == 0 || h.lineage != lineage || len(h.pos) != streams {
+		return false
+	}
+	for st, at := range h.pos {
+		if !holds(st, at) {
+			return false
+		}
+	}
+	return true
+}
+
+// readHello reads and decodes the follower's hello. The follower sends
+// nothing more until it has the reply, so reading in chunks never reads
+// past the hello.
 func (p *peer) readHello() error {
 	p.conn.SetReadDeadline(time.Now().Add(p.src.cfg.HandshakeTimeout))
 	defer p.conn.SetReadDeadline(time.Time{})
-	br := bufio.NewReaderSize(p.conn, 256)
-	var magic [len(replMagic) + 1]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return err
-	}
-	if string(magic[:len(replMagic)]) != replMagic {
-		return fmt.Errorf("replica: bad handshake magic")
-	}
-	name := make([]byte, magic[len(replMagic)])
-	if _, err := io.ReadFull(br, name); err != nil {
-		return err
-	}
-	p.name = string(name)
-	var set protocol.SlotSet
-	if _, err := io.ReadFull(br, set[:]); err != nil {
-		return err
-	}
-	all := true
-	for s := 0; s < protocol.SlotCount; s++ {
-		if !set.Has(s) {
-			all = false
-			break
+	buf := make([]byte, 0, 512)
+	for {
+		h, _, err := decodeHello(buf)
+		if err != errShort {
+			if err == nil {
+				p.hello = h
+				if !h.allSlots() {
+					p.slots = &p.hello.slots
+				}
+			}
+			return err
 		}
+		buf = slices.Grow(buf, 512)
+		n, err := p.conn.Read(buf[len(buf):cap(buf)])
+		if err != nil {
+			return err
+		}
+		buf = buf[:len(buf)+n]
 	}
-	if !all {
-		p.slots = &set
-	}
-	var resume [helloResumeLen]byte
-	if _, err := io.ReadFull(br, resume[:]); err != nil {
-		return err
-	}
-	p.resumeSession = binary.LittleEndian.Uint64(resume[0:8])
-	p.resumeSeq = binary.LittleEndian.Uint64(resume[8:16])
-	return nil
 }
 
-// writeReply completes the handshake: magic, the resume verdict, and
-// this source's session id (the follower presents it to resume next
-// time).
-func (p *peer) writeReply(resumed bool) error {
-	reply := make([]byte, 0, replyLen)
-	reply = append(reply, replMagic...)
-	var flags byte
-	if resumed {
-		flags |= replyFlagResumed
-	}
-	reply = append(reply, flags)
-	reply = binary.LittleEndian.AppendUint64(reply, p.src.session)
+// writeReply completes the handshake: magic, the resume verdict, this
+// source's lineage (the follower presents it with its positions next
+// time) and its stream count.
+func (p *peer) writeReply() error {
+	out := appendReply(make([]byte, 0, replyLen), reply{resumed: p.resumed, lineage: p.src.lineage, streams: p.src.streams})
 	p.conn.SetWriteDeadline(time.Now().Add(p.src.cfg.HandshakeTimeout))
-	_, err := p.conn.Write(reply)
+	_, err := p.conn.Write(out)
 	return err
 }
 
-// sendFrame stamps the header into frame[:frameHeaderLen] and writes the
-// frame in one call; the rest of frame is the body.
+// sendFrame stamps the header and the sender's position vector into
+// frame[:hdrLen] and writes the frame in one call; the rest of frame is
+// the body.
 func (p *peer) sendFrame(typ byte, seq uint64, frame []byte) error {
-	putFrameHeader(frame, typ, seq, p.src.cfg.Clock().UnixNano(), len(frame)-frameHeaderLen)
+	putFrameHeader(frame, typ, seq, p.src.cfg.Clock().UnixNano(), len(frame)-p.hdrLen, p.pos)
 	p.conn.SetWriteDeadline(time.Now().Add(p.src.cfg.WriteTimeout))
 	if _, err := p.conn.Write(frame); err != nil {
 		return err
@@ -794,47 +685,123 @@ func (p *peer) sendFrame(typ byte, seq uint64, frame []byte) error {
 	return nil
 }
 
+// flushBatch sends the staged 'D' frame, if it holds any record, at the
+// given watermark seq.
+func (p *peer) flushBatch(seq uint64) error {
+	if len(p.staging) == p.hdrLen {
+		return nil
+	}
+	err := p.sendFrame(frameData, seq, p.staging)
+	p.staging = p.staging[:p.hdrLen]
+	return err
+}
+
 // initialSync streams the durable prefix: roll every stream (the
 // barrier), then replay snapshot + sealed segments below it, re-framed
 // as WAL frames and batched into 'D' frames with seq 0 (pre-tail), then
 // the sync-done marker at the tail position where live streaming begins.
-// Records between peer registration and the roll barrier appear in both
-// phases; replay idempotency makes that overlap correct.
+// The marker's vector is the barrier: the follower holds every record
+// before it, so backlog records at or before it are skipped rather than
+// sent twice.
 func (p *peer) initialSync() error {
 	bar, err := p.src.cfg.Pipe.RollAll()
 	if err != nil {
 		return err
 	}
-	p.staging = p.staging[:frameHeaderLen]
-	flushBatch := func() error {
-		if len(p.staging) == frameHeaderLen {
-			return nil
-		}
-		err := p.sendFrame(frameData, 0, p.staging)
-		p.staging = p.staging[:frameHeaderLen]
-		return err
-	}
+	p.staging = p.staging[:p.hdrLen]
 	_, err = p.src.cfg.Pipe.ReplayDurable(bar, func(op persist.Op, key uint64, exp int64, ver uint64, val []byte) error {
 		if p.slots != nil && !p.slots.Has(cluster.SlotOf(key)) {
 			return nil
 		}
 		p.staging = persist.AppendFrame(p.staging, persist.Record{Op: op, Key: key, ExpireAt: exp, Ver: ver, Value: val})
 		if len(p.staging) >= p.src.cfg.BatchBytes {
-			return flushBatch()
+			return p.flushBatch(0)
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if err := flushBatch(); err != nil {
+	if err := p.flushBatch(0); err != nil {
 		return err
 	}
-	return p.sendFrame(frameSyncDone, p.cursor.Load()-1, p.hdr[:])
+	for st := range p.pos {
+		p.pos[st] = persist.SegmentStart(bar[st])
+	}
+	return p.sendFrame(frameSyncDone, p.sent(), p.hdr)
+}
+
+// catchUp brings a peer that the backlog cannot serve from its position
+// vector up to where the backlog holds every record it lacks, then
+// points its cursor there. Each round flushes the pipeline's segment
+// writers (so the files hold everything up to the returned positions),
+// reads every stream's records between the peer's position and the
+// flushed one from the files — slot-filtered, in 'D' frames at the last
+// sent seq — and tries the backlog again. The records after a flush
+// reach the backlog, so one round suffices unless the backlog turned
+// over while the round was read and sent; each further round reads only
+// what was written during the one before, so a follower that drains its
+// connection converges. A segment a snapshot deletes underfoot ends the
+// session: the follower's next hello finds its position gone and
+// full-resyncs.
+func (p *peer) catchUp() error {
+	pipe := p.src.cfg.Pipe
+	for round := 0; ; round++ {
+		if cursor, ok := p.src.bl.handoff(p.pos); ok {
+			p.cursor.Store(cursor)
+			return nil
+		}
+		select {
+		case <-p.src.stop:
+			return net.ErrClosed
+		case <-p.dead:
+			return net.ErrClosed
+		default:
+		}
+		if round == 0 {
+			p.src.catchUpsRun.Add(1)
+			if p.rd == nil {
+				p.rd = bufio.NewReaderSize(nil, 64<<10)
+			}
+			// Batches fill to BatchBytes here; grow the staging buffer
+			// once rather than by doubling.
+			p.staging = slices.Grow(p.staging[:p.hdrLen], p.src.cfg.BatchBytes)
+		}
+		to, err := pipe.FlushAll()
+		if err != nil {
+			return err
+		}
+		seq := p.sent()
+		p.staging = p.staging[:p.hdrLen]
+		for st := range to {
+			err := pipe.ReadStream(p.rd, st, p.pos[st], to[st], func(frame []byte, pos persist.WALPos) error {
+				p.pos[st] = pos
+				if p.slots != nil && !p.slots.Has(cluster.SlotOf(persist.FrameKey(frame))) {
+					return nil
+				}
+				p.staging = append(p.staging, frame...)
+				if len(p.staging) >= p.src.cfg.BatchBytes {
+					return p.flushBatch(seq)
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			if p.pos[st].Before(to[st]) {
+				p.pos[st] = to[st]
+			}
+		}
+		if err := p.flushBatch(seq); err != nil {
+			return err
+		}
+	}
 }
 
 // live streams the backlog from the peer's cursor, heartbeating when
-// idle so the follower's staleness estimate keeps advancing.
+// idle so the follower's staleness estimate keeps advancing. A peer that
+// falls off the backlog catches up from the segment files and carries
+// on.
 func (p *peer) live() {
 	ticker := time.NewTicker(p.src.cfg.Heartbeat)
 	defer ticker.Stop()
@@ -846,10 +813,13 @@ func (p *peer) live() {
 			return
 		default:
 		}
-		frame, next, matched, overrun := p.src.bl.collect(p.cursor.Load(), p.slots, p.staging[:frameHeaderLen], p.src.cfg.BatchBytes)
+		frame, next, matched, overrun := p.src.bl.collect(p.cursor.Load(), p.slots, p.pos, p.staging[:p.hdrLen], p.src.cfg.BatchBytes)
 		p.staging = frame
 		if overrun {
-			return // fell off the backlog: disconnect, follower resyncs
+			if p.catchUp() != nil {
+				return
+			}
+			continue
 		}
 		if matched > 0 {
 			if err := p.sendFrame(frameData, next-1, frame); err != nil {
@@ -867,7 +837,7 @@ func (p *peer) live() {
 		select {
 		case <-p.wake:
 		case <-ticker.C:
-			if err := p.sendFrame(frameHeartbeat, p.cursor.Load()-1, p.hdr[:]); err != nil {
+			if err := p.sendFrame(frameHeartbeat, p.sent(), p.hdr); err != nil {
 				p.idle.Store(false)
 				return
 			}
@@ -882,24 +852,28 @@ func (p *peer) live() {
 	}
 }
 
-// readAcks drains follower acknowledgements, advancing the watermark.
+// readAcks drains follower acknowledgements, advancing the watermark and
+// recording the follower's position vector.
 func (p *peer) readAcks() {
 	defer p.src.wg.Done()
 	defer p.once.Do(func() { close(p.dead) })
 	defer p.conn.Close() // unblock the sender
 	br := bufio.NewReaderSize(p.conn, 4<<10)
-	var ack [ackLen]byte
+	ack := make([]byte, ackFixedLen+posLen*p.src.streams)
 	for {
-		if _, err := io.ReadFull(br, ack[:]); err != nil {
+		if _, err := io.ReadFull(br, ack); err != nil {
 			return
 		}
 		if ack[0] != ackByte {
 			return
 		}
 		if !p.synced.Load() {
-			// First ack = the follower applied the entire initial sync.
+			// First ack = the follower applied the entire initial sync
+			// (or, resumed, the entire catch-up).
 			p.synced.Store(true)
-			p.src.syncsRun.Add(1)
+			if !p.resumed {
+				p.src.syncsRun.Add(1)
+			}
 		}
 		seq := binary.LittleEndian.Uint64(ack[1:9])
 		for {
@@ -908,5 +882,8 @@ func (p *peer) readAcks() {
 				break
 			}
 		}
+		p.ackMu.Lock()
+		decodePositions(p.ackedPos, ack[ackFixedLen:])
+		p.ackMu.Unlock()
 	}
 }

@@ -268,16 +268,6 @@ func (s *SingleSlot[T]) Send(v T) {
 	s.full.Store(1)
 }
 
-// TrySend publishes v if the slot is free, reporting success.
-func (s *SingleSlot[T]) TrySend(v T) bool {
-	if s.full.Load() != 0 {
-		return false
-	}
-	s.val = v
-	s.full.Store(1)
-	return true
-}
-
 // Recv removes and returns the value, spinning until one is present.
 func (s *SingleSlot[T]) Recv() T {
 	spins := 0
@@ -291,14 +281,4 @@ func (s *SingleSlot[T]) Recv() T {
 	v := s.val
 	s.full.Store(0)
 	return v
-}
-
-// TryRecv removes and returns the value if one is present.
-func (s *SingleSlot[T]) TryRecv() (v T, ok bool) {
-	if s.full.Load() == 0 {
-		return v, false
-	}
-	v = s.val
-	s.full.Store(0)
-	return v, true
 }

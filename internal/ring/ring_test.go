@@ -290,18 +290,11 @@ func TestQuickFIFO(t *testing.T) {
 
 func TestSingleSlot(t *testing.T) {
 	var s SingleSlot[int]
-	if _, ok := s.TryRecv(); ok {
-		t.Fatal("TryRecv on empty slot succeeded")
-	}
-	if !s.TrySend(7) {
-		t.Fatal("TrySend on empty slot failed")
-	}
-	if s.TrySend(8) {
-		t.Fatal("TrySend on full slot succeeded")
-	}
-	v, ok := s.TryRecv()
-	if !ok || v != 7 {
-		t.Fatalf("TryRecv = (%d, %v), want (7, true)", v, ok)
+	for v := 1; v <= 3; v++ {
+		s.Send(v)
+		if got := s.Recv(); got != v {
+			t.Fatalf("Recv = %d after Send(%d)", got, v)
+		}
 	}
 }
 
